@@ -50,6 +50,10 @@ fn boot(seed: u64) -> Ioctl {
 
 impl Workload for Ioctl {
     const NAME: &'static str = "ioctl_steady";
+    /// The smallest chunk with ten calls beyond its p99: the shorter a
+    /// chunk, the more often one falls wholly in a quiet stretch of the
+    /// host.
+    const CALL_CHUNK: usize = 1_000;
 
     fn setup(seed: u64) -> Ioctl {
         boot(seed)
