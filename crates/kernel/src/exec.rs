@@ -16,11 +16,11 @@
 
 use crate::layout;
 use crate::symbols::NativeFn;
-use crate::Kernel;
+use crate::{Kernel, ObserverList};
 use adelie_isa::{decode, AluOp, Cond, DecodeError, Insn, Mem, Reg, ARG_REGS};
 use adelie_vmem::{
-    page_base, page_offset, Access, Fault, PteKind, ReadPath, SpaceReader, Tlb, TlbStats,
-    Translation, PAGE_SIZE,
+    page_base, page_offset, Access, Fault, Pfn, PhysMem, PteKind, ReadPath, SpaceReader, Tlb,
+    TlbStats, Translation, PAGE_SIZE,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -82,6 +82,81 @@ impl From<Fault> for VmError {
     }
 }
 
+/// Bytes fetched per instruction (the longest encoding fits).
+const FETCH_WINDOW: usize = 16;
+
+/// One decoded instruction at `(pfn, page offset)`, valid while the
+/// frame's write version still equals `version`.
+#[derive(Copy, Clone)]
+struct Decoded {
+    /// `pfn << 12 | offset`.
+    key: u64,
+    version: u64,
+    insn: Insn,
+    len: u8,
+}
+
+/// A CPU's direct-mapped decoded-instruction cache (DESIGN.md §18).
+///
+/// Keyed by physical location, not virtual address, so aliases and
+/// re-randomized mappings of the same text share entries, and validated
+/// against [`PhysMem::version`], so any write to the frame — through any
+/// mapping, or a free and reallocation — turns its entries into misses.
+/// Translation is not cached here: the caller translates every fetch.
+///
+/// The table starts empty and grows fourfold each time it has taken as
+/// many fills as it has slots, up to [`DecodeCache::MAX_SLOTS`]: a CPU
+/// that runs a module init once pays for a few dozen slots, a CPU in a
+/// steady call loop reaches the full size within a few calls.
+#[derive(Default)]
+struct DecodeCache {
+    slots: Vec<Option<Decoded>>,
+    fills: usize,
+}
+
+impl DecodeCache {
+    const MIN_SLOTS: usize = 64;
+    const MAX_SLOTS: usize = 1024;
+
+    fn key(pfn: Pfn, off: usize) -> u64 {
+        pfn.0 << 12 | off as u64
+    }
+
+    /// Like a hardware I-cache, the page offset indexes directly, so
+    /// instructions of one page within a table's span never collide;
+    /// a hash of the frame number spreads the pages.
+    fn index(&self, key: u64) -> usize {
+        let page_hash = (key >> 12).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52;
+        ((key ^ page_hash) as usize) & (self.slots.len() - 1)
+    }
+
+    fn get(&self, pfn: Pfn, off: usize, phys: &PhysMem) -> Option<(Insn, usize)> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let key = Self::key(pfn, off);
+        let d = self.slots[self.index(key)]?;
+        (d.key == key && d.version == phys.version(pfn)).then_some((d.insn, d.len as usize))
+    }
+
+    fn insert(&mut self, pfn: Pfn, off: usize, version: u64, insn: Insn, len: usize) {
+        if self.fills >= self.slots.len() && self.slots.len() < Self::MAX_SLOTS {
+            let n = (self.slots.len() * 4).max(Self::MIN_SLOTS);
+            self.slots = vec![None; n];
+            self.fills = 0;
+        }
+        self.fills += 1;
+        let key = Self::key(pfn, off);
+        let i = self.index(key);
+        self.slots[i] = Some(Decoded {
+            key,
+            version,
+            insn,
+            len: len as u8,
+        });
+    }
+}
+
 #[derive(Copy, Clone, Default)]
 struct Flags {
     zf: bool,
@@ -109,6 +184,11 @@ pub struct Vm<'k> {
     /// append-only, so resolved handlers are cached per CPU and the
     /// registry's `RwLock` is off the instruction-dispatch hot path.
     native_cache: HashMap<u64, Arc<NativeFn>>,
+    /// Decoded instructions by physical location (DESIGN.md §18).
+    decoded: DecodeCache,
+    /// The kernel's call-observer list as of generation `.0`; refreshed
+    /// only when the kernel publishes a new one.
+    observers: (u64, ObserverList),
     cpu: usize,
     stack_top: u64,
     depth: u32,
@@ -131,6 +211,8 @@ impl<'k> Vm<'k> {
             },
             reader: kernel.space.reader(),
             native_cache: HashMap::new(),
+            decoded: DecodeCache::default(),
+            observers: kernel.call_observers(),
             cpu,
             stack_top,
             depth: 0,
@@ -201,7 +283,7 @@ impl<'k> Vm<'k> {
             }
             // Telemetry for the re-randomization scheduler: outermost
             // entries only, so nested calls don't double-count.
-            self.kernel.observe_call(entry);
+            self.observe_call(entry);
         }
         for (i, &a) in args.iter().enumerate() {
             self.set_reg(ARG_REGS[i], a);
@@ -255,6 +337,17 @@ impl<'k> Vm<'k> {
         self.call(target, &args)
     }
 
+    /// Invoke every call observer for an outermost call to `entry`: one
+    /// atomic load when the observer set is unchanged, no allocation.
+    fn observe_call(&mut self, entry: u64) {
+        if self.kernel.observers_generation() != self.observers.0 {
+            self.observers = self.kernel.call_observers();
+        }
+        for (_, observer) in self.observers.1.iter() {
+            observer(entry);
+        }
+    }
+
     fn run(&mut self, entry: u64) -> Result<(), VmError> {
         let mut rip = entry;
         let mut fuel = self.kernel.config.fuel;
@@ -290,8 +383,37 @@ impl<'k> Vm<'k> {
         }
     }
 
+    /// Fetch and decode the instruction at `rip`. Every fetch translates
+    /// for execute access, so NX, stale-pointer and MMIO faults and the
+    /// TLB counters are exactly those of an uncached fetch; only the
+    /// frame read and the decode are skipped on a decode-cache hit.
     fn fetch_decode(&mut self, rip: u64) -> Result<(Insn, usize), VmError> {
-        let mut buf = [0u8; 16];
+        let off = page_offset(rip);
+        if off + FETCH_WINDOW > PAGE_SIZE {
+            return self.fetch_decode_across(rip);
+        }
+        let t = self.translate(rip, Access::Exec)?;
+        let PteKind::Frame(pfn) = t.pte.kind else {
+            return Err(VmError::Fault(Fault::MmioExec { va: rip }));
+        };
+        let phys = &self.kernel.phys;
+        if let Some(hit) = self.decoded.get(pfn, off, phys) {
+            return Ok(hit);
+        }
+        let mut buf = [0u8; FETCH_WINDOW];
+        // The version is taken before the bytes: a racing write can only
+        // leave an entry that never matches again.
+        let version = phys.read_versioned(pfn, off, &mut buf);
+        let (insn, len) = decode(&buf).map_err(|err| VmError::Decode { rip, err })?;
+        self.decoded.insert(pfn, off, version, insn, len);
+        Ok((insn, len))
+    }
+
+    /// Uncached fetch of a window that spans two pages: each page is
+    /// translated and read on its own, and a fault on the second page
+    /// shortens the window instead of failing the fetch.
+    fn fetch_decode_across(&mut self, rip: u64) -> Result<(Insn, usize), VmError> {
+        let mut buf = [0u8; FETCH_WINDOW];
         let mut got = 0usize;
         while got < buf.len() {
             let cur = rip + got as u64;

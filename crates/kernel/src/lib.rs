@@ -53,13 +53,16 @@ pub use adelie_vmem::{ArchKind, ReadPath, TlbStats};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Callback invoked on every outermost [`Vm::call`] with the entry
 /// address — the hook `adelie-sched` uses to measure per-module call
 /// rates (entries resolve to modules by immovable-part address range).
 pub type CallObserver = Arc<dyn Fn(u64) + Send + Sync>;
+
+/// An immutable, published set of `(token, observer)` pairs.
+pub(crate) type ObserverList = Arc<[(u64, CallObserver)]>;
 
 /// Demand-fault handler consulted when an outermost [`Vm::call`]
 /// targets an entry that does not translate for execute access. The
@@ -185,10 +188,17 @@ pub struct Kernel {
     next_mmio_bar: AtomicU64,
     /// `(token, callback)` pairs; token 0 is the scheduler's primary
     /// slot (`set_call_observer` replaces it), higher tokens come from
-    /// `add_call_observer` (the fleet's cold-tier idle tracker).
-    call_observers: RwLock<Vec<(u64, CallObserver)>>,
+    /// `add_call_observer` (the fleet's cold-tier idle tracker). Each
+    /// change publishes a fresh immutable list and bumps
+    /// `observers_gen`; every `Vm` keeps the list it last saw and
+    /// re-reads it only when the generation moved, so a steady call
+    /// pays one atomic load and allocates nothing.
+    call_observers: RwLock<ObserverList>,
+    observers_gen: AtomicU64,
     next_observer_token: AtomicU64,
     demand_loader: RwLock<Option<DemandLoader>>,
+    /// Mirrors `demand_loader.is_some()`: the per-call gate is one load.
+    has_demand_loader: AtomicBool,
 }
 
 impl Kernel {
@@ -231,9 +241,11 @@ impl Kernel {
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed)),
             next_stack: AtomicU64::new(layout::STACK_BASE),
             next_mmio_bar: AtomicU64::new(layout::MMIO_BASE),
-            call_observers: RwLock::new(Vec::new()),
+            call_observers: RwLock::new(Arc::from([])),
+            observers_gen: AtomicU64::new(0),
             next_observer_token: AtomicU64::new(1),
             demand_loader: RwLock::new(None),
+            has_demand_loader: AtomicBool::new(false),
             config,
         });
         register_base_natives(&kernel);
@@ -277,14 +289,15 @@ impl Kernel {
     /// primary). The callback runs on every *outermost* interpreted
     /// call, on the calling thread — keep it cheap (a counter bump).
     pub fn set_call_observer(&self, observer: CallObserver) {
-        let mut observers = self.call_observers.write();
-        observers.retain(|(token, _)| *token != 0);
-        observers.push((0, observer));
+        self.update_observers(|list| {
+            list.retain(|(token, _)| *token != 0);
+            list.push((0, observer));
+        });
     }
 
     /// Remove the primary per-call observer.
     pub fn clear_call_observer(&self) {
-        self.call_observers.write().retain(|(token, _)| *token != 0);
+        self.update_observers(|list| list.retain(|(token, _)| *token != 0));
     }
 
     /// Install an *additional* per-call observer alongside the primary
@@ -293,44 +306,59 @@ impl Kernel {
     /// without displacing the scheduler's telemetry hook.
     pub fn add_call_observer(&self, observer: CallObserver) -> u64 {
         let token = self.next_observer_token.fetch_add(1, Ordering::Relaxed);
-        self.call_observers.write().push((token, observer));
+        self.update_observers(|list| list.push((token, observer)));
         token
     }
 
     /// Remove an observer added with [`Kernel::add_call_observer`].
     pub fn remove_call_observer(&self, token: u64) {
-        self.call_observers.write().retain(|(t, _)| *t != token);
+        self.update_observers(|list| list.retain(|(t, _)| *t != token));
     }
 
-    /// Invoke every observer for an outermost call to `entry`.
-    pub(crate) fn observe_call(&self, entry: u64) {
-        let observers: Vec<CallObserver> = self
-            .call_observers
-            .read()
-            .iter()
-            .map(|(_, o)| o.clone())
-            .collect();
-        for observer in observers {
-            observer(entry);
-        }
+    /// Publish an edited copy of the observer list under a new
+    /// generation. The generation is bumped (Release) after the list is
+    /// in place, and readers load it (Acquire) before reading the list,
+    /// so a list is never older than the generation it is cached under.
+    fn update_observers(&self, edit: impl FnOnce(&mut Vec<(u64, CallObserver)>)) {
+        let mut published = self.call_observers.write();
+        let mut list = published.to_vec();
+        edit(&mut list);
+        *published = list.into();
+        self.observers_gen.fetch_add(1, Ordering::Release);
+    }
+
+    /// Generation of the published observer list.
+    pub(crate) fn observers_generation(&self) -> u64 {
+        self.observers_gen.load(Ordering::Acquire)
+    }
+
+    /// The published observer list, with a generation it is at least
+    /// as new as.
+    pub(crate) fn call_observers(&self) -> (u64, ObserverList) {
+        let gen = self.observers_generation();
+        (gen, self.call_observers.read().clone())
     }
 
     /// Install the demand-fault loader (replacing any previous one).
     /// Consulted by [`Vm::call`] when an outermost entry address does
     /// not translate for execute access — see [`DemandLoader`].
     pub fn set_demand_loader(&self, loader: DemandLoader) {
-        *self.demand_loader.write() = Some(loader);
+        let mut slot = self.demand_loader.write();
+        *slot = Some(loader);
+        self.has_demand_loader.store(true, Ordering::Release);
     }
 
     /// Remove the demand-fault loader.
     pub fn clear_demand_loader(&self) {
-        *self.demand_loader.write() = None;
+        let mut slot = self.demand_loader.write();
+        *slot = None;
+        self.has_demand_loader.store(false, Ordering::Release);
     }
 
     /// Whether a demand loader is installed (fast gate so the common
-    /// non-fleet call path skips the probe entirely).
+    /// non-fleet call path skips the probe entirely): one atomic load.
     pub(crate) fn has_demand_loader(&self) -> bool {
-        self.demand_loader.read().is_some()
+        self.has_demand_loader.load(Ordering::Acquire)
     }
 
     /// Consult the demand loader, if any, for a faulting entry address.

@@ -187,3 +187,162 @@ fn retpoline_thunk_executes_architecturally() {
     // original `call thunk` return address… which then falls to our ret.
     assert_eq!(run(&kernel, &asm, &[tva]), 99);
 }
+
+// ---- decoded-instruction cache coherence ---------------------------------
+//
+// The interpreter caches decoded instructions by physical location and
+// validates them against the frame's write version (DESIGN.md §18). Each
+// test below warms the cache on one `Vm`, changes the code underneath it
+// by a different route, and checks the same `Vm` runs the new bytes.
+
+/// `mov rax, v; ret` — exactly 8 bytes, so one u64 store replaces it.
+fn ret_imm(v: i32) -> [u8; 8] {
+    let mut a = Asm::new();
+    a.mov_imm32(Reg::Rax, v);
+    a.ret();
+    a.assemble()
+        .unwrap()
+        .bytes
+        .try_into()
+        .expect("7-byte mov + ret")
+}
+
+fn place(kernel: &Kernel, va: u64, bytes: &[u8]) {
+    kernel.space.write_bytes(&kernel.phys, va, bytes).unwrap();
+}
+
+#[test]
+fn self_modifying_code_on_a_wx_page_runs_the_new_bytes() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let va = 0x300_0000_0000;
+    // Writable and executable: no NX bit.
+    kernel
+        .space
+        .map(va, kernel.phys.alloc(), PteFlags::WRITABLE)
+        .unwrap();
+    let f = va;
+    // patch(dst=rdi, bytes=rsi): an interpreted MovStore into text.
+    let patch = va + 0x100;
+    let mut a = Asm::new();
+    a.mov_store(adelie_isa::Mem::base(Reg::Rdi), Reg::Rsi);
+    a.ret();
+    place(&kernel, patch, &a.assemble().unwrap().bytes);
+    // patch_then_call(dst, bytes, target=rdx): patch, then run the
+    // patched code within the same outermost call.
+    let patch_then_call = va + 0x200;
+    let mut a = Asm::new();
+    a.mov_store(adelie_isa::Mem::base(Reg::Rdi), Reg::Rsi);
+    a.call_reg(Reg::Rdx);
+    a.ret();
+    place(&kernel, patch_then_call, &a.assemble().unwrap().bytes);
+    place(&kernel, f, &ret_imm(1));
+
+    let mut vm = kernel.vm();
+    for _ in 0..3 {
+        assert_eq!(vm.call(f, &[]).unwrap(), 1);
+    }
+    let two = u64::from_le_bytes(ret_imm(2));
+    vm.call(patch, &[f, two]).unwrap();
+    assert_eq!(vm.call(f, &[]).unwrap(), 2, "stale decode after SMC");
+    let three = u64::from_le_bytes(ret_imm(3));
+    assert_eq!(vm.call(patch_then_call, &[f, three, f]).unwrap(), 3);
+    assert_eq!(vm.call(f, &[]).unwrap(), 3);
+}
+
+#[test]
+fn text_rewritten_through_an_alias_or_phys_write_is_decoded_again() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let (text, alias) = (0x310_0000_0000, 0x320_0000_0000);
+    let pfn = kernel.phys.alloc();
+    kernel.phys.write(pfn, 0x40, &ret_imm(1));
+    kernel.space.map(text, pfn, PteFlags::TEXT).unwrap();
+    kernel.space.map(alias, pfn, PteFlags::DATA).unwrap();
+    let f = text + 0x40;
+
+    let mut vm = kernel.vm();
+    assert_eq!(vm.call(f, &[]).unwrap(), 1);
+    assert_eq!(vm.call(f, &[]).unwrap(), 1);
+    // A writable data alias of the same frame, as the loader uses.
+    place(&kernel, alias + 0x40, &ret_imm(2));
+    assert_eq!(
+        vm.call(f, &[]).unwrap(),
+        2,
+        "stale decode after alias write"
+    );
+    // Straight to the frame, no mapping at all.
+    kernel.phys.write(pfn, 0x40, &ret_imm(3));
+    assert_eq!(vm.call(f, &[]).unwrap(), 3, "stale decode after phys write");
+    // A write elsewhere in the frame also invalidates, and the entry
+    // refills with the same (unchanged) instruction.
+    kernel.phys.write(pfn, 0x800, &[0xCC; 8]);
+    assert_eq!(vm.call(f, &[]).unwrap(), 3);
+}
+
+#[test]
+fn a_freed_and_reallocated_text_frame_never_serves_the_old_instruction() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let va = 0x330_0000_0000;
+    let pfn = kernel.phys.alloc();
+    kernel.phys.write(pfn, 0, &ret_imm(1));
+    kernel.space.map(va, pfn, PteFlags::TEXT).unwrap();
+    let mut vm = kernel.vm();
+    assert_eq!(vm.call(va, &[]).unwrap(), 1);
+
+    kernel.space.unmap(va).unwrap();
+    kernel.phys.free(pfn);
+    let reused = kernel.phys.alloc();
+    assert_eq!(reused, pfn, "free-list reuse hands back the same frame");
+    // Same frame, same offset, other code — mapped at the old address
+    // and at a fresh one.
+    kernel.phys.write(reused, 0, &ret_imm(2));
+    kernel.space.map(va, reused, PteFlags::TEXT).unwrap();
+    assert_eq!(vm.call(va, &[]).unwrap(), 2);
+    let elsewhere = 0x340_0000_0000;
+    kernel.space.map(elsewhere, reused, PteFlags::TEXT).unwrap();
+    assert_eq!(vm.call(elsewhere, &[]).unwrap(), 2);
+
+    // Freed and reallocated as a zeroed frame: the zero bytes decode to
+    // something else entirely (or nothing), never to the old `mov`.
+    kernel.space.unmap(va).unwrap();
+    kernel.space.unmap(elsewhere).unwrap();
+    kernel.phys.free(reused);
+    let zeroed = kernel.phys.alloc();
+    assert_eq!(zeroed, pfn);
+    kernel.space.map(va, zeroed, PteFlags::TEXT).unwrap();
+    assert!(!matches!(vm.call(va, &[]), Ok(1) | Ok(2)));
+}
+
+#[test]
+fn rerandomized_module_faults_at_the_old_entry_and_runs_at_the_new() {
+    use adelie_core::{rerandomize_module, ModuleRegistry};
+    use adelie_drivers::{install_dummy, specs::DUMMY_MINOR};
+    use adelie_kernel::VmError;
+    use adelie_plugin::TransformOptions;
+
+    let kernel = Kernel::new(KernelConfig::default());
+    let registry = ModuleRegistry::new(&kernel);
+    let module = install_dummy(&registry, &TransformOptions::rerandomizable(true))
+        .unwrap()
+        .module;
+    let mut vm = kernel.vm();
+    let old = module.symbol_va("dummy_ioctl__real").unwrap();
+    for arg in 0..4 {
+        assert_eq!(vm.call(old, &[0, 0, arg]).unwrap(), arg);
+        assert_eq!(kernel.ioctl(&mut vm, DUMMY_MINOR, 0, arg).unwrap(), arg);
+    }
+
+    rerandomize_module(&kernel, &registry, &module).unwrap();
+    kernel.reclaim.flush();
+    let new = module.symbol_va("dummy_ioctl__real").unwrap();
+    assert_ne!(new, old, "the movable part moved");
+    // The frames are the same (zero-copy move), so decoded entries for
+    // them stay valid — but the old virtual range must not execute.
+    match vm.call(old, &[0, 0, 7]) {
+        Err(VmError::Fault(_)) => {}
+        other => panic!("stale entry should fault, got {other:?}"),
+    }
+    for arg in 0..4 {
+        assert_eq!(vm.call(new, &[0, 0, arg]).unwrap(), arg);
+        assert_eq!(kernel.ioctl(&mut vm, DUMMY_MINOR, 0, arg).unwrap(), arg);
+    }
+}

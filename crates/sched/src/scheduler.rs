@@ -247,6 +247,7 @@ impl ModuleEntry {
             missed_deadlines: self.missed_deadlines.load(Ordering::Relaxed),
             pointer_refresh_failures: self.module.pointer_refresh_failures.load(Ordering::Relaxed),
             current_period: Duration::from_nanos(self.period_ns.load(Ordering::Relaxed)),
+            calls: self.calls.load(Ordering::Relaxed),
             calls_per_sec: Self::load_f64(&self.calls_per_sec),
             exposure: Self::load_f64(&self.exposure),
             latency: self.latency.snapshot(),

@@ -123,6 +123,9 @@ pub struct ModuleSchedStats {
     pub pointer_refresh_failures: u64,
     /// Period the policy currently prescribes.
     pub current_period: Duration,
+    /// Outermost calls observed entering this module since the
+    /// scheduler started tracking it (cumulative; rates derive from it).
+    pub calls: u64,
     /// Last measured call rate.
     pub calls_per_sec: f64,
     /// Last measured gadget density (gadgets/KiB of movable text).

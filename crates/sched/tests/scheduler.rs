@@ -91,7 +91,9 @@ fn scheduler_drives_cycles_and_logs_stats() {
     // Telemetry populated: the module saw traffic and cycle latencies.
     let m = &stats.modules[0];
     assert!(m.latency.count >= stats.cycles);
-    assert!(m.calls_per_sec > 0.0, "call-rate hook fired: {m:?}");
+    // The cumulative counter, not the last-window rate: a final rate
+    // sample taken after traffic stopped legitimately reads 0.
+    assert!(m.calls >= calls, "call hook saw every call: {m:?}");
 }
 
 #[test]
