@@ -1,23 +1,24 @@
 //! The cost of one full re-randomization cycle (what the randomizer
 //! pool pays per deadline), by module size, by reclaimer, by policy,
 //! and by worker count — including the headline comparison: a 4-worker
-//! `Adaptive` scheduler vs the serial `Rerandomizer` shim over the same
+//! `Adaptive` scheduler vs the serial fixed-period configuration
+//! (`SchedConfig::serial`, the artifact's one kthread) over the same
 //! fleet and wall-clock window.
 
 use adelie_core::{rerandomize_module, LoadedModule, ModuleRegistry};
 use adelie_gadget::synth_module;
 use adelie_isa::{AluOp, Insn, Reg};
-use adelie_kernel::{Kernel, KernelConfig, ReadPath, ReclaimerKind};
+use adelie_kernel::{Kernel, KernelConfig, ReclaimerKind};
 use adelie_plugin::{transform, FuncSpec, MOp, ModuleSpec, TransformOptions};
-use adelie_sched::{Policy, SchedConfig, Scheduler, SimClock};
+use adelie_sched::{Policy, SchedConfig, Scheduler};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A fleet like [`fleet`], but on an explicitly configured kernel.
-fn fleet_on(
-    config: KernelConfig,
+/// A fleet of distinct re-randomizable modules whose single export is
+/// safe to hammer from a traffic thread (`modN_calc(x) = x + 1`).
+fn fleet(
     count: usize,
 ) -> (
     Arc<Kernel>,
@@ -26,7 +27,7 @@ fn fleet_on(
     Vec<String>,
 ) {
     let opts = TransformOptions::rerandomizable(true);
-    let kernel = Kernel::new(config);
+    let kernel = Kernel::new(KernelConfig::default());
     let registry = ModuleRegistry::new(&kernel);
     let mut modules = Vec::new();
     let mut names = Vec::new();
@@ -52,19 +53,6 @@ fn fleet_on(
         names.push(format!("mod{i}"));
     }
     (kernel, registry, modules, names)
-}
-
-/// A fleet of distinct re-randomizable modules whose single export is
-/// safe to hammer from a traffic thread (`modN_calc(x) = x + 1`).
-fn fleet(
-    count: usize,
-) -> (
-    Arc<Kernel>,
-    Arc<ModuleRegistry>,
-    Vec<Arc<LoadedModule>>,
-    Vec<String>,
-) {
-    fleet_on(KernelConfig::default(), count)
 }
 
 fn bench_cycle(c: &mut Criterion) {
@@ -172,8 +160,8 @@ fn bench_policies(c: &mut Criterion) {
     g.finish();
 }
 
-/// Worker axis + the acceptance comparison: the serial `Rerandomizer`
-/// shim at the artifact's 20 ms default vs scheduler pools of width
+/// Worker axis + the acceptance comparison: the serial fixed-period
+/// pool at the artifact's 20 ms default vs scheduler pools of width
 /// 1/2/4 under the adaptive policy, all over the same 3-module fleet
 /// with driver traffic, same wall window. Prints module-cycles and the
 /// adaptive-4w : serial ratio, and asserts the ≥2× claim plus zero
@@ -181,41 +169,24 @@ fn bench_policies(c: &mut Criterion) {
 fn bench_workers_vs_serial_shim(c: &mut Criterion) {
     const WINDOW: Duration = Duration::from_millis(400);
 
+    /// `width` adaptive workers, or `None` for the serial 20 ms pool.
     fn run(label: &str, width: Option<usize>) -> u64 {
         let (kernel, registry, modules, names) = fleet(3);
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        enum Pool {
-            #[allow(deprecated)]
-            Serial(adelie_sched::Rerandomizer),
-            Sched(Scheduler),
-        }
-        let pool = match width {
-            None => {
-                #[allow(deprecated)]
-                let rr = adelie_sched::Rerandomizer::spawn(
-                    kernel.clone(),
-                    registry.clone(),
-                    &refs,
-                    Duration::from_millis(20),
-                );
-                Pool::Serial(rr)
-            }
-            Some(workers) => Pool::Sched(Scheduler::spawn(
-                kernel.clone(),
-                registry.clone(),
-                &refs,
-                SchedConfig {
-                    workers,
-                    policy: Policy::Adaptive {
-                        min: Duration::from_millis(1),
-                        max: Duration::from_millis(50),
-                        rate_scale: 100.0,
-                        exposure_scale: 20.0,
-                    },
-                    ..SchedConfig::default()
+        let config = match width {
+            None => SchedConfig::serial(Duration::from_millis(20)),
+            Some(workers) => SchedConfig {
+                workers,
+                policy: Policy::Adaptive {
+                    min: Duration::from_millis(1),
+                    max: Duration::from_millis(50),
+                    rate_scale: 100.0,
+                    exposure_scale: 20.0,
                 },
-            )),
+                ..SchedConfig::default()
+            },
         };
+        let sched = Scheduler::spawn(kernel.clone(), registry.clone(), &refs, config);
         // Driver traffic so the adaptive policy sees a call rate.
         let stop = AtomicBool::new(false);
         let cycles = std::thread::scope(|s| {
@@ -233,10 +204,7 @@ fn bench_workers_vs_serial_shim(c: &mut Criterion) {
             });
             std::thread::sleep(WINDOW);
             stop.store(true, Ordering::Relaxed);
-            match pool {
-                Pool::Serial(rr) => rr.stop().randomized,
-                Pool::Sched(sched) => sched.stop().cycles,
-            }
+            sched.stop().cycles
         });
         registry.stacks.rotate(&kernel);
         kernel.reclaim.flush();
@@ -256,7 +224,7 @@ fn bench_workers_vs_serial_shim(c: &mut Criterion) {
         b.iter_custom(|iters| {
             let t0 = Instant::now();
             for _ in 0..iters {
-                let serial = run("serial_shim_20ms", None);
+                let serial = run("serial_20ms", None);
                 let _w1 = run("adaptive_1_worker", Some(1));
                 let _w2 = run("adaptive_2_workers", Some(2));
                 let w4 = run("adaptive_4_workers", Some(4));
@@ -266,135 +234,7 @@ fn bench_workers_vs_serial_shim(c: &mut Criterion) {
                 );
                 assert!(
                     w4 >= serial * 2,
-                    "4-worker adaptive must double the serial shim: {w4} vs {serial}"
-                );
-            }
-            t0.elapsed()
-        })
-    });
-    g.finish();
-}
-
-/// Shootdown axis: the 4-worker adaptive pool over the same fleet,
-/// traffic, and deterministic step schedule, under the legacy
-/// whole-TLB regime (`tlb_inval_log: 0` — the unbatched publication
-/// cost) vs range-based invalidation. Prints the traffic CPU's flush
-/// counts and asserts the acceptance property: batching strictly cuts
-/// whole-TLB flushes per cycle and the partial path is exercised.
-fn bench_tlb_shootdown_regimes(c: &mut Criterion) {
-    const STEPS: usize = 120;
-
-    fn run(label: &str, inval_log: usize) -> (u64, u64, u64) {
-        let (kernel, registry, modules, names) = fleet_on(
-            KernelConfig {
-                tlb_inval_log: inval_log,
-                ..KernelConfig::default()
-            },
-            3,
-        );
-        let with_policies: Vec<(&str, Policy)> = names
-            .iter()
-            .map(|n| (n.as_str(), Policy::default_adaptive()))
-            .collect();
-        let clock = SimClock::new();
-        let sched = Scheduler::spawn_stepped(
-            kernel.clone(),
-            registry.clone(),
-            &with_policies,
-            SchedConfig {
-                workers: 4,
-                policy: Policy::default_adaptive(),
-                ..SchedConfig::default()
-            },
-            clock,
-            Duration::from_micros(100),
-        );
-        let entries: Vec<u64> = modules
-            .iter()
-            .filter_map(|m| m.exports.first().map(|(_, va)| *va))
-            .collect();
-        let mut vm = kernel.vm();
-        for _ in 0..STEPS {
-            sched.step().expect("heap never empties");
-            for &e in &entries {
-                let _ = vm.call(e, &[1]).unwrap();
-            }
-        }
-        let cycles = sched.cycles();
-        drop(sched);
-        let t = vm.tlb_stats();
-        println!(
-            "  {label}: {} full flushes, {} partial flushes, {} entries invalidated \
-             over {cycles} cycles ({:.3} full/cycle)",
-            t.flushes,
-            t.partial_flushes,
-            t.entries_invalidated,
-            t.flushes as f64 / cycles.max(1) as f64
-        );
-        (t.flushes, t.partial_flushes, cycles)
-    }
-
-    let mut g = c.benchmark_group("rerand_tlb_shootdown");
-    g.sample_size(1); // each sample is a full deterministic schedule
-    g.bench_function("full_vs_range", |b| {
-        b.iter_custom(|iters| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let (full_flushes, _, full_cycles) = run("whole_tlb", 0);
-                let (range_flushes, partials, range_cycles) =
-                    run("range_based", adelie_vmem::DEFAULT_INVAL_LOG);
-                assert!(partials > 0, "partial-flush path must be exercised");
-                assert!(
-                    (range_flushes as f64 / range_cycles.max(1) as f64)
-                        < (full_flushes as f64 / full_cycles.max(1) as f64),
-                    "range-based shootdown must strictly cut full flushes per cycle"
-                );
-            }
-            t0.elapsed()
-        })
-    });
-    g.finish();
-}
-
-/// Contention axis: total reader calls completed while a rerand writer
-/// churns the fleet non-stop, under the `locked` (pre-snapshot
-/// reader/writer-lock) vs `snapshot` (RCU snapshots + epoch pins) read
-/// path, with 4 reader threads. The numbers are printed for comparison;
-/// the hard cross-mode assertion lives in the `translate_throughput`
-/// bin (CI artifact `BENCH_translate.json`), which also runs the
-/// layout oracle across the same contention pattern.
-fn bench_read_contention(c: &mut Criterion) {
-    const WINDOW: Duration = Duration::from_millis(200);
-    const READERS: usize = 4;
-
-    fn run(label: &str, read_path: ReadPath) -> adelie_bench::contention::Outcome {
-        let kernel = Kernel::new(KernelConfig {
-            read_path,
-            ..KernelConfig::default()
-        });
-        let registry = ModuleRegistry::new(&kernel);
-        let modules = adelie_bench::contention::fleet(&registry, 3);
-        let o = adelie_bench::contention::run(&kernel, &registry, &modules, READERS, WINDOW);
-        println!(
-            "  {label}: {} reader calls / {} cycles in {WINDOW:?}",
-            o.calls, o.cycles
-        );
-        o
-    }
-
-    let mut g = c.benchmark_group("rerand_read_contention");
-    g.sample_size(1); // each sample runs two full windows
-    g.bench_function("locked_vs_snapshot_4_readers", |b| {
-        b.iter_custom(|iters| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                let locked = run("locked_read_path", ReadPath::Locked);
-                let snapshot = run("snapshot_read_path", ReadPath::Snapshot);
-                assert_eq!(locked.reader_errors + snapshot.reader_errors, 0);
-                assert_eq!(locked.failed_cycles + snapshot.failed_cycles, 0);
-                println!(
-                    "  snapshot/locked reader throughput: {:.2}x",
-                    snapshot.calls as f64 / locked.calls.max(1) as f64
+                    "4-worker adaptive must double the serial pool: {w4} vs {serial}"
                 );
             }
             t0.elapsed()
@@ -408,8 +248,6 @@ criterion_group!(
     bench_cycle,
     bench_cycle_reclaimers,
     bench_policies,
-    bench_workers_vs_serial_shim,
-    bench_tlb_shootdown_regimes,
-    bench_read_contention
+    bench_workers_vs_serial_shim
 );
 criterion_main!(benches);

@@ -30,7 +30,7 @@ fn main() {
         );
         println!(
             "    cycles: {}  SMR delta: {}",
-            stats.randomized,
+            stats.cycles,
             tb.kernel.reclaim.stats().delta()
         );
     }

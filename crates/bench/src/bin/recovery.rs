@@ -3,8 +3,8 @@
 //! fault storm plus a shard crash — emitted as `BENCH_recovery.json`
 //! (the CI artifact, matrixed over `ADELIE_ARCH`) plus a console table.
 //!
-//! Per configuration (read path × seed) the deterministic fleet harness
-//! runs three phases on one virtual timeline:
+//! Per seed the deterministic fleet harness runs three phases on one
+//! virtual timeline:
 //!
 //! 1. **baseline** — a clean warm-up establishing healthy cadence;
 //! 2. **fault storm** — a correlated burst of Reserve failures on one
@@ -22,14 +22,13 @@
 //! Throughout, module entry points are probed every virtual slice —
 //! the *fraction of traffic served* must stay ≥ 0.99 (a benched or
 //! rebuilding module keeps serving at its old base; that is the whole
-//! point of quarantine over unload). The run asserts, per read path
-//! and per seed: the storm reconverges, traffic holds, the quarantined
+//! point of quarantine over unload). The run asserts, per seed: the
+//! storm reconverges, traffic holds, the quarantined
 //! module burned zero budget while benched, and the layout oracle
 //! (stale mappings, witness TLB, snapshot SMR, quarantine-execution)
 //! finds zero violations.
 
 use adelie_core::{CycleStage, ShardWatchdog};
-use adelie_kernel::ReadPath;
 use adelie_sched::{HealthState, SupervisionConfig};
 use adelie_testkit::{FleetSim, FleetSimConfig};
 use adelie_vmem::ArchKind;
@@ -47,7 +46,6 @@ const BURST: u64 = 6;
 const WATCHDOG_TIMEOUT: Duration = Duration::from_millis(50);
 
 struct Outcome {
-    mode: &'static str,
     seed: u64,
     reconverge_ns: u64,
     traffic_frac: f64,
@@ -80,10 +78,9 @@ fn probe_traffic(sim: &FleetSim) -> (u64, u64) {
     (served, attempted)
 }
 
-fn run(mode: &'static str, read_path: ReadPath, seed: u64) -> Outcome {
+fn run(seed: u64) -> Outcome {
     let mut sim = FleetSim::new(FleetSimConfig {
         seed,
-        read_path,
         supervision: SupervisionConfig {
             degrade_after: 1,
             quarantine_after: 3,
@@ -123,12 +120,12 @@ fn run(mode: &'static str, read_path: ReadPath, seed: u64) -> Outcome {
     }
     assert!(
         reconverged,
-        "[{mode}/seed {seed}] storm did not reconverge within the cap"
+        "[seed {seed}] storm did not reconverge within the cap"
     );
     assert_eq!(
         sim.sched.group(0).health_of("hot_s0"),
         Some(HealthState::Healthy),
-        "[{mode}/seed {seed}] recovered module must be Healthy"
+        "[seed {seed}] recovered module must be Healthy"
     );
 
     // Time-to-reconverge on the virtual timeline: first injected
@@ -159,7 +156,7 @@ fn run(mode: &'static str, read_path: ReadPath, seed: u64) -> Outcome {
     assert_eq!(
         stats0.busy,
         Duration::from_nanos(non_probe * cost),
-        "[{mode}/seed {seed}] quarantined module was charged budget"
+        "[seed {seed}] quarantined module was charged budget"
     );
 
     // Phase 3: shard 1 goes silent — only shard 0 beats. The watchdog
@@ -175,17 +172,17 @@ fn run(mode: &'static str, read_path: ReadPath, seed: u64) -> Outcome {
     assert_eq!(
         declared,
         vec![1],
-        "[{mode}/seed {seed}] watchdog must single out the silent shard"
+        "[seed {seed}] watchdog must single out the silent shard"
     );
     let report = sim.recover_shard(1);
-    assert_eq!(report.rebuilt.len(), 2, "[{mode}/seed {seed}] rebuilt");
+    assert_eq!(report.rebuilt.len(), 2, "[seed {seed}] rebuilt");
     dog.beat(1, sim.clock.now_ns()); // the rebuilt shard is alive again
     for _ in 0..10 {
         slice(&mut sim, true);
     }
     assert!(
         dog.scan(sim.clock.now_ns()).is_empty(),
-        "[{mode}/seed {seed}] recovered fleet must be fully live"
+        "[seed {seed}] recovered fleet must be fully live"
     );
     sim.assert_modules_work();
 
@@ -193,24 +190,23 @@ fn run(mode: &'static str, read_path: ReadPath, seed: u64) -> Outcome {
     let traffic_frac = served as f64 / attempted as f64;
     assert!(
         traffic_frac >= 0.99,
-        "[{mode}/seed {seed}] only {traffic_frac:.4} of traffic served"
+        "[seed {seed}] only {traffic_frac:.4} of traffic served"
     );
 
     // Every invariant (stale mappings, witness TLB, snapshot SMR,
     // cross-shard isolation, quarantine-execution) — zero violations.
     let verdict = sim.verify();
     for v in &verdict.violations {
-        eprintln!("oracle violation [{mode}/seed {seed}]: {v}");
+        eprintln!("oracle violation [seed {seed}]: {v}");
     }
     assert!(
         verdict.is_clean(),
-        "[{mode}/seed {seed}] {} oracle violation(s)",
+        "[seed {seed}] {} oracle violation(s)",
         verdict.violations.len()
     );
 
     let fleet_stats = sim.sched.stats();
     Outcome {
-        mode,
         seed,
         reconverge_ns,
         traffic_frac,
@@ -227,11 +223,10 @@ fn outcome_json(o: &Outcome) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "    {{\"mode\": \"{}\", \"seed\": {}, \"time_to_reconverge_ns\": {}, \
+        "    {{\"seed\": {}, \"time_to_reconverge_ns\": {}, \
          \"traffic_served_frac\": {:.6}, \"traffic_probes\": {}, \"quarantines\": {}, \
          \"unquarantine_probes\": {}, \"recoveries\": {}, \"modules_rebuilt\": {}, \
          \"oracle_violations\": {}}}",
-        o.mode,
         o.seed,
         o.reconverge_ns,
         o.traffic_frac,
@@ -249,37 +244,24 @@ fn main() {
     let arch = ArchKind::from_env();
     println!("=== fleet recovery under fault storms ({arch:?}) ===");
     println!(
-        "{:<10} {:>10} {:>18} {:>10} {:>12} {:>8} {:>10} {:>10}",
-        "mode",
-        "seed",
-        "reconverge(ms)",
-        "traffic",
-        "quarantines",
-        "probes",
-        "rebuilt",
-        "violations"
+        "{:>10} {:>18} {:>10} {:>12} {:>8} {:>10} {:>10}",
+        "seed", "reconverge(ms)", "traffic", "quarantines", "probes", "rebuilt", "violations"
     );
     let t0 = Instant::now();
     let mut rows = Vec::new();
-    for (mode, read_path) in [
-        ("locked", ReadPath::Locked),
-        ("snapshot", ReadPath::Snapshot),
-    ] {
-        for seed in SEEDS {
-            let o = run(mode, read_path, seed);
-            println!(
-                "{:<10} {:>10} {:>18.3} {:>10.4} {:>12} {:>8} {:>10} {:>10}",
-                o.mode,
-                o.seed,
-                o.reconverge_ns as f64 / 1e6,
-                o.traffic_frac,
-                o.quarantines,
-                o.probes,
-                o.rebuilt,
-                o.violations,
-            );
-            rows.push(outcome_json(&o));
-        }
+    for seed in SEEDS {
+        let o = run(seed);
+        println!(
+            "{:>10} {:>18.3} {:>10.4} {:>12} {:>8} {:>10} {:>10}",
+            o.seed,
+            o.reconverge_ns as f64 / 1e6,
+            o.traffic_frac,
+            o.quarantines,
+            o.probes,
+            o.rebuilt,
+            o.violations,
+        );
+        rows.push(outcome_json(&o));
     }
     let json = format!(
         "{{\n  \"bench\": \"recovery\",\n  \"arch\": \"{arch:?}\",\n  \

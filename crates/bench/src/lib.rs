@@ -68,10 +68,9 @@ pub fn overhead_pct(base: f64, new: f64) -> f64 {
 
 /// Shared read-contention harness: `readers` simulated CPUs hammer a
 /// module fleet's exports while a writer thread re-randomizes the
-/// whole fleet back-to-back for the window. Used by both the
-/// `translate_throughput` bin (which attaches a `LayoutOracle` and
-/// asserts) and `rerand_ablation`'s contention axis (which prints the
-/// comparison), so the two stay in lockstep.
+/// whole fleet back-to-back for the window. Used by the
+/// `translate_throughput` bin, which attaches a `LayoutOracle` and
+/// asserts.
 pub mod contention {
     use adelie_core::{rerandomize_module, LoadedModule, ModuleRegistry};
     use adelie_isa::{AluOp, Insn, Reg};

@@ -175,8 +175,7 @@ impl ModuleRegistry {
     /// Unload a module (rmmod): runs its exit entry point, unpublishes
     /// exports, unmaps both parts, and frees the frames.
     ///
-    /// Stop any scheduler (or legacy `Rerandomizer` shim) driving the
-    /// module first.
+    /// Stop any scheduler driving the module first.
     ///
     /// # Errors
     ///
@@ -966,45 +965,31 @@ mod tests {
     /// The tentpole property at the interpreter level: across a
     /// re-randomization cycle, a warm VM TLB resynchronizes with
     /// *partial* (range-based) invalidations — it never whole-TLB
-    /// flushes — while the legacy whole-TLB configuration
-    /// (`tlb_inval_log: 0`) full-flushes on every one of the cycle's
-    /// shootdowns.
+    /// flushes.
     #[test]
     fn cycles_cost_partial_flushes_not_full_flushes() {
-        let run = |inval_log: usize| {
-            let kernel = Kernel::new(KernelConfig {
-                tlb_inval_log: inval_log,
-                ..KernelConfig::default()
-            });
-            let registry = ModuleRegistry::new(&kernel);
-            let opts = TransformOptions::rerandomizable(false);
-            let obj = transform(&demo_spec(), &opts).unwrap();
-            let module = registry.load(&obj, &opts).unwrap();
-            let calc = module.export("demo_calc").unwrap();
-            let mut vm = kernel.vm();
+        let kernel = Kernel::new(KernelConfig::default());
+        let registry = ModuleRegistry::new(&kernel);
+        let opts = TransformOptions::rerandomizable(false);
+        let obj = transform(&demo_spec(), &opts).unwrap();
+        let module = registry.load(&obj, &opts).unwrap();
+        let calc = module.export("demo_calc").unwrap();
+        let mut vm = kernel.vm();
+        assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
+        let warm = vm.tlb_stats();
+        for _ in 0..5 {
+            rerandomize_module(&kernel, &registry, &module).unwrap();
             assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
-            let warm = vm.tlb_stats();
-            for _ in 0..5 {
-                rerandomize_module(&kernel, &registry, &module).unwrap();
-                assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
-            }
-            let s = vm.tlb_stats();
-            (
-                s.flushes - warm.flushes,
-                s.partial_flushes - warm.partial_flushes,
-            )
-        };
-        let (full_flushes, partials) = run(adelie_vmem::DEFAULT_INVAL_LOG);
+        }
+        let s = vm.tlb_stats();
         assert_eq!(
-            full_flushes, 0,
+            s.flushes - warm.flushes,
+            0,
             "range-based sync must never full-flush here"
         );
-        assert!(partials > 0, "cycles must be visible as partial flushes");
-        let (legacy_full, legacy_partials) = run(0);
-        assert_eq!(legacy_partials, 0, "legacy regime has no partial path");
         assert!(
-            legacy_full > 0,
-            "legacy regime must pay whole-TLB flushes per cycle"
+            s.partial_flushes > warm.partial_flushes,
+            "cycles must be visible as partial flushes"
         );
     }
 

@@ -30,9 +30,9 @@
 //!
 //! The background thread that used to live here (the artifact's
 //! `randmod` kthread) is superseded by `adelie-sched`: a multi-worker
-//! scheduler with per-module policies and a CPU budget. Its
-//! single-worker compatibility shim (`adelie_sched::Rerandomizer`)
-//! preserves the old `spawn`/`stop` API.
+//! scheduler with per-module policies and a CPU budget; its
+//! `SchedConfig::serial` configuration reproduces the old single
+//! kthread.
 
 use crate::hooks::{CycleCommit, CycleStage};
 use crate::module::{LoadedModule, LocalGotEntry, Part};

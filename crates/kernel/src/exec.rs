@@ -19,8 +19,8 @@ use crate::symbols::NativeFn;
 use crate::{Kernel, ObserverList};
 use adelie_isa::{decode, AluOp, Cond, DecodeError, Insn, Mem, Reg, ARG_REGS};
 use adelie_vmem::{
-    page_base, page_offset, Access, Fault, Pfn, PhysMem, PteKind, ReadPath, SpaceReader, Tlb,
-    TlbStats, Translation, PAGE_SIZE,
+    page_base, page_offset, Access, Fault, Pfn, PhysMem, PteKind, SpaceReader, Tlb, TlbStats,
+    Translation, PAGE_SIZE,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -204,11 +204,7 @@ impl<'k> Vm<'k> {
             kernel,
             regs: [0; 16],
             flags: Flags::default(),
-            tlb: if kernel.config.asid_tagging {
-                Tlb::with_arch(kernel.config.arch)
-            } else {
-                Tlb::flush_on_switch(kernel.config.arch)
-            },
+            tlb: Tlb::with_arch(kernel.config.arch),
             reader: kernel.space.reader(),
             native_cache: HashMap::new(),
             decoded: DecodeCache::default(),
@@ -440,27 +436,21 @@ impl<'k> Vm<'k> {
         // Hit fast path: when this CPU's TLB is already at the space's
         // current generation, a lookup is one atomic load plus a
         // micro-TLB array probe — no lock, no epoch pin, nothing a
-        // re-randomization writer can block. Snapshot mode only: its
-        // safety argument is that published roots are immutable and
-        // generations monotonic, which the pre-snapshot locked world
-        // does not provide — there a cached entry is only trustworthy
-        // under the reader lock, so the `Locked` ablation pays the pin
-        // on every lookup (that asymmetry is precisely what the
-        // translate bench measures).
-        if self.kernel.config.read_path == ReadPath::Snapshot {
-            let gen = self.kernel.space.generation();
-            if let Some(hit) = self.tlb.try_lookup_current(page_va, gen) {
-                if let Some(pte) = hit {
-                    pte.check(va, access)?;
-                    return Ok(Translation { pte, page_va });
-                }
-                // Miss at the current generation: walk the current
-                // immutable snapshot under one epoch pin — zero locks
-                // on the default read path.
-                let t = self.reader.pin().translate(va, access)?;
-                self.tlb.insert(&t);
-                return Ok(t);
+        // re-randomization writer can block. Safe because published
+        // roots are immutable and generations monotonic: an entry
+        // tagged with the current generation was valid when that
+        // generation was published and nothing has retired it since.
+        let gen = self.kernel.space.generation();
+        if let Some(hit) = self.tlb.try_lookup_current(page_va, gen) {
+            if let Some(pte) = hit {
+                pte.check(va, access)?;
+                return Ok(Translation { pte, page_va });
             }
+            // Miss at the current generation: walk the current
+            // immutable snapshot under one epoch pin — zero locks.
+            let t = self.reader.pin().translate(va, access)?;
+            self.tlb.insert(&t);
+            return Ok(t);
         }
         // Lagging: one pin covers both the resynchronization against
         // the lock-free invalidation ring (range-based shootdown —

@@ -49,7 +49,7 @@ pub use symbols::{NativeFn, SymbolTable};
 
 use adelie_reclaim::{Ebr, Hyaline, Reclaimer};
 use adelie_vmem::{AddressSpace, PhysMem, PteFlags, SpaceConfig, PAGE_SIZE};
-pub use adelie_vmem::{ArchKind, ReadPath, TlbStats};
+pub use adelie_vmem::{ArchKind, TlbStats};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -100,17 +100,6 @@ pub struct KernelConfig {
     pub fuel: u64,
     /// RNG seed (layout randomization, keys).
     pub seed: u64,
-    /// Capacity (in generations) of the address space's TLB
-    /// invalidation log. The default enables range-based shootdown;
-    /// `0` reverts to the legacy whole-TLB-flush regime (the measurable
-    /// ablation baseline — see `adelie-vmem`).
-    pub tlb_inval_log: usize,
-    /// Read-path regime of the kernel address space. The default
-    /// ([`ReadPath::Snapshot`]) gives translation a lock-free RCU walk
-    /// over immutable page-table snapshots; [`ReadPath::Locked`] is the
-    /// pre-snapshot reader-vs-writer-lock regime, kept as the
-    /// measurable ablation baseline for `translate_throughput`.
-    pub read_path: ReadPath,
     /// Reclamation scheme guarding page-table *snapshot* lifetime (a
     /// domain separate from [`KernelConfig::reclaimer`], whose `mr_*`
     /// brackets span whole pending driver calls — snapshot pins last
@@ -121,11 +110,6 @@ pub struct KernelConfig {
     /// invalidation cost model. Defaults to the environment-selected
     /// arch (`ADELIE_ARCH=riscv64` picks Sv48; x86_64 otherwise).
     pub arch: ArchKind,
-    /// Whether per-CPU TLBs keep ASID-tagged entries across space
-    /// switches (the PCID/ASID win). `false` reverts to the
-    /// flush-on-every-switch regime, kept as the measurable ablation
-    /// baseline for `BENCH_tlb_shootdown`'s fleet-churn phase.
-    pub asid_tagging: bool,
     /// `[lo, hi)` window of the randomization arena this kernel's
     /// module loads, re-randomization cycles, and randomized stacks may
     /// be placed in. Defaults to the whole arena
@@ -144,11 +128,8 @@ impl Default for KernelConfig {
             reclaimer: ReclaimerKind::Hyaline,
             fuel: 200_000_000,
             seed: 0x00AD_E11E,
-            tlb_inval_log: adelie_vmem::DEFAULT_INVAL_LOG,
-            read_path: ReadPath::Snapshot,
             snapshot_reclaimer: ReclaimerKind::Ebr,
             arch: ArchKind::from_env(),
-            asid_tagging: true,
             module_window: (0, layout::MODULE_CEILING),
         }
     }
@@ -224,8 +205,6 @@ impl Kernel {
         let kernel = Arc::new(Kernel {
             phys: Arc::new(PhysMem::new()),
             space: Arc::new(AddressSpace::with_space_config(SpaceConfig {
-                inval_log: config.tlb_inval_log,
-                read_path: config.read_path,
                 smr: Some(snapshot_smr),
                 arch: config.arch,
                 ..SpaceConfig::new()

@@ -219,7 +219,11 @@ mod tests {
         for k in fleet.shards() {
             assert_eq!(k.config.arch, ArchKind::Riscv64Sv48);
             assert_eq!(k.space.arch(), ArchKind::Riscv64Sv48);
-            assert!(k.config.asid_tagging, "template default must carry over");
+            assert_eq!(
+                k.config.fuel,
+                KernelConfig::default().fuel,
+                "template default must carry over"
+            );
             asids.push(k.space.asid());
         }
         asids.sort_unstable();

@@ -14,8 +14,8 @@
 //!
 //! Failures are non-fatal: a failed cycle is counted, logged to printk,
 //! and the module simply keeps running at its current base until the
-//! next deadline (the old single-thread `Rerandomizer` silently died on
-//! the first error, taking every other module's protection with it).
+//! next deadline (the artifact's single `randmod` kthread died on the
+//! first error, taking every other module's protection with it).
 //!
 //! # Timelines and step mode
 //!
@@ -327,6 +327,9 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Start a pool over `module_names`, all under `config.policy`.
+    /// Logs the artifact's `Randomize: kthread started` dmesg line
+    /// (`SchedConfig::serial(period)` is the artifact's `randmod`
+    /// kthread: one worker, one fixed period).
     ///
     /// # Panics
     ///
@@ -338,6 +341,7 @@ impl Scheduler {
         module_names: &[&str],
         config: SchedConfig,
     ) -> Scheduler {
+        kernel.printk.log("Randomize: kthread started");
         let with_policies: Vec<(&str, Policy)> = module_names
             .iter()
             .map(|&n| (n, config.policy.clone()))

@@ -321,7 +321,8 @@ fn budget_applies_backpressure() {
 
 /// The acceptance claim: a 4-worker Adaptive scheduler over 3 busy
 /// modules completes ≥ 2× the module-cycles of the serial fixed-period
-/// `Rerandomizer` shim (at the artifact's default 20 ms period) in the
+/// configuration (`SchedConfig::serial`, the artifact's one kthread, at
+/// its default 20 ms period) in the
 /// same wall time — because it tightens periods where call rate and
 /// gadget exposure demand it instead of sleeping a fixed schedule.
 #[test]
@@ -330,12 +331,11 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
 
     let serial = {
         let (kernel, registry, modules) = boot_n(3);
-        #[allow(deprecated)]
-        let rr = adelie_sched::Rerandomizer::spawn(
+        let rr = Scheduler::spawn(
             kernel.clone(),
             registry.clone(),
             &["mod0", "mod1", "mod2"],
-            Duration::from_millis(20),
+            SchedConfig::serial(Duration::from_millis(20)),
         );
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
@@ -346,7 +346,7 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
         let stats = rr.stop();
         kernel.reclaim.flush();
         assert_eq!(kernel.reclaim.stats().delta(), 0);
-        stats.randomized
+        stats.cycles
     };
 
     let adaptive = {

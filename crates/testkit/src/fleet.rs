@@ -26,7 +26,7 @@
 use crate::oracle::{LayoutOracle, OracleReport};
 use crate::{Attacker, FaultPlan, HookChain};
 use adelie_core::{Fleet, LoadedModule, Pinned, RecoveryReport};
-use adelie_kernel::{FleetConfig, KernelConfig, ReadPath, ShardedKernel};
+use adelie_kernel::{FleetConfig, KernelConfig, ShardedKernel};
 use adelie_sched::{
     CycleReport, FleetScheduler, HealthState, Policy, SchedConfig, ShardSched, SimClock,
     SupervisionConfig,
@@ -55,9 +55,6 @@ pub struct FleetSimConfig {
     /// Module profiles replicated into each shard (module `p` of shard
     /// `i` is named `{p.name}_s{i}` and pinned there).
     pub modules_per_shard: Vec<ModuleProfile>,
-    /// Translation read path for every shard kernel (the snapshot walk
-    /// by default; `Locked` is the ablation baseline).
-    pub read_path: ReadPath,
     /// Health state machine thresholds for every shard group.
     pub supervision: SupervisionConfig,
 }
@@ -72,7 +69,6 @@ impl Default for FleetSimConfig {
             cycle_cost: Duration::from_micros(100),
             max_cpu_frac: f64::INFINITY,
             modules_per_shard: vec![ModuleProfile::hot("hot"), ModuleProfile::cold("cold")],
-            read_path: ReadPath::Snapshot,
             supervision: SupervisionConfig::default(),
         }
     }
@@ -126,7 +122,6 @@ impl FleetSim {
             shards: cfg.shards,
             base: KernelConfig {
                 seed: cfg.seed,
-                read_path: cfg.read_path,
                 ..KernelConfig::default()
             },
         });

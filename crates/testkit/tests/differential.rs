@@ -1,19 +1,18 @@
-//! Differential read-path test: one seeded ioctl + re-randomization
-//! trace replayed under `ReadPath::Locked` and `ReadPath::Snapshot`.
+//! Differential replay test: one seeded ioctl + re-randomization trace
+//! replayed on both ISA backends, and twice on each.
 //!
-//! The two read paths are *algorithmically different* implementations
-//! of the same contract (the locked ablation takes a reader/writer
-//! lock; the snapshot path walks immutable RCU snapshots under an
-//! epoch pin) — so any drift in the snapshot protocol that the
-//! concurrency proptests can't pin down (a publish that skips a
-//! sibling, a sync plan that diverges, an extra or missing TLB flush)
-//! shows up here as a byte-level mismatch between two traces that must
-//! be identical: same ioctl results, same translation probes, same
-//! per-module cycle counts, same commit timeline, same TLB counter
-//! evolution, same oracle verdict.
+//! The transcript records every observable of the read path: ioctl
+//! results, batched-vs-single translation cross-checks, translation
+//! probes, per-module cycle counts, the commit timeline, the traffic
+//! CPU's TLB counter evolution, and the oracle verdict. The x86_64 and
+//! riscv64 backends encode PTEs differently but must produce
+//! byte-identical transcripts, and each backend must replay its own
+//! trace identically. The micro-TLB fast path is checked against the
+//! pinned lookup path by the mirror-model proptest in
+//! `adelie-kernel`'s `decode_cache_props`.
 
 use adelie_drivers::specs::DUMMY_MINOR;
-use adelie_kernel::{ArchKind, KernelConfig, ReadPath};
+use adelie_kernel::{ArchKind, KernelConfig};
 use adelie_plugin::TransformOptions;
 use adelie_sched::SimClock;
 use adelie_testkit::LayoutOracle;
@@ -25,15 +24,14 @@ use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Replay the seeded trace under `read_path` on `arch`; return the
-/// full observable transcript.
-fn run_trace_on(read_path: ReadPath, arch: ArchKind, seed: u64) -> String {
+/// Replay the seeded trace on `arch`; return the full observable
+/// transcript.
+fn run_trace_on(arch: ArchKind, seed: u64) -> String {
     let tb = Testbed::with_kernel_config(
         TransformOptions::rerandomizable(true),
         DriverSet::dummy_only(),
         KernelConfig {
             seed,
-            read_path,
             arch,
             ..KernelConfig::default()
         },
@@ -59,9 +57,9 @@ fn run_trace_on(read_path: ReadPath, arch: ArchKind, seed: u64) -> String {
         // Periodically cross-check the batched translation path against
         // N independent single walks: `translate_pages` resolves the
         // whole span against ONE snapshot root, the singles re-walk the
-        // table per page — under either read path both the PTEs and the
-        // bytes read through them must agree exactly, and the checksum
-        // line makes the *content* part of the cross-mode transcript.
+        // table per page — both the PTEs and the bytes read through them
+        // must agree exactly, and the checksum line makes the *content*
+        // part of the cross-arch transcript.
         if step % 25 == 7 {
             let name = &tb.module_names[(step as usize / 25) % tb.module_names.len()];
             let m = tb.registry.get(name).expect("module");
@@ -158,17 +156,14 @@ fn run_trace_on(read_path: ReadPath, arch: ArchKind, seed: u64) -> String {
     }
 
     // TLB counter evolution of the traffic CPU: the partial/full flush
-    // mix is part of the contract (a read path that silently
-    // full-flushed more would hide stale-translation bugs *and* regress
-    // the §4.3 cost story). `micro_hits` is deliberately excluded: only
-    // the snapshot path runs the no-pin micro-TLB probe (the locked
-    // ablation pins on every lookup by design), so the two modes differ
-    // there on purpose.
+    // mix is part of the contract (a backend that silently full-flushed
+    // more would hide stale-translation bugs *and* regress the §4.3
+    // cost story), and so is the micro-TLB's share of the hits.
     let t = vm.tlb_stats();
     let _ = writeln!(
         out,
-        "tlb hits {} misses {} flushes {} partial {} invalidated {}",
-        t.hits, t.misses, t.flushes, t.partial_flushes, t.entries_invalidated
+        "tlb hits {} micro {} misses {} flushes {} partial {} invalidated {}",
+        t.hits, t.micro_hits, t.misses, t.flushes, t.partial_flushes, t.entries_invalidated
     );
 
     // Oracle verdict — must be clean, and identically clean.
@@ -176,11 +171,6 @@ fn run_trace_on(read_path: ReadPath, arch: ArchKind, seed: u64) -> String {
     let _ = writeln!(out, "oracle {:?}", report.violations);
     report.assert_clean();
     out
-}
-
-/// Replay on the default backend (what every pre-arch caller meant).
-fn run_trace(read_path: ReadPath, seed: u64) -> String {
-    run_trace_on(read_path, ArchKind::default(), seed)
 }
 
 /// The ISA backend changes how PTEs are *encoded* (hardware bit
@@ -191,9 +181,13 @@ fn run_trace(read_path: ReadPath, seed: u64) -> String {
 /// byte-identical under x86_64 and riscv64 Sv48.
 #[test]
 fn arch_backends_replay_byte_identically() {
-    for seed in [1u64, 0xA77ACC] {
-        let x86 = run_trace_on(ReadPath::Snapshot, ArchKind::X86_64, seed);
-        let rv = run_trace_on(ReadPath::Snapshot, ArchKind::Riscv64Sv48, seed);
+    for seed in [1u64, 42, 0xA77ACC] {
+        let x86 = run_trace_on(ArchKind::X86_64, seed);
+        let rv = run_trace_on(ArchKind::Riscv64Sv48, seed);
+        assert!(
+            x86.contains("cycle "),
+            "trace must contain re-randomization cycles:\n{x86}"
+        );
         if x86 != rv {
             let diverge = x86
                 .lines()
@@ -212,40 +206,13 @@ fn arch_backends_replay_byte_identically() {
 }
 
 #[test]
-fn locked_and_snapshot_read_paths_are_observationally_identical() {
-    for seed in [1u64, 42, 0xA77ACC] {
-        let locked = run_trace(ReadPath::Locked, seed);
-        let snapshot = run_trace(ReadPath::Snapshot, seed);
-        assert!(
-            locked.contains("cycle "),
-            "trace must contain re-randomization cycles:\n{locked}"
-        );
-        if locked != snapshot {
-            // Pinpoint the first divergence for the failure message.
-            let diverge = locked
-                .lines()
-                .zip(snapshot.lines())
-                .enumerate()
-                .find(|(_, (a, b))| a != b);
-            panic!(
-                "read paths diverged (seed {seed}) at {:?}\n\
-                 locked len {} vs snapshot len {}",
-                diverge,
-                locked.len(),
-                snapshot.len()
-            );
-        }
-    }
-}
-
-#[test]
 fn read_path_traces_replay_byte_identically_per_mode() {
-    // The differential claim is only meaningful if each mode is itself
+    // The cross-arch claim is only meaningful if each backend is itself
     // deterministic — pin that separately so a failure above is
-    // attributable to the *cross-mode* diff, not flakiness.
-    for read_path in [ReadPath::Locked, ReadPath::Snapshot] {
-        let a = run_trace(read_path, 7);
-        let b = run_trace(read_path, 7);
-        assert_eq!(a, b, "{read_path:?} trace must replay identically");
+    // attributable to the *cross-arch* diff, not flakiness.
+    for arch in [ArchKind::X86_64, ArchKind::Riscv64Sv48] {
+        let a = run_trace_on(arch, 7);
+        let b = run_trace_on(arch, 7);
+        assert_eq!(a, b, "{arch:?} trace must replay identically");
     }
 }

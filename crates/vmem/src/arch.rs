@@ -360,7 +360,8 @@ impl Arch for X86_64 {
     fn context_token(asid: Asid, root: Pfn) -> u64 {
         // CR3 image: PML4 frame at bits 12.., PCID in bits 0..12. (The
         // bit-63 "don't flush" hint is a property of the *switch*, not
-        // of the token — the Tlb models it via AsidPolicy.)
+        // of the token — the Tlb models it by keeping tagged entries
+        // across switches.)
         (root.0 << 12) | (asid.value as u64 & 0xFFF)
     }
 

@@ -58,10 +58,10 @@ pub use batch::Batch;
 pub use fault::{Access, Fault};
 pub use phys::{Pfn, PhysMem, PhysStats};
 pub use space::{
-    AddressSpace, BatchOutcome, Pte, PteFlags, PteKind, ReadPath, SpaceConfig, SpacePin,
-    SpaceReader, SpaceStats, TlbSync, Translation, DEFAULT_INVAL_LOG, READER_SLOTS,
+    AddressSpace, BatchOutcome, Pte, PteFlags, PteKind, SpaceConfig, SpacePin, SpaceReader,
+    SpaceStats, TlbSync, Translation, DEFAULT_INVAL_LOG, READER_SLOTS,
 };
-pub use tlb::{AsidPolicy, Tlb, TlbStats};
+pub use tlb::{Tlb, TlbStats};
 
 /// Page size in bytes (4 KiB, like x86-64).
 pub const PAGE_SIZE: usize = 4096;

@@ -22,12 +22,13 @@
 //!
 //! The invalidation log is likewise lock-free on the read side: a fixed
 //! ring of atomically-published immutable slots
-//! ([`AddressSpace::plan_sync`]), read under the same epoch pin.
-//!
-//! The pre-snapshot regime (readers on a reader/writer lock,
-//! serializing against writers) is kept behind [`ReadPath::Locked`] as
-//! a measurable ablation baseline — see the `translate_throughput`
-//! bench.
+//! ([`AddressSpace::plan_sync`]), read under the same epoch pin. Every
+//! batch publishes one generation bump and one log entry; there is no
+//! whole-TLB regime and no reader lock. Both were ablation baselines
+//! until commit fd67120, where they measured: without the log, 1.000
+//! whole-TLB flushes per rerand cycle on the traffic CPU against 0.000
+//! with it; with the reader lock, a median 3.2× fewer reader calls under
+//! a rerand writer at 1 and at 4 readers (DESIGN.md §10.4, §11.5).
 
 use crate::arch::{ArchKind, Asid, HwPte};
 use crate::batch::{Batch, BatchOp};
@@ -36,7 +37,7 @@ use crate::{
     page_base, page_offset, Access, Fault, Pfn, PhysMem, LEVELS, PAGE_SHIFT, PAGE_SIZE, VA_MASK,
 };
 use adelie_reclaim::{Ebr, Reclaimer, SmrStats};
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -346,30 +347,12 @@ pub enum TlbSync {
     Full,
 }
 
-/// Which regime the translate path runs under.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum ReadPath {
-    /// Lock-free RCU snapshots: readers pin an epoch and walk an
-    /// immutable root; they never block on writers. The default.
-    #[default]
-    Snapshot,
-    /// The pre-snapshot ablation baseline: every reader additionally
-    /// acquires a reader/writer lock that writers hold exclusively for
-    /// each transaction, reproducing the old reader-vs-rerandomizer
-    /// serialization so the `translate_throughput` bench can measure
-    /// what the snapshot path buys.
-    Locked,
-}
-
 /// Construction knobs for [`AddressSpace::with_space_config`].
 /// `Default` equals [`SpaceConfig::new`].
 pub struct SpaceConfig {
-    /// Invalidation-log capacity in generations; `0` disables
-    /// range-based shootdown (the legacy whole-TLB ablation regime).
+    /// Invalidation-log capacity in generations; must be at least 1.
     /// Defaults to [`DEFAULT_INVAL_LOG`].
     pub inval_log: usize,
-    /// Read-path regime (snapshot vs the locked ablation baseline).
-    pub read_path: ReadPath,
     /// Reclamation domain guarding snapshot and log-slot lifetime.
     /// `None` creates a dedicated EBR domain with [`READER_SLOTS`]
     /// slots. This domain is distinct from the kernel's `mr_*` domain:
@@ -386,13 +369,11 @@ pub struct SpaceConfig {
 }
 
 impl SpaceConfig {
-    /// The default configuration: [`DEFAULT_INVAL_LOG`], snapshot read
-    /// path, dedicated EBR domain, environment-selected arch, freshly
-    /// allocated ASID.
+    /// The default configuration: [`DEFAULT_INVAL_LOG`], dedicated EBR
+    /// domain, environment-selected arch, freshly allocated ASID.
     pub fn new() -> SpaceConfig {
         SpaceConfig {
             inval_log: DEFAULT_INVAL_LOG,
-            read_path: ReadPath::Snapshot,
             smr: None,
             arch: ArchKind::from_env(),
             asid: None,
@@ -410,7 +391,6 @@ impl fmt::Debug for SpaceConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SpaceConfig")
             .field("inval_log", &self.inval_log)
-            .field("read_path", &self.read_path)
             .field("arch", &self.arch)
             .field("asid", &self.asid)
             .finish()
@@ -453,21 +433,14 @@ pub struct AddressSpace {
     /// Bumped by deferred reclamation closures when a retired snapshot
     /// root is actually dropped.
     reclaimed_snapshots: Arc<AtomicU64>,
-    /// Recent invalidation sets. `None` models the legacy whole-TLB
-    /// regime: nothing is logged, every lagging TLB full-flushes, and
-    /// [`AddressSpace::apply`] publishes one generation bump per
-    /// invalidating op instead of one per batch.
-    inval: Option<InvalRing>,
-    inval_capacity: usize,
+    /// Recent invalidation sets, one slot per published shootdown.
+    inval: InvalRing,
     /// Epoch-based reclamation guarding snapshots and log slots.
     smr: Arc<dyn Reclaimer>,
     /// Reader-slot claim flags (one per `smr` slot); a claimed slot is
     /// exclusively owned by one [`SpaceReader`] / [`SpacePin`], which
     /// keeps EBR's one-operation-per-slot contract.
     slot_claims: Box<[AtomicBool]>,
-    /// `Some` in [`ReadPath::Locked`] mode: the ablation lock readers
-    /// and writers contend on.
-    ablation: Option<RwLock<()>>,
     /// ISA backend owning the leaf encodings of every snapshot this
     /// space publishes and the meaning of its ASID.
     arch: ArchKind,
@@ -513,9 +486,12 @@ impl AddressSpace {
     }
 
     /// Create an empty address space whose invalidation log holds
-    /// `capacity` generations. `0` disables range-based shootdown
-    /// entirely — the legacy whole-TLB regime, kept as the measurable
-    /// ablation baseline.
+    /// `capacity` generations — a small ring lets tests lag a TLB past
+    /// the log's horizon cheaply.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` is 0 (see [`AddressSpace::with_space_config`]).
     pub fn with_inval_log(capacity: usize) -> AddressSpace {
         AddressSpace::with_space_config(SpaceConfig {
             inval_log: capacity,
@@ -524,8 +500,18 @@ impl AddressSpace {
     }
 
     /// Create an empty address space from explicit [`SpaceConfig`]
-    /// knobs (read-path regime, reclamation domain, log capacity).
+    /// knobs (reclamation domain, log capacity, arch, ASID).
+    ///
+    /// # Panics
+    ///
+    /// If `config.inval_log` is 0: range-based shootdown needs at least
+    /// one log slot to index into.
     pub fn with_space_config(config: SpaceConfig) -> AddressSpace {
+        assert!(
+            config.inval_log >= 1,
+            "SpaceConfig::inval_log must be at least 1 (got 0): the invalidation log \
+             needs a slot for every shootdown"
+        );
         let smr = config
             .smr
             .unwrap_or_else(|| Arc::new(Ebr::new(READER_SLOTS)));
@@ -548,11 +534,9 @@ impl AddressSpace {
             stats: AtomicStats::default(),
             walk_stripes: (0..nslots).map(|_| PaddedCounter::default()).collect(),
             reclaimed_snapshots: Arc::new(AtomicU64::new(0)),
-            inval: (config.inval_log > 0).then(|| InvalRing::new(config.inval_log)),
-            inval_capacity: config.inval_log,
+            inval: InvalRing::new(config.inval_log),
             smr,
             slot_claims: (0..nslots).map(|_| AtomicBool::new(false)).collect(),
-            ablation: (config.read_path == ReadPath::Locked).then(|| RwLock::new(())),
             arch,
             asid,
         }
@@ -586,19 +570,9 @@ impl AddressSpace {
         self.id
     }
 
-    /// Capacity of the invalidation log in generations (0 = disabled).
+    /// Capacity of the invalidation log in generations.
     pub fn inval_log_capacity(&self) -> usize {
-        self.inval_capacity
-    }
-
-    /// Which read-path regime this space runs (snapshot vs the locked
-    /// ablation baseline).
-    pub fn read_path(&self) -> ReadPath {
-        if self.ablation.is_some() {
-            ReadPath::Locked
-        } else {
-            ReadPath::Snapshot
-        }
+        self.inval.slots.len()
     }
 
     /// Counters of the snapshot reclamation domain (retired vs freed
@@ -669,10 +643,8 @@ impl AddressSpace {
         }
     }
 
-    /// Pin a reclamation epoch for one read operation: claims a slot,
-    /// enters the epoch, and (in [`ReadPath::Locked`] ablation mode
-    /// only) takes the read side of the ablation lock. Everything is
-    /// released on drop. On the default snapshot path this takes **no
+    /// Pin a reclamation epoch for one read operation: claims a slot
+    /// and enters the epoch; both are released on drop. Takes **no
     /// lock**.
     pub fn pin(&self) -> SpacePin<'_> {
         let slot = self.claim_slot();
@@ -685,7 +657,6 @@ impl AddressSpace {
             space: self,
             slot,
             release_slot,
-            _ablate: self.ablation.as_ref().map(|l| l.read()),
         }
     }
 
@@ -723,9 +694,7 @@ impl AddressSpace {
         if current == seen_gen {
             return (current, TlbSync::Current);
         }
-        let Some(ring) = &self.inval else {
-            return (current, TlbSync::Full);
-        };
+        let ring = &self.inval;
         if current < seen_gen {
             return (current, TlbSync::Full);
         }
@@ -775,24 +744,12 @@ impl AddressSpace {
     // Writer side: COW transactions, snapshot publication, shootdowns.
     // ------------------------------------------------------------------
 
-    fn ablation_write(&self) -> Option<RwLockWriteGuard<'_, ()>> {
-        self.ablation.as_ref().map(|l| l.write())
-    }
-
-    /// Begin a write transaction: take the writer mutex (and, in
-    /// ablation mode, the write side of the ablation lock) and build a
+    /// Begin a write transaction: take the writer mutex and build a
     /// scratch root sharing every subtree of the current snapshot.
-    fn begin(
-        &self,
-    ) -> (
-        MutexGuard<'_, WriterState>,
-        Option<RwLockWriteGuard<'_, ()>>,
-        Node,
-    ) {
+    fn begin(&self) -> (MutexGuard<'_, WriterState>, Node) {
         let st = self.writer.lock();
-        let ablate = self.ablation_write();
         let scratch = st.current.root.shallow_clone();
-        (st, ablate, scratch)
+        (st, scratch)
     }
 
     /// Publish `scratch` as the new snapshot and retire the old root
@@ -842,9 +799,7 @@ impl AddressSpace {
     fn shootdown_epoch(&self, mut spans: Vec<(u64, u64)>, epoch: Option<u64>) {
         let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         self.stats.shootdowns.fetch_add(1, Ordering::Relaxed);
-        let Some(ring) = &self.inval else {
-            return;
-        };
+        let ring = &self.inval;
         coalesce_spans(&mut spans);
         let cap = ring.slots.len() as u64;
         let head = ring.head.load(Ordering::SeqCst);
@@ -945,7 +900,7 @@ impl AddressSpace {
 
     fn map_pte(&self, va: u64, pte: Pte) -> Result<(), Fault> {
         self.check(va)?;
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         map_in(&mut scratch, va, self.arch.encode(pte))?;
         self.publish(&mut st, scratch, &mut vec![va >> FLAT_SHIFT]);
         self.stats.pages_mapped.fetch_add(1, Ordering::Relaxed);
@@ -959,7 +914,7 @@ impl AddressSpace {
     ///
     /// Fails on the first conflicting page (earlier pages stay mapped).
     pub fn map_range(&self, va: u64, pfns: &[Pfn], flags: PteFlags) -> Result<(), Fault> {
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         let mut outcome = Ok(());
         let mut mapped = 0u64;
         let mut touched = Vec::new();
@@ -992,7 +947,7 @@ impl AddressSpace {
     /// [`Fault::Unmapped`] if nothing is mapped there.
     pub fn unmap(&self, va: u64) -> Result<Pte, Fault> {
         self.check(va)?;
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         let pte = self.arch.decode_owned(unmap_in(&mut scratch, va)?);
         self.publish(&mut st, scratch, &mut vec![va >> FLAT_SHIFT]);
         self.stats.pages_unmapped.fetch_add(1, Ordering::Relaxed);
@@ -1010,7 +965,7 @@ impl AddressSpace {
     /// invalidation an unpublished removal would let TLBs serve the
     /// retired translations forever.
     pub fn unmap_range(&self, va: u64, n: usize) -> Result<Vec<Pte>, Fault> {
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         let mut out = Vec::with_capacity(n);
         let mut outcome = Ok(());
         let mut touched = Vec::new();
@@ -1040,7 +995,7 @@ impl AddressSpace {
     /// what the re-randomizer's retire step uses, since alignment-tail
     /// pages were never mapped.
     pub fn unmap_sparse(&self, va: u64, n: usize) -> Vec<Pte> {
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         let mut out = Vec::new();
         let mut touched = Vec::new();
         for i in 0..n {
@@ -1074,7 +1029,7 @@ impl AddressSpace {
     /// [`Fault::Unmapped`] if the page is not mapped.
     pub fn replace(&self, va: u64, pfn: Pfn, flags: PteFlags) -> Result<Pte, Fault> {
         self.check(va)?;
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         let old = replace_in(
             &mut scratch,
             va,
@@ -1097,7 +1052,7 @@ impl AddressSpace {
     /// [`Fault::Unmapped`] if the page is not mapped.
     pub fn protect(&self, va: u64, flags: PteFlags) -> Result<(), Fault> {
         self.check(va)?;
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         protect_in(&mut scratch, va, flags, self.arch)?;
         self.publish(&mut st, scratch, &mut vec![va >> FLAT_SHIFT]);
         self.stats.protects.fetch_add(1, Ordering::Relaxed);
@@ -1114,7 +1069,7 @@ impl AddressSpace {
     /// Fails on the first unmapped page (earlier pages keep the new
     /// permissions, and the shootdown still covers them).
     pub fn protect_range(&self, va: u64, n: usize, flags: PteFlags) -> Result<(), Fault> {
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         let mut outcome = Ok(());
         let mut changed = 0usize;
         let mut touched = Vec::new();
@@ -1275,12 +1230,6 @@ impl AddressSpace {
     /// concurrent readers only ever observe the pre- or post-batch
     /// snapshot, never an intermediate state.
     ///
-    /// When the invalidation log is disabled (`with_inval_log(0)` — the
-    /// ablation baseline), mutations stay atomic but the publication
-    /// cost reverts to the legacy regime: one generation bump per
-    /// invalidating operation (and per *page* for `protect_range`, which
-    /// is what the pre-batching code paid).
-    ///
     /// # Errors
     ///
     /// The first fault any queued operation raises; the batch is
@@ -1308,13 +1257,11 @@ impl AddressSpace {
         }
         let mut removed = Vec::new();
         let mut spans: Vec<(u64, u64)> = Vec::new();
-        // Gen bumps the legacy (log-disabled) regime would have paid.
-        let mut legacy_shootdowns = 0u64;
         let mut mapped = 0u64;
         let mut unmapped = 0u64;
         let mut protects = 0u64;
         let mut touched = Vec::new();
-        let (mut st, _w, mut scratch) = self.begin();
+        let (mut st, mut scratch) = self.begin();
         for op in &batch.ops {
             match *op {
                 BatchOp::Map { va, pfn, flags } => {
@@ -1334,7 +1281,6 @@ impl AddressSpace {
                         unmapped += 1;
                     }
                     spans.push((va, va + (pages * PAGE_SIZE) as u64));
-                    legacy_shootdowns += 1;
                 }
                 BatchOp::UnmapSparse { va, pages } => {
                     for i in 0..pages {
@@ -1346,7 +1292,6 @@ impl AddressSpace {
                         }
                     }
                     spans.push((va, va + (pages * PAGE_SIZE) as u64));
-                    legacy_shootdowns += 1;
                 }
                 BatchOp::ProtectRange { va, pages, flags } => {
                     for i in 0..pages {
@@ -1356,7 +1301,6 @@ impl AddressSpace {
                         protects += 1;
                     }
                     spans.push((va, va + (pages * PAGE_SIZE) as u64));
-                    legacy_shootdowns += pages as u64;
                 }
                 BatchOp::SwapFrame { va, pfn, flags } => {
                     let hw = self.arch.encode(Pte {
@@ -1366,7 +1310,6 @@ impl AddressSpace {
                     touched.push(va >> FLAT_SHIFT);
                     removed.push(self.arch.decode_owned(replace_in(&mut scratch, va, hw)?));
                     spans.push((va, va + PAGE_SIZE as u64));
-                    legacy_shootdowns += 1;
                 }
             }
         }
@@ -1380,14 +1323,6 @@ impl AddressSpace {
         let pages_invalidated = spans.iter().map(|&(s, e)| (e - s) / PAGE_SIZE as u64).sum();
         let shootdowns = if spans.is_empty() {
             0
-        } else if self.inval_capacity == 0 {
-            // Ablation baseline: pay the legacy per-op publication cost.
-            self.generation
-                .fetch_add(legacy_shootdowns, Ordering::AcqRel);
-            self.stats
-                .shootdowns
-                .fetch_add(legacy_shootdowns, Ordering::Relaxed);
-            legacy_shootdowns
         } else {
             self.shootdown_epoch(spans, batch.epoch);
             1
@@ -1431,7 +1366,7 @@ pub struct SpaceReader<'a> {
 
 impl SpaceReader<'_> {
     /// Pin a reclamation epoch on this handle's slot for one read
-    /// operation. Lock-free on the default snapshot path.
+    /// operation. Lock-free.
     ///
     /// Takes `&mut self`: a slot admits **one** operation at a time
     /// (EBR's contract — a second concurrent enter on the same slot
@@ -1464,9 +1399,6 @@ pub struct SpacePin<'a> {
     space: &'a AddressSpace,
     slot: usize,
     release_slot: bool,
-    /// In [`ReadPath::Locked`] ablation mode, the read side of the
-    /// ablation lock (held for the pin's lifetime).
-    _ablate: Option<RwLockReadGuard<'a, ()>>,
 }
 
 impl SpacePin<'_> {
@@ -1559,9 +1491,8 @@ pub struct BatchOutcome {
     pub removed: Vec<Pte>,
     /// Pages covered by the published invalidation set.
     pub pages_invalidated: u64,
-    /// Generation bumps the batch published (1 in the range-based
-    /// regime, the legacy per-op count under `with_inval_log(0)`, 0 for
-    /// a map-only batch).
+    /// Generation bumps the batch published: 1, or 0 for a map-only
+    /// batch.
     pub shootdowns: u64,
 }
 
@@ -1792,7 +1723,6 @@ impl fmt::Debug for AddressSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AddressSpace")
             .field("generation", &self.generation())
-            .field("read_path", &self.read_path())
             .field("arch", &self.arch)
             .field("asid", &self.asid)
             .field("stats", &self.stats())
@@ -2189,26 +2119,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_batch_pays_legacy_per_op_shootdowns() {
-        let phys = PhysMem::new();
-        let space = AddressSpace::with_inval_log(0);
-        space
-            .map_range(VA, &phys.alloc_n(4), PteFlags::DATA)
-            .unwrap();
-        let g0 = space.generation();
-        let mut batch = Batch::new();
-        batch
-            .unmap_range(VA, 1)
-            .protect_range(VA + PAGE_SIZE as u64, 2, PteFlags::RO_DATA)
-            .swap_frame(VA + 3 * PAGE_SIZE as u64, phys.alloc(), PteFlags::DATA);
-        let outcome = space.apply(batch).unwrap();
-        // 1 (unmap) + 2 (protect per page, the legacy cost) + 1 (swap).
-        assert_eq!(outcome.shootdowns, 4);
-        assert_eq!(space.generation(), g0 + 4);
-        assert!(matches!(space.plan_sync(g0), (_, TlbSync::Full)));
-    }
-
-    #[test]
     fn stats_track_activity() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
@@ -2274,23 +2184,15 @@ mod tests {
         assert_eq!(space.snapshot_smr().delta(), 0);
     }
 
-    /// The locked ablation regime serves byte-identical results — it
-    /// only changes the synchronization, not the semantics.
+    /// A zero-slot invalidation log cannot record a shootdown (the ring
+    /// index is `k % capacity`), so construction rejects it up front.
     #[test]
-    fn locked_read_path_is_semantically_identical() {
-        let phys = PhysMem::new();
-        let space = AddressSpace::with_space_config(SpaceConfig {
-            read_path: ReadPath::Locked,
+    #[should_panic(expected = "inval_log must be at least 1")]
+    fn zero_capacity_inval_log_is_rejected() {
+        let _ = AddressSpace::with_space_config(SpaceConfig {
+            inval_log: 0,
             ..SpaceConfig::new()
         });
-        assert_eq!(space.read_path(), ReadPath::Locked);
-        let pfn = phys.alloc();
-        space.map(VA, pfn, PteFlags::DATA).unwrap();
-        let t = space.translate(VA, Access::Read).unwrap();
-        assert_eq!(t.pte.kind, PteKind::Frame(pfn));
-        space.unmap(VA).unwrap();
-        assert!(space.translate(VA, Access::Read).is_err());
-        assert!(matches!(space.plan_sync(0), (_, TlbSync::Ranges(_))));
     }
 
     /// The flat leaf directory must agree with the radix tree after

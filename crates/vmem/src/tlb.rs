@@ -29,9 +29,9 @@
 //!
 //! Entries are stored in the arch's *hardware* encoding
 //! ([`crate::HwPte`]) and keyed by `(asid, page_va)`, mirroring
-//! PCID-tagged x86 TLBs and `satp.ASID`-tagged riscv ones. Under the
-//! default [`AsidPolicy::Tagged`], pointing the TLB at a different
-//! [`AddressSpace`] — fleet shards each own one — is **not** a flush:
+//! PCID-tagged x86 TLBs and `satp.ASID`-tagged riscv ones. Pointing the
+//! TLB at a different [`AddressSpace`] — fleet shards each own one — is
+//! **not** a flush:
 //! the current generation cursor is parked per ASID, the new ASID's
 //! cursor is restored, and every cached entry survives under its tag. A
 //! probe can only ever see entries whose tag equals the currently bound
@@ -54,8 +54,10 @@
 //!   different space id flushes that one ASID's entries defensively
 //!   instead of trusting them.
 //!
-//! [`AsidPolicy::FlushOnSwitch`] keeps the pre-ASID behaviour — every
-//! switch is a full flush — as the measurable ablation baseline.
+//! Tagging is the only switch policy. The flush-on-every-switch
+//! baseline it replaced was an ablation until commit fd67120, where a
+//! TLB roaming 4 shards for 200 rounds paid 199 switch flushes and 0
+//! hits, ~7.3× the modeled cycles of the tagged TLB (DESIGN.md §15.6).
 //!
 //! # The micro-TLB (L1)
 //!
@@ -95,19 +97,6 @@ struct MicroEntry {
     hw: HwPte,
 }
 
-/// How a [`Tlb`] treats being pointed at a different address space.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum AsidPolicy {
-    /// Keep entries across switches under their ASID tags; only
-    /// rollover adoption or a tag-value collision forces a flush. The
-    /// default — what PCID/ASID hardware buys.
-    #[default]
-    Tagged,
-    /// Pre-ASID ablation baseline: every space switch is a full flush
-    /// (PR 5's behaviour, kept measurable for the bench).
-    FlushOnSwitch,
-}
-
 /// TLB hit/miss/flush counters.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
 pub struct TlbStats {
@@ -119,21 +108,20 @@ pub struct TlbStats {
     /// Lookups that missed (caller must walk the page table).
     pub misses: u64,
     /// Flushes of every kind: explicit [`Tlb::flush`], log-horizon
-    /// syncs, switch-forced flushes, and (under [`AsidPolicy::Tagged`])
-    /// single-ASID context invalidations. Always ≥
+    /// syncs, switch-forced flushes, and single-ASID context
+    /// invalidations. Always ≥
     /// `switch_flushes + horizon_flushes`.
     pub flushes: u64,
     /// Space switches observed (the TLB was pointed at a different
     /// [`AddressSpace`] than the one it was bound to).
     pub switches: u64,
-    /// Of [`TlbStats::flushes`], those forced by an identity change: a
-    /// [`AsidPolicy::FlushOnSwitch`] switch, an ASID rollover adoption,
-    /// or a defensive ASID-value-collision flush. The fleet bench
+    /// Of [`TlbStats::flushes`], those forced by an identity change: an
+    /// ASID rollover adoption or a defensive ASID-value-collision flush. The fleet bench
     /// asserts this stays 0 under tagged churn.
     pub switch_flushes: u64,
     /// Of [`TlbStats::flushes`], those forced by a [`TlbSync::Full`]
-    /// plan: the TLB lagged past the invalidation log's horizon, the
-    /// gap's span set was oversized, or the log is disabled.
+    /// plan: the TLB lagged past the invalidation log's horizon or the
+    /// gap's span set was oversized.
     pub horizon_flushes: u64,
     /// Range-based resynchronizations that evicted only covered
     /// entries instead of flushing.
@@ -207,10 +195,8 @@ pub struct Tlb {
     generation: u64,
     /// [`AddressSpace::id`] of the space the cache last synchronized
     /// with (0 = never synced). Generations are meaningful only within
-    /// one space, so a different id re-binds the TLB: under
-    /// [`AsidPolicy::Tagged`] that parks the generation cursor per
-    /// ASID and keeps entries; under [`AsidPolicy::FlushOnSwitch`] it
-    /// flushes everything, like hardware without an ASID match.
+    /// one space, so a different id re-binds the TLB: the generation
+    /// cursor is parked per ASID and the entries are kept.
     space_id: u64,
     /// ASID value of the currently bound space (0 = unbound). Probes
     /// only ever match entries carrying this tag.
@@ -229,7 +215,6 @@ pub struct Tlb {
     /// The ISA backend whose encoding cached entries use (must match
     /// the spaces this TLB serves).
     arch: ArchKind,
-    policy: AsidPolicy,
     stats: TlbStats,
     capacity: usize,
 }
@@ -241,32 +226,25 @@ impl Default for Tlb {
 }
 
 impl Tlb {
-    /// A TLB with the default capacity (1536 entries, Skylake-ish),
-    /// the environment-selected arch, and ASID tagging on.
+    /// A TLB with the default capacity (1536 entries, Skylake-ish) and
+    /// the environment-selected arch.
     pub fn new() -> Tlb {
         Tlb::with_capacity(1536)
     }
 
     /// A TLB bounded to `capacity` cached pages (environment-selected
-    /// arch, ASID tagging on).
+    /// arch).
     pub fn with_capacity(capacity: usize) -> Tlb {
-        Tlb::build(ArchKind::from_env(), AsidPolicy::Tagged, capacity)
+        Tlb::build(ArchKind::from_env(), capacity)
     }
 
-    /// A default-capacity TLB for an explicit arch backend, ASID
-    /// tagging on — what the kernel's exec path constructs.
+    /// A default-capacity TLB for an explicit arch backend — what the
+    /// kernel's exec path constructs.
     pub fn with_arch(arch: ArchKind) -> Tlb {
-        Tlb::build(arch, AsidPolicy::Tagged, 1536)
+        Tlb::build(arch, 1536)
     }
 
-    /// The ablation baseline: every space switch is a full flush (PR
-    /// 5's behaviour). The fleet bench runs this against
-    /// [`Tlb::with_arch`] to price the ASID win.
-    pub fn flush_on_switch(arch: ArchKind) -> Tlb {
-        Tlb::build(arch, AsidPolicy::FlushOnSwitch, 1536)
-    }
-
-    fn build(arch: ArchKind, policy: AsidPolicy, capacity: usize) -> Tlb {
+    fn build(arch: ArchKind, capacity: usize) -> Tlb {
         Tlb {
             micro: vec![None; MICRO_SLOTS],
             entries: HashMap::default(),
@@ -278,7 +256,6 @@ impl Tlb {
             rollover: 0,
             cursors: HashMap::default(),
             arch,
-            policy,
             stats: TlbStats::default(),
             capacity,
         }
@@ -287,11 +264,6 @@ impl Tlb {
     /// The ISA backend this TLB encodes entries for.
     pub fn arch(&self) -> ArchKind {
         self.arch
-    }
-
-    /// The space-switch policy this TLB runs.
-    pub fn asid_policy(&self) -> AsidPolicy {
-        self.policy
     }
 
     /// Look up the translation for `page_va`, first resynchronizing
@@ -316,8 +288,8 @@ impl Tlb {
     ///
     /// A pin into a *different* space than the one this TLB last synced
     /// with (fleet-style many-space churn) re-binds the TLB to that
-    /// space's ASID — under [`AsidPolicy::Tagged`] without dropping a
-    /// single entry; see the module docs.
+    /// space's ASID without dropping a single entry; see the module
+    /// docs.
     pub fn lookup_pinned(&mut self, page_va: u64, pin: &SpacePin<'_>) -> Option<Pte> {
         self.bind(pin.space().id(), pin.space().asid());
         let (current, plan) = pin.plan_sync(self.generation);
@@ -356,43 +328,36 @@ impl Tlb {
             return;
         }
         self.stats.switches += 1;
-        match self.policy {
-            AsidPolicy::FlushOnSwitch => {
-                self.flush_for_switch();
-                self.generation = 0;
+        if asid.rollover > self.rollover {
+            // The allocator wrapped since we last adopted: any tag
+            // value may have been recycled by spaces we never saw.
+            // Nothing is trustworthy.
+            self.flush();
+            self.stats.switch_flushes += 1;
+            self.rollover = asid.rollover;
+            self.generation = 0;
+        } else {
+            // Park the outgoing ASID's cursor, restore (or initialize)
+            // the incoming one.
+            if self.asid != 0 {
+                self.cursors
+                    .insert(self.asid, (self.space_id, self.generation));
             }
-            AsidPolicy::Tagged => {
-                if asid.rollover > self.rollover {
-                    // The allocator wrapped since we last adopted:
-                    // any tag value may have been recycled by spaces
-                    // we never saw. Nothing is trustworthy.
-                    self.flush_for_switch();
-                    self.rollover = asid.rollover;
+            match self.cursors.get(&asid.value).copied() {
+                Some((sid, gen)) if sid == space_id => self.generation = gen,
+                Some(_) => {
+                    // A *different* live space used this tag value
+                    // (forced collision): its entries must not serve
+                    // ours. Single-context invalidation, then start
+                    // from scratch.
+                    self.flush_asid(asid.value);
+                    self.stats.flushes += 1;
+                    self.stats.switch_flushes += 1;
                     self.generation = 0;
-                } else {
-                    // Park the outgoing ASID's cursor, restore (or
-                    // initialize) the incoming one.
-                    if self.asid != 0 {
-                        self.cursors
-                            .insert(self.asid, (self.space_id, self.generation));
-                    }
-                    match self.cursors.get(&asid.value).copied() {
-                        Some((sid, gen)) if sid == space_id => self.generation = gen,
-                        Some(_) => {
-                            // A *different* live space used this tag
-                            // value (forced collision): its entries
-                            // must not serve ours. Single-context
-                            // invalidation, then start from scratch.
-                            self.flush_asid(asid.value);
-                            self.stats.flushes += 1;
-                            self.stats.switch_flushes += 1;
-                            self.generation = 0;
-                        }
-                        // Never bound: by the cursors invariant there
-                        // are no entries under this tag to distrust.
-                        None => self.generation = 0,
-                    }
                 }
+                // Never bound: by the cursors invariant there are no
+                // entries under this tag to distrust.
+                None => self.generation = 0,
             }
         }
         self.space_id = space_id;
@@ -491,18 +456,17 @@ impl Tlb {
         match plan {
             TlbSync::Current => return,
             TlbSync::Full => {
-                match self.policy {
+                if self.asid != 0 {
                     // Tagged hardware flushes one context (x86 invpcid
                     // single-context, riscv sfence.vma with an ASID):
                     // only the bound ASID's entries are stale — the
                     // parked ones answer to their own cursors.
-                    AsidPolicy::Tagged if self.asid != 0 => self.flush_asid(self.asid),
-                    _ => {
-                        self.micro.fill(None);
-                        self.entries.clear();
-                        self.order.clear();
-                        self.cursors.clear();
-                    }
+                    self.flush_asid(self.asid);
+                } else {
+                    self.micro.fill(None);
+                    self.entries.clear();
+                    self.order.clear();
+                    self.cursors.clear();
                 }
                 self.stats.flushes += 1;
                 self.stats.horizon_flushes += 1;
@@ -531,14 +495,6 @@ impl Tlb {
             }
         }
         self.cursors.remove(&asid);
-    }
-
-    /// Full flush on behalf of an identity change (policy ablation or
-    /// rollover adoption): everything [`Tlb::flush`] does, attributed
-    /// to `switch_flushes`.
-    fn flush_for_switch(&mut self) {
-        self.flush();
-        self.stats.switch_flushes += 1;
     }
 
     /// Install a translation produced by a page-table walk, tagged
@@ -699,25 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_always_full_flushes() {
-        let phys = PhysMem::new();
-        let space = AddressSpace::with_inval_log(0);
-        let a = VA;
-        let b = VA + 0x10_0000;
-        space.map(a, phys.alloc(), PteFlags::DATA).unwrap();
-        space.map(b, phys.alloc(), PteFlags::DATA).unwrap();
-        let mut tlb = Tlb::new();
-        warm(&mut tlb, &space, a);
-        warm(&mut tlb, &space, b);
-        space.unmap(a).unwrap();
-        // Legacy regime: the unrelated entry dies too.
-        assert_eq!(tlb.lookup(b, &space), None);
-        assert_eq!(tlb.stats().flushes, 1);
-        assert_eq!(tlb.stats().horizon_flushes, 1);
-        assert_eq!(tlb.stats().partial_flushes, 0);
-    }
-
-    #[test]
     fn batch_invalidation_is_one_partial_flush() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
@@ -843,30 +780,6 @@ mod tests {
         );
         assert_eq!(tlb.stats().switches, 2);
         assert_eq!(tlb.stats().switch_flushes, 0);
-    }
-
-    /// The ablation baseline keeps PR 5's behaviour: every switch is a
-    /// full flush, counted under `switch_flushes`.
-    #[test]
-    fn flush_on_switch_policy_flushes_every_switch() {
-        let phys = PhysMem::new();
-        let a = AddressSpace::new();
-        let b = AddressSpace::new();
-        a.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        b.map(VA + 0x40_0000, phys.alloc(), PteFlags::DATA).unwrap();
-        let mut tlb = Tlb::flush_on_switch(ArchKind::default());
-        assert!(tlb.lookup(VA, &a).is_none());
-        warm(&mut tlb, &a, VA);
-        assert!(tlb.lookup(VA, &a).is_some());
-        assert_eq!(tlb.lookup(VA, &b), None);
-        assert!(tlb.is_empty(), "the ablation must flush on switch");
-        let s = tlb.stats();
-        assert_eq!(s.switches, 1);
-        assert_eq!(s.switch_flushes, 1);
-        assert!(s.flushes >= s.switch_flushes + s.horizon_flushes);
-        // Back home: everything must be re-warmed from scratch.
-        assert_eq!(tlb.lookup(VA, &a), None);
-        assert_eq!(tlb.stats().switch_flushes, 2);
     }
 
     /// Two live spaces forced onto one ASID value: the tag alone can't

@@ -2,7 +2,7 @@
 
 use adelie_vmem::{
     Access, AddressSpace, ArchKind, Asid, Batch, Fault, HwPte, Pfn, PhysMem, Pte, PteDecodeError,
-    PteFlags, PteKind, ReadPath, SpaceConfig, Tlb, PAGE_SIZE, VA_MASK,
+    PteFlags, PteKind, SpaceConfig, Tlb, PAGE_SIZE, VA_MASK,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -242,7 +242,6 @@ proptest! {
     #[test]
     fn concurrent_readers_never_observe_torn_or_retired_state(
         flips in proptest::collection::vec((0usize..16, any::<bool>()), 16..48),
-        locked_ablation in any::<bool>(),
     ) {
         const N: usize = 16;
         let base = 0x0042_0000_0000_0000u64;
@@ -251,10 +250,7 @@ proptest! {
         let scratch_va = base + (3 * N * PAGE_SIZE) as u64;
 
         let phys = PhysMem::new();
-        let space = Arc::new(AddressSpace::with_space_config(SpaceConfig {
-            read_path: if locked_ablation { ReadPath::Locked } else { ReadPath::Snapshot },
-            ..SpaceConfig::new()
-        }));
+        let space = Arc::new(AddressSpace::new());
         let anchors: Vec<_> = (0..N).map(|_| phys.alloc()).collect();
         let v0: Vec<_> = (0..N).map(|_| phys.alloc()).collect();
         let v1: Vec<_> = (0..N).map(|_| phys.alloc()).collect();

@@ -314,20 +314,20 @@ impl Testbed {
     }
 
     /// Start continuous re-randomization of the installed modules at a
-    /// fixed `period` — the legacy single-worker shape, kept for the
-    /// figure benches that sweep `rand_period`.
+    /// fixed `period` on one worker — the artifact's `randmod` shape
+    /// ([`SchedConfig::serial`]), used by the figure benches that sweep
+    /// `rand_period`.
     ///
     /// # Panics
     ///
     /// Panics if the installed modules were not built re-randomizable.
-    #[allow(deprecated)]
-    pub fn start_rerand(&self, period: Duration) -> adelie_sched::Rerandomizer {
+    pub fn start_rerand(&self, period: Duration) -> Scheduler {
         let names: Vec<&str> = self.module_names.iter().map(|s| s.as_str()).collect();
-        adelie_sched::Rerandomizer::spawn(
+        Scheduler::spawn(
             self.kernel.clone(),
             self.registry.clone(),
             &names,
-            period,
+            SchedConfig::serial(period),
         )
     }
 }
@@ -403,7 +403,7 @@ mod tests {
         let m = run_ioctl(&tb, SHORT);
         let stats = rr.stop();
         assert!(m.ops > 256);
-        assert!(stats.randomized > 0);
+        assert!(stats.cycles > 0);
         assert_eq!(tb.kernel.reclaim.stats().delta(), 0);
     }
 
@@ -431,7 +431,7 @@ mod tests {
         let m = run_apache(&tb, 1024, 4, 2, Duration::from_millis(200));
         let stats = rr.stop();
         assert!(m.ops > 0);
-        assert!(stats.randomized >= 5, "fleet cycled: {}", stats.randomized);
+        assert!(stats.cycles >= 5, "fleet cycled: {}", stats.cycles);
         assert_eq!(tb.kernel.reclaim.stats().delta(), 0);
     }
 
@@ -478,65 +478,51 @@ mod tests {
 
     #[test]
     fn ioctl_fleet_pays_partial_flushes_not_full_flushes() {
-        // The shootdown ablation at workload level: the same ioctl
-        // fleet + stepped schedule under the legacy whole-TLB regime
-        // (`tlb_inval_log: 0`) and under range-based invalidation. The
-        // driver CPU's TLB must stop whole-flushing once invalidation
-        // is range-based.
-        let run = |inval_log: usize| {
-            let tb = Testbed::with_kernel_config(
-                TransformOptions::rerandomizable(true),
-                DriverSet::dummy_only(),
-                KernelConfig {
-                    tlb_inval_log: inval_log,
-                    ..KernelConfig::default()
-                },
-            );
-            let clock = SimClock::new();
-            let sched = tb.start_stepped_scheduler(clock.clone(), Duration::from_micros(100));
-            let mut vm = tb.kernel.vm();
-            // Warm the TLB before counting.
-            for i in 0..10u64 {
+        // Range-based shootdown at workload level: an ioctl fleet on a
+        // stepped schedule. The driver CPU's TLB resynchronizes after
+        // every cycle by evicting only the retired spans — it never
+        // whole-flushes.
+        let tb = Testbed::with_kernel_config(
+            TransformOptions::rerandomizable(true),
+            DriverSet::dummy_only(),
+            KernelConfig::default(),
+        );
+        let clock = SimClock::new();
+        let sched = tb.start_stepped_scheduler(clock.clone(), Duration::from_micros(100));
+        let mut vm = tb.kernel.vm();
+        // Warm the TLB before counting.
+        for i in 0..10u64 {
+            tb.kernel
+                .ioctl(&mut vm, adelie_drivers::specs::DUMMY_MINOR, 0, i)
+                .unwrap();
+        }
+        let warm = vm.tlb_stats();
+        for i in 0..100u64 {
+            assert_eq!(
                 tb.kernel
                     .ioctl(&mut vm, adelie_drivers::specs::DUMMY_MINOR, 0, i)
-                    .unwrap();
+                    .unwrap(),
+                i
+            );
+            clock.advance(Duration::from_millis(1));
+            while sched
+                .peek_deadline_ns()
+                .is_some_and(|d| d <= clock.now_ns())
+            {
+                sched.step();
             }
-            let warm = vm.tlb_stats();
-            for i in 0..100u64 {
-                assert_eq!(
-                    tb.kernel
-                        .ioctl(&mut vm, adelie_drivers::specs::DUMMY_MINOR, 0, i)
-                        .unwrap(),
-                    i
-                );
-                clock.advance(Duration::from_millis(1));
-                while sched
-                    .peek_deadline_ns()
-                    .is_some_and(|d| d <= clock.now_ns())
-                {
-                    sched.step();
-                }
-            }
-            let cycles = sched.stop().cycles;
-            let t = vm.tlb_stats();
-            (
-                cycles,
-                t.flushes - warm.flushes,
-                t.partial_flushes - warm.partial_flushes,
-            )
-        };
-        let (legacy_cycles, legacy_full, _) = run(0);
-        assert!(legacy_cycles >= 5);
-        assert!(
-            legacy_full > 0,
-            "legacy regime must whole-flush under cycling"
-        );
-        let (cycles, full, partial) = run(adelie_vmem::DEFAULT_INVAL_LOG);
+        }
+        let cycles = sched.stop().cycles;
+        let t = vm.tlb_stats();
         assert!(cycles >= 5);
-        assert!(partial > 0, "range regime must take the partial path");
+        assert_eq!(
+            t.flushes - warm.flushes,
+            0,
+            "range-based shootdown must never whole-flush under cycling"
+        );
         assert!(
-            full < legacy_full,
-            "range-based shootdown must cut whole-TLB flushes ({full} vs {legacy_full})"
+            t.partial_flushes > warm.partial_flushes,
+            "cycles must take the partial path"
         );
     }
 

@@ -41,7 +41,7 @@ fn main() {
     );
     println!(
         "\nmodules re-randomized {} times during the run; SMR delta {} (all old ranges unmapped)",
-        stats.randomized,
+        stats.cycles,
         tb.kernel.reclaim.stats().delta()
     );
     let delta = (base.mb_per_sec() - m.mb_per_sec()) / base.mb_per_sec() * 100.0;
