@@ -32,8 +32,9 @@ use adelie_obj::ObjectFile;
 use adelie_plugin::TransformOptions;
 use adelie_vmem::{PteFlags, PAGE_SIZE};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -330,13 +331,97 @@ pub struct ColdTierStats {
 /// Where an evicted module's parts used to be mapped — the demand
 /// loader resolves stale entry VAs against these spans, and the layout
 /// oracle probes them to prove the eviction really unmapped.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct EvictedModule {
     shard: usize,
     imm_base: u64,
     imm_span: u64,
     mov_base: u64,
     mov_span: u64,
+}
+
+impl EvictedModule {
+    /// The non-empty part spans as `(base, span_bytes)`, movable first
+    /// (a module without an immovable part records an empty one).
+    fn spans(&self) -> impl Iterator<Item = (u64, u64)> {
+        [
+            (self.mov_base, self.mov_span),
+            (self.imm_base, self.imm_span),
+        ]
+        .into_iter()
+        .filter(|&(_, span)| span > 0)
+    }
+}
+
+/// The cold tier's evicted records, in two views kept in step: by name
+/// (what evict, fault-in and unload edit) and, per shard, every
+/// non-empty part span ordered by `(start, name)` with its end (what
+/// the demand loader resolves a faulting VA against).
+///
+/// [`EvictedIndex::resolve`] is one range query: it walks down from
+/// the greatest start `<= va` and stops below `va - max_span`, so it
+/// visits only spans that start within one longest span below `va` —
+/// an O(log n) descent plus a few steps for the disjoint spans a vmem
+/// window hands out. Spans overlap only if a VA
+/// was reused after an eviction; then the covering span with the
+/// greatest start wins, ties going to the greater name, so the answer
+/// never depends on hash order.
+struct EvictedIndex {
+    by_name: HashMap<Arc<str>, EvictedModule>,
+    /// Per shard: `(start, name) → end`.
+    by_start: Vec<BTreeMap<(u64, Arc<str>), u64>>,
+    /// The longest span ever indexed (never lowered): a span covering
+    /// `va` starts above `va - max_span`.
+    max_span: u64,
+}
+
+impl EvictedIndex {
+    fn new(shards: usize) -> EvictedIndex {
+        EvictedIndex {
+            by_name: HashMap::new(),
+            by_start: vec![BTreeMap::new(); shards],
+            max_span: 0,
+        }
+    }
+
+    /// Record `name`'s vacated spans, replacing any older record.
+    fn insert(&mut self, name: Arc<str>, rec: EvictedModule) {
+        self.remove(&name);
+        for (start, span) in rec.spans() {
+            self.by_start[rec.shard].insert((start, name.clone()), start + span);
+            self.max_span = self.max_span.max(span);
+        }
+        self.by_name.insert(name, rec);
+    }
+
+    /// Forget `name`'s record (fault-in or unload), returning it.
+    fn remove(&mut self, name: &str) -> Option<EvictedModule> {
+        let (name, rec) = self.by_name.remove_entry(name)?;
+        for (start, _) in rec.spans() {
+            self.by_start[rec.shard].remove(&(start, name.clone()));
+        }
+        Some(rec)
+    }
+
+    fn get(&self, name: &str) -> Option<&EvictedModule> {
+        self.by_name.get(name)
+    }
+
+    /// The evicted module in `shard` whose former span covers `va`.
+    fn resolve(&self, shard: usize, va: u64) -> Option<(Arc<str>, EvictedModule)> {
+        let upper = match va.checked_add(1) {
+            Some(next) => Bound::Excluded((next, Arc::<str>::from(""))),
+            None => Bound::Unbounded,
+        };
+        let floor = va.saturating_sub(self.max_span);
+        let (_, name) = self.by_start[shard]
+            .range((Bound::Unbounded, upper))
+            .rev()
+            .take_while(|((start, _), _)| *start >= floor)
+            .find(|(_, &end)| va < end)?
+            .0;
+        Some((name.clone(), self.by_name[name]))
+    }
 }
 
 /// One shard's occupancy, maintained incrementally so admission checks
@@ -359,7 +444,7 @@ type SpanIndex = Vec<(u64, u64, Arc<str>)>;
 
 /// The cold tier's bookkeeping: per-shard resident span indexes (for
 /// resolving call VAs to module names), last-call stamps, per-module
-/// call counts (autoscaler telemetry), and the evicted-span map the
+/// call counts (autoscaler telemetry), and the evicted-span index the
 /// demand loader consults. All its locks are leaves — never hold one
 /// while taking the catalog.
 struct ColdTier {
@@ -373,7 +458,7 @@ struct ColdTier {
     last_call: Mutex<HashMap<Arc<str>, u64>>,
     module_calls: Mutex<HashMap<Arc<str>, u64>>,
     shard_calls: Vec<AtomicU64>,
-    evicted: Mutex<HashMap<Arc<str>, EvictedModule>>,
+    evicted: Mutex<EvictedIndex>,
     evictions: AtomicU64,
     fault_ins: AtomicU64,
     demand_redirects: AtomicU64,
@@ -388,7 +473,7 @@ impl ColdTier {
             last_call: Mutex::new(HashMap::new()),
             module_calls: Mutex::new(HashMap::new()),
             shard_calls: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            evicted: Mutex::new(HashMap::new()),
+            evicted: Mutex::new(EvictedIndex::new(shards)),
             evictions: AtomicU64::new(0),
             fault_ins: AtomicU64::new(0),
             demand_redirects: AtomicU64::new(0),
@@ -1292,7 +1377,7 @@ impl Fleet {
                 }
             }));
             // Demand loader: resolve the faulting VA against the
-            // evicted-span map, rebuild the module from its catalog
+            // evicted-span index, rebuild the module from its catalog
             // record, and forward the VA to the rebuilt copy (part
             // images keep their internal layout, so the entry's offset
             // from its part base is invariant across the reload).
@@ -1302,15 +1387,7 @@ impl Fleet {
             let registries = self.registries.clone();
             let sharded = Arc::clone(&self.sharded);
             kernel.set_demand_loader(Arc::new(move |va| {
-                let (name, old) = {
-                    let evicted = t.evicted.lock();
-                    evicted.iter().find_map(|(n, r)| {
-                        let hit = r.shard == shard
-                            && ((va >= r.imm_base && va < r.imm_base + r.imm_span)
-                                || (va >= r.mov_base && va < r.mov_base + r.mov_span));
-                        hit.then(|| (n.clone(), *r))
-                    })?
-                };
+                let (name, old) = t.evicted.lock().resolve(shard, va)?;
                 // try_lock: a migrate in flight holds the catalog
                 // across an interpreted call; blocking here would
                 // deadlock, so the fault stands and the caller retries.
@@ -1547,18 +1624,12 @@ impl Fleet {
     pub fn evicted_spans(&self, name: &str) -> Option<Vec<(u64, u64)>> {
         let t = self.cold_tier()?;
         let evicted = t.evicted.lock();
-        evicted.get(name).map(|r| {
-            let mut v = vec![(r.mov_base, r.mov_span)];
-            if r.imm_span > 0 {
-                v.push((r.imm_base, r.imm_span));
-            }
-            v
-        })
+        evicted.get(name).map(|r| r.spans().collect())
     }
 }
 
 /// Load `obj` into `shard` and do the fault-in bookkeeping (counters,
-/// span index, evicted-map cleanup). Shared by
+/// span index, evicted-index cleanup). Shared by
 /// [`Fleet::ensure_resident`] and the per-shard demand loaders — the
 /// latter run inside `Vm::call` with no `&Fleet` in reach, hence the
 /// exploded borrows.
@@ -2458,6 +2529,169 @@ mod tests {
                     base_a + span_a <= base_b || base_b + span_b <= base_a,
                     "cross-shard VA overlap: {base_a:#x}+{span_a:#x} vs {base_b:#x}"
                 );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod evicted_index_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const PAGE: u64 = PAGE_SIZE as u64;
+
+    fn rec(shard: usize, mov: (u64, u64), imm: (u64, u64)) -> EvictedModule {
+        EvictedModule {
+            shard,
+            mov_base: mov.0,
+            mov_span: mov.1,
+            imm_base: imm.0,
+            imm_span: imm.1,
+        }
+    }
+
+    fn name_at(idx: &EvictedIndex, shard: usize, va: u64) -> Option<String> {
+        idx.resolve(shard, va).map(|(n, _)| n.to_string())
+    }
+
+    #[test]
+    fn resolves_hits_in_both_parts() {
+        let mut idx = EvictedIndex::new(2);
+        let a = rec(0, (0x10_0000, 2 * PAGE), (0x80_0000, PAGE));
+        idx.insert("a".into(), a);
+        for va in [
+            0x10_0000,
+            0x10_0000 + 2 * PAGE - 1,
+            0x80_0000,
+            0x80_0000 + PAGE - 1,
+        ] {
+            let (name, got) = idx.resolve(0, va).expect("covered");
+            assert_eq!((name.as_ref(), got), ("a", a), "va {va:#x}");
+        }
+    }
+
+    #[test]
+    fn misses_gaps_and_other_shards() {
+        let mut idx = EvictedIndex::new(2);
+        idx.insert("a".into(), rec(0, (0x10_0000, 2 * PAGE), (0, 0)));
+        idx.insert("b".into(), rec(0, (0x10_0000 + 4 * PAGE, PAGE), (0, 0)));
+        // Below the first span, the exclusive end, the gap, past the last.
+        for va in [
+            0x10_0000 - 1,
+            0x10_0000 + 2 * PAGE,
+            0x10_0000 + 3 * PAGE,
+            0x10_0000 + 5 * PAGE,
+        ] {
+            assert_eq!(name_at(&idx, 0, va), None, "va {va:#x}");
+        }
+        assert_eq!(name_at(&idx, 0, 0x10_0000 + 4 * PAGE), Some("b".into()));
+        // The same VA in the other shard's index is a different space.
+        assert_eq!(name_at(&idx, 1, 0x10_0000), None);
+        idx.insert("c".into(), rec(1, (0x10_0000, PAGE), (0, 0)));
+        assert_eq!(name_at(&idx, 1, 0x10_0000), Some("c".into()));
+        assert_eq!(name_at(&idx, 0, 0x10_0000), Some("a".into()));
+    }
+
+    #[test]
+    fn removal_by_name_drops_both_spans() {
+        let mut idx = EvictedIndex::new(1);
+        let a = rec(0, (0x10_0000, PAGE), (0x80_0000, PAGE));
+        idx.insert("a".into(), a);
+        idx.insert("b".into(), rec(0, (0x20_0000, PAGE), (0, 0)));
+        assert_eq!(idx.remove("a"), Some(a));
+        assert_eq!(idx.remove("a"), None);
+        assert!(idx.get("a").is_none());
+        assert_eq!(name_at(&idx, 0, 0x10_0000), None);
+        assert_eq!(name_at(&idx, 0, 0x80_0000), None);
+        assert_eq!(name_at(&idx, 0, 0x20_0000), Some("b".into()));
+        // Re-inserting under a live name replaces the old spans.
+        idx.insert("b".into(), rec(0, (0x30_0000, PAGE), (0, 0)));
+        assert_eq!(name_at(&idx, 0, 0x20_0000), None);
+        assert_eq!(name_at(&idx, 0, 0x30_0000), Some("b".into()));
+    }
+
+    #[test]
+    fn overlapping_spans_resolve_deterministically() {
+        for order in [
+            ["big", "small", "tie-a", "tie-b"],
+            ["tie-b", "tie-a", "small", "big"],
+        ] {
+            let mut idx = EvictedIndex::new(1);
+            for name in order {
+                let r = match name {
+                    "big" => rec(0, (0x10_0000, 16 * PAGE), (0, 0)),
+                    "small" => rec(0, (0x10_0000 + 2 * PAGE, PAGE), (0, 0)),
+                    _ => rec(0, (0x40_0000, PAGE), (0, 0)),
+                };
+                idx.insert(name.into(), r);
+            }
+            // The greater start wins where both cover.
+            assert_eq!(name_at(&idx, 0, 0x10_0000 + 2 * PAGE), Some("small".into()));
+            // Past the nearest span's end, an earlier, longer span still
+            // covers.
+            assert_eq!(name_at(&idx, 0, 0x10_0000 + 8 * PAGE), Some("big".into()));
+            // Equal starts: the greater name wins.
+            assert_eq!(name_at(&idx, 0, 0x40_0000), Some("tie-b".into()));
+        }
+    }
+
+    /// The linear scan the index replaced, with the overlap rule: the
+    /// covering span with the greatest `(start, name)`.
+    fn reference(model: &HashMap<String, EvictedModule>, shard: usize, va: u64) -> Option<String> {
+        model
+            .iter()
+            .filter(|(_, r)| r.shard == shard)
+            .flat_map(|(n, r)| r.spans().map(move |(start, span)| (start, span, n)))
+            .filter(|&(start, span, _)| va >= start && va < start + span)
+            .max_by(|a, b| (a.0, a.2).cmp(&(b.0, b.2)))
+            .map(|(_, _, n)| n.clone())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The index against a mirror model: after every insert,
+        /// remove or re-insert, `resolve` agrees with the linear-scan
+        /// reference at every span edge. Spans come from a few pages,
+        /// so they overlap often.
+        #[test]
+        fn resolve_matches_a_linear_scan(
+            ops in proptest::collection::vec(
+                ((0u8..3, 0usize..6, 0usize..2), (0u64..16, 1u64..6, 0u64..16, 0u64..3)),
+                1..40,
+            )
+        ) {
+            const MOV: u64 = 0x10_0000;
+            const IMM: u64 = 0x20_0000;
+            let mut idx = EvictedIndex::new(2);
+            let mut model: HashMap<String, EvictedModule> = HashMap::new();
+            let mut probes: Vec<u64> = Vec::new();
+            for ((op, n, shard), (mov_at, mov_pages, imm_at, imm_pages)) in ops {
+                let name = format!("m{n}");
+                if op == 0 {
+                    prop_assert_eq!(idx.remove(&name), model.remove(&name));
+                } else {
+                    let r = rec(
+                        shard,
+                        (MOV + mov_at * PAGE, mov_pages * PAGE),
+                        (IMM + imm_at * PAGE, imm_pages * PAGE),
+                    );
+                    for (start, span) in r.spans() {
+                        probes.extend([start.saturating_sub(1), start, start + span / 2, start + span - 1, start + span]);
+                    }
+                    idx.insert(name.as_str().into(), r);
+                    model.insert(name, r);
+                }
+                for &va in &probes {
+                    for s in 0..2 {
+                        prop_assert_eq!(
+                            name_at(&idx, s, va),
+                            reference(&model, s, va),
+                            "shard {} va {:#x}", s, va
+                        );
+                    }
+                }
             }
         }
     }

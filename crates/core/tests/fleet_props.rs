@@ -8,7 +8,7 @@ use adelie_isa::{AluOp, Insn, Reg};
 use adelie_kernel::{layout, FleetConfig, ShardedKernel};
 use adelie_plugin::{transform, DataInit, DataSpec, FuncSpec, MOp, ModuleSpec, TransformOptions};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 
 /// A small, fast driver: `{name}_calc(x) = x + 9` plus a pointer table
@@ -170,6 +170,36 @@ fn check_cold_invariants(fleet: &Fleet, names: &[String]) -> Option<String> {
     None
 }
 
+/// What calling a cached `(shard, entry)` must do, by what happened to
+/// the module since the entry was cached.
+#[derive(Copy, Clone, Debug, PartialEq)]
+enum Cached {
+    /// The cached copy is resident: the call runs it.
+    Live,
+    /// The cached copy was evicted: the call demand-faults the module
+    /// back in, unless it was retargeted to another shard since.
+    Evicted,
+    /// The cached copy was migrated away or unloaded: the call faults.
+    Dead,
+}
+
+/// Whether `va` lies in a live or evicted span of a module other than
+/// `name` — a reused VA, where a stale entry legitimately reaches that
+/// module instead. Shard windows are disjoint, so the VA alone names
+/// the shard.
+fn va_claimed_by_other(fleet: &Fleet, names: &[String], name: &str, va: u64) -> bool {
+    let covers = |&(base, span): &(u64, u64)| va >= base && va < base + span;
+    fleet
+        .live_spans()
+        .iter()
+        .any(|(_, n, base, span)| n != name && covers(&(*base, *span)))
+        || names
+            .iter()
+            .filter(|n| n.as_str() != name)
+            .filter_map(|n| fleet.evicted_spans(n))
+            .any(|spans| spans.iter().any(covers))
+}
+
 fn placement_for(kind: u8) -> Box<dyn ShardPlacement> {
     match kind % 3 {
         0 => Box::new(RoundRobin::new()),
@@ -240,18 +270,26 @@ proptest! {
         prop_assert!(fleet.live_spans().is_empty());
         prop_assert!(fleet.verify_symbol_integrity().is_empty());
     }
+}
+
+// More cases than the other properties: at 20, no run of the cached-
+// entry op meets a module that was evicted and then retargeted.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The cold-tier contract under arbitrary op interleavings:
     /// install / cold-register / call (demand fault-in) / evict /
     /// idle+cap ticks / rebalance (migrate resident, retarget cold —
     /// the primitives the autoscaler's split/merge batches are made
-    /// of) / unload. No module is ever lost or duplicated, layout and
-    /// symbol invariants hold throughout, and every faulted-in module
-    /// passes the GOT audit and actually executes.
+    /// of) / unload / a call through a cached entry address (the
+    /// kernel's demand loader). No module is ever lost or duplicated,
+    /// layout and symbol invariants hold throughout, every faulted-in
+    /// module passes the GOT audit and actually executes, and a stale
+    /// entry reaches its own module or faults — never another's.
     #[test]
     fn cold_tier_ops_preserve_catalog_and_layout_invariants(
         shards in 2usize..4,
-        ops in proptest::collection::vec((0u8..7, 0usize..8, 0usize..8), 1..28)
+        ops in proptest::collection::vec((0u8..8, 0usize..8, 0usize..8), 1..28)
     ) {
         let sharded = ShardedKernel::new(FleetConfig::seeded(shards, 0xC01D));
         let fleet = Fleet::new(sharded, Box::new(RoundRobin::new()));
@@ -261,6 +299,9 @@ proptest! {
         });
         let opts = TransformOptions::rerandomizable(true);
         let mut names: Vec<String> = Vec::new();
+        // Name → the `(shard, entry)` a caller last resolved, and what
+        // calling it must do now.
+        let mut cache: BTreeMap<String, (usize, u64, Cached)> = BTreeMap::new();
         let mut minted = 0usize;
         let mut now_ns = 0u64;
         for (op, pick, dst) in ops {
@@ -271,7 +312,9 @@ proptest! {
                     let name = format!("c{minted}");
                     minted += 1;
                     let obj = transform(&spec(&name), &opts).unwrap();
-                    fleet.install(&obj, &opts).unwrap();
+                    let (shard, module) = fleet.install(&obj, &opts).unwrap();
+                    let entry = module.export(&format!("{name}_calc")).unwrap();
+                    cache.insert(name.clone(), (shard, entry, Cached::Live));
                     names.push(name);
                 }
                 // Register cold: catalog only, nothing materializes.
@@ -290,11 +333,15 @@ proptest! {
                     let kernel = fleet.kernel(shard).clone();
                     let mut vm = kernel.vm();
                     prop_assert_eq!(vm.call(entry, &[33]).unwrap(), 42);
+                    cache.insert(name.clone(), (shard, entry, Cached::Live));
                 }
                 // Evict one (idempotent if already cold).
                 3 if !names.is_empty() => {
                     let name = &names[pick % names.len()];
                     fleet.evict(name).unwrap();
+                    if let Some(c) = cache.get_mut(name).filter(|c| c.2 == Cached::Live) {
+                        c.2 = Cached::Evicted;
+                    }
                 }
                 // Rebalance one: live-migrate residents, retarget cold
                 // records — exactly what a split/merge batch does.
@@ -303,6 +350,11 @@ proptest! {
                     let owner = fleet.shard_of(name).unwrap();
                     if fleet.registry(owner).get(name).is_some() {
                         fleet.migrate(name, dst % shards).unwrap();
+                        if owner != dst % shards {
+                            if let Some(c) = cache.get_mut(name) {
+                                c.2 = Cached::Dead;
+                            }
+                        }
                     } else {
                         fleet.retarget(name, dst % shards).unwrap();
                     }
@@ -311,11 +363,51 @@ proptest! {
                 5 if !names.is_empty() => {
                     let name = names.swap_remove(pick % names.len());
                     fleet.unload(&name).unwrap();
+                    if let Some(c) = cache.get_mut(&name) {
+                        c.2 = Cached::Dead;
+                    }
+                }
+                // Call a cached entry directly, as a caller holding a
+                // function pointer would: a resident copy runs, an
+                // evicted one demand-faults back in (exactly one
+                // redirect), and a retargeted, migrated or unloaded one
+                // faults.
+                6 if !cache.is_empty() => {
+                    let (name, &(shard, entry, state)) =
+                        cache.iter().nth(pick % cache.len()).unwrap();
+                    let name = name.clone();
+                    if !va_claimed_by_other(&fleet, &names, &name, entry) {
+                        let faults_in =
+                            state == Cached::Evicted && fleet.shard_of(&name) == Some(shard);
+                        let before = fleet.cold_stats().demand_redirects;
+                        let kernel = fleet.kernel(shard).clone();
+                        let result = kernel.vm().call(entry, &[33]);
+                        let redirects = fleet.cold_stats().demand_redirects - before;
+                        if state == Cached::Live || faults_in {
+                            prop_assert_eq!(result.ok(), Some(42), "{} ({:?})", name, state);
+                            prop_assert_eq!(redirects, u64::from(faults_in), "{}", name);
+                        } else {
+                            prop_assert!(
+                                result.is_err(),
+                                "stale entry of {} ({:?}) answered {:?}", name, state, result
+                            );
+                            prop_assert_eq!(redirects, 0, "{}", name);
+                        }
+                        if faults_in {
+                            let module = fleet.registry(shard).get(&name).expect("faulted in");
+                            let entry = module.export(&format!("{name}_calc")).unwrap();
+                            cache.insert(name, (shard, entry, Cached::Live));
+                        }
+                    }
                 }
                 // Let the idle clock bite: evict idle + over-cap
                 // residents in deterministic order.
                 _ => {
-                    fleet.cold_tick(now_ns);
+                    for name in fleet.cold_tick(now_ns) {
+                        if let Some(c) = cache.get_mut(&name).filter(|c| c.2 == Cached::Live) {
+                            c.2 = Cached::Evicted;
+                        }
+                    }
                 }
             }
             if let Some(violation) = check_cold_invariants(&fleet, &names) {
@@ -333,6 +425,10 @@ proptest! {
         prop_assert!(fleet.live_spans().is_empty());
         prop_assert!(fleet.verify_symbol_integrity().is_empty());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Migration round-trips: A→B→A always lands back inside A's
     /// window with working code and intact GOTs, under repeated cycles.

@@ -1,15 +1,20 @@
 //! The kernel log (`printk`/dmesg analog).
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
-/// Ring buffer of kernel log lines with boot-relative timestamps,
-/// mirroring dmesg (the artifact appendix's re-randomization statistics
-/// are read from here).
+/// Lines a [`Printk`] keeps. Past this, each new line drops the oldest
+/// (like the kernel's fixed `log_buf`), so a long-running fleet that
+/// logs every fault-in and eviction holds bounded memory.
+const PRINTK_CAPACITY: usize = 4096;
+
+/// Ring buffer of the last `PRINTK_CAPACITY` (4096) kernel log lines
+/// with boot-relative timestamps, mirroring dmesg (the artifact
+/// appendix's re-randomization statistics are read from here).
 pub struct Printk {
     boot: Instant,
-    lines: Mutex<Vec<(f64, String)>>,
+    lines: Mutex<Ring>,
     /// Per-key emission counts for [`Printk::log_limited`]:
     /// `key → (occurrences, suppressed since last emit)`.
     limited: Mutex<HashMap<String, (u64, u64)>>,
@@ -21,7 +26,7 @@ impl Printk {
     pub fn new(echo: bool) -> Printk {
         Printk {
             boot: Instant::now(),
-            lines: Mutex::new(Vec::new()),
+            lines: Mutex::new(Ring::default()),
             limited: Mutex::new(HashMap::new()),
             echo,
         }
@@ -34,7 +39,12 @@ impl Printk {
         if self.echo {
             eprintln!("[{t:>10.6}] {msg}");
         }
-        self.lines.lock().push((t, msg));
+        let mut ring = self.lines.lock();
+        if ring.lines.len() == PRINTK_CAPACITY {
+            ring.lines.pop_front();
+            ring.dropped += 1;
+        }
+        ring.lines.push_back((t, msg));
     }
 
     /// Append a line under a per-key rate limit: the 1st, 2nd, 4th,
@@ -68,40 +78,55 @@ impl Printk {
         emit
     }
 
-    /// All lines, dmesg-formatted.
+    /// All retained lines, dmesg-formatted.
     pub fn dmesg(&self) -> String {
         self.lines
             .lock()
+            .lines
             .iter()
             .map(|(t, m)| format!("[{t:>10.6}] {m}\n"))
             .collect()
     }
 
-    /// Lines containing `needle` (test helper).
+    /// Retained lines containing `needle` (test helper).
     pub fn grep(&self, needle: &str) -> Vec<String> {
         self.lines
             .lock()
+            .lines
             .iter()
             .filter(|(_, m)| m.contains(needle))
             .map(|(_, m)| m.clone())
             .collect()
     }
 
-    /// Number of lines logged.
+    /// Number of lines retained (at most `PRINTK_CAPACITY`).
     pub fn len(&self) -> usize {
-        self.lines.lock().len()
+        self.lines.lock().lines.len()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.lines.lock().is_empty()
+        self.lines.lock().lines.is_empty()
     }
+
+    /// Lines dropped to make room, oldest first, since boot.
+    pub fn dropped(&self) -> u64 {
+        self.lines.lock().dropped
+    }
+}
+
+/// The retained lines plus how many older ones were dropped.
+#[derive(Default)]
+struct Ring {
+    lines: VecDeque<(f64, String)>,
+    dropped: u64,
 }
 
 impl std::fmt::Debug for Printk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Printk")
             .field("lines", &self.len())
+            .field("dropped", &self.dropped())
             .finish()
     }
 }
@@ -137,5 +162,22 @@ mod tests {
         assert_eq!(p.grep("(31 similar suppressed)").len(), 1);
         // Distinct keys limit independently.
         assert!(p.log_limited("other", "first of its kind"));
+    }
+
+    #[test]
+    fn full_ring_drops_the_oldest_lines_and_counts_them() {
+        let p = Printk::new(false);
+        for i in 0..PRINTK_CAPACITY + 3 {
+            p.log(format!("line {i}"));
+        }
+        assert_eq!(p.len(), PRINTK_CAPACITY);
+        assert_eq!(p.dropped(), 3);
+        // Lines 0..3 are gone; line 3 is now the oldest.
+        let dmesg = p.dmesg();
+        let mut lines = dmesg.lines();
+        assert!(lines.next().unwrap().ends_with("] line 3"));
+        let last = format!("] line {}", PRINTK_CAPACITY + 2);
+        assert!(lines.last().unwrap().ends_with(&last));
+        assert!(p.grep("line 0").is_empty());
     }
 }
