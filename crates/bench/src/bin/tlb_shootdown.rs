@@ -25,15 +25,13 @@
 //!   space-switch full flushes are *zero* under shard churn, and warm
 //!   entries hit again on every return.
 
-use adelie_core::{LoadedModule, ModuleRegistry};
-use adelie_isa::{AluOp, Insn, Reg};
+use adelie_bench::contention;
+use adelie_core::ModuleRegistry;
 use adelie_kernel::{FleetConfig, Kernel, KernelConfig, ShardedKernel};
-use adelie_plugin::{transform, FuncSpec, MOp, ModuleSpec, TransformOptions};
 use adelie_sched::{Policy, SchedConfig, Scheduler, SimClock};
 use adelie_testkit::LayoutOracle;
 use adelie_vmem::{Access, ArchKind, PteFlags, Tlb, TlbStats};
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
 const SEEDS: [u64; 3] = [1, 42, 0xA77ACC];
@@ -65,32 +63,6 @@ fn modeled_costs(t: &TlbStats) -> (u64, u64) {
     )
 }
 
-fn fleet(registry: &Arc<ModuleRegistry>) -> Vec<Arc<LoadedModule>> {
-    let opts = TransformOptions::rerandomizable(true);
-    (0..MODULES)
-        .map(|i| {
-            let mut spec = ModuleSpec::new(&format!("mod{i}"));
-            spec.funcs.push(FuncSpec::exported(
-                &format!("mod{i}_calc"),
-                vec![
-                    MOp::Insn(Insn::MovRR {
-                        dst: Reg::Rax,
-                        src: Reg::Rdi,
-                    }),
-                    MOp::Insn(Insn::AluImm {
-                        op: AluOp::Add,
-                        dst: Reg::Rax,
-                        imm: 1,
-                    }),
-                    MOp::Ret,
-                ],
-            ));
-            let obj = transform(&spec, &opts).unwrap();
-            registry.load(&obj, &opts).unwrap()
-        })
-        .collect()
-}
-
 /// One deterministic run: the seed fixes the fleet, the traffic and
 /// the step schedule.
 fn run(label: &'static str, seed: u64) -> Outcome {
@@ -99,7 +71,7 @@ fn run(label: &'static str, seed: u64) -> Outcome {
         ..KernelConfig::default()
     });
     let registry = ModuleRegistry::new(&kernel);
-    let modules = fleet(&registry);
+    let modules = contention::fleet(&registry, MODULES);
     let clock = SimClock::new();
     let oracle = LayoutOracle::new(kernel.clone(), clock.clone());
     registry.set_cycle_hooks(oracle.clone());

@@ -1,9 +1,9 @@
 //! # adelie-bench — benchmark harness shared helpers
 //!
-//! The Criterion benches (`benches/`) time the paper's workloads; the
-//! figure binaries (`src/bin/fig*.rs`, `table2_chains`, `scalability`,
-//! `security_analysis`) regenerate each table and figure of the
-//! evaluation section as text tables, recorded in EXPERIMENTS.md.
+//! The figure binaries (`src/bin/fig*.rs`, `table2_chains`,
+//! `scalability`, `security_analysis`) regenerate each table and figure
+//! of the evaluation section as text tables.
+//! Wall-clock steady-call and cold-fleet numbers come from `perfbench`.
 
 use adelie_workloads::Measurement;
 use std::time::Duration;
@@ -107,7 +107,8 @@ pub mod contention {
     }
 
     /// Load `count` re-randomizable one-export modules
-    /// (`mod{i}_calc(x) = x + 1`) — the fleet both consumers hammer.
+    /// (`mod{i}_calc(x) = x + 1`) — the fleet `translate_throughput`
+    /// and `tlb_shootdown` hammer.
     pub fn fleet(registry: &Arc<ModuleRegistry>, count: usize) -> Vec<Arc<LoadedModule>> {
         let opts = TransformOptions::rerandomizable(true);
         (0..count)

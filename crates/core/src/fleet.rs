@@ -438,8 +438,9 @@ struct ShardCounter {
     mapped_bytes: usize,
 }
 
-/// One shard's sorted span index: `(start, end, module)` for both
-/// parts of every resident module, resolved by `partition_point`.
+/// One shard's sorted span index: `(start, end, module)` for the part
+/// of every resident module that never moves, resolved by
+/// `partition_point`.
 type SpanIndex = Vec<(u64, u64, Arc<str>)>;
 
 /// The cold tier's bookkeeping: per-shard resident span indexes (for
@@ -452,8 +453,8 @@ struct ColdTier {
     /// The fleet clock as of the last `cold_tick` — what the call
     /// observer stamps last-call times with.
     now_ns: AtomicU64,
-    /// Per shard: resident spans sorted by start (entry VAs resolve to
-    /// names by `partition_point`, the scheduler's idiom).
+    /// Per shard: one span per resident module, sorted by start (entry
+    /// VAs resolve to names by `partition_point`, the scheduler's idiom).
     ranges: Mutex<Vec<SpanIndex>>,
     last_call: Mutex<HashMap<Arc<str>, u64>>,
     module_calls: Mutex<HashMap<Arc<str>, u64>>,
@@ -480,20 +481,26 @@ impl ColdTier {
         }
     }
 
-    /// Index both parts of a freshly resident module and stamp its
-    /// last-call time (so it is not instantly idle-evicted).
+    /// Index a freshly resident module and stamp its last-call time
+    /// (so it is not instantly idle-evicted). Only the part that never
+    /// moves is indexed, so a rerandomization cycle cannot leave a
+    /// stale span behind: the immovable part when there is one
+    /// (wrappers and exports live there, the scheduler's call-rate
+    /// observer's rule), else the movable part — a module without an
+    /// immovable part is not rerandomizable, so that part stays put.
     fn insert_module(&self, shard: usize, m: &LoadedModule) {
-        let mut ranges = self.ranges.lock();
-        let mov_base = m.movable_base.load(Ordering::Acquire);
-        let mut add = |base: u64, span: u64| {
-            let v = &mut ranges[shard];
-            let at = v.partition_point(|&(s, _, _)| s < base);
-            v.insert(at, (base, base + span, m.name.clone()));
+        let (base, pages) = match &m.immovable {
+            Some(imm) => (imm.base, imm.total_pages),
+            None => (
+                m.movable_base.load(Ordering::Acquire),
+                m.movable.total_pages,
+            ),
         };
-        add(mov_base, (m.movable.total_pages * PAGE_SIZE) as u64);
-        if let Some(imm) = &m.immovable {
-            add(imm.base, (imm.total_pages * PAGE_SIZE) as u64);
-        }
+        let end = base + (pages * PAGE_SIZE) as u64;
+        let mut ranges = self.ranges.lock();
+        let v = &mut ranges[shard];
+        let at = v.partition_point(|&(s, _, _)| s < base);
+        v.insert(at, (base, end, m.name.clone()));
         drop(ranges);
         self.last_call
             .lock()
@@ -2531,6 +2538,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A rerandomization cycle moves a resident module's movable part;
+    /// the cold tier's resident span index must hold no span it left.
+    #[test]
+    fn resident_span_index_holds_only_live_spans_after_rerandomization() {
+        let fleet = fleet(2, Box::new(RoundRobin::new()));
+        fleet.enable_cold_tier(ColdTierConfig::default());
+        let opts = TransformOptions::rerandomizable(true);
+        for i in 0..4 {
+            let obj = transform(&stateful_spec(&format!("x{i}")), &opts).unwrap();
+            fleet.install(&obj, &opts).unwrap();
+        }
+        let shard = fleet.shard_of("x1").unwrap();
+        let module = fleet.registry(shard).get("x1").unwrap();
+        crate::rerandomize_module(fleet.kernel(shard), fleet.registry(shard), &module).unwrap();
+        let live = fleet.live_spans();
+        let tier = fleet.cold_tier().unwrap();
+        let ranges = tier.ranges.lock();
+        for (shard, spans) in ranges.iter().enumerate() {
+            for (start, end, name) in spans {
+                let span = (shard, name.to_string(), *start, end - start);
+                assert!(live.contains(&span), "stale resident span {span:?}");
+            }
+        }
+        let indexed: usize = ranges.iter().map(Vec::len).sum();
+        assert_eq!(indexed, 4, "one span per module");
     }
 }
 

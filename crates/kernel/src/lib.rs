@@ -94,17 +94,13 @@ pub struct KernelConfig {
     pub retpoline: bool,
     /// Mirror printk lines to stderr.
     pub echo_printk: bool,
-    /// Reclamation scheme.
+    /// Reclamation scheme of the `mr_*` domain (page-table snapshots
+    /// always use EBR, DESIGN.md §11.3).
     pub reclaimer: ReclaimerKind,
     /// Per-call instruction budget (runaway-loop guard).
     pub fuel: u64,
     /// RNG seed (layout randomization, keys).
     pub seed: u64,
-    /// Reclamation scheme guarding page-table *snapshot* lifetime (a
-    /// domain separate from [`KernelConfig::reclaimer`], whose `mr_*`
-    /// brackets span whole pending driver calls — snapshot pins last
-    /// one walk). EBR by default; Hyaline selectable for the ablation.
-    pub snapshot_reclaimer: ReclaimerKind,
     /// ISA backend of the kernel address space and every per-CPU TLB:
     /// selects hardware PTE encodings, ASID width, and the TLB
     /// invalidation cost model. Defaults to the environment-selected
@@ -128,7 +124,6 @@ impl Default for KernelConfig {
             reclaimer: ReclaimerKind::Hyaline,
             fuel: 200_000_000,
             seed: 0x00AD_E11E,
-            snapshot_reclaimer: ReclaimerKind::Ebr,
             arch: ArchKind::from_env(),
             module_window: (0, layout::MODULE_CEILING),
         }
@@ -198,10 +193,7 @@ impl Kernel {
         // configured beyond READER_SLOTS CPUs must not hang its
         // interpreters on slot claims.
         let snapshot_slots = adelie_vmem::READER_SLOTS.max(config.cpus * 2);
-        let snapshot_smr: Arc<dyn Reclaimer> = match config.snapshot_reclaimer {
-            ReclaimerKind::Hyaline => Arc::new(Hyaline::new(snapshot_slots)),
-            ReclaimerKind::Ebr => Arc::new(Ebr::new(snapshot_slots)),
-        };
+        let snapshot_smr: Arc<dyn Reclaimer> = Arc::new(Ebr::new(snapshot_slots));
         let kernel = Arc::new(Kernel {
             phys: Arc::new(PhysMem::new()),
             space: Arc::new(AddressSpace::with_space_config(SpaceConfig {

@@ -2,9 +2,9 @@
 //!
 //! The paper notes Hyaline's performance is "very similar to that of
 //! EBR" but that Hyaline integrates more easily because it is
-//! context-agnostic (§3.4). This implementation exists so the claim can
-//! be measured (see `bench/benches/reclaim.rs`) and so the re-randomizer
-//! can be instantiated with either scheme.
+//! context-agnostic (§3.4). This implementation lets the kernel's `mr_*`
+//! domain run either scheme, and it guards the lifetime of page-table
+//! snapshots, whose pins are short symmetric brackets (DESIGN.md §11.3).
 //!
 //! Standard scheme: a global epoch, a per-slot `(active, local epoch)`
 //! word, and three limbo buckets. Objects retired in epoch *e* are freed

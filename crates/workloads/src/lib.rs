@@ -34,7 +34,7 @@ use adelie_drivers::{
     install_dummy, install_extfs, install_fuse, install_nic, install_nvme, install_xhci, NicDevice,
     NicFlavor, NvmeDevice,
 };
-use adelie_kernel::{Kernel, KernelConfig, ReclaimerKind};
+use adelie_kernel::{Kernel, KernelConfig};
 use adelie_plugin::TransformOptions;
 use adelie_sched::{Policy, SchedConfig, Scheduler, SimClock};
 use std::sync::Arc;
@@ -340,15 +340,6 @@ pub fn pic_matrix() -> Vec<(&'static str, TransformOptions)> {
         ("pic", TransformOptions::pic(false)),
         ("pic+retpoline", TransformOptions::pic(true)),
     ]
-}
-
-/// Convenience: testbed config with the EBR reclaimer (ablation).
-pub fn ebr_kernel_config(opts: &TransformOptions) -> KernelConfig {
-    KernelConfig {
-        retpoline: opts.retpoline,
-        reclaimer: ReclaimerKind::Ebr,
-        ..KernelConfig::default()
-    }
 }
 
 #[cfg(test)]
