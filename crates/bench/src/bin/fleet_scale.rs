@@ -1,36 +1,32 @@
-//! The million-module-catalog benchmark: ops/sec and p99 call latency
-//! vs shard count under heavy-tailed (Zipf) skew, static tenant-pinned
-//! placement vs the load-driven autoscaler — emitted as
-//! `BENCH_fleet_scale.json` (the CI artifact) plus a console table.
+//! The cold tier at catalog scale: 10^5 modules registered, a Zipf
+//! call stream, and a resident cap two orders of magnitude below the
+//! catalog — emitted as `BENCH_fleet_scale.json` (a committed baseline
+//! CI diffs against) plus a console table.
 //!
-//! The setup is the regime the cold tier and the autoscaler exist for:
-//! 10^5 modules *registered* (catalog-only — nothing materializes at
-//! registration), a Zipf(1.1) call stream whose hot set the seeded
-//! permutation scatters across tenants, and a resident cap two orders
-//! of magnitude below the catalog. Static placement pins tenants onto
-//! half the booted shards; the autoscaled run starts from the *same*
-//! placement and active set, then splits hot shards onto the parked
-//! half via live-migration batches under admission control.
+//! Modules are *registered* (catalog-only — nothing materializes at
+//! registration) and pinned by tenant onto the shards; the seeded
+//! permutation scatters the Zipf(1.1) hot set across tenants. Every
+//! call faults its module in for real and executes it, and every cold
+//! tick really evicts; per-shard [`LayoutOracle`]s audit evicted spans,
+//! stale translations, and GOT integrity throughout. A deterministic
+//! arrival step is the virtual clock that drives `cold_tick`; nothing
+//! here is timed or modeled — wall-clock fleet latency comes from
+//! perfbench's `fleet_cold` workload. Assertions per seed:
 //!
-//! Latency is modeled deterministically (M/D/1-style per-shard
-//! `busy_until`, constant service time, a fixed penalty per cold
-//! fault-in) on top of *real* machinery: every call demand-faults /
-//! executes its module for real, evictions really unmap, and per-shard
-//! [`LayoutOracle`]s audit evicted spans, stale translations, and GOT
-//! integrity throughout. Assertions per seed:
-//!
-//! * autoscaled ops/sec ≥ static, autoscaled p99 ≤ static p99,
 //! * residents ≤ cap after every cold tick, at 10^5 registered,
-//! * zero oracle/layout/symbol violations in every configuration,
-//! * the autoscaled run replays byte-identically (decision log, final
-//!   catalog, latency profile) when run twice from the same seed.
+//! * zero oracle/layout/symbol violations,
+//! * the run replays byte-identically (every tick's evicted names and
+//!   the final catalog) when run twice from the same seed.
+//!
+//! Every row is an exact count or a digest, identical under both
+//! `ADELIE_ARCH` backends.
 
 use adelie_core::{AdmissionConfig, ColdTierConfig, Fleet, Pinned};
 use adelie_isa::{AluOp, Insn, Reg};
 use adelie_kernel::{FleetConfig, KernelConfig, ShardedKernel};
 use adelie_obj::ObjectFile;
 use adelie_plugin::{transform, FuncSpec, MOp, ModuleSpec, TransformOptions};
-use adelie_sched::{AutoscaleConfig, Autoscaler, ScaleDecision, SimClock};
+use adelie_sched::SimClock;
 use adelie_testkit::{LayoutOracle, Workload, WorkloadConfig};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -42,20 +38,14 @@ const SEEDS: [u64; 3] = [1, 42, 0xA77ACC];
 const CATALOG: usize = 100_000;
 const TENANTS: usize = 32;
 const THETA: f64 = 1.1;
-/// Booted shards; static placement only ever uses the first half.
-const SHARDS: usize = 8;
-const STATIC_SHARDS: usize = 4;
+const SHARDS: usize = 4;
 /// Hot working set the fleet may keep resident — ~0.5% of the catalog.
 const MAX_RESIDENT: usize = 512;
 const CALLS: usize = 12_000;
-/// Deterministic open-loop arrivals: one call every 420 ns puts ~1.19
-/// erlangs on 4 shards (static placement saturates) and ~0.59 on 8
-/// (the autoscaled fleet has headroom once it spreads out).
+/// Virtual time between calls; `CALLS × INTERARRIVAL_NS` spans ten
+/// cold ticks.
 const INTERARRIVAL_NS: u64 = 420;
-const SERVICE_NS: u64 = 2_000;
-/// Modeled cost of a cold fault-in on the call that triggers it.
-const FAULT_PENALTY_NS: u64 = 25_000;
-/// Cold-tick + autoscaler-eval cadence on the virtual clock.
+/// Cold-tick cadence on the virtual clock.
 const TICK_NS: u64 = 500_000;
 
 /// A tiny driver: `{name}_calc(x) = x + 9`. Kept minimal so 10^5 of
@@ -89,24 +79,17 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 
 struct Outcome {
     seed: u64,
-    mode: &'static str,
+    ticks: u64,
     fault_ins: u64,
     evictions: u64,
-    splits: u64,
-    merges: u64,
-    moves: u64,
-    active_end: usize,
     resident_end: u64,
-    ops_per_sec: f64,
-    p50_ns: u64,
-    p99_ns: u64,
     violations: u64,
-    /// FNV-1a over the decision log + final catalog + latency profile —
+    /// FNV-1a over every tick's evicted names + the final catalog —
     /// the determinism fingerprint compared across replayed runs.
     digest: u64,
 }
 
-fn run(seed: u64, autoscale: bool, objs: &[ObjectFile], opts: &TransformOptions) -> Outcome {
+fn run(seed: u64, objs: &[ObjectFile], opts: &TransformOptions) -> Outcome {
     let wl_cfg = WorkloadConfig {
         modules: CATALOG,
         tenants: TENANTS,
@@ -115,7 +98,7 @@ fn run(seed: u64, autoscale: bool, objs: &[ObjectFile], opts: &TransformOptions)
     };
     let mut wl = Workload::new(wl_cfg);
     let pins: HashMap<String, usize> = (0..CATALOG)
-        .map(|i| (wl.names()[i].clone(), wl.tenant(i) % STATIC_SHARDS))
+        .map(|i| (wl.names()[i].clone(), wl.tenant(i) % SHARDS))
         .collect();
     let sharded = ShardedKernel::new(FleetConfig {
         shards: SHARDS,
@@ -148,30 +131,21 @@ fn run(seed: u64, autoscale: bool, objs: &[ObjectFile], opts: &TransformOptions)
         .collect();
     let kernels: Vec<_> = (0..SHARDS).map(|s| fleet.kernel(s).clone()).collect();
     let mut vms: Vec<_> = kernels.iter().map(|k| k.vm()).collect();
-    let mut scaler = autoscale.then(|| {
-        Autoscaler::new(
-            SHARDS,
-            STATIC_SHARDS,
-            AutoscaleConfig {
-                eval_every_ns: TICK_NS,
-                ..AutoscaleConfig::default()
-            },
-        )
-    });
 
-    // The modeled queue: per-shard busy-until horizon on the arrival
-    // clock. `tracked` maps a sampled evicted module to the shard whose
-    // oracle is watching its vacated spans.
-    let mut busy = [0u64; SHARDS];
-    let mut latencies: Vec<u64> = Vec::with_capacity(CALLS);
+    // `tracked` maps a sampled evicted module to the shard whose oracle
+    // is watching its vacated spans.
     let mut tracked: HashMap<String, usize> = HashMap::new();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut now_ns = 0u64;
     let mut next_tick = TICK_NS;
-    let (mut splits, mut merges, mut moves) = (0u64, 0u64, 0u64);
+    let mut ticks = 0u64;
     for _ in 0..CALLS {
         now_ns += INTERARRIVAL_NS;
         while now_ns >= next_tick {
+            ticks += 1;
+            fnv1a(&mut digest, &next_tick.to_le_bytes());
             for name in fleet.cold_tick(next_tick) {
+                fnv1a(&mut digest, name.as_bytes());
                 let shard = fleet.shard_of(&name).expect("evicted stays cataloged");
                 if tracked.len() < 64 {
                     let spans = fleet.evicted_spans(&name).unwrap_or_default();
@@ -186,20 +160,6 @@ fn run(seed: u64, autoscale: bool, objs: &[ObjectFile], opts: &TransformOptions)
                  {CATALOG} registered)",
                 st.resident
             );
-            if let Some(sc) = scaler.as_mut() {
-                for d in sc.tick(&fleet, next_tick) {
-                    match d {
-                        ScaleDecision::Split { moved, .. } => {
-                            splits += 1;
-                            moves += moved.len() as u64;
-                        }
-                        ScaleDecision::Merge { moved, .. } => {
-                            merges += 1;
-                            moves += moved.len() as u64;
-                        }
-                    }
-                }
-            }
             next_tick += TICK_NS;
         }
         let target = wl.next_index();
@@ -218,10 +178,6 @@ fn run(seed: u64, autoscale: bool, objs: &[ObjectFile], opts: &TransformOptions)
             42,
             "{name} on shard {shard}"
         );
-        let start = busy[shard].max(now_ns);
-        let done = start + SERVICE_NS + if was_cold { FAULT_PENALTY_NS } else { 0 };
-        busy[shard] = done;
-        latencies.push(done - now_ns);
     }
 
     // Wind down: fault the still-watched evictees back in so their
@@ -248,35 +204,17 @@ fn run(seed: u64, autoscale: bool, objs: &[ObjectFile], opts: &TransformOptions)
         violations += 1;
     }
 
-    let makespan_ns = busy.iter().copied().max().unwrap_or(1).max(1);
-    latencies.sort_unstable();
-    let p50_ns = latencies[latencies.len() / 2];
-    let p99_ns = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
     let st = fleet.cold_stats();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    if let Some(sc) = &scaler {
-        fnv1a(&mut digest, format!("{:?}", sc.decisions()).as_bytes());
-    }
     for (name, shard) in fleet.modules() {
         fnv1a(&mut digest, name.as_bytes());
         fnv1a(&mut digest, &(shard as u64).to_le_bytes());
     }
-    for l in &latencies {
-        fnv1a(&mut digest, &l.to_le_bytes());
-    }
     Outcome {
         seed,
-        mode: if autoscale { "autoscaled" } else { "static" },
+        ticks,
         fault_ins: st.fault_ins,
         evictions: st.evictions,
-        splits,
-        merges,
-        moves,
-        active_end: scaler.as_ref().map_or(STATIC_SHARDS, |s| s.active_count()),
         resident_end: st.resident as u64,
-        ops_per_sec: CALLS as f64 / (makespan_ns as f64 / 1e9),
-        p50_ns,
-        p99_ns,
         violations,
         digest,
     }
@@ -286,25 +224,10 @@ fn outcome_json(o: &Outcome) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "    {{\"seed\": {}, \"mode\": \"{}\", \"registered\": {CATALOG}, \
-         \"resident_cap\": {MAX_RESIDENT}, \"active_end\": {}, \"resident_end\": {}, \
-         \"fault_ins\": {}, \"evictions\": {}, \"splits\": {}, \"merges\": {}, \
-         \"moves\": {}, \"ops_per_sec\": {:.0}, \"p50_ns\": {}, \"p99_ns\": {}, \
+        "    {{\"seed\": {}, \"registered\": {CATALOG}, \"resident_cap\": {MAX_RESIDENT}, \
+         \"ticks\": {}, \"resident_end\": {}, \"fault_ins\": {}, \"evictions\": {}, \
          \"oracle_violations\": {}, \"digest\": \"{:016x}\"}}",
-        o.seed,
-        o.mode,
-        o.active_end,
-        o.resident_end,
-        o.fault_ins,
-        o.evictions,
-        o.splits,
-        o.merges,
-        o.moves,
-        o.ops_per_sec,
-        o.p50_ns,
-        o.p99_ns,
-        o.violations,
-        o.digest,
+        o.seed, o.ticks, o.resident_end, o.fault_ins, o.evictions, o.violations, o.digest,
     );
     s
 }
@@ -312,7 +235,7 @@ fn outcome_json(o: &Outcome) -> String {
 fn main() {
     println!(
         "=== fleet scale: {CATALOG} registered, cap {MAX_RESIDENT} resident, \
-         Zipf({THETA}) over {TENANTS} tenants, {STATIC_SHARDS}->{SHARDS} shards ==="
+         Zipf({THETA}) over {TENANTS} tenants, {SHARDS} shards ==="
     );
     let t0 = Instant::now();
     let opts = TransformOptions::rerandomizable(true);
@@ -331,70 +254,44 @@ fn main() {
         .collect();
     println!("transformed {CATALOG} objects in {:?}", t0.elapsed());
     println!(
-        "{:<10} {:<11} {:>7} {:>9} {:>7} {:>13} {:>10} {:>10} {:>5}",
-        "seed", "mode", "active", "fault-ins", "moves", "ops/s", "p50", "p99", "viol"
+        "{:<10} {:<7} {:>6} {:>9} {:>9} {:>9} {:>18} {:>5}",
+        "seed", "run", "ticks", "fault-ins", "evictions", "resident", "digest", "viol"
     );
     let mut rows = Vec::new();
     for seed in SEEDS {
-        let mut outcomes = Vec::new();
-        for (autoscale, replay) in [(false, false), (true, false), (true, true)] {
-            let o = run(seed, autoscale, &objs, &opts);
+        let first = run(seed, &objs, &opts);
+        let replay = run(seed, &objs, &opts);
+        for (label, o) in [("first", &first), ("replay", &replay)] {
             println!(
-                "{:<10} {:<11} {:>7} {:>9} {:>7} {:>13.0} {:>9}n {:>9}n {:>5}",
+                "{:<10} {:<7} {:>6} {:>9} {:>9} {:>9} {:>18} {:>5}",
                 o.seed,
-                if replay { "auto/replay" } else { o.mode },
-                o.active_end,
+                label,
+                o.ticks,
                 o.fault_ins,
-                o.moves,
-                o.ops_per_sec,
-                o.p50_ns,
-                o.p99_ns,
+                o.evictions,
+                o.resident_end,
+                format!("{:016x}", o.digest),
                 o.violations
             );
-            assert_eq!(o.violations, 0, "seed {seed}/{}: violations", o.mode);
-            if !replay {
-                rows.push(outcome_json(&o));
-            }
-            outcomes.push(o);
+            assert_eq!(o.violations, 0, "seed {seed}/{label}: violations");
         }
-        let (stat, auto, replay) = (&outcomes[0], &outcomes[1], &outcomes[2]);
-        // Determinism: same seed, same decisions, same catalog, same
-        // latency profile — byte-identical replay.
+        // Determinism: same seed, same evictions tick by tick, same
+        // final catalog — byte-identical replay.
         assert_eq!(
-            auto.digest, replay.digest,
-            "seed {seed}: autoscaled run did not replay deterministically"
+            first.digest, replay.digest,
+            "seed {seed}: run did not replay deterministically"
         );
-        assert_eq!(auto.p99_ns, replay.p99_ns);
-        // The autoscaler must pay for itself: never worse than the
-        // static pinning it started from, on both axes.
-        assert!(
-            auto.ops_per_sec >= stat.ops_per_sec * 0.999,
-            "seed {seed}: autoscaled {:.0} ops/s < static {:.0}",
-            auto.ops_per_sec,
-            stat.ops_per_sec
+        assert_eq!(
+            (first.fault_ins, first.evictions),
+            (replay.fault_ins, replay.evictions)
         );
-        assert!(
-            auto.p99_ns <= stat.p99_ns,
-            "seed {seed}: autoscaled p99 {}ns > static {}ns",
-            auto.p99_ns,
-            stat.p99_ns
-        );
-        println!(
-            "  seed {seed}: autoscaled {:.2}x ops, p99 {}ns vs {}ns \
-             ({} splits, {} moves, replay ok)",
-            auto.ops_per_sec / stat.ops_per_sec.max(1.0),
-            auto.p99_ns,
-            stat.p99_ns,
-            auto.splits,
-            auto.moves
-        );
+        rows.push(outcome_json(&first));
     }
     let json = format!(
         "{{\n  \"bench\": \"fleet_scale\",\n  \"registered\": {CATALOG},\n  \
          \"tenants\": {TENANTS},\n  \"theta\": {THETA},\n  \"shards\": {SHARDS},\n  \
-         \"static_shards\": {STATIC_SHARDS},\n  \"resident_cap\": {MAX_RESIDENT},\n  \
-         \"calls\": {CALLS},\n  \"interarrival_ns\": {INTERARRIVAL_NS},\n  \
-         \"service_ns\": {SERVICE_NS},\n  \"fault_penalty_ns\": {FAULT_PENALTY_NS},\n  \
+         \"resident_cap\": {MAX_RESIDENT},\n  \"calls\": {CALLS},\n  \
+         \"interarrival_ns\": {INTERARRIVAL_NS},\n  \"tick_ns\": {TICK_NS},\n  \
          \"rows\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );

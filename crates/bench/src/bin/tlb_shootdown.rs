@@ -15,22 +15,21 @@
 //! flush-on-switch baselines this bench used to run beside it are
 //! recorded in DESIGN.md §10.4 and §15.6.
 //!
-//! Two arch-aware extensions ride along (DESIGN.md §15):
+//! A **fleet-churn phase** rides along (DESIGN.md §15): it bounces one
+//! roaming TLB across the spaces of a 4-shard [`ShardedKernel`] and
+//! asserts the ASID win exactly: space-switch full flushes are *zero*
+//! under shard churn, and warm entries hit again on every return.
 //!
-//! * every row is priced under **both** ISA backends' invalidation
-//!   cost models (invlpg/invpcid-style vs sfence.vma-style), so the
-//!   counter mix translates into comparable modeled cycles per arch;
-//! * a **fleet-churn phase** bounces one roaming TLB across the spaces
-//!   of a 4-shard [`ShardedKernel`] and asserts the ASID win exactly:
-//!   space-switch full flushes are *zero* under shard churn, and warm
-//!   entries hit again on every return.
+//! Every row is an exact count, identical under both `ADELIE_ARCH`
+//! backends, so the committed `BENCH_tlb_shootdown.json` is a baseline
+//! CI diffs against.
 
 use adelie_bench::contention;
 use adelie_core::ModuleRegistry;
 use adelie_kernel::{FleetConfig, Kernel, KernelConfig, ShardedKernel};
 use adelie_sched::{Policy, SchedConfig, Scheduler, SimClock};
 use adelie_testkit::LayoutOracle;
-use adelie_vmem::{Access, ArchKind, PteFlags, Tlb, TlbStats};
+use adelie_vmem::{Access, PteFlags, Tlb, TlbStats};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -52,15 +51,6 @@ impl Outcome {
     fn full_per_cycle(&self) -> f64 {
         self.tlb.flushes as f64 / self.cycles.max(1) as f64
     }
-}
-
-/// Price a counter mix under both backends' invalidation cost models
-/// — the per-arch columns of the JSON artifact.
-fn modeled_costs(t: &TlbStats) -> (u64, u64) {
-    (
-        ArchKind::X86_64.cost_model().modeled_cycles(t),
-        ArchKind::Riscv64Sv48.cost_model().modeled_cycles(t),
-    )
 }
 
 /// One deterministic run: the seed fixes the fleet, the traffic and
@@ -133,7 +123,6 @@ fn run(label: &'static str, seed: u64) -> Outcome {
 }
 
 fn outcome_json(seed: u64, o: &Outcome) -> String {
-    let (cost_x86, cost_rv) = modeled_costs(&o.tlb);
     let mut s = String::new();
     let _ = write!(
         s,
@@ -141,7 +130,6 @@ fn outcome_json(seed: u64, o: &Outcome) -> String {
          \"horizon_flushes\": {}, \"partial_flushes\": {}, \"entries_invalidated\": {}, \
          \"tlb_hits\": {}, \"tlb_misses\": {}, \"space_shootdowns\": {}, \
          \"coalesced_shootdowns\": {}, \"full_flushes_per_cycle\": {:.4}, \
-         \"modeled_cycles_x86_64\": {cost_x86}, \"modeled_cycles_riscv64sv48\": {cost_rv}, \
          \"oracle_violations\": {}}}",
         o.label,
         o.cycles,
@@ -210,14 +198,12 @@ fn churn(label: &'static str, seed: u64) -> TlbStats {
 }
 
 fn churn_json(seed: u64, label: &str, t: &TlbStats) -> String {
-    let (cost_x86, cost_rv) = modeled_costs(t);
     let mut s = String::new();
     let _ = write!(
         s,
         "    {{\"seed\": {seed}, \"mode\": \"{label}\", \"switches\": {}, \
          \"switch_flushes\": {}, \"full_flushes\": {}, \"tlb_hits\": {}, \
-         \"tlb_misses\": {}, \"modeled_cycles_x86_64\": {cost_x86}, \
-         \"modeled_cycles_riscv64sv48\": {cost_rv}}}",
+         \"tlb_misses\": {}}}",
         t.switches, t.switch_flushes, t.flushes, t.hits, t.misses,
     );
     s
@@ -274,24 +260,21 @@ fn main() {
     // Fleet-churn phase: the ASID-tagging win, measured and asserted.
     println!("=== fleet churn: ASID-tagged roaming TLB ({CHURN_SHARDS} shards) ===");
     println!(
-        "{:<10} {:<16} {:>9} {:>14} {:>8} {:>8} {:>12} {:>12}",
-        "seed", "mode", "switches", "switch-flush", "hits", "misses", "cyc(x86_64)", "cyc(rv64)"
+        "{:<10} {:<16} {:>9} {:>14} {:>8} {:>8}",
+        "seed", "mode", "switches", "switch-flush", "hits", "misses"
     );
     let mut churn_rows = Vec::new();
     for seed in SEEDS {
         let label = "churn_tagged";
         let t = churn(label, seed);
-        let (cx, cr) = modeled_costs(&t);
         println!(
-            "{:<10} {:<16} {:>9} {:>14} {:>8} {:>8} {:>12} {:>12}",
+            "{:<10} {:<16} {:>9} {:>14} {:>8} {:>8}",
             seed,
             label.trim_start_matches("churn_"),
             t.switches,
             t.switch_flushes,
             t.hits,
             t.misses,
-            cx,
-            cr
         );
         churn_rows.push(churn_json(seed, label, &t));
     }

@@ -59,10 +59,6 @@ pub enum FleetError {
     /// state copy (the migration is committed; pointer refresh is in
     /// doubt, mirroring `RerandError::UpdatePointers`).
     UpdatePointers(String),
-    /// [`Fleet::retarget`] refused: the module is resident, and a
-    /// catalog-only move would strand its live mappings in the old
-    /// shard — use [`Fleet::migrate`] for resident modules.
-    ResidentModule(String),
     /// Admission control refused the target shard: it is at its module
     /// cap. Pick another shard or unload something first.
     Overloaded {
@@ -94,9 +90,6 @@ impl fmt::Display for FleetError {
             FleetError::Unload(e) => write!(f, "source unload failed: {e}"),
             FleetError::UpdatePointers(e) => {
                 write!(f, "destination update_pointers failed: {e}")
-            }
-            FleetError::ResidentModule(m) => {
-                write!(f, "module `{m}` is resident; live-migrate it instead")
             }
             FleetError::Overloaded {
                 shard,
@@ -444,10 +437,9 @@ struct ShardCounter {
 type SpanIndex = Vec<(u64, u64, Arc<str>)>;
 
 /// The cold tier's bookkeeping: per-shard resident span indexes (for
-/// resolving call VAs to module names), last-call stamps, per-module
-/// call counts (autoscaler telemetry), and the evicted-span index the
-/// demand loader consults. All its locks are leaves — never hold one
-/// while taking the catalog.
+/// resolving call VAs to module names), last-call stamps, and the
+/// evicted-span index the demand loader consults. All its locks are
+/// leaves — never hold one while taking the catalog.
 struct ColdTier {
     cfg: ColdTierConfig,
     /// The fleet clock as of the last `cold_tick` — what the call
@@ -457,8 +449,6 @@ struct ColdTier {
     /// VAs resolve to names by `partition_point`, the scheduler's idiom).
     ranges: Mutex<Vec<SpanIndex>>,
     last_call: Mutex<HashMap<Arc<str>, u64>>,
-    module_calls: Mutex<HashMap<Arc<str>, u64>>,
-    shard_calls: Vec<AtomicU64>,
     evicted: Mutex<EvictedIndex>,
     evictions: AtomicU64,
     fault_ins: AtomicU64,
@@ -472,8 +462,6 @@ impl ColdTier {
             now_ns: AtomicU64::new(0),
             ranges: Mutex::new(vec![Vec::new(); shards]),
             last_call: Mutex::new(HashMap::new()),
-            module_calls: Mutex::new(HashMap::new()),
-            shard_calls: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             evicted: Mutex::new(EvictedIndex::new(shards)),
             evictions: AtomicU64::new(0),
             fault_ins: AtomicU64::new(0),
@@ -986,39 +974,6 @@ impl Fleet {
         update_result.map(|()| dst_module)
     }
 
-    /// Move a *cold* module's tenancy to shard `dst` — a catalog-only
-    /// edit (no mapping exists to migrate). The autoscaler uses this to
-    /// drain a shard it is deactivating: residents live-migrate, cold
-    /// records retarget. The module's next fault-in lands in `dst`.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::ResidentModule`] when the module is resident (use
-    /// [`Fleet::migrate`]); the usual admission errors for `dst`.
-    pub fn retarget(&self, name: &str, dst: usize) -> Result<(), FleetError> {
-        if dst >= self.registries.len() {
-            return Err(FleetError::UnknownShard(dst));
-        }
-        let mut catalog = self.catalog.lock();
-        let rec = catalog
-            .get(name)
-            .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?;
-        let src = rec.shard;
-        if src == dst {
-            return Ok(());
-        }
-        if self.registries[src].get(name).is_some() {
-            return Err(FleetError::ResidentModule(name.to_string()));
-        }
-        self.admit()?;
-        self.check_occupancy(dst)?;
-        catalog.get_mut(name).expect("record checked above").shard = dst;
-        let mut counters = self.counters.lock();
-        counters[src].cold = counters[src].cold.saturating_sub(1);
-        counters[dst].cold += 1;
-        Ok(())
-    }
-
     /// Admission gate shared by install and migrate: a repair queue at
     /// capacity means the fleet is drowning in fault recovery — push
     /// back instead of admitting more work. The `RetryAfter` hint
@@ -1286,7 +1241,6 @@ impl Fleet {
             if let Some(tier) = self.cold_tier() {
                 tier.evicted.lock().remove(name);
                 tier.last_call.lock().remove(name);
-                tier.module_calls.lock().remove(name);
             }
             return Ok(());
         };
@@ -1307,7 +1261,6 @@ impl Fleet {
         if let Some(tier) = self.cold_tier() {
             tier.remove_module(shard, name);
             tier.last_call.lock().remove(name);
-            tier.module_calls.lock().remove(name);
         }
         Ok(())
     }
@@ -1354,10 +1307,9 @@ impl Fleet {
     }
 
     /// Enable the cold-module tier: installs a per-shard call observer
-    /// (last-call stamps + call-rate telemetry, alongside the
-    /// scheduler's primary slot) and a per-shard demand loader (stale
-    /// entry VAs into evicted modules fault the module back in from its
-    /// catalog record). After this, [`Fleet::cold_tick`] evicts idle
+    /// (last-call stamps, alongside the scheduler's primary slot) and a
+    /// per-shard demand loader (stale entry VAs into evicted modules
+    /// fault the module back in from its catalog record). After this, [`Fleet::cold_tick`] evicts idle
     /// and over-cap residents, and [`Fleet::register`] +
     /// [`Fleet::ensure_resident`] give a 10^5–10^6-module catalog a
     /// bounded resident working set.
@@ -1372,15 +1324,13 @@ impl Fleet {
             }
         }
         for (shard, kernel) in self.sharded.shards().iter().enumerate() {
-            // Call observer: stamp last-call time and bump telemetry.
-            // Leaf locks only — safe from inside any Vm::call.
+            // Call observer: stamp last-call time. Leaf locks only —
+            // safe from inside any Vm::call.
             let t = tier.clone();
             kernel.add_call_observer(Arc::new(move |entry| {
-                t.shard_calls[shard].fetch_add(1, Ordering::Relaxed);
                 if let Some(name) = t.resolve(shard, entry) {
                     let now = t.now_ns.load(Ordering::Relaxed);
-                    t.last_call.lock().insert(name.clone(), now);
-                    *t.module_calls.lock().entry(name).or_insert(0) += 1;
+                    t.last_call.lock().insert(name, now);
                 }
             }));
             // Demand loader: resolve the faulting VA against the
@@ -1402,8 +1352,7 @@ impl Fleet {
                     let catalog = catalog.try_lock()?;
                     let rec = catalog.get(&name)?;
                     if rec.shard != shard {
-                        // Retargeted while cold: its next home is
-                        // another shard, whose window this VA is not in.
+                        // Never redirect into another shard's window.
                         return None;
                     }
                     (rec.obj.clone(), rec.opts)
@@ -1509,6 +1458,8 @@ impl Fleet {
         }
         if let Some(tier) = self.cold_tier() {
             tier.remove_module(shard, name);
+            // Only residents carry a stamp; fault-in re-stamps it.
+            tier.last_call.lock().remove(name);
             tier.evicted.lock().insert(
                 key,
                 EvictedModule {
@@ -1594,35 +1545,6 @@ impl Fleet {
                 ..ColdTierStats::default()
             },
         }
-    }
-
-    /// Per-shard outermost-call counts since the last take — the
-    /// autoscaler's busy signal. Zeros when the cold tier is off.
-    pub fn take_shard_calls(&self) -> Vec<u64> {
-        match self.cold_tier() {
-            Some(t) => t
-                .shard_calls
-                .iter()
-                .map(|c| c.swap(0, Ordering::Relaxed))
-                .collect(),
-            None => vec![0; self.registries.len()],
-        }
-    }
-
-    /// Per-module call counts since the last take, sorted by name — how
-    /// the autoscaler picks which residents to move off a hot shard.
-    pub fn take_module_calls(&self) -> Vec<(String, u64)> {
-        let Some(t) = self.cold_tier() else {
-            return Vec::new();
-        };
-        let mut counts: Vec<(String, u64)> = t
-            .module_calls
-            .lock()
-            .drain()
-            .map(|(n, c)| (n.to_string(), c))
-            .collect();
-        counts.sort();
-        counts
     }
 
     /// An evicted module's former `(base, span_bytes)` spans — what the
@@ -2484,34 +2406,45 @@ mod tests {
         assert!(fleet.verify_layout().is_empty());
     }
 
-    /// `retarget` moves a cold module's tenancy (catalog-only) and
-    /// refuses resident modules; the next fault-in lands in the new
-    /// shard's window.
+    /// Eviction drops the module's last-call stamp: the map holds
+    /// exactly the residents, not every module ever called.
     #[test]
-    fn retarget_moves_cold_tenancy_and_refuses_residents() {
-        let fleet = fleet(2, Box::new(Pinned::new(HashMap::new(), 0)));
-        fleet.enable_cold_tier(ColdTierConfig::default());
+    fn last_call_stamps_only_residents_after_eviction() {
+        let fleet = fleet(2, Box::new(RoundRobin::new()));
+        fleet.enable_cold_tier(ColdTierConfig {
+            idle_ns: u64::MAX,
+            max_resident: 2,
+        });
         let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&stateful_spec("rt"), &opts).unwrap();
-        assert_eq!(fleet.register(&obj, &opts).unwrap(), 0);
-        fleet.retarget("rt", 1).unwrap();
-        assert_eq!(fleet.shard_of("rt"), Some(1));
-        let (shard, module) = fleet.ensure_resident("rt").unwrap();
-        assert_eq!(shard, 1);
-        let (lo, hi) = fleet.sharded().window(1);
-        let base = module.movable_base.load(Ordering::Acquire);
-        assert!(base >= lo && base < hi, "fault-in honors the retarget");
-        drop(module);
-        assert!(matches!(
-            fleet.retarget("rt", 0),
-            Err(FleetError::ResidentModule(_))
-        ));
-        assert!(matches!(
-            fleet.retarget("rt", 9),
-            Err(FleetError::UnknownShard(9))
-        ));
-        assert!(fleet.verify_layout().is_empty());
-        assert!(fleet.verify_symbol_integrity().is_empty());
+        for name in ["la", "lb", "lc", "ld", "le"] {
+            let obj = transform(&stateful_spec(name), &opts).unwrap();
+            fleet.install(&obj, &opts).unwrap();
+        }
+        let stamped = |fleet: &Fleet| {
+            let mut names: Vec<String> = fleet
+                .cold_tier()
+                .unwrap()
+                .last_call
+                .lock()
+                .keys()
+                .map(|n| n.to_string())
+                .collect();
+            names.sort();
+            names
+        };
+        let residents = |fleet: &Fleet| {
+            let mut names: Vec<String> = (0..2).flat_map(|s| fleet.registry(s).list()).collect();
+            names.sort();
+            names
+        };
+        assert_eq!(fleet.cold_tick(1).len(), 3);
+        assert_eq!(stamped(&fleet), residents(&fleet));
+        assert_eq!(stamped(&fleet).len(), 2);
+        // Fault-in re-stamps; the next tick's evictions un-stamp.
+        fleet.ensure_resident("la").unwrap();
+        assert_eq!(stamped(&fleet), residents(&fleet));
+        assert_eq!(fleet.cold_tick(2).len(), 1);
+        assert_eq!(stamped(&fleet), residents(&fleet));
     }
 
     #[test]

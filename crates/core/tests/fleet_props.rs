@@ -177,7 +177,7 @@ enum Cached {
     /// The cached copy is resident: the call runs it.
     Live,
     /// The cached copy was evicted: the call demand-faults the module
-    /// back in, unless it was retargeted to another shard since.
+    /// back in, unless its catalog home is another shard by now.
     Evicted,
     /// The cached copy was migrated away or unloaded: the call faults.
     Dead,
@@ -272,17 +272,16 @@ proptest! {
     }
 }
 
-// More cases than the other properties: at 20, no run of the cached-
-// entry op meets a module that was evicted and then retargeted.
+// More cases than the other properties, so the cached-entry op meets
+// every `Cached` state.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The cold-tier contract under arbitrary op interleavings:
     /// install / cold-register / call (demand fault-in) / evict /
-    /// idle+cap ticks / rebalance (migrate resident, retarget cold —
-    /// the primitives the autoscaler's split/merge batches are made
-    /// of) / unload / a call through a cached entry address (the
-    /// kernel's demand loader). No module is ever lost or duplicated,
+    /// idle+cap ticks / live-migrate a resident / unload / a call
+    /// through a cached entry address (the kernel's demand loader).
+    /// No module is ever lost or duplicated,
     /// layout and symbol invariants hold throughout, every faulted-in
     /// module passes the GOT audit and actually executes, and a stale
     /// entry reaches its own module or faults — never another's.
@@ -343,8 +342,7 @@ proptest! {
                         c.2 = Cached::Evicted;
                     }
                 }
-                // Rebalance one: live-migrate residents, retarget cold
-                // records — exactly what a split/merge batch does.
+                // Live-migrate a resident; a cold pick is a no-op.
                 4 if !names.is_empty() => {
                     let name = &names[pick % names.len()];
                     let owner = fleet.shard_of(name).unwrap();
@@ -355,8 +353,6 @@ proptest! {
                                 c.2 = Cached::Dead;
                             }
                         }
-                    } else {
-                        fleet.retarget(name, dst % shards).unwrap();
                     }
                 }
                 // Unload one, cold or resident.
@@ -370,8 +366,7 @@ proptest! {
                 // Call a cached entry directly, as a caller holding a
                 // function pointer would: a resident copy runs, an
                 // evicted one demand-faults back in (exactly one
-                // redirect), and a retargeted, migrated or unloaded one
-                // faults.
+                // redirect), and a migrated or unloaded one faults.
                 6 if !cache.is_empty() => {
                     let (name, &(shard, entry, state)) =
                         cache.iter().nth(pick % cache.len()).unwrap();

@@ -74,16 +74,6 @@ pub(crate) type ObserverList = Arc<[(u64, CallObserver)]>;
 /// proceeds to raise the usual [`VmError::Fault`].
 pub type DemandLoader = Arc<dyn Fn(u64) -> Option<u64> + Send + Sync>;
 
-/// Which reclamation scheme backs `mr_start`/`mr_finish`/`mr_retire`.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum ReclaimerKind {
-    /// Hyaline (the paper's choice).
-    #[default]
-    Hyaline,
-    /// Epoch-based reclamation (the comparison baseline).
-    Ebr,
-}
-
 /// Boot-time configuration.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
@@ -94,17 +84,14 @@ pub struct KernelConfig {
     pub retpoline: bool,
     /// Mirror printk lines to stderr.
     pub echo_printk: bool,
-    /// Reclamation scheme of the `mr_*` domain (page-table snapshots
-    /// always use EBR, DESIGN.md §11.3).
-    pub reclaimer: ReclaimerKind,
     /// Per-call instruction budget (runaway-loop guard).
     pub fuel: u64,
     /// RNG seed (layout randomization, keys).
     pub seed: u64,
     /// ISA backend of the kernel address space and every per-CPU TLB:
-    /// selects hardware PTE encodings, ASID width, and the TLB
-    /// invalidation cost model. Defaults to the environment-selected
-    /// arch (`ADELIE_ARCH=riscv64` picks Sv48; x86_64 otherwise).
+    /// selects hardware PTE encodings and ASID width. Defaults to the
+    /// environment-selected arch (`ADELIE_ARCH=riscv64` picks Sv48;
+    /// x86_64 otherwise).
     pub arch: ArchKind,
     /// `[lo, hi)` window of the randomization arena this kernel's
     /// module loads, re-randomization cycles, and randomized stacks may
@@ -121,7 +108,6 @@ impl Default for KernelConfig {
             cpus: 20,
             retpoline: true,
             echo_printk: false,
-            reclaimer: ReclaimerKind::Hyaline,
             fuel: 200_000_000,
             seed: 0x00AD_E11E,
             arch: ArchKind::from_env(),
@@ -153,7 +139,8 @@ pub struct Kernel {
     pub printk: Printk,
     /// Per-CPU assignment and accounting.
     pub percpu: PerCpu,
-    /// The `mr_*` reclamation domain.
+    /// The `mr_*` reclamation domain: Hyaline, the paper's choice
+    /// (page-table snapshots use EBR, DESIGN.md §11.3).
     pub reclaim: Arc<dyn Reclaimer>,
     /// Module-facing device registries.
     pub devices: DeviceTable,
@@ -183,10 +170,7 @@ impl Kernel {
     /// `mr_start`, `mr_finish`, `netif_rx`, the `register_*dev` family,
     /// `jiffies`).
     pub fn new(config: KernelConfig) -> Arc<Kernel> {
-        let reclaim: Arc<dyn Reclaimer> = match config.reclaimer {
-            ReclaimerKind::Hyaline => Arc::new(Hyaline::new(config.cpus)),
-            ReclaimerKind::Ebr => Arc::new(Ebr::new(config.cpus)),
-        };
+        let reclaim: Arc<dyn Reclaimer> = Arc::new(Hyaline::new(config.cpus));
         // Every Vm holds a reader slot for its lifetime, so the domain
         // must cover at least the CPU count (with headroom for
         // auxiliary readers like oracles and one-shot pins) — a kernel

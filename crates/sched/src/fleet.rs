@@ -24,9 +24,8 @@ use crate::policy::Policy;
 use crate::scheduler::{CycleReport, SchedConfig, Scheduler};
 use crate::stats::SchedStats;
 use crate::SimClock;
-use adelie_core::{Fleet, FleetError, ModuleRegistry};
+use adelie_core::ModuleRegistry;
 use adelie_kernel::Kernel;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -231,556 +230,5 @@ impl std::fmt::Debug for FleetScheduler {
             .field("cycles", &self.cycles())
             .field("budget", &self.budget)
             .finish()
-    }
-}
-
-/// Load-driven autoscaler knobs. Thresholds are multiples of the fair
-/// per-shard share of a window's calls — total calls divided by the
-/// *booted* shard count, not the active count, so a saturated active
-/// subset still reads as hot when parked capacity exists. Scale-free:
-/// the same config works at 10^2 and 10^6 calls per window.
-#[derive(Copy, Clone, Debug)]
-pub struct AutoscaleConfig {
-    /// Minimum ns between evaluations on the caller's clock (wall in
-    /// production, the stepped [`SimClock`] under test).
-    pub eval_every_ns: u64,
-    /// An active shard carrying more than `split_busy` × the fair share
-    /// of the window's calls is split: its load is spread onto a fresh
-    /// (or the least-busy) shard via live migration.
-    pub split_busy: f64,
-    /// An active shard carrying less than `merge_busy` × the fair share
-    /// is merged away: residents live-migrate and cold records retarget
-    /// into the least-busy sibling, and the shard deactivates.
-    pub merge_busy: f64,
-    /// Never deactivate below this many active shards.
-    pub min_active: usize,
-    /// Most migrations (plus retargets, on merge) per decision — the
-    /// rebalance batch size, bounding per-tick disruption.
-    pub max_moves: usize,
-}
-
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        AutoscaleConfig {
-            eval_every_ns: 1_000_000,
-            split_busy: 1.5,
-            merge_busy: 0.25,
-            min_active: 1,
-            max_moves: 8,
-        }
-    }
-}
-
-/// One autoscaling action, with the modules it actually moved.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScaleDecision {
-    /// `from` was hot: `moved` migrated to `to` (freshly activated, or
-    /// the least-busy active sibling).
-    Split {
-        /// The hot shard.
-        from: usize,
-        /// Where the load went.
-        to: usize,
-        /// Successfully migrated modules, in decision order.
-        moved: Vec<String>,
-    },
-    /// `from` was cold: `moved` migrated/retargeted into `into`, and
-    /// `from` deactivated (only if fully drained).
-    Merge {
-        /// The cold shard.
-        from: usize,
-        /// The absorbing shard.
-        into: usize,
-        /// Successfully moved modules, in decision order.
-        moved: Vec<String>,
-    },
-}
-
-/// Autoscaler counters.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct AutoscaleStats {
-    /// Evaluations that looked at a window of telemetry.
-    pub evals: u64,
-    /// Split decisions taken.
-    pub splits: u64,
-    /// Merge decisions that fully drained and deactivated a shard.
-    pub merges: u64,
-    /// Modules moved (migrations + retargets).
-    pub moves: u64,
-    /// Moves refused by admission control (`Overloaded` / `RetryAfter`)
-    /// or failed in flight — the autoscaler backs off, never forces.
-    pub refused: u64,
-}
-
-/// The load-driven autoscaler: watches per-shard call telemetry from
-/// the fleet's cold tier and splits hot shards / merges cold ones by
-/// driving [`Fleet::migrate`] / [`Fleet::retarget`] batches under the
-/// fleet's own admission control.
-///
-/// Shard windows are carved at boot
-/// ([`layout::shard_windows`](adelie_kernel::layout)), so "split" and
-/// "merge" manage the *active subset* of a booted maximum fleet:
-/// splitting activates a parked shard and spreads load onto it,
-/// merging drains a shard and parks it again. Every decision is a pure
-/// function of the call counters and the catalog, so a fleet driven on
-/// the stepped clock replays byte-identically — the property
-/// `autoscaler_decisions_are_deterministic` pins.
-///
-/// Requires [`Fleet::enable_cold_tier`] (the telemetry source).
-#[derive(Debug)]
-pub struct Autoscaler {
-    cfg: AutoscaleConfig,
-    active: Vec<bool>,
-    next_eval_ns: u64,
-    stats: AutoscaleStats,
-    decisions: Vec<(u64, ScaleDecision)>,
-}
-
-impl Autoscaler {
-    /// An autoscaler over `shards` total booted shards, the first
-    /// `initial_active` of them active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial_active` is zero or exceeds `shards`.
-    pub fn new(shards: usize, initial_active: usize, cfg: AutoscaleConfig) -> Autoscaler {
-        assert!(initial_active >= 1 && initial_active <= shards);
-        let mut active = vec![false; shards];
-        active[..initial_active].fill(true);
-        Autoscaler {
-            cfg,
-            active,
-            next_eval_ns: 0,
-            stats: AutoscaleStats::default(),
-            decisions: Vec::new(),
-        }
-    }
-
-    /// Which shards are currently active.
-    pub fn active(&self) -> &[bool] {
-        &self.active
-    }
-
-    /// Number of active shards.
-    pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|a| **a).count()
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> AutoscaleStats {
-        self.stats
-    }
-
-    /// Every decision taken, stamped with its evaluation time — the
-    /// determinism gate compares these across replayed runs.
-    pub fn decisions(&self) -> &[(u64, ScaleDecision)] {
-        &self.decisions
-    }
-
-    /// Evaluate one telemetry window at `now_ns` and rebalance.
-    /// Consumes the fleet's call counters (`take_shard_calls` /
-    /// `take_module_calls`). At most one decision per evaluation (a
-    /// split, else a merge), moving at most `max_moves` modules —
-    /// gradual by design, so a mis-estimated window cannot thrash the
-    /// fleet.
-    pub fn tick(&mut self, fleet: &Fleet, now_ns: u64) -> Vec<ScaleDecision> {
-        if now_ns < self.next_eval_ns {
-            return Vec::new();
-        }
-        self.next_eval_ns = now_ns.saturating_add(self.cfg.eval_every_ns);
-        self.stats.evals += 1;
-        let shard_calls = fleet.take_shard_calls();
-        let module_calls: HashMap<String, u64> = fleet.take_module_calls().into_iter().collect();
-        let total: u64 = shard_calls
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| self.active[*s])
-            .map(|(_, c)| *c)
-            .sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        // Fair share over the *booted* fleet: a saturated active subset
-        // must still read as hot relative to the parked capacity, or two
-        // fully-loaded shards of four could never split (their share of
-        // the active total is exactly 1.0 by construction).
-        let fair = total as f64 / self.active.len() as f64;
-        let mut out = Vec::new();
-        if let Some(d) = self.try_split(fleet, &shard_calls, &module_calls, fair, now_ns) {
-            out.push(d);
-        } else if let Some(d) = self.try_merge(fleet, &shard_calls, &module_calls, fair, now_ns) {
-            out.push(d);
-        }
-        out
-    }
-
-    /// Residents of `shard` that the catalog also assigns to it (a
-    /// half-migrated orphan is the repair queue's problem, not a
-    /// rebalance candidate), hottest first, names breaking ties.
-    fn movable_residents(
-        fleet: &Fleet,
-        module_calls: &HashMap<String, u64>,
-        shard: usize,
-    ) -> Vec<(String, u64)> {
-        let mut residents: Vec<(String, u64)> = fleet
-            .registry(shard)
-            .list()
-            .into_iter()
-            .filter(|n| fleet.shard_of(n) == Some(shard))
-            .map(|n| {
-                let calls = module_calls.get(&n).copied().unwrap_or(0);
-                (n, calls)
-            })
-            .collect();
-        residents.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        residents
-    }
-
-    fn try_split(
-        &mut self,
-        fleet: &Fleet,
-        shard_calls: &[u64],
-        module_calls: &HashMap<String, u64>,
-        fair: f64,
-        now_ns: u64,
-    ) -> Option<ScaleDecision> {
-        // Hottest shard above the split threshold; ties go to the
-        // lowest index.
-        let (from, calls) = shard_calls
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| self.active[*s])
-            .map(|(s, c)| (s, *c))
-            .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))?;
-        if (calls as f64) <= self.cfg.split_busy * fair {
-            return None;
-        }
-        // Prefer activating a parked shard; otherwise spill onto the
-        // least-busy active sibling.
-        let to = match self.active.iter().position(|a| !*a) {
-            Some(parked) => parked,
-            None => shard_calls
-                .iter()
-                .enumerate()
-                .filter(|(s, _)| self.active[*s] && *s != from)
-                .map(|(s, c)| (s, *c))
-                .min_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
-                .map(|(s, _)| s)?,
-        };
-        if to == from {
-            return None;
-        }
-        // Move every other hot resident (the 2nd, 4th, … hottest):
-        // splits the shard's load roughly in half while leaving the
-        // single hottest tenant undisturbed.
-        let ranked = Autoscaler::movable_residents(fleet, module_calls, from);
-        let movers: Vec<String> = ranked
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| i % 2 == 1)
-            .map(|(_, (n, _))| n)
-            .take(self.cfg.max_moves)
-            .collect();
-        if movers.is_empty() {
-            return None;
-        }
-        let was_active = self.active[to];
-        self.active[to] = true;
-        let mut moved = Vec::new();
-        for name in movers {
-            match fleet.migrate(&name, to) {
-                Ok(_) => {
-                    self.stats.moves += 1;
-                    moved.push(name);
-                }
-                Err(FleetError::RetryAfter { .. }) => {
-                    self.stats.refused += 1;
-                    break;
-                }
-                Err(_) => self.stats.refused += 1,
-            }
-        }
-        if moved.is_empty() {
-            self.active[to] = was_active;
-            return None;
-        }
-        self.stats.splits += 1;
-        let d = ScaleDecision::Split { from, to, moved };
-        self.decisions.push((now_ns, d.clone()));
-        Some(d)
-    }
-
-    fn try_merge(
-        &mut self,
-        fleet: &Fleet,
-        shard_calls: &[u64],
-        module_calls: &HashMap<String, u64>,
-        fair: f64,
-        now_ns: u64,
-    ) -> Option<ScaleDecision> {
-        if self.active_count() <= self.cfg.min_active {
-            return None;
-        }
-        // Coldest active shard below the merge threshold; ties go to
-        // the highest index (drain late shards first, so the active
-        // set stays a prefix when loads are symmetric).
-        let (from, calls) = shard_calls
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| self.active[*s])
-            .map(|(s, c)| (s, *c))
-            .min_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))?;
-        if (calls as f64) >= self.cfg.merge_busy * fair {
-            return None;
-        }
-        let into = shard_calls
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| self.active[*s] && *s != from)
-            .map(|(s, c)| (s, *c))
-            .min_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
-            .map(|(s, _)| s)?;
-        let mut budget = self.cfg.max_moves;
-        let mut moved = Vec::new();
-        let mut drained = true;
-        // Residents live-migrate (coldest first — cheap state, and the
-        // hot ones keep serving from `from` until a later tick).
-        let mut residents = Autoscaler::movable_residents(fleet, module_calls, from);
-        residents.reverse();
-        for (name, _) in residents {
-            if budget == 0 {
-                drained = false;
-                break;
-            }
-            match fleet.migrate(&name, into) {
-                Ok(_) => {
-                    self.stats.moves += 1;
-                    moved.push(name);
-                    budget -= 1;
-                }
-                Err(FleetError::RetryAfter { .. }) => {
-                    self.stats.refused += 1;
-                    drained = false;
-                    break;
-                }
-                Err(_) => {
-                    self.stats.refused += 1;
-                    drained = false;
-                }
-            }
-        }
-        // Cold records retarget (a catalog edit each; they follow the
-        // same admission gate on the absorbing shard).
-        if drained {
-            for (name, shard) in fleet.modules() {
-                if shard != from || fleet.registry(from).get(&name).is_some() {
-                    continue;
-                }
-                if budget == 0 {
-                    drained = false;
-                    break;
-                }
-                match fleet.retarget(&name, into) {
-                    Ok(()) => {
-                        self.stats.moves += 1;
-                        moved.push(name);
-                        budget -= 1;
-                    }
-                    Err(FleetError::RetryAfter { .. }) => {
-                        self.stats.refused += 1;
-                        drained = false;
-                        break;
-                    }
-                    Err(_) => {
-                        self.stats.refused += 1;
-                        drained = false;
-                    }
-                }
-            }
-        }
-        if moved.is_empty() && !drained {
-            return None;
-        }
-        if drained {
-            self.active[from] = false;
-            self.stats.merges += 1;
-        }
-        let d = ScaleDecision::Merge { from, into, moved };
-        self.decisions.push((now_ns, d.clone()));
-        Some(d)
-    }
-}
-
-#[cfg(test)]
-mod autoscale_tests {
-    use super::*;
-    use adelie_core::{ColdTierConfig, Pinned};
-    use adelie_isa::{AluOp, Insn, Reg};
-    use adelie_kernel::{FleetConfig, ShardedKernel};
-    use adelie_plugin::{
-        transform, DataInit, DataSpec, FuncSpec, MOp, ModuleSpec, TransformOptions,
-    };
-
-    /// `{name}_calc(x) = x + 9` plus a pointer table (adjust slots).
-    fn spec(name: &str) -> ModuleSpec {
-        let mut s = ModuleSpec::new(name);
-        s.funcs.push(FuncSpec::exported(
-            &format!("{name}_calc"),
-            vec![
-                MOp::Insn(Insn::MovRR {
-                    dst: Reg::Rax,
-                    src: Reg::Rdi,
-                }),
-                MOp::Insn(Insn::AluImm {
-                    op: AluOp::Add,
-                    dst: Reg::Rax,
-                    imm: 9,
-                }),
-                MOp::Ret,
-            ],
-        ));
-        s.data.push(DataSpec {
-            name: format!("{name}_ops"),
-            readonly: false,
-            init: DataInit::PtrTable(vec![format!("{name}_calc")]),
-        });
-        s
-    }
-
-    /// A 4-shard fleet with every module pinned to shard 0 and the cold
-    /// tier (the autoscaler's telemetry source) enabled.
-    fn hot_shard_fleet(modules: usize) -> Fleet {
-        let mut pins = HashMap::new();
-        for i in 0..modules {
-            pins.insert(format!("m{i}"), 0);
-        }
-        let fleet = Fleet::new(
-            ShardedKernel::new(FleetConfig::seeded(4, 11)),
-            Box::new(Pinned::new(pins, 0)),
-        );
-        fleet.enable_cold_tier(ColdTierConfig {
-            idle_ns: u64::MAX,
-            max_resident: 1 << 20,
-        });
-        let opts = TransformOptions::rerandomizable(true);
-        for i in 0..modules {
-            let obj = transform(&spec(&format!("m{i}")), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
-        }
-        fleet
-    }
-
-    /// Drive `calls` outermost calls against each named module.
-    fn drive(fleet: &Fleet, names: &[&str], calls: usize) {
-        for name in names {
-            let (shard, module) = fleet.ensure_resident(name).unwrap();
-            let entry = module.export(&format!("{name}_calc")).unwrap();
-            let mut vm = fleet.kernel(shard).vm();
-            for _ in 0..calls {
-                assert_eq!(vm.call(entry, &[1]).unwrap(), 10);
-            }
-        }
-    }
-
-    #[test]
-    fn splits_a_hot_shard_onto_a_parked_one() {
-        let fleet = hot_shard_fleet(6);
-        let mut scaler = Autoscaler::new(
-            4,
-            2,
-            AutoscaleConfig {
-                eval_every_ns: 1_000,
-                max_moves: 8,
-                ..AutoscaleConfig::default()
-            },
-        );
-        assert_eq!(scaler.active_count(), 2);
-        // All traffic lands on shard 0: far beyond 2× the fair share.
-        drive(&fleet, &["m0", "m1", "m2", "m3", "m4", "m5"], 4);
-        let decisions = scaler.tick(&fleet, 1_000);
-        let [ScaleDecision::Split { from: 0, to, moved }] = decisions.as_slice() else {
-            panic!("hot shard must split, got {decisions:?}");
-        };
-        assert_eq!(*to, 2, "lowest parked shard is activated");
-        assert_eq!(moved.len(), 3, "every other hot resident moves");
-        assert!(scaler.active()[2]);
-        for name in moved {
-            assert_eq!(fleet.shard_of(name), Some(2));
-        }
-        assert!(fleet.verify_layout().is_empty());
-        assert!(fleet.verify_symbol_integrity().is_empty());
-        let stats = scaler.stats();
-        assert_eq!(stats.splits, 1);
-        assert_eq!(stats.moves, 3);
-        assert_eq!(stats.refused, 0);
-    }
-
-    #[test]
-    fn merges_an_idle_shard_and_parks_it() {
-        let fleet = hot_shard_fleet(4);
-        let mut scaler = Autoscaler::new(
-            4,
-            2,
-            AutoscaleConfig {
-                eval_every_ns: 1_000,
-                split_busy: 100.0, // splits off for this test
-                max_moves: 16,
-                ..AutoscaleConfig::default()
-            },
-        );
-        // Move one module to shard 1 by hand, then let it go idle
-        // while shard 0 stays busy.
-        fleet.migrate("m3", 1).unwrap();
-        fleet.take_shard_calls();
-        fleet.take_module_calls();
-        drive(&fleet, &["m0", "m1", "m2"], 8);
-        let decisions = scaler.tick(&fleet, 1_000);
-        let [ScaleDecision::Merge {
-            from: 1,
-            into: 0,
-            moved,
-        }] = decisions.as_slice()
-        else {
-            panic!("idle shard must merge, got {decisions:?}");
-        };
-        assert_eq!(moved, &["m3".to_string()]);
-        assert_eq!(fleet.shard_of("m3"), Some(0));
-        assert_eq!(scaler.active_count(), 1);
-        assert!(!scaler.active()[1]);
-        assert_eq!(scaler.stats().merges, 1);
-        assert!(fleet.verify_layout().is_empty());
-        assert!(fleet.verify_symbol_integrity().is_empty());
-        // min_active floors further merges.
-        drive(&fleet, &["m0"], 4);
-        assert!(scaler.tick(&fleet, 2_000).is_empty());
-        assert_eq!(scaler.active_count(), 1);
-    }
-
-    /// The determinism gate: two fleets driven through the identical
-    /// call script produce byte-identical decision logs and final
-    /// placements.
-    #[test]
-    fn autoscaler_decisions_are_deterministic() {
-        let run = || {
-            let fleet = hot_shard_fleet(6);
-            let mut scaler = Autoscaler::new(
-                4,
-                2,
-                AutoscaleConfig {
-                    eval_every_ns: 1_000,
-                    ..AutoscaleConfig::default()
-                },
-            );
-            for round in 1..=3u64 {
-                drive(&fleet, &["m0", "m1", "m2"], 3);
-                drive(&fleet, &["m3"], 1);
-                scaler.tick(&fleet, round * 1_000);
-            }
-            (format!("{:?}", scaler.decisions()), fleet.modules())
-        };
-        let (log_a, mods_a) = run();
-        let (log_b, mods_b) = run();
-        assert_eq!(log_a, log_b, "decision log must replay");
-        assert_eq!(mods_a, mods_b, "final placement must replay");
     }
 }

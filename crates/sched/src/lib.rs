@@ -22,6 +22,8 @@
 //!   histograms, missed-deadline counts, pointer-refresh failure
 //!   counts, per-policy period/rate/exposure readouts, printed next to
 //!   the artifact's dmesg block by [`Scheduler::log_stats`],
+//! * [`FleetScheduler`] — **one worker group per kernel shard** of a
+//!   fleet, every group under one global [`BudgetController`],
 //! * [`Clock`]/[`SimClock`] — an **injectable timeline**: production
 //!   pools run threaded on the wall clock; verification pools
 //!   ([`Scheduler::spawn_stepped`]) run threadless on a virtual clock,
@@ -74,9 +76,7 @@ mod stats;
 
 pub use budget::BudgetController;
 pub use clock::{Clock, SimClock};
-pub use fleet::{
-    AutoscaleConfig, AutoscaleStats, Autoscaler, FleetScheduler, ScaleDecision, ShardSched,
-};
+pub use fleet::{FleetScheduler, ShardSched};
 pub use health::{
     backoff_multiplier, CycleError, HealthEvent, HealthState, ModuleHealth, SupervisionConfig,
 };

@@ -5,7 +5,7 @@ use adelie_core::{LoadedModule, ModuleRegistry};
 use adelie_isa::{AluOp, Insn, Reg};
 use adelie_kernel::{Kernel, KernelConfig};
 use adelie_plugin::{transform, FuncSpec, MOp, ModuleSpec, TransformOptions};
-use adelie_sched::{Policy, SchedConfig, Scheduler};
+use adelie_sched::{Policy, SchedConfig, SchedStats, Scheduler, SimClock};
 use adelie_vmem::PAGE_SIZE;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -319,31 +319,68 @@ fn budget_applies_backpressure() {
     assert_eq!(uncapped.cpu_pressure, 0.0, "no cap, no pressure");
 }
 
+/// Drive 3 busy modules under a stepped pool for 500 ms of virtual
+/// time: one call into every module each `TRAFFIC_STEP`, then every
+/// cycle that has come due. Returns the pool's final stats.
+fn stepped_window(
+    kernel: &Arc<Kernel>,
+    registry: &Arc<ModuleRegistry>,
+    modules: &[Arc<LoadedModule>],
+    config: SchedConfig,
+) -> SchedStats {
+    const WINDOW: Duration = Duration::from_millis(500);
+    const TRAFFIC_STEP: Duration = Duration::from_micros(50);
+    let with_policies: Vec<(&str, Policy)> = ["mod0", "mod1", "mod2"]
+        .into_iter()
+        .map(|name| (name, config.policy.clone()))
+        .collect();
+    let clock = SimClock::new();
+    let sched = Scheduler::spawn_stepped(
+        kernel.clone(),
+        registry.clone(),
+        &with_policies,
+        config,
+        clock.clone(),
+        Duration::from_micros(50),
+    );
+    let mut vm = kernel.vm();
+    let entries: Vec<u64> = modules
+        .iter()
+        .enumerate()
+        .map(|(i, m)| m.export(&format!("mod{i}_calc")).unwrap())
+        .collect();
+    while clock.now_ns() < WINDOW.as_nanos() as u64 {
+        for &e in &entries {
+            assert_eq!(vm.call(e, &[16]).unwrap(), 42);
+        }
+        clock.advance(TRAFFIC_STEP);
+        while sched
+            .peek_deadline_ns()
+            .is_some_and(|d| d <= clock.now_ns())
+        {
+            sched.step();
+        }
+    }
+    sched.stop()
+}
+
 /// The acceptance claim: a 4-worker Adaptive scheduler over 3 busy
 /// modules completes ≥ 2× the module-cycles of the serial fixed-period
 /// configuration (`SchedConfig::serial`, the artifact's one kthread, at
-/// its default 20 ms period) in the
-/// same wall time — because it tightens periods where call rate and
-/// gadget exposure demand it instead of sleeping a fixed schedule.
+/// its default 20 ms period) in the same time — because it tightens
+/// periods where call rate and gadget exposure demand it instead of
+/// sleeping a fixed schedule. Both arms run stepped on a virtual clock
+/// under the same driven traffic, so the cycle counts are exact.
 #[test]
 fn adaptive_four_workers_doubles_serial_shim_cycles() {
-    const WINDOW: Duration = Duration::from_millis(500);
-
     let serial = {
         let (kernel, registry, modules) = boot_n(3);
-        let rr = Scheduler::spawn(
-            kernel.clone(),
-            registry.clone(),
-            &["mod0", "mod1", "mod2"],
+        let stats = stepped_window(
+            &kernel,
+            &registry,
+            &modules,
             SchedConfig::serial(Duration::from_millis(20)),
         );
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| traffic(&kernel, &modules, &stop));
-            std::thread::sleep(WINDOW);
-            stop.store(true, Ordering::Relaxed);
-        });
-        let stats = rr.stop();
         kernel.reclaim.flush();
         assert_eq!(kernel.reclaim.stats().delta(), 0);
         stats.cycles
@@ -351,10 +388,10 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
 
     let adaptive = {
         let (kernel, registry, modules) = boot_n(3);
-        let sched = Scheduler::spawn(
-            kernel.clone(),
-            registry.clone(),
-            &["mod0", "mod1", "mod2"],
+        let stats = stepped_window(
+            &kernel,
+            &registry,
+            &modules,
             SchedConfig {
                 workers: 4,
                 policy: Policy::Adaptive {
@@ -366,13 +403,6 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
                 ..SchedConfig::default()
             },
         );
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| traffic(&kernel, &modules, &stop));
-            std::thread::sleep(WINDOW);
-            stop.store(true, Ordering::Relaxed);
-        });
-        let stats = sched.stop();
         registry.stacks.rotate(&kernel);
         kernel.reclaim.flush();
         assert_eq!(kernel.reclaim.stats().delta(), 0, "SMR delta");
@@ -392,7 +422,6 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
 /// `coalesced_shootdowns` counter), and the pool stays correct.
 #[test]
 fn same_deadline_cycles_coalesce_shootdown_epochs() {
-    use adelie_sched::SimClock;
     let (kernel, registry, modules) = boot_n(4);
     let with_policies: Vec<(&str, Policy)> = modules
         .iter()

@@ -2,8 +2,7 @@
 //!
 //! Module popularity in a large driver catalog is not uniform: a few
 //! hot modules take almost all calls while the long tail sits idle —
-//! exactly the regime the cold-module tier and the load-driven
-//! autoscaler are built for. [`ZipfSampler`] draws ranks from a
+//! exactly the regime the cold-module tier is built for. [`ZipfSampler`] draws ranks from a
 //! discrete Zipf(θ) distribution via a precomputed cumulative table
 //! and binary search (O(log n) per draw, no rejection loop), and
 //! [`Workload`] maps those ranks onto a tenant-structured module
@@ -112,9 +111,8 @@ impl Default for WorkloadConfig {
 ///
 /// Popularity rank `r` maps to module `perm[r]` through a seeded
 /// Fisher–Yates permutation, so the hot set lands on arbitrary
-/// tenants — a tenant-pinned static placement therefore concentrates
-/// hot modules on whichever shards the hot tenants hash to, which is
-/// precisely the imbalance the autoscaler must detect and undo.
+/// tenants — a tenant-pinned placement therefore concentrates hot
+/// modules on whichever shards the hot tenants hash to.
 #[derive(Clone, Debug)]
 pub struct Workload {
     names: Vec<String>,

@@ -174,7 +174,7 @@ fn run_trace_on(arch: ArchKind, seed: u64) -> String {
 }
 
 /// The ISA backend changes how PTEs are *encoded* (hardware bit
-/// layouts, ASID widths, cost models) but must never change what the
+/// layouts, ASID widths, context tokens) but must never change what the
 /// system *does*: the abstract `Pte` layer is arch-invisible, so the
 /// same seeded trace — ioctl results, translation probes, commit
 /// timeline, TLB counter evolution, oracle verdict — must be

@@ -1,5 +1,5 @@
-//! ISA backends: hardware PTE encodings, ASID allocation, and per-arch
-//! TLB invalidation cost models (the [`Arch`] trait).
+//! ISA backends: hardware PTE encodings, ASID allocation, and context
+//! tokens (the [`Arch`] trait).
 //!
 //! The rest of vmem reasons about an abstract leaf ([`Pte`]): a frame or
 //! an MMIO window plus writable/no-execute permission bits. Real
@@ -34,19 +34,15 @@
 //!    rollover epoch, and a TLB that observes a newer epoch than it
 //!    has adopted must flush once before trusting tags again (see
 //!    DESIGN.md §15).
-//! 3. **Invalidation cost models** ([`TlbCostModel`]): relative cycle
-//!    weights for single-page invalidation (`invlpg` /
-//!    `sfence.vma addr, asid`), ranged resynchronization, full flushes
-//!    (`invpcid` all-context / `sfence.vma x0, x0`), and tagged vs
-//!    flushing context switches — so `BENCH_tlb_shootdown` can report
-//!    arch-realistic columns from one run's [`TlbStats`].
+//! 3. **Context tokens** ([`Arch::context_token`]): the CR3 or `satp`
+//!    image that installs a root under an identifier.
 //!
 //! The workspace picks a backend at runtime via [`ArchKind`]
 //! (`ADELIE_ARCH=riscv64` in the environment, or explicitly through
 //! `SpaceConfig`/`KernelConfig`), which keeps CI's arch matrix a pure
 //! environment toggle.
 
-use crate::{Pfn, Pte, PteFlags, PteKind, TlbStats};
+use crate::{Pfn, Pte, PteFlags, PteKind};
 use std::sync::Mutex;
 
 /// An architecture-encoded leaf PTE: the raw bits a hardware page-table
@@ -162,54 +158,8 @@ impl AsidAllocator {
     }
 }
 
-/// Relative cycle weights for one architecture's TLB maintenance
-/// instructions. The absolute numbers are order-of-magnitude estimates
-/// from published microbenchmarks (invlpg/invpcid latency, `mov cr3`
-/// with and without the no-flush bit, `sfence.vma` variants); what the
-/// bench cares about is the *shape* — per-page vs ranged vs full vs
-/// tagged-switch — applied uniformly to both backends' [`TlbStats`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct TlbCostModel {
-    /// Backend name the model belongs to.
-    pub arch: &'static str,
-    /// One page, one address space: `invlpg` / `sfence.vma addr, asid`,
-    /// including the cost of refilling the entry on next touch.
-    pub page_invalidate: u64,
-    /// Fixed overhead of one ranged resynchronization pass (reading the
-    /// invalidation set and issuing the per-page operations, which are
-    /// charged separately via `page_invalidate`).
-    pub range_sync_base: u64,
-    /// Everything goes: `invpcid` single-context / `sfence.vma x0, x0`
-    /// plus the steady-state refill storm that follows.
-    pub full_flush: u64,
-    /// A context switch that *keeps* tagged entries: `mov cr3` with
-    /// bit 63 (PCID no-flush) / `csrw satp` with a new ASID.
-    pub tagged_switch: u64,
-    /// A context switch that flushes: untagged `mov cr3` / `csrw satp`
-    /// followed by `sfence.vma`, plus the refill storm.
-    pub switch_flush: u64,
-}
-
-impl TlbCostModel {
-    /// Price a TLB's counter snapshot under this model, in modeled
-    /// cycles. Full flushes are split by cause using the
-    /// [`TlbStats::switch_flushes`] accounting: switch-forced flushes
-    /// are charged at `switch_flush`, the rest (log horizon, disabled
-    /// log, explicit) at `full_flush`; switches that kept their tagged
-    /// entries cost only `tagged_switch`.
-    pub fn modeled_cycles(&self, t: &TlbStats) -> u64 {
-        let other_flushes = t.flushes.saturating_sub(t.switch_flushes);
-        let tagged_switches = t.switches.saturating_sub(t.switch_flushes);
-        t.entries_invalidated * self.page_invalidate
-            + t.partial_flushes * self.range_sync_base
-            + other_flushes * self.full_flush
-            + t.switch_flushes * self.switch_flush
-            + tagged_switches * self.tagged_switch
-    }
-}
-
-/// One ISA backend: leaf encode/decode, identifier width, context-token
-/// formation, and the invalidation cost model. Implementations are
+/// One ISA backend: leaf encode/decode, identifier width, and context-
+/// token formation. Implementations are
 /// zero-sized; runtime selection goes through [`ArchKind`].
 pub trait Arch {
     /// Human-readable backend name (used in bench column labels).
@@ -228,9 +178,6 @@ pub trait Arch {
     /// a CR3 value with the PCID in bits 0..12, or a `satp` value with
     /// MODE=Sv48, the ASID at bits 44..60, and the root PPN.
     fn context_token(asid: Asid, root: Pfn) -> u64;
-
-    /// This backend's invalidation cost model.
-    fn cost_model() -> TlbCostModel;
 }
 
 /// x86_64 4-level paging bit layout (level-1 leaf).
@@ -364,17 +311,6 @@ impl Arch for X86_64 {
         // across switches.)
         (root.0 << 12) | (asid.value as u64 & 0xFFF)
     }
-
-    fn cost_model() -> TlbCostModel {
-        TlbCostModel {
-            arch: Self::NAME,
-            page_invalidate: 240, // invlpg + next-touch refill
-            range_sync_base: 120,
-            full_flush: 1700,   // invpcid single-context + refill storm
-            tagged_switch: 300, // mov cr3, PCID, bit 63 set
-            switch_flush: 2200, // mov cr3 without no-flush + refills
-        }
-    }
 }
 
 /// riscv64 Sv48 with `satp`-style 16-bit ASIDs.
@@ -437,17 +373,6 @@ impl Arch for Riscv64Sv48 {
     fn context_token(asid: Asid, root: Pfn) -> u64 {
         // satp: MODE=9 (Sv48) | ASID[15:0] at bits 44..60 | root PPN.
         (9u64 << 60) | ((asid.value as u64) << 44) | (root.0 & ((1u64 << 44) - 1))
-    }
-
-    fn cost_model() -> TlbCostModel {
-        TlbCostModel {
-            arch: Self::NAME,
-            page_invalidate: 90, // sfence.vma addr, asid
-            range_sync_base: 60,
-            full_flush: 900,    // sfence.vma x0, x0 + refill storm
-            tagged_switch: 150, // csrw satp with a live ASID
-            switch_flush: 1050, // csrw satp + sfence.vma + refills
-        }
     }
 }
 
@@ -535,14 +460,6 @@ impl ArchKind {
         match self {
             ArchKind::X86_64 => X86_64::context_token(asid, root),
             ArchKind::Riscv64Sv48 => Riscv64Sv48::context_token(asid, root),
-        }
-    }
-
-    /// Invalidation cost model ([`Arch::cost_model`]).
-    pub fn cost_model(self) -> TlbCostModel {
-        match self {
-            ArchKind::X86_64 => X86_64::cost_model(),
-            ArchKind::Riscv64Sv48 => Riscv64Sv48::cost_model(),
         }
     }
 
@@ -713,31 +630,5 @@ mod tests {
         let b = ArchKind::X86_64.allocate_asid();
         assert_ne!((a.value, a.rollover), (b.value, b.rollover));
         assert!(a.value >= 1 && b.value >= 1);
-    }
-
-    #[test]
-    fn cost_models_price_the_tagged_switch_win() {
-        let stats_tagged = TlbStats {
-            switches: 100,
-            ..TlbStats::default()
-        };
-        let stats_flushing = TlbStats {
-            switches: 100,
-            switch_flushes: 100,
-            flushes: 100,
-            ..TlbStats::default()
-        };
-        for arch in ARCHES {
-            let m = arch.cost_model();
-            assert!(
-                m.modeled_cycles(&stats_tagged) < m.modeled_cycles(&stats_flushing),
-                "{}: keeping tagged entries must be modeled cheaper",
-                m.arch
-            );
-        }
-        // Per-arch shape: riscv's fences are cheaper across the board.
-        let x = ArchKind::X86_64.cost_model();
-        let r = ArchKind::Riscv64Sv48.cost_model();
-        assert!(r.full_flush < x.full_flush && r.page_invalidate < x.page_invalidate);
     }
 }

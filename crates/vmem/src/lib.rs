@@ -53,7 +53,7 @@ mod space;
 mod tlb;
 
 pub use adelie_reclaim::SmrStats;
-pub use arch::{Arch, ArchKind, Asid, AsidAllocator, HwPte, PteDecodeError, TlbCostModel};
+pub use arch::{Arch, ArchKind, Asid, AsidAllocator, HwPte, PteDecodeError};
 pub use batch::Batch;
 pub use fault::{Access, Fault};
 pub use phys::{Pfn, PhysMem, PhysStats};

@@ -57,7 +57,8 @@
 //! Tagging is the only switch policy. The flush-on-every-switch
 //! baseline it replaced was an ablation until commit fd67120, where a
 //! TLB roaming 4 shards for 200 rounds paid 199 switch flushes and 0
-//! hits, ~7.3× the modeled cycles of the tagged TLB (DESIGN.md §15.6).
+//! hits, where the tagged TLB pays 0 flushes and hits 196 times
+//! (DESIGN.md §15.6).
 //!
 //! # The micro-TLB (L1)
 //!

@@ -5,7 +5,7 @@
 use adelie::core::{rerandomize_module, ModuleRegistry};
 use adelie::drivers::{install_dummy, install_nic, install_nvme, specs, NicFlavor};
 use adelie::gadget::{build_chain, scan};
-use adelie::kernel::{Kernel, KernelConfig, ReclaimerKind, VmError, SECTOR_SIZE};
+use adelie::kernel::{Kernel, KernelConfig, VmError, SECTOR_SIZE};
 use adelie::plugin::{transform, TransformOptions};
 use adelie::sched::{SchedConfig, Scheduler, SimClock};
 use adelie::vmem::{Access, Fault, PAGE_SIZE};
@@ -20,61 +20,49 @@ fn boot() -> (Arc<Kernel>, Arc<ModuleRegistry>) {
 }
 
 #[test]
-fn full_stack_ioctl_under_1ms_rerand_with_both_reclaimers() {
+fn full_stack_ioctl_under_1ms_rerand_with_hyaline() {
     // Stepped scheduler on a virtual clock: each ioctl "takes" 5 µs of
     // virtual time and every due 1 ms deadline cycles the module — the
-    // cycle count is exact, not a function of machine speed.
-    for reclaimer in [ReclaimerKind::Hyaline, ReclaimerKind::Ebr] {
-        let kernel = Kernel::new(KernelConfig {
-            reclaimer,
-            ..KernelConfig::default()
-        });
-        let registry = ModuleRegistry::new(&kernel);
-        let opts = TransformOptions::rerandomizable(true);
-        install_dummy(&registry, &opts).unwrap();
-        let clock = SimClock::new();
-        let sched = Scheduler::spawn_stepped(
-            kernel.clone(),
-            registry.clone(),
-            &[(
-                "dummy",
-                adelie::sched::Policy::FixedPeriod(Duration::from_millis(1)),
-            )],
-            SchedConfig::serial(Duration::from_millis(1)),
-            clock.clone(),
-            Duration::from_micros(50),
-        );
-        let mut vm = kernel.vm();
-        for i in 0..2000u64 {
-            assert_eq!(
-                kernel.ioctl(&mut vm, specs::DUMMY_MINOR, 0, i).unwrap(),
-                i,
-                "{reclaimer:?}"
-            );
-            clock.advance(Duration::from_micros(5));
-            while sched
-                .peek_deadline_ns()
-                .is_some_and(|d| d <= clock.now_ns())
-            {
-                sched.step();
-            }
+    // cycle count is exact, not a function of machine speed. The `mr_*`
+    // domain is Hyaline; the EBR comparison is recorded in DESIGN.md
+    // §8.1.
+    let (kernel, registry) = boot();
+    let opts = TransformOptions::rerandomizable(true);
+    install_dummy(&registry, &opts).unwrap();
+    let clock = SimClock::new();
+    let sched = Scheduler::spawn_stepped(
+        kernel.clone(),
+        registry.clone(),
+        &[(
+            "dummy",
+            adelie::sched::Policy::FixedPeriod(Duration::from_millis(1)),
+        )],
+        SchedConfig::serial(Duration::from_millis(1)),
+        clock.clone(),
+        Duration::from_micros(50),
+    );
+    let mut vm = kernel.vm();
+    for i in 0..2000u64 {
+        assert_eq!(kernel.ioctl(&mut vm, specs::DUMMY_MINOR, 0, i).unwrap(), i);
+        clock.advance(Duration::from_micros(5));
+        while sched
+            .peek_deadline_ns()
+            .is_some_and(|d| d <= clock.now_ns())
+        {
+            sched.step();
         }
-        let stats = sched.stop();
-        // 2000 ioctls × 5 µs ≈ 10 ms of virtual time at a 1 ms period
-        // (cycle cost stretches the spacing slightly).
-        assert!(
-            (8..=11).contains(&stats.cycles),
-            "{reclaimer:?}: {} cycles — virtual time makes this exact-ish",
-            stats.cycles
-        );
-        assert_eq!(stats.failures, 0, "{reclaimer:?}");
-        kernel.reclaim.flush();
-        assert_eq!(
-            kernel.reclaim.stats().delta(),
-            0,
-            "{reclaimer:?} drained everything"
-        );
     }
+    let stats = sched.stop();
+    // 2000 ioctls × 5 µs ≈ 10 ms of virtual time at a 1 ms period
+    // (cycle cost stretches the spacing slightly).
+    assert!(
+        (8..=11).contains(&stats.cycles),
+        "{} cycles — virtual time makes this exact-ish",
+        stats.cycles
+    );
+    assert_eq!(stats.failures, 0);
+    kernel.reclaim.flush();
+    assert_eq!(kernel.reclaim.stats().delta(), 0, "drained everything");
 }
 
 #[test]
