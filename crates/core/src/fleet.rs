@@ -32,7 +32,7 @@ use adelie_obj::ObjectFile;
 use adelie_plugin::TransformOptions;
 use adelie_vmem::{PteFlags, PAGE_SIZE};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -334,6 +334,22 @@ struct EvictedModule {
 }
 
 impl EvictedModule {
+    /// Where resident module `m` in `shard` is mapped right now.
+    fn of(shard: usize, m: &LoadedModule) -> EvictedModule {
+        let (imm_base, imm_span) = m
+            .immovable
+            .as_ref()
+            .map(|i| (i.base, (i.total_pages * PAGE_SIZE) as u64))
+            .unwrap_or((0, 0));
+        EvictedModule {
+            shard,
+            imm_base,
+            imm_span,
+            mov_base: m.movable_base.load(Ordering::Acquire),
+            mov_span: (m.movable.total_pages * PAGE_SIZE) as u64,
+        }
+    }
+
     /// The non-empty part spans as `(base, span_bytes)`, movable first
     /// (a module without an immovable part records an empty one).
     fn spans(&self) -> impl Iterator<Item = (u64, u64)> {
@@ -1421,62 +1437,95 @@ impl Fleet {
 
     /// Evict `name` to the cold tier: graceful unload (exit runs, both
     /// parts retire as one batched shootdown) with the catalog record
-    /// kept as the fault-in recipe. Idempotent for already-cold
-    /// modules. On an unload failure (trapping exit) the module stays
-    /// resident and serving.
+    /// kept as the fault-in recipe — a one-element
+    /// [`Fleet::cold_tick`] batch. Idempotent for already-cold modules.
+    /// On an unload failure (trapping exit) the module stays resident
+    /// and serving.
     ///
     /// # Errors
     ///
     /// [`FleetError::UnknownModule`] / [`FleetError::Unload`].
     pub fn evict(&self, name: &str) -> Result<(), FleetError> {
         let catalog = self.catalog.lock();
-        let rec = catalog
+        let shard = catalog
             .get(name)
-            .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?;
-        let shard = rec.shard;
-        let Some(m) = self.registries[shard].get(name) else {
+            .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?
+            .shard;
+        if self.registries[shard].get(name).is_none() {
             return Ok(());
-        };
-        let (imm_base, imm_span) = m
-            .immovable
-            .as_ref()
-            .map(|i| (i.base, (i.total_pages * PAGE_SIZE) as u64))
-            .unwrap_or((0, 0));
-        let mov_base = m.movable_base.load(Ordering::Acquire);
-        let mov_span = (m.movable.total_pages * PAGE_SIZE) as u64;
-        let bytes = m.mapped_bytes();
-        let key = m.name.clone();
-        drop(m);
-        self.registries[shard]
-            .unload(name)
-            .map_err(FleetError::Unload)?;
-        {
-            let mut counters = self.counters.lock();
-            counters[shard].resident -= 1;
-            counters[shard].cold += 1;
-            counters[shard].mapped_bytes -= bytes;
         }
-        if let Some(tier) = self.cold_tier() {
-            tier.remove_module(shard, name);
-            // Only residents carry a stamp; fault-in re-stamps it.
-            tier.last_call.lock().remove(name);
-            tier.evicted.lock().insert(
-                key,
-                EvictedModule {
-                    shard,
-                    imm_base,
-                    imm_span,
-                    mov_base,
-                    mov_span,
-                },
+        self.evict_batch(shard, &[name])
+            .pop()
+            .expect("one result per name")
+    }
+
+    /// Evict `names` — residents of `shard`, owned there by the catalog
+    /// the caller holds locked — as one teardown: their exits run in
+    /// order, every module that survived its exit retires in one vmem
+    /// batch ([`ModuleRegistry::unload_many`]), and the fleet's
+    /// bookkeeping runs once for the batch — the counters under one
+    /// lock, one pass over the resident span index, then the
+    /// last-call stamps and the evicted index. One printk line names
+    /// the batch. Returns one result per name, in order.
+    fn evict_batch(&self, shard: usize, names: &[&str]) -> Vec<Result<(), FleetError>> {
+        let registry = &self.registries[shard];
+        let records: Vec<Option<(Arc<str>, EvictedModule, usize)>> = names
+            .iter()
+            .map(|name| {
+                let m = registry.get(name)?;
+                Some((
+                    m.name.clone(),
+                    EvictedModule::of(shard, &m),
+                    m.mapped_bytes(),
+                ))
+            })
+            .collect();
+        let results = registry.unload_many(names, true);
+        let evicted: Vec<(Arc<str>, EvictedModule, usize)> = records
+            .into_iter()
+            .zip(&results)
+            .filter_map(|(rec, result)| rec.filter(|_| result.is_ok()))
+            .collect();
+        if !evicted.is_empty() {
+            {
+                let mut counters = self.counters.lock();
+                for (_, _, bytes) in &evicted {
+                    counters[shard].resident -= 1;
+                    counters[shard].cold += 1;
+                    counters[shard].mapped_bytes -= bytes;
+                }
+            }
+            if let Some(tier) = self.cold_tier() {
+                let gone: HashSet<&str> = evicted.iter().map(|(n, _, _)| &**n).collect();
+                tier.ranges.lock()[shard].retain(|(_, _, n)| !gone.contains(&**n));
+                {
+                    // Only residents carry a stamp; fault-in re-stamps it.
+                    let mut last = tier.last_call.lock();
+                    for name in &gone {
+                        last.remove(*name);
+                    }
+                }
+                let mut index = tier.evicted.lock();
+                for (name, rec, _) in &evicted {
+                    index.insert(name.clone(), *rec);
+                }
+                tier.evictions
+                    .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            }
+            let label = evicted
+                .iter()
+                .map(|(n, _, _)| &**n)
+                .collect::<Vec<_>>()
+                .join(", ");
+            self.sharded.shard(shard).printk.log_limited(
+                "fleet-evict",
+                format!("fleet: {label} evicted cold from shard {shard}"),
             );
-            tier.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        self.sharded.shard(shard).printk.log_limited(
-            "fleet-evict",
-            format!("fleet: {name} evicted cold from shard {shard}"),
-        );
-        Ok(())
+        results
+            .into_iter()
+            .map(|r| r.map_err(FleetError::Unload))
+            .collect()
     }
 
     /// Advance the cold tier's clock to `now_ns` (whatever clock the
@@ -1485,41 +1534,85 @@ impl Fleet {
     /// `max_resident`. Eviction order is `(last_call, name)` —
     /// deterministic for a deterministic call history. Half-migrated
     /// orphans are skipped (the repair queue owns them); a module whose
-    /// exit traps stays resident. Returns the evicted names. No-op
+    /// exit traps stays resident, and the next candidate is considered
+    /// in its place. Returns the evicted names, in that order. No-op
     /// until [`Fleet::enable_cold_tier`].
+    ///
+    /// Each shard's victims go as one [`Fleet::evict`]-style batch: one
+    /// page-table transaction and one shootdown per shard, under one
+    /// catalog lock. Victims are chosen assuming every eviction
+    /// succeeds; only when an exit traps does the tick choose again
+    /// from the next candidate and run a second round of batches, so
+    /// the evicted set is exactly what evicting one name at a time
+    /// would give. The tick ends by reclaiming the page-table
+    /// snapshots it retired, so callers' next fault-ins do not pay for
+    /// dropping them.
     pub fn cold_tick(&self, now_ns: u64) -> Vec<String> {
         let Some(tier) = self.cold_tier() else {
             return Vec::new();
         };
         tier.now_ns.store(now_ns, Ordering::Relaxed);
-        let mut candidates: Vec<(u64, String)> = Vec::new();
+        let catalog = self.catalog.lock();
+        let mut candidates: Vec<(u64, String, usize)> = Vec::new();
         {
-            let catalog = self.catalog.lock();
             let last = tier.last_call.lock();
             for (shard, registry) in self.registries.iter().enumerate() {
                 for name in registry.list() {
                     if catalog.get(name.as_str()).is_none_or(|r| r.shard != shard) {
                         continue;
                     }
-                    candidates.push((last.get(name.as_str()).copied().unwrap_or(0), name));
+                    let stamp = last.get(name.as_str()).copied().unwrap_or(0);
+                    candidates.push((stamp, name, shard));
                 }
             }
         }
+        // Names are unique among catalog-owned residents, so the shard
+        // never breaks a tie.
         candidates.sort();
+        let mut evicted = vec![false; candidates.len()];
+        let mut touched = vec![false; self.registries.len()];
         let mut remaining = candidates.len();
-        let mut evicted = Vec::new();
-        for (stamp, name) in candidates {
-            let idle = stamp.saturating_add(tier.cfg.idle_ns) <= now_ns;
-            let over_cap = remaining > tier.cfg.max_resident;
-            if !idle && !over_cap {
+        let mut next = 0;
+        loop {
+            let start = next;
+            let mut assumed = remaining;
+            while let Some(&(stamp, _, _)) = candidates.get(next) {
+                let idle = stamp.saturating_add(tier.cfg.idle_ns) <= now_ns;
+                if !idle && assumed <= tier.cfg.max_resident {
+                    break;
+                }
+                assumed -= 1;
+                next += 1;
+            }
+            if start == next {
                 break;
             }
-            if self.evict(&name).is_ok() {
-                remaining -= 1;
-                evicted.push(name);
+            for (shard, touched) in touched.iter_mut().enumerate() {
+                let round: Vec<usize> = (start..next)
+                    .filter(|&i| candidates[i].2 == shard)
+                    .collect();
+                if round.is_empty() {
+                    continue;
+                }
+                *touched = true;
+                let names: Vec<&str> = round.iter().map(|&i| candidates[i].1.as_str()).collect();
+                for (i, result) in round.into_iter().zip(self.evict_batch(shard, &names)) {
+                    if result.is_ok() {
+                        evicted[i] = true;
+                        remaining -= 1;
+                    }
+                }
             }
         }
-        evicted
+        drop(catalog);
+        for (shard, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
+            self.sharded.shard(shard).space.flush_snapshots();
+        }
+        candidates
+            .into_iter()
+            .zip(evicted)
+            .filter_map(|((_, name, _), gone)| gone.then_some(name))
+            .collect()
     }
 
     /// Cold-tier counters plus a current fleet-wide occupancy snapshot
@@ -1682,6 +1775,17 @@ mod tests {
         spec
     }
 
+    /// [`stateful_spec`] plus an exit entry that traps.
+    fn trapping_spec(name: &str) -> ModuleSpec {
+        let mut spec = stateful_spec(name);
+        spec.funcs.push(FuncSpec::exported(
+            &format!("{name}_exit"),
+            vec![MOp::Insn(Insn::Ud2)],
+        ));
+        spec.exit = Some(format!("{name}_exit"));
+        spec
+    }
+
     fn fleet(shards: usize, placement: Box<dyn ShardPlacement>) -> Fleet {
         Fleet::new(
             adelie_kernel::ShardedKernel::new(FleetConfig::seeded(shards, 11)),
@@ -1817,12 +1921,8 @@ mod tests {
     fn failed_unload_keeps_the_module_visible_and_retryable() {
         let fleet = fleet(2, Box::new(RoundRobin::new()));
         let opts = TransformOptions::rerandomizable(true);
-        let mut spec = stateful_spec("stuck");
         // An exit entry that traps: unload must fail closed.
-        spec.funcs
-            .push(FuncSpec::exported("stuck_exit", vec![MOp::Insn(Insn::Ud2)]));
-        spec.exit = Some("stuck_exit".into());
-        let obj = transform(&spec, &opts).unwrap();
+        let obj = transform(&trapping_spec("stuck"), &opts).unwrap();
         let (shard, _) = fleet.install(&obj, &opts).unwrap();
         match fleet.unload("stuck") {
             Err(FleetError::Unload(e)) => assert!(e.contains("exit failed"), "{e}"),
@@ -1863,11 +1963,7 @@ mod tests {
             },
         );
         let opts = TransformOptions::rerandomizable(true);
-        let mut spec = stateful_spec("orph");
-        spec.funcs
-            .push(FuncSpec::exported("orph_exit", vec![MOp::Insn(Insn::Ud2)]));
-        spec.exit = Some("orph_exit".into());
-        let obj = transform(&spec, &opts).unwrap();
+        let obj = transform(&trapping_spec("orph"), &opts).unwrap();
         let (src, module) = fleet.install(&obj, &opts).unwrap();
         let old_mov = module.movable_base.load(Ordering::Acquire);
         let old_imm = module.immovable.as_ref().unwrap().base;
@@ -1926,11 +2022,7 @@ mod tests {
         pins.insert("mate".to_string(), 0);
         let fleet = fleet(2, Box::new(Pinned::new(pins, 0)));
         let opts = TransformOptions::rerandomizable(true);
-        let mut spec = stateful_spec("orph");
-        spec.funcs
-            .push(FuncSpec::exported("orph_exit", vec![MOp::Insn(Insn::Ud2)]));
-        spec.exit = Some("orph_exit".into());
-        let obj = transform(&spec, &opts).unwrap();
+        let obj = transform(&trapping_spec("orph"), &opts).unwrap();
         let (src, module) = fleet.install(&obj, &opts).unwrap();
         assert_eq!(src, 0);
         let mate = transform(&stateful_spec("mate"), &opts).unwrap();
@@ -2097,11 +2189,7 @@ mod tests {
             },
         );
         let opts = TransformOptions::rerandomizable(true);
-        let mut spec = stateful_spec("orph");
-        spec.funcs
-            .push(FuncSpec::exported("orph_exit", vec![MOp::Insn(Insn::Ud2)]));
-        spec.exit = Some("orph_exit".into());
-        let obj = transform(&spec, &opts).unwrap();
+        let obj = transform(&trapping_spec("orph"), &opts).unwrap();
         let (src, _) = fleet.install(&obj, &opts).unwrap();
         assert_eq!(src, 0);
         assert!(matches!(
@@ -2167,11 +2255,7 @@ mod tests {
             },
         );
         let opts = TransformOptions::rerandomizable(true);
-        let mut spec = stateful_spec("orph");
-        spec.funcs
-            .push(FuncSpec::exported("orph_exit", vec![MOp::Insn(Insn::Ud2)]));
-        spec.exit = Some("orph_exit".into());
-        let obj = transform(&spec, &opts).unwrap();
+        let obj = transform(&trapping_spec("orph"), &opts).unwrap();
         let (src, _) = fleet.install(&obj, &opts).unwrap();
         assert!(matches!(
             fleet.migrate("orph", 1 - src),
@@ -2205,15 +2289,7 @@ mod tests {
             },
         );
         let opts = TransformOptions::rerandomizable(true);
-        let orphan = |name: &str| {
-            let mut spec = stateful_spec(name);
-            spec.funcs.push(FuncSpec::exported(
-                &format!("{name}_exit"),
-                vec![MOp::Insn(Insn::Ud2)],
-            ));
-            spec.exit = Some(format!("{name}_exit"));
-            transform(&spec, &opts).unwrap()
-        };
+        let orphan = |name: &str| transform(&trapping_spec(name), &opts).unwrap();
         fleet.install(&orphan("o1"), &opts).unwrap();
         fleet.install(&orphan("o2"), &opts).unwrap();
         assert!(matches!(fleet.migrate("o1", 1), Err(FleetError::Unload(_))));
@@ -2445,6 +2521,144 @@ mod tests {
         assert_eq!(stamped(&fleet), residents(&fleet));
         assert_eq!(fleet.cold_tick(2).len(), 1);
         assert_eq!(stamped(&fleet), residents(&fleet));
+    }
+
+    /// Install `names` round-robin on a 2-shard cold-tier fleet; the
+    /// names in `trapping` get an exit that traps.
+    fn cold_fleet(cfg: ColdTierConfig, names: &[&str], trapping: &[&str]) -> Fleet {
+        let fleet = fleet(2, Box::new(RoundRobin::new()));
+        fleet.enable_cold_tier(cfg);
+        let opts = TransformOptions::rerandomizable(true);
+        for &name in names {
+            let spec = if trapping.contains(&name) {
+                trapping_spec(name)
+            } else {
+                stateful_spec(name)
+            };
+            fleet
+                .install(&transform(&spec, &opts).unwrap(), &opts)
+                .unwrap();
+        }
+        fleet
+    }
+
+    /// Call `name`'s bump export in its shard with the tier clock at
+    /// `now_ns`, stamping its last call there.
+    fn bump_at(fleet: &Fleet, name: &str, now_ns: u64) -> u64 {
+        fleet
+            .cold_tier()
+            .unwrap()
+            .now_ns
+            .store(now_ns, Ordering::Relaxed);
+        let shard = fleet.shard_of(name).unwrap();
+        let entry = fleet
+            .registry(shard)
+            .get(name)
+            .unwrap()
+            .export(&format!("{name}_bump"))
+            .unwrap();
+        fleet.kernel(shard).vm().call(entry, &[]).unwrap()
+    }
+
+    /// A batched tick keeps per-module semantics: the victim whose exit
+    /// traps stays resident and serving, and the next candidate is
+    /// evicted in its place, so the cap still holds.
+    #[test]
+    fn batched_eviction_skips_a_trapping_exit() {
+        let cfg = ColdTierConfig {
+            idle_ns: u64::MAX,
+            max_resident: 2,
+        };
+        let fleet = cold_fleet(cfg, &["ta", "tb", "tc", "td"], &["ta"]);
+        assert_eq!(bump_at(&fleet, "ta", 0), 1);
+        // All stamps tie at 0: name order picks ta and tb, ta's exit
+        // traps, and tc fills the gap.
+        assert_eq!(fleet.cold_tick(1), vec!["tb".to_string(), "tc".to_string()]);
+        let stats = fleet.cold_stats();
+        assert_eq!((stats.resident, stats.cold, stats.evictions), (2, 2, 2));
+        assert_eq!(
+            bump_at(&fleet, "ta", 2),
+            2,
+            "the trapping module keeps serving"
+        );
+        assert!(fleet.evicted_spans("ta").is_none());
+        assert!(fleet.evicted_spans("tc").is_some());
+        assert!(fleet.verify_layout().is_empty());
+        assert!(fleet.verify_symbol_integrity().is_empty());
+    }
+
+    /// The batched tick evicts exactly the names, in exactly the order,
+    /// of a reference fleet evicting one name at a time with
+    /// [`Fleet::evict`] — across idle and over-cap victims on both
+    /// shards, with two trapping exits forcing a second round.
+    #[test]
+    fn batched_eviction_matches_one_at_a_time_eviction() {
+        let names = ["e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"];
+        let cfg = ColdTierConfig {
+            idle_ns: 1_000,
+            max_resident: 4,
+        };
+        let batched = cold_fleet(cfg, &names, &["e1", "e4"]);
+        let reference = cold_fleet(cfg, &names, &["e1", "e4"]);
+        for fleet in [&batched, &reference] {
+            for name in ["e5", "e6", "e7"] {
+                bump_at(fleet, name, 500);
+            }
+            for name in ["e9", "e8", "e2"] {
+                bump_at(fleet, name, 1_500);
+            }
+        }
+        let now = 1_600;
+        let got = batched.cold_tick(now);
+        // The pre-batching tick: candidates in (last_call, name) order,
+        // one evict each, the cap re-checked against real successes.
+        let tier = reference.cold_tier().unwrap();
+        tier.now_ns.store(now, Ordering::Relaxed);
+        let mut candidates: Vec<(u64, String)> = {
+            let last = tier.last_call.lock();
+            (0..2)
+                .flat_map(|s| reference.registry(s).list())
+                .map(|n| (last[n.as_str()], n))
+                .collect()
+        };
+        candidates.sort();
+        let mut remaining = candidates.len();
+        let mut want = Vec::new();
+        for (stamp, name) in candidates {
+            if stamp + cfg.idle_ns > now && remaining <= cfg.max_resident {
+                break;
+            }
+            if reference.evict(&name).is_ok() {
+                remaining -= 1;
+                want.push(name);
+            }
+        }
+        assert_eq!(want, ["e0", "e3", "e5", "e6", "e7", "e2"]);
+        assert_eq!(got, want);
+        for fleet in [&batched, &reference] {
+            let stats = fleet.cold_stats();
+            assert_eq!((stats.resident, stats.cold, stats.evictions), (4, 6, 6));
+            assert!(fleet.verify_layout().is_empty());
+        }
+    }
+
+    /// One tick, one page-table batch and one shootdown per shard, however
+    /// many victims each shard has.
+    #[test]
+    fn batched_eviction_costs_one_batch_per_shard() {
+        let cfg = ColdTierConfig {
+            idle_ns: u64::MAX,
+            max_resident: 0,
+        };
+        let fleet = cold_fleet(cfg, &["b0", "b1", "b2", "b3", "b4", "b5"], &[]);
+        let before: Vec<_> = (0..2).map(|s| fleet.kernel(s).space.stats()).collect();
+        assert_eq!(fleet.cold_tick(1).len(), 6);
+        for (shard, b) in before.iter().enumerate() {
+            let a = fleet.kernel(shard).space.stats();
+            assert_eq!(a.batches - b.batches, 1, "shard {shard} batches");
+            assert_eq!(a.shootdowns - b.shootdowns, 1, "shard {shard} shootdowns");
+        }
+        assert!(fleet.verify_layout().is_empty());
     }
 
     #[test]

@@ -173,7 +173,8 @@ impl ModuleRegistry {
     }
 
     /// Unload a module (rmmod): runs its exit entry point, unpublishes
-    /// exports, unmaps both parts, and frees the frames.
+    /// exports, unmaps both parts, and frees the frames — a one-element
+    /// [`ModuleRegistry::unload_many`].
     ///
     /// Stop any scheduler driving the module first.
     ///
@@ -181,7 +182,7 @@ impl ModuleRegistry {
     ///
     /// Textual error for unknown modules or a failing exit function.
     pub fn unload(&self, name: &str) -> Result<(), String> {
-        self.unload_inner(name, true)
+        self.unload_one(name, true)
     }
 
     /// Unload a module *without* running its exit entry point — the
@@ -197,65 +198,120 @@ impl ModuleRegistry {
         self.kernel
             .printk
             .log(format!("module {name}: force-unload (exit skipped)"));
-        self.unload_inner(name, false)
+        self.unload_one(name, false)
     }
 
-    fn unload_inner(&self, name: &str, run_exit: bool) -> Result<(), String> {
-        // Run the exit entry *before* unpublishing anything: a failing
-        // exit leaves the module fully registered and retryable, not
-        // stranded mapped-but-invisible.
+    fn unload_one(&self, name: &str, run_exit: bool) -> Result<(), String> {
+        self.unload_many(&[name], run_exit)
+            .pop()
+            .expect("one result per name")
+    }
+
+    /// Unload several modules as one teardown: run each exit entry in
+    /// order (all skipped when `run_exit` is false), then unpublish the
+    /// exports of every module that survived its exit, retire both
+    /// parts of all of them in **one** vmem batch — one page-table
+    /// transaction, one range-tagged shootdown — and free their frames.
+    /// Returns one result per name, in order.
+    ///
+    /// A failing exit leaves its module fully registered and
+    /// retryable; the others still unload. A failed retire batch fails
+    /// every module in it: the batch rolled back, so their frames are
+    /// withheld, and their exports are already unpublished.
+    pub fn unload_many(&self, names: &[&str], run_exit: bool) -> Vec<Result<(), String>> {
+        let mut results = Vec::with_capacity(names.len());
+        let mut victims: Vec<(usize, Arc<LoadedModule>)> = Vec::new();
+        for (i, &name) in names.iter().enumerate() {
+            // Run the exit entry *before* unpublishing anything: a
+            // failing exit leaves the module fully registered and
+            // retryable, not stranded mapped-but-invisible.
+            match self.run_exit(name, run_exit) {
+                Ok(module) if self.modules.write().remove(name).is_some() => {
+                    victims.push((i, module));
+                    results.push(Ok(()));
+                }
+                Ok(_) => results.push(Err(format!("no module `{name}` (concurrent unload)"))),
+                Err(e) => results.push(Err(e)),
+            }
+        }
+        if victims.is_empty() {
+            return results;
+        }
+        // Move locks go in name order, so concurrent teardowns of
+        // overlapping sets cannot deadlock.
+        let mut by_name: Vec<&LoadedModule> = victims.iter().map(|(_, m)| &**m).collect();
+        by_name.sort_by(|a, b| a.name.cmp(&b.name));
+        let _guards: Vec<_> = by_name.iter().map(|m| m.move_lock.lock()).collect();
+        let mut retire = adelie_vmem::Batch::new();
+        for (_, module) in &victims {
+            for (sym, _) in &module.exports {
+                self.kernel.symbols.undefine(sym);
+            }
+            // Tear down the module's lazy-PLT binder trampolines:
+            // nothing can reach them once the module is gone, and a
+            // later re-load of the same module name must be able to
+            // register fresh ones.
+            for slot in &module.lazy_plt {
+                self.kernel.symbols.unregister_native(&slot.binder_name);
+            }
+            // Retire the whole module — current movable mapping plus
+            // the immovable part — in the shared batch (fleet migration
+            // leans on this to make the source shard's copy vanish
+            // atomically).
+            let base = module
+                .movable_base
+                .load(std::sync::atomic::Ordering::Acquire);
+            retire.unmap_sparse(base, module.movable.total_pages);
+            if let Some(imm) = &module.immovable {
+                retire.unmap_sparse(imm.base, imm.total_pages);
+            }
+        }
+        let label = victims
+            .iter()
+            .map(|(i, _)| names[*i])
+            .collect::<Vec<_>>()
+            .join(", ");
+        if let Err(fault) = self.kernel.space.apply(retire) {
+            // The batch rolled back: every part is still mapped, so the
+            // frames must NOT be returned to the allocator (a
+            // freed-but-mapped frame would alias the next load). Leak
+            // them deliberately and report — exports are already
+            // unpublished, so the modules are unreachable either way.
+            self.kernel.printk.log(format!(
+                "module {label}: retire batch failed ({fault}); frames withheld"
+            ));
+            for (i, _) in &victims {
+                results[*i] = Err(format!("{}: retire batch failed: {fault}", names[*i]));
+            }
+            return results;
+        }
+        for (_, module) in &victims {
+            self.free_frames(module);
+        }
+        self.kernel.printk.log(format!("module {label}: unloaded"));
+        results
+    }
+
+    /// Look `name` up and, when `run_exit`, run its exit entry point.
+    fn run_exit(&self, name: &str, run_exit: bool) -> Result<Arc<LoadedModule>, String> {
         let module = self
             .modules
             .read()
             .get(name)
             .cloned()
             .ok_or_else(|| format!("no module `{name}`"))?;
-        if run_exit {
-            if let Some(exit) = module.exit_va {
-                let mut vm = self.kernel.vm();
-                vm.call(exit, &[])
-                    .map_err(|e| format!("exit failed: {e}"))?;
-            }
+        if let Some(exit) = module.exit_va.filter(|_| run_exit) {
+            let mut vm = self.kernel.vm();
+            vm.call(exit, &[])
+                .map_err(|e| format!("exit failed: {e}"))?;
         }
-        if self.modules.write().remove(name).is_none() {
-            return Err(format!("no module `{name}` (concurrent unload)"));
-        }
-        let _guard = module.move_lock.lock();
-        for (sym, _) in &module.exports {
-            self.kernel.symbols.undefine(sym);
-        }
-        // Tear down the module's lazy-PLT binder trampolines: nothing
-        // can reach them once the module is gone, and a later re-load of
-        // the same module name must be able to register fresh ones.
-        for slot in &module.lazy_plt {
-            self.kernel.symbols.unregister_native(&slot.binder_name);
-        }
-        // Retire the whole module — current movable mapping plus the
-        // immovable part — as ONE vmem batch: one page-table lock
-        // acquisition, one range-tagged shootdown covering both spans
-        // (fleet migration leans on this to make the source shard's
-        // copy vanish atomically). The original PartImage frame list is
-        // correct except for the local GOT pages, whose *current*
-        // frames live in the mutexed lists.
-        let base = module
-            .movable_base
-            .load(std::sync::atomic::Ordering::Acquire);
-        let mut retire = adelie_vmem::Batch::new();
-        retire.unmap_sparse(base, module.movable.total_pages);
-        if let Some(imm) = &module.immovable {
-            retire.unmap_sparse(imm.base, imm.total_pages);
-        }
-        if let Err(fault) = self.kernel.space.apply(retire) {
-            // The batch rolled back: both parts are still mapped, so
-            // the frames must NOT be returned to the allocator (a
-            // freed-but-mapped frame would alias the next load). Leak
-            // them deliberately and report — exports are already
-            // unpublished, so the module is unreachable either way.
-            self.kernel.printk.log(format!(
-                "module {name}: retire batch failed ({fault}); frames withheld"
-            ));
-            return Err(format!("{name}: retire batch failed: {fault}"));
-        }
+        Ok(module)
+    }
+
+    /// Return a retired module's frames to the allocator. The original
+    /// PartImage frame lists are correct except for the local GOT
+    /// pages, whose *current* frames live in the mutexed lists.
+    fn free_frames(&self, module: &LoadedModule) {
         let lgot_start = (module.movable.lgot_off / PAGE_SIZE as u64) as usize;
         let lgot_pages = module.movable.lgot_pages();
         for (i, &pfn) in module.movable.frames.iter().enumerate() {
@@ -280,8 +336,6 @@ impl ModuleRegistry {
                 self.kernel.phys.free(pfn);
             }
         }
-        self.kernel.printk.log(format!("module {name}: unloaded"));
-        Ok(())
     }
 
     /// Reserve a random free range of `pages`; the returned reservation

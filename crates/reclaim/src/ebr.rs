@@ -76,6 +76,12 @@ impl Ebr {
                 return; // a straggler pins the epoch
             }
         }
+        // Bucket ((e+1) % 3) holds garbage retired in epoch e-2: every
+        // operation from that epoch has since left. Lock it *before*
+        // publishing epoch e+1, so a `retire` that reads e+1 waits for
+        // the drain instead of landing in the bucket being drained (and
+        // being freed while operations of its own epoch still run).
+        let mut bucket = self.limbo[((e + 1) % 3) as usize].lock();
         if self
             .global
             .compare_exchange(e, e + 1, Ordering::SeqCst, Ordering::SeqCst)
@@ -83,13 +89,8 @@ impl Ebr {
         {
             return; // someone else advanced
         }
-        // Bucket ((e+1) % 3) holds garbage retired in epoch e-2: every
-        // operation from that epoch has since left. Drain it before epoch
-        // e+1 retirees start landing in it.
-        let drained: Vec<Deferred> = {
-            let mut bucket = self.limbo[((e + 1) % 3) as usize].lock();
-            std::mem::take(&mut *bucket)
-        };
+        let drained: Vec<Deferred> = std::mem::take(&mut *bucket);
+        drop(bucket);
         let n = drained.len() as u64;
         for action in drained {
             action();
@@ -294,5 +295,44 @@ mod tests {
         dom.flush();
         dom.flush();
         assert_eq!(dom.stats().delta(), 0);
+    }
+
+    /// Regression: `try_advance` used to CAS the global epoch to `e+1`
+    /// and only then lock bucket `(e+1) % 3` to drain it. A `retire`
+    /// that read the new epoch in that gap pushed its object into the
+    /// bucket being drained, which freed it at once — while operations
+    /// that could still reach it were active. Here the retiring thread
+    /// stays pinned across its own retire, so its object must survive
+    /// until it leaves, however the other thread's advances interleave.
+    #[test]
+    fn retire_racing_an_advance_waits_for_its_own_pin() {
+        let dom = Arc::new(Ebr::new(2));
+        let stop = Arc::new(AtomicBool::new(false));
+        let advancer = {
+            let (dom, stop) = (dom.clone(), stop.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    dom.flush();
+                }
+            })
+        };
+        let mut early = 0u64;
+        for _ in 0..20_000 {
+            dom.enter(0);
+            let freed = Arc::new(AtomicBool::new(false));
+            let f = freed.clone();
+            dom.retire(Box::new(move || f.store(true, Ordering::SeqCst)));
+            for _ in 0..64 {
+                std::hint::spin_loop();
+            }
+            early += u64::from(freed.load(Ordering::SeqCst));
+            dom.leave(0);
+        }
+        stop.store(true, Ordering::Relaxed);
+        advancer.join().expect("advancer thread panicked");
+        assert_eq!(
+            early, 0,
+            "objects freed while their retirer was still pinned"
+        );
     }
 }

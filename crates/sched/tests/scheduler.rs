@@ -66,22 +66,13 @@ fn traffic(kernel: &Arc<Kernel>, modules: &[Arc<LoadedModule>], stop: &AtomicBoo
 #[test]
 fn scheduler_drives_cycles_and_logs_stats() {
     let (kernel, registry, modules) = boot_n(1);
-    let sched = Scheduler::spawn(
-        kernel.clone(),
-        registry.clone(),
-        &["mod0"],
+    let (stats, calls) = stepped_window(
+        &kernel,
+        &registry,
+        &modules,
         SchedConfig::serial(Duration::from_millis(1)),
+        Duration::from_millis(100),
     );
-    let calc = modules[0].export("mod0_calc").unwrap();
-    let mut vm = kernel.vm();
-    let t0 = Instant::now();
-    let mut calls = 0u64;
-    while t0.elapsed() < Duration::from_millis(100) {
-        assert_eq!(vm.call(calc, &[16]).unwrap(), 42);
-        calls += 1;
-    }
-    sched.log_stats();
-    let stats = sched.stop();
     assert!(stats.cycles >= 5, "cycles: {}", stats.cycles);
     assert_eq!(stats.failures, 0);
     assert!(calls > 100, "driver kept serving during rerand: {calls}");
@@ -319,20 +310,21 @@ fn budget_applies_backpressure() {
     assert_eq!(uncapped.cpu_pressure, 0.0, "no cap, no pressure");
 }
 
-/// Drive 3 busy modules under a stepped pool for 500 ms of virtual
+/// Drive busy modules under a stepped pool for `window` of virtual
 /// time: one call into every module each `TRAFFIC_STEP`, then every
-/// cycle that has come due. Returns the pool's final stats.
+/// cycle that has come due. Logs the pool's stats and stops it;
+/// returns its final stats and the calls made.
 fn stepped_window(
     kernel: &Arc<Kernel>,
     registry: &Arc<ModuleRegistry>,
     modules: &[Arc<LoadedModule>],
     config: SchedConfig,
-) -> SchedStats {
-    const WINDOW: Duration = Duration::from_millis(500);
+    window: Duration,
+) -> (SchedStats, u64) {
     const TRAFFIC_STEP: Duration = Duration::from_micros(50);
-    let with_policies: Vec<(&str, Policy)> = ["mod0", "mod1", "mod2"]
-        .into_iter()
-        .map(|name| (name, config.policy.clone()))
+    let with_policies: Vec<(&str, Policy)> = modules
+        .iter()
+        .map(|m| (&*m.name, config.policy.clone()))
         .collect();
     let clock = SimClock::new();
     let sched = Scheduler::spawn_stepped(
@@ -349,9 +341,11 @@ fn stepped_window(
         .enumerate()
         .map(|(i, m)| m.export(&format!("mod{i}_calc")).unwrap())
         .collect();
-    while clock.now_ns() < WINDOW.as_nanos() as u64 {
+    let mut calls = 0u64;
+    while clock.now_ns() < window.as_nanos() as u64 {
         for &e in &entries {
             assert_eq!(vm.call(e, &[16]).unwrap(), 42);
+            calls += 1;
         }
         clock.advance(TRAFFIC_STEP);
         while sched
@@ -361,7 +355,8 @@ fn stepped_window(
             sched.step();
         }
     }
-    sched.stop()
+    sched.log_stats();
+    (sched.stop(), calls)
 }
 
 /// The acceptance claim: a 4-worker Adaptive scheduler over 3 busy
@@ -375,11 +370,12 @@ fn stepped_window(
 fn adaptive_four_workers_doubles_serial_shim_cycles() {
     let serial = {
         let (kernel, registry, modules) = boot_n(3);
-        let stats = stepped_window(
+        let (stats, _) = stepped_window(
             &kernel,
             &registry,
             &modules,
             SchedConfig::serial(Duration::from_millis(20)),
+            Duration::from_millis(500),
         );
         kernel.reclaim.flush();
         assert_eq!(kernel.reclaim.stats().delta(), 0);
@@ -388,7 +384,7 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
 
     let adaptive = {
         let (kernel, registry, modules) = boot_n(3);
-        let stats = stepped_window(
+        let (stats, _) = stepped_window(
             &kernel,
             &registry,
             &modules,
@@ -402,6 +398,7 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
                 },
                 ..SchedConfig::default()
             },
+            Duration::from_millis(500),
         );
         registry.stacks.rotate(&kernel);
         kernel.reclaim.flush();

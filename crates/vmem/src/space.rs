@@ -166,7 +166,6 @@ pub struct Translation {
 
 #[derive(Clone)]
 enum Entry {
-    Empty,
     Table(Arc<Node>),
     /// A leaf stored in the owning arch's *hardware* bit layout — what
     /// a real page-table walker would see. Mutation sites encode via
@@ -174,31 +173,49 @@ enum Entry {
     Leaf(HwPte),
 }
 
-/// One radix node of an immutable snapshot. Interior children are
-/// `Arc`-shared: a write transaction path-copies only the nodes it
-/// touches and shares every untouched subtree with the previous
-/// snapshot.
+/// One radix node of an immutable snapshot: its occupied slots only,
+/// sorted by slot index (an absent index is an empty slot). Interior
+/// children are `Arc`-shared: a write transaction path-copies only the
+/// nodes it touches and shares every untouched subtree with the
+/// previous snapshot. Writers reach a child through `Arc::make_mut`: a
+/// node created in this transaction (refcount 1) is mutated in place,
+/// one shared with the published snapshot (which stays alive for the
+/// whole transaction) is copied first. Because only occupied slots are
+/// stored, that copy, a prune check and a drop cost O(children), not
+/// O(512) — and PIC placement anywhere in the 57-bit space leaves most
+/// interior nodes holding one or two children.
+#[derive(Clone, Default)]
 struct Node {
-    slots: Box<[Entry; 512]>,
+    slots: Vec<(u16, Entry)>,
 }
 
 impl Node {
-    fn new() -> Node {
-        Node {
-            slots: Box::new(std::array::from_fn(|_| Entry::Empty)),
-        }
+    /// Position of slot `idx` in `slots`, or where it would go.
+    fn find(&self, idx: usize) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&(idx as u16), |&(i, _)| i)
     }
 
-    /// A new node sharing every child of `self` (the path-copy step).
-    fn shallow_clone(&self) -> Node {
-        Node {
-            slots: self.slots.clone(),
-        }
+    fn get(&self, idx: usize) -> Option<&Entry> {
+        self.find(idx).ok().map(|pos| &self.slots[pos].1)
     }
 
-    /// Whether every slot is empty (so the node can be pruned).
+    fn get_mut(&mut self, idx: usize) -> Option<&mut Entry> {
+        let pos = self.find(idx).ok()?;
+        Some(&mut self.slots[pos].1)
+    }
+
+    /// The entry at `idx`, first filling an empty slot with `make()`.
+    fn get_or_insert_with(&mut self, idx: usize, make: impl FnOnce() -> Entry) -> &mut Entry {
+        let pos = self.find(idx).unwrap_or_else(|pos| {
+            self.slots.insert(pos, (idx as u16, make()));
+            pos
+        });
+        &mut self.slots[pos].1
+    }
+
+    /// Whether no slot is occupied (so the node can be pruned).
     fn is_empty(&self) -> bool {
-        self.slots.iter().all(|e| matches!(e, Entry::Empty))
+        self.slots.is_empty()
     }
 }
 
@@ -230,13 +247,13 @@ fn leaf_node_of(root: &Node, prefix: u64) -> Option<Arc<Node>> {
     let va = prefix << FLAT_SHIFT;
     let mut cur = root;
     for level in 0..LEVELS - 2 {
-        cur = match &cur.slots[level_index(va, level)] {
-            Entry::Table(t) => t,
+        cur = match cur.get(level_index(va, level)) {
+            Some(Entry::Table(t)) => t,
             _ => return None,
         };
     }
-    match &cur.slots[level_index(va, LEVELS - 2)] {
-        Entry::Table(t) => Some(t.clone()),
+    match cur.get(level_index(va, LEVELS - 2)) {
+        Some(Entry::Table(t)) => Some(t.clone()),
         _ => None,
     }
 }
@@ -519,7 +536,7 @@ impl AddressSpace {
         let arch = config.arch;
         let asid = config.asid.unwrap_or_else(|| arch.allocate_asid());
         let root = Arc::new(SnapshotRoot {
-            root: Node::new(),
+            root: Node::default(),
             flat: HashMap::default(),
             arch,
         });
@@ -748,7 +765,7 @@ impl AddressSpace {
     /// scratch root sharing every subtree of the current snapshot.
     fn begin(&self) -> (MutexGuard<'_, WriterState>, Node) {
         let st = self.writer.lock();
-        let scratch = st.current.root.shallow_clone();
+        let scratch = st.current.root.clone();
         (st, scratch)
     }
 
@@ -1522,8 +1539,8 @@ fn walk(snap: &SnapshotRoot, va: u64, access: Access) -> Result<Translation, Fau
 
 fn walk_flat(snap: &SnapshotRoot, va: u64, access: Access) -> Result<Translation, Fault> {
     let pte = match snap.flat.get(&(va >> FLAT_SHIFT)) {
-        Some(leaf) => match &leaf.slots[level_index(va, LEVELS - 1)] {
-            Entry::Leaf(hw) => snap.arch.decode_owned(*hw),
+        Some(leaf) => match leaf.get(level_index(va, LEVELS - 1)) {
+            Some(Entry::Leaf(hw)) => snap.arch.decode_owned(*hw),
             _ => return Err(Fault::Unmapped { va }),
         },
         None => return Err(Fault::Unmapped { va }),
@@ -1542,13 +1559,13 @@ fn walk_flat(snap: &SnapshotRoot, va: u64, access: Access) -> Result<Translation
 fn walk_tree(root: &Node, arch: ArchKind, va: u64, access: Access) -> Result<Translation, Fault> {
     let mut cur: &Node = root;
     for level in 0..LEVELS - 1 {
-        cur = match &cur.slots[level_index(va, level)] {
-            Entry::Table(t) => t,
+        cur = match cur.get(level_index(va, level)) {
+            Some(Entry::Table(t)) => t,
             _ => return Err(Fault::Unmapped { va }),
         };
     }
-    let pte = match &cur.slots[level_index(va, LEVELS - 1)] {
-        Entry::Leaf(hw) => arch.decode_owned(*hw),
+    let pte = match cur.get(level_index(va, LEVELS - 1)) {
+        Some(Entry::Leaf(hw)) => arch.decode_owned(*hw),
         _ => return Err(Fault::Unmapped { va }),
     };
     check_access(va, &pte, access)?;
@@ -1586,45 +1603,25 @@ fn check_va(va: u64) -> Result<(), Fault> {
     Ok(())
 }
 
-/// Get exclusive access to a child node for a write transaction: a node
-/// created *during this transaction* has refcount 1 (only the scratch
-/// tree references it) and is mutated in place; a node shared with the
-/// published snapshot (refcount ≥ 2, since the previous root stays
-/// alive for the whole transaction) is path-copied first. This is the
-/// classic persistent-tree copy-on-write step.
-fn owned(t: &mut Arc<Node>) -> &mut Node {
-    if Arc::get_mut(t).is_none() {
-        *t = Arc::new(t.shallow_clone());
-    }
-    Arc::get_mut(t).expect("fresh node is uniquely owned")
-}
-
 /// Map the arch-encoded leaf `hw` at `va` in the scratch tree,
 /// creating (or path-copying) intermediate tables.
 fn map_in(root: &mut Node, va: u64, hw: HwPte) -> Result<(), Fault> {
     let mut cur: &mut Node = root;
     for level in 0..LEVELS - 1 {
-        let idx = level_index(va, level);
-        let slot = &mut cur.slots[idx];
-        match slot {
-            Entry::Empty => {
-                *slot = Entry::Table(Arc::new(Node::new()));
-            }
-            Entry::Table(_) => {}
+        cur = match cur.get_or_insert_with(level_index(va, level), || {
+            Entry::Table(Arc::new(Node::default()))
+        }) {
+            Entry::Table(t) => Arc::make_mut(t),
             Entry::Leaf(_) => return Err(Fault::AlreadyMapped { va }),
-        }
-        cur = match slot {
-            Entry::Table(t) => owned(t),
-            _ => unreachable!(),
         };
     }
     let idx = level_index(va, LEVELS - 1);
-    match &mut cur.slots[idx] {
-        slot @ Entry::Empty => {
-            *slot = Entry::Leaf(hw);
+    match cur.find(idx) {
+        Ok(_) => Err(Fault::AlreadyMapped { va }),
+        Err(pos) => {
+            cur.slots.insert(pos, (idx as u16, Entry::Leaf(hw)));
             Ok(())
         }
-        _ => Err(Fault::AlreadyMapped { va }),
     }
 }
 
@@ -1632,19 +1629,13 @@ fn map_in(root: &mut Node, va: u64, hw: HwPte) -> Result<(), Fault> {
 /// way down and pruning empty tables on the way up.
 fn unmap_in(root: &mut Node, va: u64) -> Result<HwPte, Fault> {
     fn remove(cur: &mut Node, va: u64, level: u32) -> Result<HwPte, Fault> {
-        let idx = level_index(va, level);
-        if level == LEVELS - 1 {
-            return match std::mem::replace(&mut cur.slots[idx], Entry::Empty) {
-                Entry::Leaf(hw) => Ok(hw),
-                other => {
-                    cur.slots[idx] = other;
-                    Err(Fault::Unmapped { va })
-                }
-            };
-        }
-        let hw = match &mut cur.slots[idx] {
-            Entry::Table(t) => {
-                let node = owned(t);
+        let pos = cur
+            .find(level_index(va, level))
+            .map_err(|_| Fault::Unmapped { va })?;
+        let hw = match &mut cur.slots[pos].1 {
+            Entry::Leaf(hw) if level == LEVELS - 1 => *hw,
+            Entry::Table(t) if level < LEVELS - 1 => {
+                let node = Arc::make_mut(t);
                 let hw = remove(node, va, level + 1)?;
                 if !node.is_empty() {
                     return Ok(hw);
@@ -1653,7 +1644,7 @@ fn unmap_in(root: &mut Node, va: u64) -> Result<HwPte, Fault> {
             }
             _ => return Err(Fault::Unmapped { va }),
         };
-        cur.slots[idx] = Entry::Empty;
+        cur.slots.remove(pos);
         Ok(hw)
     }
     remove(root, va, 0)
@@ -1662,13 +1653,13 @@ fn unmap_in(root: &mut Node, va: u64) -> Result<HwPte, Fault> {
 fn leaf_mut(root: &mut Node, va: u64) -> Result<&mut HwPte, Fault> {
     let mut cur: &mut Node = root;
     for level in 0..LEVELS - 1 {
-        cur = match &mut cur.slots[level_index(va, level)] {
-            Entry::Table(t) => owned(t),
+        cur = match cur.get_mut(level_index(va, level)) {
+            Some(Entry::Table(t)) => Arc::make_mut(t),
             _ => return Err(Fault::Unmapped { va }),
         };
     }
-    match &mut cur.slots[level_index(va, LEVELS - 1)] {
-        Entry::Leaf(hw) => Ok(hw),
+    match cur.get_mut(level_index(va, LEVELS - 1)) {
+        Some(Entry::Leaf(hw)) => Ok(hw),
         _ => Err(Fault::Unmapped { va }),
     }
 }
@@ -2247,6 +2238,46 @@ mod tests {
         );
         for &va in &pages {
             probe(va, Access::Read);
+        }
+    }
+
+    /// Sparse nodes prune to nothing: tearing down every mapping —
+    /// scattered parts, a full 512-page leaf, and holes skipped by
+    /// `unmap_sparse` — leaves a root with no children and an empty
+    /// flat directory, so no emptied table lingers in any snapshot.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn full_teardown_leaves_an_empty_root() {
+        let phys = PhysMem::new();
+        let space = AddressSpace::new();
+        let full = 0x0012_3440_0000_0000u64;
+        space
+            .map_range(full, &phys.alloc_n(512), PteFlags::DATA)
+            .unwrap();
+        let scattered = [VA, 0x0100_0000_0000_0000, 0x0000_0000_0020_0000];
+        for &va in &scattered {
+            space
+                .map_range(va, &phys.alloc_n(3), PteFlags::TEXT)
+                .unwrap();
+        }
+        let mut batch = Batch::new();
+        batch.unmap_range(full, 256).unmap_sparse(full, 512);
+        for &va in &scattered {
+            batch.unmap_sparse(va - PAGE_SIZE as u64, 5);
+        }
+        assert_eq!(space.apply(batch).unwrap().removed.len(), 512 + 3 * 3);
+        let snap = unsafe { &*space.snapshot.load(Ordering::SeqCst) };
+        assert!(
+            snap.root.is_empty(),
+            "root kept {} children",
+            snap.root.slots.len()
+        );
+        assert!(snap.flat.is_empty(), "flat directory kept emptied prefixes");
+        for va in [full, full + 511 * PAGE_SIZE as u64, VA] {
+            assert_eq!(
+                space.translate(va, Access::Read),
+                Err(Fault::Unmapped { va })
+            );
         }
     }
 

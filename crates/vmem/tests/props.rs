@@ -575,3 +575,129 @@ proptest! {
         prop_assert_eq!(space.translate(va, Access::Exec).is_ok(), executable);
     }
 }
+
+/// 2 MiB prefix of the leaf every sparse-node case starts full.
+const FULL_LEAF: u64 = 0x0042_0000_0020_0000;
+/// Prefixes whose pages the sparse-node cases cluster on: the full
+/// leaf, its neighbour (same upper tables) and a distant one.
+const CLUSTERS: [u64; 3] = [FULL_LEAF, FULL_LEAF + (1 << 21), 0x00f0_0000_0000_0000];
+
+/// A sparse-node op target: a page in one of the clustered prefixes,
+/// or one of the case's scattered pages.
+#[derive(Clone, Copy, Debug)]
+enum Target {
+    Cluster(usize, u64),
+    Scattered(usize),
+}
+
+/// Three in four targets are clustered, one per clustered prefix.
+fn arb_target() -> impl Strategy<Value = Target> {
+    (0..CLUSTERS.len() + 1, 0u64..512, 0usize..8).prop_map(|(c, p, i)| match CLUSTERS.get(c) {
+        Some(_) => Target::Cluster(c, p),
+        None => Target::Scattered(i),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A mirror model for sparse radix nodes: batches of map,
+    /// `unmap_sparse`, protect and swap over pages clustered in a few
+    /// 2 MiB prefixes (one starting as a full 512-page leaf) and pages
+    /// scattered across the 57-bit arena. After every batch each
+    /// modelled page translates to its model PTE, and the unmapped
+    /// neighbours of every touched page fault `Unmapped` — a node that
+    /// lost, duplicated or misordered a slot, or an interior table
+    /// pruned while still holding children, shows up as a mismatch.
+    #[test]
+    fn sparse_nodes_match_model(
+        scattered in proptest::collection::vec(arb_page(), 8..9),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, arb_target(), 1usize..4), 1..8),
+            1..20,
+        ),
+    ) {
+        const PAGE: u64 = PAGE_SIZE as u64;
+        let phys = PhysMem::new();
+        let space = AddressSpace::new();
+        let mut model: HashMap<u64, Pte> = HashMap::new();
+        let full = phys.alloc_n(512);
+        space.map_range(FULL_LEAF, &full, PteFlags::DATA).unwrap();
+        for (i, &pfn) in full.iter().enumerate() {
+            let pte = Pte { kind: PteKind::Frame(pfn), flags: PteFlags::DATA };
+            model.insert(FULL_LEAF + i as u64 * PAGE, pte);
+        }
+        let resolve = |t: Target| match t {
+            Target::Cluster(c, p) => CLUSTERS[c] + p * PAGE,
+            Target::Scattered(i) => scattered[i],
+        };
+        let flag_set = [PteFlags::TEXT, PteFlags::DATA, PteFlags::RO_DATA];
+        for ops in batches {
+            let mut batch = Batch::new();
+            let mut next = model.clone();
+            let mut ok = true;
+            let mut touched = Vec::new();
+            for (n, (op, target, len)) in ops.into_iter().enumerate() {
+                let va = resolve(target);
+                let pages: Vec<u64> = (0..len as u64).map(|i| va + i * PAGE).collect();
+                // A range running past the arena faults the whole batch.
+                ok &= pages.iter().all(|&p| p <= VA_MASK);
+                touched.extend(pages.iter().copied());
+                let flags = flag_set[n % flag_set.len()];
+                match op {
+                    0 => {
+                        let pfn = phys.alloc();
+                        batch.map_page(va, pfn, flags);
+                        let pte = Pte { kind: PteKind::Frame(pfn), flags };
+                        ok &= next.insert(va, pte).is_none();
+                    }
+                    1 => {
+                        batch.unmap_sparse(va, len);
+                        for p in &pages {
+                            next.remove(p);
+                        }
+                    }
+                    2 => {
+                        batch.protect_range(va, len, flags);
+                        for p in &pages {
+                            match next.get_mut(p) {
+                                Some(pte) => pte.flags = flags,
+                                None => ok = false,
+                            }
+                        }
+                    }
+                    _ => {
+                        let pfn = phys.alloc();
+                        batch.swap_frame(va, pfn, flags);
+                        let pte = Pte { kind: PteKind::Frame(pfn), flags };
+                        ok &= next.insert(va, pte).is_some();
+                    }
+                }
+            }
+            match space.apply(batch) {
+                Ok(_) => {
+                    prop_assert!(ok, "batch succeeded but the model predicted a fault");
+                    model = next;
+                }
+                Err(_) => prop_assert!(!ok, "batch failed but the model predicted success"),
+            }
+            for (&va, &pte) in &model {
+                let t = space.translate(va, Access::Read);
+                prop_assert_eq!(t.map(|t| t.pte), Ok(pte), "model page {:#x}", va);
+            }
+            for va in touched {
+                let prefix = va & !((1u64 << 21) - 1);
+                for probe in [va.wrapping_sub(PAGE), va, va + PAGE, prefix, prefix + 511 * PAGE] {
+                    if probe > VA_MASK || model.contains_key(&probe) {
+                        continue;
+                    }
+                    prop_assert_eq!(
+                        space.translate(probe, Access::Read),
+                        Err(Fault::Unmapped { va: probe }),
+                        "unmapped neighbour {:#x} of {:#x}", probe, va
+                    );
+                }
+            }
+        }
+    }
+}
