@@ -112,7 +112,6 @@ fn run(seed: u64, objs: &[ObjectFile], opts: &TransformOptions) -> Outcome {
         Box::new(Pinned::new(pins, 0)),
         AdmissionConfig {
             max_modules_per_shard: 200_000,
-            ..AdmissionConfig::default()
         },
     );
     fleet.enable_cold_tier(ColdTierConfig {

@@ -1,36 +1,28 @@
-//! Fleet-level module management: placement across kernel shards and
-//! live migration between them.
+//! Fleet-level module management: placement across kernel shards, the
+//! install catalog, crash recovery and the cold-module tier.
 //!
-//! [`ShardedKernel`] partitions the
-//! machine into independent kernels over disjoint VA windows; this
-//! module decides *which* shard a driver lives in and moves it when the
-//! answer changes:
+//! [`ShardedKernel`] partitions the machine into independent kernels
+//! over disjoint VA windows; this module decides *which* shard a driver
+//! lives in. A module never leaves its shard: it re-randomizes in place
+//! there, and every registry resident has a catalog record naming that
+//! shard.
 //!
 //! * [`Fleet`] — one [`ModuleRegistry`] per shard plus the install
-//!   catalog (object file + options per module) that makes migration a
-//!   rebuild, not a guess;
+//!   catalog (object file + options per module) that makes fault-in
+//!   and crash recovery a rebuild, not a guess;
 //! * [`ShardPlacement`] — the pluggable placement policy:
 //!   [`RoundRobin`] (uniform spread), [`LoadWeighted`] (lightest shard
 //!   by mapped bytes), [`Pinned`] (explicit tenancy);
-//! * [`Fleet::migrate`] — **live migration** as vmem batches: the
-//!   module is rebuilt in the destination shard (both parts installed
-//!   as one map-only batch, GOTs resolved against the destination
-//!   kernel's symbol table), its writable data state is copied frame-
-//!   to-frame, movable-pointer slots are re-adjusted for the new base,
-//!   the `update_pointers` callback runs in the destination, and only
-//!   then is the source copy retired — both parts in one batched
-//!   shootdown. Make-before-break: traffic entering the destination
-//!   shard is servable before the source layout disappears.
-//!
-//! Like [`ModuleRegistry::unload`], migration requires that no
-//! scheduler is actively cycling the module (stop its group, migrate,
-//! restart — the rolling-upgrade shape).
+//! * the module lifecycle — [`Fleet::install`] / [`Fleet::register`],
+//!   then [`Fleet::evict`] ⇄ fault-in ([`Fleet::ensure_resident`] or a
+//!   demand fault), then [`Fleet::unload`]; [`Fleet::recover_shard`]
+//!   rebuilds a crashed shard's residents from their catalog records.
 
 use crate::{LoadError, LoadedModule, ModuleRegistry};
 use adelie_kernel::{Kernel, ShardedKernel};
 use adelie_obj::ObjectFile;
 use adelie_plugin::TransformOptions;
-use adelie_vmem::{PteFlags, PAGE_SIZE};
+use adelie_vmem::PAGE_SIZE;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -46,19 +38,17 @@ pub enum FleetError {
     /// No module of that name is installed anywhere in the fleet.
     UnknownModule(String),
     /// A module of that name is already installed — install it once,
-    /// or unload/migrate the existing copy first (silently replacing
-    /// the catalog record would orphan the old copy in its shard).
+    /// or unload the existing copy first (silently replacing the
+    /// catalog record would strand the old copy in its shard).
     DuplicateModule(String),
     /// Shard index out of range — from a caller, or from a placement
     /// policy returning an index the fleet does not have.
     UnknownShard(usize),
-    /// Unloading the source copy failed (the destination copy is live;
-    /// the module is *not* lost, but the source shard still holds it).
+    /// Unloading or evicting a resident failed. A trapping exit leaves
+    /// the module resident, cataloged and serving, and the operation
+    /// retryable; a failed retire batch withholds the module's frames
+    /// (see [`ModuleRegistry::unload_many`]).
     Unload(String),
-    /// The destination module's `update_pointers` callback failed after
-    /// state copy (the migration is committed; pointer refresh is in
-    /// doubt, mirroring `RerandError::UpdatePointers`).
-    UpdatePointers(String),
     /// Admission control refused the target shard: it is at its module
     /// cap. Pick another shard or unload something first.
     Overloaded {
@@ -68,13 +58,6 @@ pub enum FleetError {
         modules: usize,
         /// The configured cap ([`AdmissionConfig::max_modules_per_shard`]).
         limit: usize,
-    },
-    /// Backpressure: the fleet's repair queue is saturated (it is busy
-    /// re-converging after faults). Retry after draining — `after_ns`
-    /// is the suggested wait on the caller's clock.
-    RetryAfter {
-        /// Suggested wait before retrying, in nanoseconds.
-        after_ns: u64,
     },
 }
 
@@ -87,10 +70,7 @@ impl fmt::Display for FleetError {
                 write!(f, "module `{m}` is already installed in the fleet")
             }
             FleetError::UnknownShard(s) => write!(f, "no shard {s}"),
-            FleetError::Unload(e) => write!(f, "source unload failed: {e}"),
-            FleetError::UpdatePointers(e) => {
-                write!(f, "destination update_pointers failed: {e}")
-            }
+            FleetError::Unload(e) => write!(f, "unload failed: {e}"),
             FleetError::Overloaded {
                 shard,
                 modules,
@@ -99,9 +79,6 @@ impl fmt::Display for FleetError {
                 f,
                 "shard {shard} overloaded: {modules} modules at cap {limit}"
             ),
-            FleetError::RetryAfter { after_ns } => {
-                write!(f, "fleet busy repairing; retry after {after_ns} ns")
-            }
         }
     }
 }
@@ -119,9 +96,9 @@ impl From<LoadError> for FleetError {
 pub struct ShardLoad {
     /// Shard index.
     pub shard: usize,
-    /// Modules currently resident.
+    /// Modules cataloged on the shard, resident or cold.
     pub modules: usize,
-    /// Total bytes mapped by those modules (both parts).
+    /// Total bytes mapped by its resident modules (both parts).
     pub mapped_bytes: usize,
 }
 
@@ -229,58 +206,21 @@ struct InstallRecord {
     opts: TransformOptions,
 }
 
-/// Admission-control limits on fleet mutations (ROADMAP item 4's
-/// "admission control + backpressure on the install catalog").
+/// Admission-control limits on fleet mutations.
 #[derive(Copy, Clone, Debug)]
 pub struct AdmissionConfig {
-    /// Most modules one shard may hold; installs and migrations into a
-    /// fuller shard fail with [`FleetError::Overloaded`].
+    /// Most modules one shard may hold, resident or cold; installs and
+    /// registrations into a fuller shard fail with
+    /// [`FleetError::Overloaded`].
     pub max_modules_per_shard: usize,
-    /// Most half-repaired modules the repair queue may hold before
-    /// install/migrate push back with [`FleetError::RetryAfter`] — a
-    /// fleet drowning in fault recovery stops admitting new work.
-    pub max_pending_repairs: usize,
-    /// Base repair-retry delay, in ns (doubles per attempt), and the
-    /// wait suggested by [`FleetError::RetryAfter`].
-    pub retry_after_ns: u64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             max_modules_per_shard: 4096,
-            max_pending_repairs: 64,
-            retry_after_ns: 1_000_000,
         }
     }
-}
-
-/// Ceiling on the repair queue's exponential backoff (and on
-/// [`FleetError::RetryAfter`] hints). Unclamped, sixteen doublings of
-/// the default base stretch a retry to ~65536 s — far past any watchdog
-/// scan horizon, parking the orphan effectively forever. One second
-/// keeps the slowest repair inside every supervision loop's sight.
-pub const MAX_REPAIR_BACKOFF_NS: u64 = 1_000_000_000;
-
-/// The repair queue's backoff schedule: `base · 2^attempts`, clamped to
-/// [`MAX_REPAIR_BACKOFF_NS`]. Returns `(backoff_ns, clamped)`.
-fn repair_backoff(base_ns: u64, attempts: u32) -> (u64, bool) {
-    let raw = base_ns.saturating_mul(1u64 << attempts.min(16));
-    if raw > MAX_REPAIR_BACKOFF_NS {
-        (MAX_REPAIR_BACKOFF_NS, true)
-    } else {
-        (raw, false)
-    }
-}
-
-/// Repair-queue health, for supervisors and dashboards.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct RepairStats {
-    /// Half-migrated orphans still queued.
-    pub pending: usize,
-    /// Times the exponential backoff hit [`MAX_REPAIR_BACKOFF_NS`] —
-    /// a non-zero count means some orphan is pinned at the ceiling.
-    pub backoff_clamps: u64,
 }
 
 /// Cold-module tier limits (ROADMAP item 4's "10^5–10^6 registered
@@ -435,11 +375,9 @@ impl EvictedIndex {
 
 /// One shard's occupancy, maintained incrementally so admission checks
 /// are O(1) at 10^5+ catalog records (the old accounting walked the
-/// whole catalog per install). `resident` counts registry residents —
-/// including half-migrated orphans, whose catalog record points at the
-/// migration destination — and `cold` counts catalog records without a
-/// resident copy, so `resident + cold` is exactly the union of catalog
-/// records and registry residents that `recover_shard` tears down.
+/// whole catalog per install). `resident` counts the shard's catalog
+/// records with a resident copy and `cold` those without one, so
+/// `resident + cold` is the shard's catalog record count.
 #[derive(Copy, Clone, Debug, Default)]
 struct ShardCounter {
     resident: usize,
@@ -511,8 +449,7 @@ impl ColdTier {
             .insert(m.name.clone(), self.now_ns.load(Ordering::Relaxed));
     }
 
-    /// Drop a module's span index entries for one shard (the other
-    /// shard's copy, if any, keeps its own entries).
+    /// Drop a module's span index entry in `shard`.
     fn remove_module(&self, shard: usize, name: &str) {
         self.ranges.lock()[shard].retain(|(_, _, n)| n.as_ref() != name);
     }
@@ -528,23 +465,6 @@ impl ColdTier {
         })
     }
 }
-
-/// One half-migrated module awaiting background repair: `migrate`'s
-/// make-before-break committed the destination copy, but retiring the
-/// source copy failed, leaving an orphan in the source shard.
-struct RepairTask {
-    module: String,
-    /// The shard holding the orphaned copy.
-    shard: usize,
-    /// Unload attempts so far (drives backoff and the force threshold).
-    attempts: u32,
-    /// Not retried before this clock time (caller-supplied ns).
-    next_ns: u64,
-}
-
-/// Graceful repair attempts before [`ModuleRegistry::force_unload`]
-/// (skipping the module's exit) becomes the last resort.
-const REPAIR_FORCE_AFTER: u32 = 3;
 
 /// What [`Fleet::recover_shard`] did.
 #[derive(Clone, Debug, Default)]
@@ -566,22 +486,18 @@ pub struct Fleet {
     sharded: Arc<ShardedKernel>,
     registries: Vec<Arc<ModuleRegistry>>,
     placement: Box<dyn ShardPlacement>,
-    /// Serializes fleet-level mutations (install / migrate / unload) so
-    /// placement decisions see a consistent view. Traffic and
-    /// re-randomization never take it. `Arc` so the demand loader (which
-    /// runs inside `Vm::call`) can consult the recipe without a
-    /// back-reference to the fleet.
+    /// Serializes fleet-level mutations (install / register / evict /
+    /// unload / recovery) so placement decisions see a consistent
+    /// view. Traffic and re-randomization never take it. `Arc` so the
+    /// demand loader (which runs inside `Vm::call`) can consult the
+    /// recipe without a back-reference to the fleet. Lock order:
+    /// `catalog` before any [`ColdTier`] lock, never the reverse.
     catalog: Arc<Mutex<HashMap<Arc<str>, InstallRecord>>>,
-    /// Half-migrated orphans awaiting background unload retries. Lock
-    /// order: `catalog` before `repairs` before any [`ColdTier`] lock,
-    /// never the reverse.
-    repairs: Mutex<Vec<RepairTask>>,
     /// Per-shard occupancy, maintained incrementally (see
     /// [`ShardCounter`]).
     counters: Arc<Mutex<Vec<ShardCounter>>>,
     /// The cold-module tier, once [`Fleet::enable_cold_tier`] ran.
     cold: Mutex<Option<Arc<ColdTier>>>,
-    backoff_clamps: AtomicU64,
     admission: AdmissionConfig,
 }
 
@@ -606,10 +522,8 @@ impl Fleet {
             registries,
             placement,
             catalog: Arc::new(Mutex::new(HashMap::new())),
-            repairs: Mutex::new(Vec::new()),
             counters: Arc::new(Mutex::new(vec![ShardCounter::default(); shards])),
             cold: Mutex::new(None),
-            backoff_clamps: AtomicU64::new(0),
             admission,
         }
     }
@@ -666,10 +580,7 @@ impl Fleet {
     }
 
     /// Current per-shard loads (what placement policies consult).
-    /// `modules` is the *union* occupancy — registry residents
-    /// (including half-migrated orphans whose catalog record points at
-    /// their migration destination) plus cold catalog records — so a
-    /// shard draining orphans cannot be over-admitted past its cap.
+    /// `modules` counts the shard's catalog records, resident or cold.
     /// Read from incrementally maintained counters: O(shards), not
     /// O(catalog), which is what keeps admission cheap at 10^5+
     /// registered modules.
@@ -686,7 +597,7 @@ impl Fleet {
             .collect()
     }
 
-    /// Admission check against the union occupancy of `shard`.
+    /// Admission check against the occupancy of `shard`.
     fn check_occupancy(&self, shard: usize) -> Result<(), FleetError> {
         let c = self.counters.lock()[shard];
         let modules = c.resident + c.cold;
@@ -736,8 +647,9 @@ impl Fleet {
         spans
     }
 
-    /// Audit the fleet's live layout: every span must sit wholly inside
-    /// its owning shard's window, and all spans must be pairwise
+    /// Audit the fleet's live layout: every registry resident must have
+    /// a catalog record naming its shard, every span must sit wholly
+    /// inside its owning shard's window, and all spans must be pairwise
     /// disjoint (within a shard *and* across shards — windows tile, so
     /// a cross-shard overlap is also a window escape, but both are
     /// reported by name). The single checker behind `FleetSim::verify`,
@@ -746,6 +658,20 @@ impl Fleet {
     /// violations; empty = clean.
     pub fn verify_layout(&self) -> Vec<String> {
         let mut violations = Vec::new();
+        {
+            let catalog = self.catalog.lock();
+            for (shard, registry) in self.registries.iter().enumerate() {
+                for name in registry.list() {
+                    match catalog.get(name.as_str()).map(|r| r.shard) {
+                        Some(owner) if owner == shard => {}
+                        owner => violations.push(format!(
+                            "uncataloged resident: {name} in shard {shard}, \
+                             catalog owner {owner:?}"
+                        )),
+                    }
+                }
+            }
+        }
         let spans = self.live_spans();
         for (i, &(shard_a, ref a, base_a, span_a)) in spans.iter().enumerate() {
             let (lo, hi) = self.sharded.window(shard_a);
@@ -769,18 +695,18 @@ impl Fleet {
 
     /// Install a module: placement picks the shard, the shard's
     /// registry loads it (init runs in that shard), the catalog records
-    /// the recipe for future migration. Returns `(shard, module)`.
+    /// the recipe for fault-in and crash recovery. Returns
+    /// `(shard, module)`.
     ///
     /// # Errors
     ///
     /// [`FleetError::Load`] when the shard's loader rejects the object;
     /// [`FleetError::DuplicateModule`] when the name is already
-    /// installed (replacing the record would orphan the old copy);
+    /// installed (replacing the record would strand the old copy);
     /// [`FleetError::UnknownShard`] when the placement policy names a
     /// shard the fleet does not have;
     /// [`FleetError::Overloaded`] when the chosen shard is at its
-    /// module cap; [`FleetError::RetryAfter`] when the repair queue is
-    /// saturated (admission control — see [`AdmissionConfig`]).
+    /// module cap (admission control — see [`AdmissionConfig`]).
     pub fn install(
         &self,
         obj: &ObjectFile,
@@ -790,7 +716,6 @@ impl Fleet {
         if catalog.contains_key(obj.name.as_str()) {
             return Err(FleetError::DuplicateModule(obj.name.clone()));
         }
-        self.admit()?;
         let loads = self.loads();
         let shard = self.placement.place(&obj.name, &loads);
         if shard >= loads.len() {
@@ -827,7 +752,7 @@ impl Fleet {
     /// module materializes on first call (demand fault) or via
     /// [`Fleet::ensure_resident`]. This is how a 10^5–10^6-module
     /// catalog stays cheap: a registration is one hash insert, no
-    /// mapping, no init. Counts toward the shard's union occupancy.
+    /// mapping, no init. Counts toward the shard's occupancy.
     ///
     /// # Errors
     ///
@@ -838,7 +763,6 @@ impl Fleet {
         if catalog.contains_key(obj.name.as_str()) {
             return Err(FleetError::DuplicateModule(obj.name.clone()));
         }
-        self.admit()?;
         let loads = self.loads();
         let shard = self.placement.place(&obj.name, &loads);
         if shard >= loads.len() {
@@ -865,250 +789,12 @@ impl Fleet {
         Ok(shard)
     }
 
-    /// Live-migrate `name` to shard `dst` (see module docs for the
-    /// batch protocol). No-op if the module already lives there.
-    /// Returns the destination-resident module.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError`] — on a load failure the source copy is untouched
-    /// and still serving; on an unload failure the destination copy is
-    /// live, the catalog points at it, and the orphaned source copy is
-    /// queued for background repair (see [`Fleet::run_repairs`]).
-    pub fn migrate(&self, name: &str, dst: usize) -> Result<Arc<LoadedModule>, FleetError> {
-        if dst >= self.registries.len() {
-            return Err(FleetError::UnknownShard(dst));
-        }
-        let mut catalog = self.catalog.lock();
-        let rec = catalog
-            .get(name)
-            .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?;
-        let src = rec.shard;
-        let src_module = self.registries[src]
-            .get(name)
-            .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?;
-        if src == dst {
-            return Ok(src_module);
-        }
-        self.admit()?;
-        self.check_occupancy(dst)?;
-        let (obj, opts) = (rec.obj.clone(), rec.opts);
-
-        // (1) Make: rebuild in the destination. Both parts install as
-        // one map-only vmem batch inside the loader; GOTs resolve
-        // against the destination kernel; init runs there (device
-        // attach). The source copy keeps serving throughout.
-        let dst_module = self.registries[dst].load(&obj, &opts)?;
-
-        // (2) Copy live state: every writable data page travels frame-
-        // to-frame, so counters, rings, and tables survive the move.
-        let src_kernel = self.sharded.shard(src);
-        let dst_kernel = self.sharded.shard(dst);
-        copy_writable_state(src_kernel, &src_module, dst_kernel, &dst_module);
-
-        // (3) Re-adjust movable pointers for the destination base (the
-        // raw copy imported source-shard addresses) and let the module
-        // refresh its own run-time pointers.
-        let dst_base = dst_module.movable_base.load(Ordering::Acquire);
-        for slot in &dst_module.adjust_slots {
-            let frames = match slot.part {
-                crate::Part::Movable => &dst_module.movable.frames,
-                crate::Part::Immovable => &dst_module.immovable.as_ref().unwrap().frames,
-            };
-            let page = (slot.slot_off / PAGE_SIZE as u64) as usize;
-            let off = (slot.slot_off % PAGE_SIZE as u64) as usize;
-            dst_kernel
-                .phys
-                .write_u64(frames[page], off, dst_base + slot.target_off);
-        }
-        let update_result = match dst_module.update_pointers_va {
-            Some(up) => {
-                let mut vm = dst_kernel.vm();
-                vm.call(up, &[dst_base]).map(|_| ()).map_err(|e| {
-                    dst_module
-                        .pointer_refresh_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    FleetError::UpdatePointers(e.to_string())
-                })
-            }
-            None => Ok(()),
-        };
-
-        // (4) Break: retire the source copy — exit runs there (device
-        // detach) and both parts unmap as one batched shootdown.
-        catalog.insert(
-            dst_module.name.clone(),
-            InstallRecord {
-                shard: dst,
-                obj,
-                opts,
-            },
-        );
-        {
-            // The destination copy is live from here; the source copy
-            // stays charged to its shard until the unload below (or the
-            // repair queue) actually retires it — that residual charge
-            // is what keeps a shard draining orphans from being
-            // over-admitted.
-            let mut counters = self.counters.lock();
-            counters[dst].resident += 1;
-            counters[dst].mapped_bytes += dst_module.mapped_bytes();
-        }
-        let src_bytes = src_module.mapped_bytes();
-        if let Some(tier) = self.cold_tier() {
-            tier.insert_module(dst, &dst_module);
-        }
-        drop(src_module);
-        if let Err(e) = self.registries[src].unload(name) {
-            // Half-migrated: the destination copy serves and the
-            // catalog points at it, but the source shard still holds an
-            // orphaned copy. Queue it for background repair (retried
-            // with backoff by `run_repairs`) instead of stranding it.
-            self.repairs.lock().push(RepairTask {
-                module: name.to_string(),
-                shard: src,
-                attempts: 0,
-                next_ns: 0,
-            });
-            self.sharded.shard(src).printk.log(format!(
-                "fleet: {name} orphaned on shard {src} after migrate \
-                 (unload failed: {e}); queued for repair"
-            ));
-            return Err(FleetError::Unload(e));
-        }
-        {
-            let mut counters = self.counters.lock();
-            counters[src].resident -= 1;
-            counters[src].mapped_bytes -= src_bytes;
-        }
-        if let Some(tier) = self.cold_tier() {
-            tier.remove_module(src, name);
-        }
-        dst_kernel
-            .printk
-            .log(format!("fleet: {name} migrated shard {src} -> shard {dst}"));
-        update_result.map(|()| dst_module)
-    }
-
-    /// Admission gate shared by install and migrate: a repair queue at
-    /// capacity means the fleet is drowning in fault recovery — push
-    /// back instead of admitting more work. The `RetryAfter` hint
-    /// scales with the current queue depth (depth × base, clamped to
-    /// [`MAX_REPAIR_BACKOFF_NS`]): the deeper the backlog, the longer
-    /// a caller should stay away, so a storm of refused installs does
-    /// not hammer the fleet at a fixed cadence.
-    fn admit(&self) -> Result<(), FleetError> {
-        let depth = self.repairs.lock().len();
-        if depth >= self.admission.max_pending_repairs {
-            let after_ns = self
-                .admission
-                .retry_after_ns
-                .saturating_mul(depth as u64)
-                .min(MAX_REPAIR_BACKOFF_NS);
-            return Err(FleetError::RetryAfter { after_ns });
-        }
-        Ok(())
-    }
-
-    /// Half-migrated orphans still awaiting background repair.
-    pub fn pending_repairs(&self) -> usize {
-        self.repairs.lock().len()
-    }
-
-    /// Repair-queue health (pending depth + backoff-clamp count).
-    pub fn repair_stats(&self) -> RepairStats {
-        RepairStats {
-            pending: self.repairs.lock().len(),
-            backoff_clamps: self.backoff_clamps.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Run the background repair queue at time `now_ns` (on whatever
-    /// clock the caller drives — wall in production, virtual under the
-    /// testkit): every due task retries its orphan unload, gracefully
-    /// at first and via [`ModuleRegistry::force_unload`] once
-    /// `REPAIR_FORCE_AFTER` graceful attempts failed; failures re-queue
-    /// with exponential backoff. Returns the number of orphans
-    /// repaired.
-    pub fn run_repairs(&self, now_ns: u64) -> usize {
-        // Lock order: catalog before repairs.
-        let _catalog = self.catalog.lock();
-        let mut repairs = self.repairs.lock();
-        let mut repaired = 0;
-        let mut keep = Vec::new();
-        for mut task in repairs.drain(..) {
-            if task.next_ns > now_ns {
-                keep.push(task);
-                continue;
-            }
-            let registry = &self.registries[task.shard];
-            let Some(orphan) = registry.get(&task.module) else {
-                // Already gone (a shard rebuild swept it); done.
-                repaired += 1;
-                continue;
-            };
-            let orphan_bytes = orphan.mapped_bytes();
-            drop(orphan);
-            let force = task.attempts >= REPAIR_FORCE_AFTER;
-            let result = if force {
-                registry.force_unload(&task.module)
-            } else {
-                registry.unload(&task.module)
-            };
-            match result {
-                Ok(()) => {
-                    {
-                        let mut counters = self.counters.lock();
-                        counters[task.shard].resident -= 1;
-                        counters[task.shard].mapped_bytes -= orphan_bytes;
-                    }
-                    if let Some(tier) = self.cold_tier() {
-                        tier.remove_module(task.shard, &task.module);
-                    }
-                    self.sharded.shard(task.shard).printk.log(format!(
-                        "fleet: repaired orphan {} on shard {} (attempt {}{})",
-                        task.module,
-                        task.shard,
-                        task.attempts + 1,
-                        if force { ", forced" } else { "" }
-                    ));
-                    repaired += 1;
-                }
-                Err(e) => {
-                    task.attempts = task.attempts.saturating_add(1);
-                    let (backoff, clamped) =
-                        repair_backoff(self.admission.retry_after_ns, task.attempts);
-                    if clamped {
-                        self.backoff_clamps.fetch_add(1, Ordering::Relaxed);
-                    }
-                    task.next_ns = now_ns.saturating_add(backoff);
-                    self.sharded.shard(task.shard).printk.log_limited(
-                        &format!("fleet-repair:{}", task.module),
-                        format!(
-                            "fleet: repair of {} on shard {} failed ({e}); \
-                             retrying at +{backoff} ns",
-                            task.module, task.shard
-                        ),
-                    );
-                    keep.push(task);
-                }
-            }
-        }
-        *repairs = keep;
-        repaired
-    }
-
-    /// Crash-recover shard `shard`: tear down every module it holds
-    /// (forced — a crashed shard's exits don't get a vote) and rebuild
-    /// each from the install catalog's stored object + options, in
-    /// name order (deterministic). Teardown covers what the shard's
-    /// registry *actually* holds, not just the catalog's records for
-    /// it — a half-migrated orphan's record points at the migration
-    /// destination, but its stale copy lives here and vanishes with
-    /// the rebuild. A pending repair task is dropped only once its
-    /// orphan is confirmed gone from the registry. Callers drive this
-    /// from a [`ShardWatchdog`](crate::ShardWatchdog) verdict, then
-    /// rebuild the shard's scheduler group.
+    /// Crash-recover shard `shard`: tear down every module its catalog
+    /// records hold resident there (forced — a crashed shard's exits
+    /// don't get a vote) and rebuild each from the install catalog's
+    /// stored object + options, in name order (deterministic). Callers
+    /// drive this from a [`ShardWatchdog`](crate::ShardWatchdog)
+    /// verdict, then rebuild the shard's scheduler group.
     ///
     /// # Errors
     ///
@@ -1121,19 +807,12 @@ impl Fleet {
         }
         let mut catalog = self.catalog.lock();
         let registry = &self.registries[shard];
-        // Tear down the union of the catalog's records for this shard
-        // and the registry's resident modules: a half-migrated orphan
-        // is resident here while its catalog record points at the
-        // migration destination, and a record whose module the
-        // registry lost still deserves a rebuild.
         let mut names: Vec<Arc<str>> = catalog
             .iter()
             .filter(|(_, rec)| rec.shard == shard)
             .map(|(n, _)| n.clone())
             .collect();
-        names.extend(registry.list().into_iter().map(Arc::<str>::from));
         names.sort();
-        names.dedup();
         let kernel = self.sharded.shard(shard);
         let mut report = RecoveryReport {
             shard,
@@ -1141,8 +820,8 @@ impl Fleet {
         };
         let cold_tier = self.cold_tier();
         for name in names {
-            let owned_here = catalog.get(&name).is_some_and(|rec| rec.shard == shard);
-            if cold_tier.is_some() && registry.get(&name).is_none() {
+            let resident = registry.get(&name);
+            if cold_tier.is_some() && resident.is_none() {
                 // Cold tier enabled: a catalog record without a
                 // resident copy is cold *by design* — its spans are
                 // already unmapped and its recipe intact, so recovery
@@ -1150,7 +829,7 @@ impl Fleet {
                 // materializing the whole catalog.
                 continue;
             }
-            if let Some(m) = registry.get(&name) {
+            if let Some(m) = resident {
                 let base = m.movable_base.load(Ordering::Acquire);
                 let mut spans = vec![(base, (m.movable.total_pages * PAGE_SIZE) as u64)];
                 if let Some(imm) = &m.immovable {
@@ -1164,9 +843,7 @@ impl Fleet {
                     // the name, so drop the module from the fleet
                     // entirely.
                     report.failed.push((name.to_string(), e));
-                    if owned_here {
-                        catalog.remove(&name);
-                    }
+                    catalog.remove(&name);
                     continue;
                 }
                 // Vacated only after the teardown actually unmapped the
@@ -1174,18 +851,7 @@ impl Fleet {
                 // stale mapping survives rebuild.
                 report.vacated.extend(spans);
             }
-            if !owned_here {
-                // Half-migrated orphan: the live copy serves from its
-                // destination shard, so sweeping the stale copy *is*
-                // the repair — nothing to rebuild here.
-                kernel.printk.log(format!(
-                    "fleet: swept orphan {name} during shard {shard} recovery"
-                ));
-                continue;
-            }
-            let rec = catalog
-                .get(&name)
-                .expect("catalog record exists for its own shard listing");
+            let rec = &catalog[&name];
             match registry.load(&rec.obj, &rec.opts) {
                 Ok(_) => report.rebuilt.push(name.to_string()),
                 Err(e) => {
@@ -1194,30 +860,21 @@ impl Fleet {
                 }
             }
         }
-        // Drop a repair task only once its orphan is confirmed gone
-        // from the registry. (A retire-batch failure also removes the
-        // registry record — the frames are deliberately withheld and no
-        // retry can reclaim them, so dropping the task is right there
-        // too.)
-        self.repairs
-            .lock()
-            .retain(|t| t.shard != shard || registry.get(&t.module).is_some());
         // Recompute this shard's occupancy counters from the rebuilt
         // ground truth (teardown/rebuild interleavings are easier to
         // recount than to track), and re-index the cold tier's resident
         // spans for the shard.
         {
             let mut c = ShardCounter::default();
-            for name in registry.list() {
-                if let Some(m) = registry.get(&name) {
-                    c.resident += 1;
-                    c.mapped_bytes += m.mapped_bytes();
+            for (name, _) in catalog.iter().filter(|(_, rec)| rec.shard == shard) {
+                match registry.get(name) {
+                    Some(m) => {
+                        c.resident += 1;
+                        c.mapped_bytes += m.mapped_bytes();
+                    }
+                    None => c.cold += 1,
                 }
             }
-            c.cold = catalog
-                .iter()
-                .filter(|(n, rec)| rec.shard == shard && registry.get(n).is_none())
-                .count();
             self.counters.lock()[shard] = c;
         }
         if let Some(tier) = cold_tier {
@@ -1361,9 +1018,11 @@ impl Fleet {
             let sharded = Arc::clone(&self.sharded);
             kernel.set_demand_loader(Arc::new(move |va| {
                 let (name, old) = t.evicted.lock().resolve(shard, va)?;
-                // try_lock: a migrate in flight holds the catalog
-                // across an interpreted call; blocking here would
-                // deadlock, so the fault stands and the caller retries.
+                // try_lock: install, unload, evict, cold_tick and
+                // recover_shard hold the catalog while a module's
+                // interpreted init or exit runs; a demand fault from
+                // inside that code would deadlock here, so the fault
+                // stands and the caller retries.
                 let (obj, opts) = {
                     let catalog = catalog.try_lock()?;
                     let rec = catalog.get(&name)?;
@@ -1532,8 +1191,7 @@ impl Fleet {
     /// caller drives — the stepped testkit clock in tests) and evict
     /// idle residents plus least-recently-called residents beyond
     /// `max_resident`. Eviction order is `(last_call, name)` —
-    /// deterministic for a deterministic call history. Half-migrated
-    /// orphans are skipped (the repair queue owns them); a module whose
+    /// deterministic for a deterministic call history. A module whose
     /// exit traps stays resident, and the next candidate is considered
     /// in its place. Returns the evicted names, in that order. No-op
     /// until [`Fleet::enable_cold_tier`].
@@ -1558,15 +1216,12 @@ impl Fleet {
             let last = tier.last_call.lock();
             for (shard, registry) in self.registries.iter().enumerate() {
                 for name in registry.list() {
-                    if catalog.get(name.as_str()).is_none_or(|r| r.shard != shard) {
-                        continue;
-                    }
                     let stamp = last.get(name.as_str()).copied().unwrap_or(0);
                     candidates.push((stamp, name, shard));
                 }
             }
         }
-        // Names are unique among catalog-owned residents, so the shard
+        // Names are unique across the fleet's residents, so the shard
         // never breaks a tie.
         candidates.sort();
         let mut evicted = vec![false; candidates.len()];
@@ -1700,33 +1355,6 @@ impl fmt::Debug for Fleet {
             .field("placement", &self.placement.name())
             .field("modules", &self.modules())
             .finish()
-    }
-}
-
-/// Copy every writable (`PteFlags::DATA`) page of both parts from the
-/// source module's frames to the destination's — the state-transfer
-/// half of migration.
-fn copy_writable_state(
-    src_kernel: &Arc<Kernel>,
-    src: &LoadedModule,
-    dst_kernel: &Arc<Kernel>,
-    dst: &LoadedModule,
-) {
-    let copy_part = |src_img: &crate::PartImage, dst_img: &crate::PartImage| {
-        let mut buf = [0u8; PAGE_SIZE];
-        for g in &src_img.groups {
-            if g.flags != PteFlags::DATA {
-                continue;
-            }
-            for p in g.page_start..g.page_start + g.pages {
-                src_kernel.phys.read(src_img.frames[p], 0, &mut buf);
-                dst_kernel.phys.write(dst_img.frames[p], 0, &buf);
-            }
-        }
-    };
-    copy_part(&src.movable, &dst.movable);
-    if let (Some(s), Some(d)) = (&src.immovable, &dst.immovable) {
-        copy_part(s, d);
     }
 }
 
@@ -1866,53 +1494,6 @@ mod tests {
         assert!(fleet.verify_symbol_integrity().is_empty());
     }
 
-    #[test]
-    fn migration_carries_state_and_retires_the_source() {
-        let fleet = fleet(2, Box::new(RoundRobin::new()));
-        let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&stateful_spec("mig"), &opts).unwrap();
-        let (src, module) = fleet.install(&obj, &opts).unwrap();
-        let entry = module.export("mig_bump").unwrap();
-        let src_kernel = fleet.kernel(src).clone();
-        let mut vm = src_kernel.vm();
-        for expect in 1..=5u64 {
-            assert_eq!(vm.call(entry, &[]).unwrap(), expect);
-        }
-        let old_mov = module.movable_base.load(Ordering::Acquire);
-        let old_imm = module.immovable.as_ref().unwrap().base;
-        drop(vm);
-        drop(module);
-
-        let dst = 1 - src;
-        let moved = fleet.migrate("mig", dst).unwrap();
-        assert_eq!(fleet.shard_of("mig"), Some(dst));
-        // The counter survived the move: the next bump continues at 6.
-        let dst_kernel = fleet.kernel(dst).clone();
-        let mut vm = dst_kernel.vm();
-        let entry = moved.export("mig_bump").unwrap();
-        assert_eq!(vm.call(entry, &[]).unwrap(), 6, "state must travel");
-        // Destination layout sits inside the destination window; the
-        // source copy is gone (both parts) and its exports unpublished.
-        let (lo, hi) = fleet.sharded().window(dst);
-        let new_base = moved.movable_base.load(Ordering::Acquire);
-        assert!(new_base >= lo && new_base < hi);
-        assert!(src_kernel.space.translate(old_mov, Access::Read).is_err());
-        assert!(src_kernel.space.translate(old_imm, Access::Read).is_err());
-        assert!(src_kernel.symbols.lookup("mig_bump").is_none());
-        assert!(dst_kernel.symbols.lookup("mig_bump").is_some());
-        // No dangling GOT entries anywhere.
-        assert_eq!(fleet.verify_symbol_integrity(), Vec::<String>::new());
-        // Migrating to the same shard is a no-op.
-        let again = fleet.migrate("mig", dst).unwrap();
-        assert_eq!(
-            again.movable_base.load(Ordering::Acquire),
-            moved.movable_base.load(Ordering::Acquire)
-        );
-        // And the module can still be re-randomized in its new home.
-        crate::rerandomize_module(&dst_kernel, fleet.registry(dst), &moved).unwrap();
-        assert_eq!(vm.call(entry, &[]).unwrap(), 7);
-    }
-
     /// Regression: a failed registry unload used to be preceded by the
     /// catalog removal (and the registry removal by the exit call), so
     /// the still-mapped module vanished from every fleet audit and the
@@ -1944,132 +1525,6 @@ mod tests {
             .unwrap();
         assert_eq!(vm.call(entry, &[]).unwrap(), 1);
         assert!(matches!(fleet.unload("stuck"), Err(FleetError::Unload(_))));
-    }
-
-    /// The half-migrated orphan (migrate committed the destination,
-    /// source unload failed) lands on the repair queue, backpressures
-    /// admission while queued, survives graceful retries against a
-    /// trapping exit, and is finally force-unloaded — source spans
-    /// vacated, queue drained.
-    #[test]
-    fn migrate_orphan_is_repaired_with_backoff_and_force() {
-        let fleet = Fleet::with_admission(
-            adelie_kernel::ShardedKernel::new(FleetConfig::seeded(2, 11)),
-            Box::new(RoundRobin::new()),
-            AdmissionConfig {
-                max_pending_repairs: 1,
-                retry_after_ns: 1_000,
-                ..AdmissionConfig::default()
-            },
-        );
-        let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&trapping_spec("orph"), &opts).unwrap();
-        let (src, module) = fleet.install(&obj, &opts).unwrap();
-        let old_mov = module.movable_base.load(Ordering::Acquire);
-        let old_imm = module.immovable.as_ref().unwrap().base;
-        drop(module);
-        let dst = 1 - src;
-        match fleet.migrate("orph", dst) {
-            Err(FleetError::Unload(e)) => assert!(e.contains("exit failed"), "{e}"),
-            other => panic!("trapping source exit must orphan, got {other:?}"),
-        }
-        // Catalog points at the live destination copy; the orphan is
-        // queued and the queue (at its cap of 1) pushes back on new
-        // installs with RetryAfter.
-        assert_eq!(fleet.shard_of("orph"), Some(dst));
-        assert_eq!(fleet.pending_repairs(), 1);
-        let other_obj = transform(&stateful_spec("late"), &opts).unwrap();
-        match fleet.install(&other_obj, &opts) {
-            Err(FleetError::RetryAfter { after_ns }) => assert_eq!(after_ns, 1_000),
-            other => panic!("saturated repair queue must backpressure, got {other:?}"),
-        }
-        // Graceful repair attempts keep hitting the trapping exit; each
-        // failure re-queues with a bigger backoff, and a not-yet-due
-        // task is left alone.
-        let mut now = 0u64;
-        for _ in 0..REPAIR_FORCE_AFTER {
-            assert_eq!(fleet.run_repairs(now), 0);
-            assert_eq!(fleet.pending_repairs(), 1);
-            assert_eq!(fleet.run_repairs(now), 0, "backed off, not due yet");
-            now += 1_000 * (1 << 17); // beyond any backoff in this test
-        }
-        // The next due attempt is forced (exit skipped): the orphan's
-        // mappings vanish and the queue drains.
-        assert_eq!(fleet.run_repairs(now), 1);
-        assert_eq!(fleet.pending_repairs(), 0);
-        let src_kernel = fleet.kernel(src);
-        assert!(src_kernel.space.translate(old_mov, Access::Read).is_err());
-        assert!(src_kernel.space.translate(old_imm, Access::Read).is_err());
-        assert!(fleet.registry(src).get("orph").is_none());
-        // Admission reopens once the queue drains.
-        fleet.install(&other_obj, &opts).unwrap();
-        assert!(fleet.verify_layout().is_empty());
-        assert!(fleet.verify_symbol_integrity().is_empty());
-    }
-
-    /// Regression: crash-recovering the shard that holds a
-    /// half-migrated orphan used to tear down only the modules the
-    /// catalog listed for that shard — the orphan's record points at
-    /// the migration destination, so its stale copy (and executable
-    /// mappings) survived the rebuild while its repair task was
-    /// dropped, leaking it permanently. Recovery must sweep what the
-    /// registry actually holds and drop the task only once the orphan
-    /// is confirmed gone.
-    #[test]
-    fn recover_shard_sweeps_migrate_orphans() {
-        let mut pins = HashMap::new();
-        pins.insert("orph".to_string(), 0);
-        pins.insert("mate".to_string(), 0);
-        let fleet = fleet(2, Box::new(Pinned::new(pins, 0)));
-        let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&trapping_spec("orph"), &opts).unwrap();
-        let (src, module) = fleet.install(&obj, &opts).unwrap();
-        assert_eq!(src, 0);
-        let mate = transform(&stateful_spec("mate"), &opts).unwrap();
-        fleet.install(&mate, &opts).unwrap();
-        let old_mov = module.movable_base.load(Ordering::Acquire);
-        let old_imm = module.immovable.as_ref().unwrap().base;
-        drop(module);
-        assert!(matches!(
-            fleet.migrate("orph", 1),
-            Err(FleetError::Unload(_))
-        ));
-        assert_eq!(fleet.pending_repairs(), 1);
-
-        let report = fleet.recover_shard(0).unwrap();
-        // Only the shard's own tenant is rebuilt; the orphan is swept,
-        // not reloaded (its live copy serves from shard 1).
-        assert_eq!(report.rebuilt, vec!["mate".to_string()]);
-        assert!(report.failed.is_empty());
-        assert!(
-            report.vacated.iter().any(|&(b, _)| b == old_mov)
-                && report.vacated.iter().any(|&(b, _)| b == old_imm),
-            "the orphan's spans must be vacated: {:?}",
-            report.vacated
-        );
-        assert_eq!(report.vacated.len(), 4, "orphan + mate, both parts");
-        let src_kernel = fleet.kernel(0);
-        assert!(src_kernel.space.translate(old_mov, Access::Read).is_err());
-        assert!(src_kernel.space.translate(old_imm, Access::Read).is_err());
-        assert!(fleet.registry(0).get("orph").is_none());
-        assert_eq!(
-            fleet.pending_repairs(),
-            0,
-            "the swept orphan's repair task must be dropped"
-        );
-        // The destination copy is untouched and still serving.
-        assert_eq!(fleet.shard_of("orph"), Some(1));
-        let dst_kernel = fleet.kernel(1).clone();
-        let mut vm = dst_kernel.vm();
-        let entry = fleet
-            .registry(1)
-            .get("orph")
-            .unwrap()
-            .export("orph_bump")
-            .unwrap();
-        assert_eq!(vm.call(entry, &[]).unwrap(), 1);
-        assert!(fleet.verify_layout().is_empty());
-        assert!(fleet.verify_symbol_integrity().is_empty());
     }
 
     /// Crash recovery rebuilds a shard's modules from the install
@@ -2135,7 +1590,7 @@ mod tests {
     }
 
     /// Admission control: a shard at its module cap refuses installs
-    /// and inbound migrations with a typed `Overloaded`.
+    /// with a typed `Overloaded`.
     #[test]
     fn admission_caps_shard_occupancy() {
         let fleet = Fleet::with_admission(
@@ -2143,7 +1598,6 @@ mod tests {
             Box::new(RoundRobin::new()),
             AdmissionConfig {
                 max_modules_per_shard: 1,
-                ..AdmissionConfig::default()
             },
         );
         let opts = TransformOptions::rerandomizable(true);
@@ -2160,202 +1614,29 @@ mod tests {
             }) => assert_eq!(shard, 0, "round-robin wraps to the full shard"),
             other => panic!("cap must refuse the install, got {other:?}"),
         }
-        let dst = fleet.shard_of("a1").map(|s| 1 - s).unwrap();
-        match fleet.migrate("a1", dst) {
-            Err(FleetError::Overloaded { shard, .. }) => assert_eq!(shard, dst),
-            other => panic!("cap must refuse the migration, got {other:?}"),
-        }
         assert!(fleet.verify_layout().is_empty());
     }
 
-    /// Regression (bug): admission used to charge occupancy from
-    /// catalog records only, so a half-migrated orphan — resident in
-    /// its source shard while its record points at the destination —
-    /// was invisible to the cap, and a shard draining orphans could be
-    /// over-admitted past `max_modules_per_shard`. Occupancy must be
-    /// the union of catalog records and registry residents (the same
-    /// union `recover_shard` tears down).
+    /// Every registry resident has a catalog record naming its shard:
+    /// a module loaded straight into a shard's registry, bypassing the
+    /// catalog, is exactly one `verify_layout` violation.
     #[test]
-    fn occupancy_counts_migrate_orphans_against_the_source_shard() {
-        let mut pins = HashMap::new();
-        pins.insert("orph".to_string(), 0);
-        pins.insert("late".to_string(), 0);
-        let fleet = Fleet::with_admission(
-            adelie_kernel::ShardedKernel::new(FleetConfig::seeded(2, 11)),
-            Box::new(Pinned::new(pins, 1)),
-            AdmissionConfig {
-                max_modules_per_shard: 1,
-                ..AdmissionConfig::default()
-            },
-        );
+    fn verify_layout_flags_a_resident_without_a_catalog_record() {
+        let fleet = fleet(2, Box::new(RoundRobin::new()));
         let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&trapping_spec("orph"), &opts).unwrap();
-        let (src, _) = fleet.install(&obj, &opts).unwrap();
-        assert_eq!(src, 0);
-        assert!(matches!(
-            fleet.migrate("orph", 1),
-            Err(FleetError::Unload(_))
-        ));
-        // The orphan's record points at shard 1, but its stale copy
-        // still occupies shard 0's registry slot.
-        assert_eq!(fleet.shard_of("orph"), Some(1));
-        assert!(fleet.registry(0).get("orph").is_some());
-        let late = transform(&stateful_spec("late"), &opts).unwrap();
-        match fleet.install(&late, &opts) {
-            Err(FleetError::Overloaded {
-                shard: 0,
-                modules: 1,
-                limit: 1,
-            }) => {}
-            other => panic!("orphan must count against shard 0's cap, got {other:?}"),
+        for name in ["ok0", "ok1"] {
+            let obj = transform(&stateful_spec(name), &opts).unwrap();
+            fleet.install(&obj, &opts).unwrap();
         }
-        // Once the repair queue retires the orphan, the slot reopens.
-        let mut now = 0u64;
-        while fleet.pending_repairs() > 0 {
-            fleet.run_repairs(now);
-            now += MAX_REPAIR_BACKOFF_NS;
-        }
-        assert_eq!(fleet.install(&late, &opts).unwrap().0, 0);
         assert!(fleet.verify_layout().is_empty());
-    }
-
-    /// Regression (bug): unclamped, the repair backoff stretched to
-    /// `base << 16` (~65536 s at the default base), parking an orphan
-    /// past every watchdog horizon. Mirrors
-    /// `degradation_stretch_is_bounded`: the schedule must be monotone,
-    /// bounded by `MAX_REPAIR_BACKOFF_NS`, and flag exactly the
-    /// clamped attempts.
-    #[test]
-    fn repair_backoff_is_bounded() {
-        let base = AdmissionConfig::default().retry_after_ns;
-        let mut prev = 0u64;
-        for attempts in 0..48u32 {
-            let (backoff, clamped) = repair_backoff(base, attempts);
-            assert!(backoff <= MAX_REPAIR_BACKOFF_NS, "attempt {attempts}");
-            assert!(backoff >= prev, "monotone schedule");
-            let raw = base.saturating_mul(1u64 << attempts.min(16));
-            assert_eq!(clamped, raw > MAX_REPAIR_BACKOFF_NS);
-            prev = backoff;
-        }
-        assert_eq!(repair_backoff(base, 9), (base << 9, false));
-        assert_eq!(repair_backoff(base, 10), (MAX_REPAIR_BACKOFF_NS, true));
-        assert_eq!(repair_backoff(base, 40), (MAX_REPAIR_BACKOFF_NS, true));
-    }
-
-    /// The clamp is observable: an orphan whose retries back off at the
-    /// ceiling shows up in `repair_stats().backoff_clamps`.
-    #[test]
-    fn backoff_clamp_surfaces_in_repair_stats() {
-        let fleet = Fleet::with_admission(
-            adelie_kernel::ShardedKernel::new(FleetConfig::seeded(2, 11)),
-            Box::new(RoundRobin::new()),
-            AdmissionConfig {
-                retry_after_ns: MAX_REPAIR_BACKOFF_NS,
-                ..AdmissionConfig::default()
-            },
+        let stray = transform(&stateful_spec("stray"), &opts).unwrap();
+        fleet.registry(1).load(&stray, &opts).unwrap();
+        let violations = fleet.verify_layout();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("stray") && violations[0].contains("shard 1"),
+            "{violations:?}"
         );
-        let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&trapping_spec("orph"), &opts).unwrap();
-        let (src, _) = fleet.install(&obj, &opts).unwrap();
-        assert!(matches!(
-            fleet.migrate("orph", 1 - src),
-            Err(FleetError::Unload(_))
-        ));
-        assert_eq!(fleet.repair_stats().backoff_clamps, 0);
-        // Graceful attempt against the trapping exit fails; with the
-        // base already at the ceiling, the doubled backoff clamps.
-        assert_eq!(fleet.run_repairs(0), 0);
-        let stats = fleet.repair_stats();
-        assert_eq!(stats.pending, 1);
-        assert_eq!(stats.backoff_clamps, 1);
-    }
-
-    /// Regression (bug): `RetryAfter` hints were static — a storm of
-    /// refused callers all retried at the same fixed cadence no matter
-    /// how deep the backlog. The hint must grow with the repair-queue
-    /// depth.
-    #[test]
-    fn retry_after_hint_grows_with_queue_depth() {
-        let mut pins = HashMap::new();
-        pins.insert("o1".to_string(), 0);
-        pins.insert("o2".to_string(), 0);
-        let fleet = Fleet::with_admission(
-            adelie_kernel::ShardedKernel::new(FleetConfig::seeded(2, 11)),
-            Box::new(Pinned::new(pins, 0)),
-            AdmissionConfig {
-                max_pending_repairs: 1,
-                retry_after_ns: 1_000,
-                ..AdmissionConfig::default()
-            },
-        );
-        let opts = TransformOptions::rerandomizable(true);
-        let orphan = |name: &str| transform(&trapping_spec(name), &opts).unwrap();
-        fleet.install(&orphan("o1"), &opts).unwrap();
-        fleet.install(&orphan("o2"), &opts).unwrap();
-        assert!(matches!(fleet.migrate("o1", 1), Err(FleetError::Unload(_))));
-        let late = transform(&stateful_spec("late"), &opts).unwrap();
-        let depth1 = match fleet.install(&late, &opts) {
-            Err(FleetError::RetryAfter { after_ns }) => after_ns,
-            other => panic!("saturated queue must push back, got {other:?}"),
-        };
-        assert_eq!(depth1, 1_000, "depth 1 × base");
-        // Deepen the backlog: the second orphan bypasses admit only
-        // because migrate is refused — force the queue deeper by
-        // repairing nothing and re-checking after a second orphan.
-        // (migrate's own admit() is the gate, so drain capacity first.)
-        let report_depth = fleet.pending_repairs();
-        assert_eq!(report_depth, 1);
-        // Raise the cap so a second orphan can form, then re-check.
-        let fleet2 = Fleet::with_admission(
-            adelie_kernel::ShardedKernel::new(FleetConfig::seeded(2, 11)),
-            Box::new(Pinned::new(
-                HashMap::from([("o1".to_string(), 0), ("o2".to_string(), 0)]),
-                0,
-            )),
-            AdmissionConfig {
-                max_pending_repairs: 2,
-                retry_after_ns: 1_000,
-                ..AdmissionConfig::default()
-            },
-        );
-        fleet2.install(&orphan("o1"), &opts).unwrap();
-        fleet2.install(&orphan("o2"), &opts).unwrap();
-        assert!(matches!(
-            fleet2.migrate("o1", 1),
-            Err(FleetError::Unload(_))
-        ));
-        assert!(matches!(
-            fleet2.migrate("o2", 1),
-            Err(FleetError::Unload(_))
-        ));
-        assert_eq!(fleet2.pending_repairs(), 2);
-        match fleet2.install(&late, &opts) {
-            Err(FleetError::RetryAfter { after_ns }) => {
-                assert_eq!(after_ns, 2_000, "depth 2 × base: hint must grow")
-            }
-            other => panic!("saturated queue must push back, got {other:?}"),
-        }
-        // And the hint never exceeds the backoff ceiling.
-        let fleet3 = Fleet::with_admission(
-            adelie_kernel::ShardedKernel::new(FleetConfig::seeded(2, 11)),
-            Box::new(Pinned::new(HashMap::from([("o1".to_string(), 0)]), 0)),
-            AdmissionConfig {
-                max_pending_repairs: 1,
-                retry_after_ns: MAX_REPAIR_BACKOFF_NS,
-                ..AdmissionConfig::default()
-            },
-        );
-        fleet3.install(&orphan("o1"), &opts).unwrap();
-        assert!(matches!(
-            fleet3.migrate("o1", 1),
-            Err(FleetError::Unload(_))
-        ));
-        match fleet3.install(&late, &opts) {
-            Err(FleetError::RetryAfter { after_ns }) => {
-                assert_eq!(after_ns, MAX_REPAIR_BACKOFF_NS)
-            }
-            other => panic!("got {other:?}"),
-        }
     }
 
     /// The cold tier end to end: an idle module is evicted (spans

@@ -53,7 +53,7 @@ mod va;
 
 pub use fleet::{
     AdmissionConfig, ColdTierConfig, ColdTierStats, Fleet, FleetError, LoadWeighted, Pinned,
-    RecoveryReport, RepairStats, RoundRobin, ShardLoad, ShardPlacement, MAX_REPAIR_BACKOFF_NS,
+    RecoveryReport, RoundRobin, ShardLoad, ShardPlacement,
 };
 pub use hooks::{CycleCommit, CycleHooks, CycleStage};
 pub use loader::{LoadError, Loader};
@@ -188,8 +188,8 @@ impl ModuleRegistry {
     /// Unload a module *without* running its exit entry point — the
     /// crash-recovery teardown. A module whose exit traps every time
     /// would otherwise wedge graceful [`ModuleRegistry::unload`]
-    /// forever; shard rebuild and the fleet repair queue's last resort
-    /// skip the exit and reclaim the mappings anyway.
+    /// forever; shard rebuild ([`Fleet::recover_shard`]) skips the exit
+    /// and reclaims the mappings anyway.
     ///
     /// # Errors
     ///
@@ -255,8 +255,8 @@ impl ModuleRegistry {
                 self.kernel.symbols.unregister_native(&slot.binder_name);
             }
             // Retire the whole module — current movable mapping plus
-            // the immovable part — in the shared batch (fleet migration
-            // leans on this to make the source shard's copy vanish
+            // the immovable part — in the shared batch (fleet eviction
+            // leans on this to make an evicted module vanish
             // atomically).
             let base = module
                 .movable_base
@@ -351,9 +351,8 @@ impl ModuleRegistry {
 /// Audit `module`'s fixed GOTs against the *owning* kernel: every slot
 /// must hold exactly the address its recorded symbol name resolves to
 /// there (an immovable module symbol or a kallsyms export). A mismatch
-/// is a dangling GOT entry — the bug class fleet migration would
-/// introduce if it ever copied a GOT across shards instead of
-/// rebuilding it. Returns human-readable violations; empty = clean.
+/// is a dangling GOT entry — the bug class a fleet would introduce if
+/// it ever copied a GOT across shards instead of rebuilding it. Returns human-readable violations; empty = clean.
 pub fn verify_fixed_gots(kernel: &Arc<Kernel>, module: &LoadedModule) -> Vec<String> {
     let mut violations = Vec::new();
     // Lazily-bound fixed-GOT slots are exempt from the eager-resolution

@@ -965,8 +965,8 @@ impl<'k> Loader<'k> {
         // ---- map into the address space ------------------------------
         // Both parts install as ONE vmem batch: a single page-table
         // lock acquisition and (being map-only) no shootdown at all —
-        // the shape fleet migration relies on to make an incoming
-        // module appear in the destination shard atomically.
+        // so a module (including a fleet fault-in or shard rebuild)
+        // appears in its shard atomically.
         let mut install = Batch::new();
         let stage_part = |plan: &PartPlan, base: u64, img: &[u8], install: &mut Batch| {
             let frames = self.kernel.phys.alloc_n(plan.total_pages);

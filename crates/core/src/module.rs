@@ -96,8 +96,8 @@ pub struct PartImage {
     pub fgot_slots: usize,
     /// Symbol name behind each fixed-GOT slot, in slot order. Eager
     /// slots are resolved at load time and never rewritten, so this is
-    /// the audit trail fleet migration and the placement proptests use
-    /// to prove no GOT entry dangles: slot `i` must hold exactly the
+    /// the audit trail the fleet's symbol audit and the placement
+    /// proptests use to prove no GOT entry dangles: slot `i` must hold exactly the
     /// owning kernel's address for `fgot_names[i]` — unless the slot is
     /// lazily bound (see [`LoadedModule::lazy_plt`]), in which case it
     /// holds either the binder trampoline (unbound) or the same

@@ -1,15 +1,15 @@
-//! Property suite for fleet placement and migration: arbitrary
-//! install / migrate / unload / re-randomize interleavings must never
-//! produce cross-shard VA overlap, a dangling fixed-GOT entry, or a
+//! Property suite for fleet placement and the cold tier: arbitrary
+//! install / evict-and-reload / unload / re-randomize interleavings
+//! must never produce cross-shard VA overlap, a resident without a
+//! catalog record naming its shard, a dangling fixed-GOT entry, or a
 //! module unreachable from its owning shard's symbol table.
 
 use adelie_core::{ColdTierConfig, Fleet, LoadWeighted, Pinned, RoundRobin, ShardPlacement};
 use adelie_isa::{AluOp, Insn, Reg};
-use adelie_kernel::{layout, FleetConfig, ShardedKernel};
+use adelie_kernel::{FleetConfig, ShardedKernel};
 use adelie_plugin::{transform, DataInit, DataSpec, FuncSpec, MOp, ModuleSpec, TransformOptions};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::Ordering;
 
 /// A small, fast driver: `{name}_calc(x) = x + 9` plus a pointer table
 /// (adjust slots) and a kernel import (fixed-GOT entry to audit).
@@ -54,9 +54,9 @@ fn spec(name: &str) -> ModuleSpec {
 /// Check every fleet invariant. Returns a violation description or
 /// `None`.
 fn check_invariants(fleet: &Fleet, installed: &[String]) -> Option<String> {
-    // (1) Window confinement + pairwise disjointness of all live spans
-    // (the shared `Fleet::verify_layout` checker: cross-shard AND
-    // within-shard).
+    // (1) Registry/catalog agreement, window confinement and pairwise
+    // disjointness of all live spans (the shared `Fleet::verify_layout`
+    // checker: cross-shard AND within-shard).
     if let Some(v) = fleet.verify_layout().into_iter().next() {
         return Some(v);
     }
@@ -177,9 +177,9 @@ enum Cached {
     /// The cached copy is resident: the call runs it.
     Live,
     /// The cached copy was evicted: the call demand-faults the module
-    /// back in, unless its catalog home is another shard by now.
+    /// back in.
     Evicted,
-    /// The cached copy was migrated away or unloaded: the call faults.
+    /// The cached copy was unloaded: the call faults.
     Dead,
 }
 
@@ -216,14 +216,14 @@ proptest! {
     fn fleet_ops_preserve_layout_and_symbol_invariants(
         placement_kind in 0u8..3,
         shards in 2usize..5,
-        ops in proptest::collection::vec((0u8..4, 0usize..8, 0usize..8), 1..24)
+        ops in proptest::collection::vec((0u8..4, 0usize..8), 1..24)
     ) {
         let sharded = ShardedKernel::new(FleetConfig::seeded(shards, 0xF1EE7));
         let fleet = Fleet::new(sharded, placement_for(placement_kind));
         let opts = TransformOptions::rerandomizable(true);
         let mut installed: Vec<String> = Vec::new();
         let mut minted = 0usize;
-        for (op, pick, dst) in ops {
+        for (op, pick) in ops {
             match op {
                 // Install a fresh module wherever placement says.
                 0 => {
@@ -234,10 +234,14 @@ proptest! {
                     prop_assert!(shard < shards);
                     installed.push(name);
                 }
-                // Migrate an existing module to an arbitrary shard.
+                // Evict one and reload it from its catalog record: a
+                // rebuild at fresh VAs inside the owner's window.
                 1 if !installed.is_empty() => {
                     let name = &installed[pick % installed.len()];
-                    fleet.migrate(name, dst % shards).unwrap();
+                    let owner = fleet.shard_of(name).unwrap();
+                    fleet.evict(name).unwrap();
+                    prop_assert!(fleet.registry(owner).get(name).is_none());
+                    prop_assert_eq!(fleet.ensure_resident(name).unwrap().0, owner);
                 }
                 // Unload one.
                 2 if !installed.is_empty() => {
@@ -279,8 +283,8 @@ proptest! {
 
     /// The cold-tier contract under arbitrary op interleavings:
     /// install / cold-register / call (demand fault-in) / evict /
-    /// idle+cap ticks / live-migrate a resident / unload / a call
-    /// through a cached entry address (the kernel's demand loader).
+    /// idle+cap ticks / unload / a call through a cached entry address
+    /// (the kernel's demand loader).
     /// No module is ever lost or duplicated,
     /// layout and symbol invariants hold throughout, every faulted-in
     /// module passes the GOT audit and actually executes, and a stale
@@ -288,7 +292,7 @@ proptest! {
     #[test]
     fn cold_tier_ops_preserve_catalog_and_layout_invariants(
         shards in 2usize..4,
-        ops in proptest::collection::vec((0u8..8, 0usize..8, 0usize..8), 1..28)
+        ops in proptest::collection::vec((0u8..7, 0usize..8), 1..28)
     ) {
         let sharded = ShardedKernel::new(FleetConfig::seeded(shards, 0xC01D));
         let fleet = Fleet::new(sharded, Box::new(RoundRobin::new()));
@@ -303,7 +307,7 @@ proptest! {
         let mut cache: BTreeMap<String, (usize, u64, Cached)> = BTreeMap::new();
         let mut minted = 0usize;
         let mut now_ns = 0u64;
-        for (op, pick, dst) in ops {
+        for (op, pick) in ops {
             now_ns += 5_000;
             match op {
                 // Install resident, wherever placement says.
@@ -342,21 +346,8 @@ proptest! {
                         c.2 = Cached::Evicted;
                     }
                 }
-                // Live-migrate a resident; a cold pick is a no-op.
-                4 if !names.is_empty() => {
-                    let name = &names[pick % names.len()];
-                    let owner = fleet.shard_of(name).unwrap();
-                    if fleet.registry(owner).get(name).is_some() {
-                        fleet.migrate(name, dst % shards).unwrap();
-                        if owner != dst % shards {
-                            if let Some(c) = cache.get_mut(name) {
-                                c.2 = Cached::Dead;
-                            }
-                        }
-                    }
-                }
                 // Unload one, cold or resident.
-                5 if !names.is_empty() => {
+                4 if !names.is_empty() => {
                     let name = names.swap_remove(pick % names.len());
                     fleet.unload(&name).unwrap();
                     if let Some(c) = cache.get_mut(&name) {
@@ -366,14 +357,13 @@ proptest! {
                 // Call a cached entry directly, as a caller holding a
                 // function pointer would: a resident copy runs, an
                 // evicted one demand-faults back in (exactly one
-                // redirect), and a migrated or unloaded one faults.
-                6 if !cache.is_empty() => {
+                // redirect), and an unloaded one faults.
+                5 if !cache.is_empty() => {
                     let (name, &(shard, entry, state)) =
                         cache.iter().nth(pick % cache.len()).unwrap();
                     let name = name.clone();
                     if !va_claimed_by_other(&fleet, &names, &name, entry) {
-                        let faults_in =
-                            state == Cached::Evicted && fleet.shard_of(&name) == Some(shard);
+                        let faults_in = state == Cached::Evicted;
                         let before = fleet.cold_stats().demand_redirects;
                         let kernel = fleet.kernel(shard).clone();
                         let result = kernel.vm().call(entry, &[33]);
@@ -419,42 +409,5 @@ proptest! {
         }
         prop_assert!(fleet.live_spans().is_empty());
         prop_assert!(fleet.verify_symbol_integrity().is_empty());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// Migration round-trips: A→B→A always lands back inside A's
-    /// window with working code and intact GOTs, under repeated cycles.
-    #[test]
-    fn migration_round_trips_under_rerand_churn(
-        seed in 1u64..1000,
-        hops in proptest::collection::vec(0usize..3, 1..8)
-    ) {
-        let sharded = ShardedKernel::new(FleetConfig::seeded(3, seed));
-        let fleet = Fleet::new(sharded, Box::new(RoundRobin::new()));
-        let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&spec("hopper"), &opts).unwrap();
-        fleet.install(&obj, &opts).unwrap();
-        for dst in hops {
-            let module = fleet.migrate("hopper", dst).unwrap();
-            // Cycle it a couple of times in its new home.
-            for _ in 0..2 {
-                adelie_core::rerandomize_module(
-                    fleet.kernel(dst),
-                    fleet.registry(dst),
-                    &module,
-                )
-                .unwrap();
-            }
-            let base = module.movable_base.load(Ordering::Acquire);
-            let (lo, hi) = fleet.sharded().window(dst);
-            prop_assert!(base >= lo && base < hi);
-            prop_assert!(base < layout::MODULE_CEILING);
-            if let Some(v) = check_invariants(&fleet, &["hopper".to_string()]) {
-                prop_assert!(false, "after hop to {dst}: {v}");
-            }
-        }
     }
 }

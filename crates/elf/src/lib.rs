@@ -15,8 +15,8 @@
 //! * [`parse`] ingests such an object (or any well-formed ELF64
 //!   `ET_REL` for x86-64 using the supported relocation kinds) back
 //!   into an [`ObjectFile`](adelie_obj::ObjectFile), which then flows through `Loader::load`,
-//!   re-randomization, fleet migration, and the gadget scanner
-//!   unchanged.
+//!   re-randomization, fleet fault-in and recovery, and the gadget
+//!   scanner unchanged.
 //!
 //! ## Mapping
 //!

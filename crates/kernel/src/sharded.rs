@@ -22,7 +22,7 @@
 //!   (`splitmix64(seed, shard)`), so a whole fleet replays
 //!   byte-identically from one number.
 //!
-//! Module placement across shards, live migration, and the per-shard
+//! Module placement across shards, crash recovery, and the per-shard
 //! scheduler groups under one global CPU budget live one layer up
 //! (`adelie-core::fleet`, `adelie-sched::FleetScheduler`) — this type
 //! owns exactly the kernel-substrate half of fleet mode.

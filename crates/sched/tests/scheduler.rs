@@ -45,6 +45,11 @@ fn boot_n(n: usize) -> (Arc<Kernel>, Arc<ModuleRegistry>, Vec<Arc<LoadedModule>>
     (kernel, registry, modules)
 }
 
+/// How long a counter-driven test may run before it is declared hung.
+/// Only a hang reaches it: the bounds themselves are counts, so a slow
+/// or loaded host takes longer but asserts the same thing.
+const HANG_DEADLINE: Duration = Duration::from_secs(60);
+
 /// Call every module's export in a loop until `stop` is raised.
 fn traffic(kernel: &Arc<Kernel>, modules: &[Arc<LoadedModule>], stop: &AtomicBool) -> u64 {
     let mut vm = kernel.vm();
@@ -104,15 +109,29 @@ fn concurrent_callers_survive_scheduling() {
         },
     );
     let stop = AtomicBool::new(false);
+    let t0 = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| traffic(&kernel, &modules, &stop));
         }
-        std::thread::sleep(Duration::from_millis(200));
+        // Traffic runs until the pool has cycled as often as the bound
+        // asks with every module under calls, not for a fixed window.
+        let done = || sched.cycles() >= 10 && sched.stats().modules.iter().all(|m| m.calls > 0);
+        while !done() && t0.elapsed() < HANG_DEADLINE {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         stop.store(true, Ordering::Relaxed);
     });
     let stats = sched.stop();
-    assert!(stats.cycles >= 10, "cycles: {}", stats.cycles);
+    assert!(
+        stats.cycles >= 10,
+        "cycles: {} in {:?}",
+        stats.cycles,
+        t0.elapsed()
+    );
+    for m in &stats.modules {
+        assert!(m.calls > 0, "callers reached every module: {m:?}");
+    }
     assert_eq!(stats.failures, 0);
     kernel.reclaim.flush();
     assert_eq!(kernel.reclaim.stats().delta(), 0);
@@ -141,16 +160,25 @@ fn stress_four_workers_three_modules_under_traffic() {
         },
     );
     let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
+    let (validated, overlap) = std::thread::scope(|s| {
         for _ in 0..3 {
             s.spawn(|| traffic(&kernel, &modules, &stop));
         }
         // Sampler: no two modules' current movable ranges may ever
         // overlap. A module may move between two reads, so a snapshot
-        // only counts when no generation changed while taking it.
+        // only counts when no generation changed while taking it. It
+        // samples until the counts the test asserts are met — clean
+        // snapshots, pool cycles, every module cycled — not for a fixed
+        // window.
         let t0 = Instant::now();
         let mut validated = 0u32;
-        while t0.elapsed() < Duration::from_millis(400) {
+        let mut overlap = None;
+        let done = |validated: u32| {
+            validated > 100
+                && sched.cycles() >= 30
+                && sched.stats().modules.iter().all(|m| m.cycles > 0)
+        };
+        while overlap.is_none() && !done(validated) && t0.elapsed() < HANG_DEADLINE {
             let gens: Vec<u64> = modules
                 .iter()
                 .map(|m| m.generation.load(Ordering::Acquire))
@@ -170,17 +198,22 @@ fn stress_four_workers_three_modules_under_traffic() {
                 validated += 1;
                 for (i, &(ab, ae)) in ranges.iter().enumerate() {
                     for &(bb, be) in ranges.iter().skip(i + 1) {
-                        assert!(
-                            ae <= bb || be <= ab,
-                            "modules overlap: {ab:#x}..{ae:#x} vs {bb:#x}..{be:#x}"
-                        );
+                        if !(ae <= bb || be <= ab) {
+                            overlap = Some(format!(
+                                "modules overlap: {ab:#x}..{ae:#x} vs {bb:#x}..{be:#x}"
+                            ));
+                        }
                     }
                 }
             }
         }
-        assert!(validated > 100, "got {validated} clean snapshots");
+        // Stop the callers before asserting, so a failure reports
+        // instead of waiting on the traffic threads forever.
         stop.store(true, Ordering::Relaxed);
+        (validated, overlap)
     });
+    assert_eq!(overlap, None);
+    assert!(validated > 100, "got {validated} clean snapshots");
     let stats = sched.stop();
     assert_eq!(stats.failures, 0, "{stats:?}");
     assert!(stats.cycles >= 30, "4-worker pool cycled: {}", stats.cycles);

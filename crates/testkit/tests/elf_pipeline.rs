@@ -3,7 +3,7 @@
 //! `adelie_elf::emit`, parsed back by `adelie_elf::parse`) must survive
 //!
 //!   load → lazy PLT first-call bind → ≥3 re-randomization cycles →
-//!   fleet migration → unload
+//!   fleet eviction + reload from the catalog → unload
 //!
 //! with zero [`LayoutOracle`] violations, and the oracle's bound-slot
 //! staleness audit (invariant #7) must stay green at every commit. A
@@ -81,7 +81,7 @@ fn elf_ingested_object(opts: &TransformOptions) -> adelie_obj::ObjectFile {
 }
 
 #[test]
-fn elf_module_survives_bind_rerand_migrate_unload_with_clean_oracle() {
+fn elf_module_survives_bind_rerand_reload_unload_with_clean_oracle() {
     let opts = TransformOptions::rerandomizable(true).with_lazy_plt();
     let obj = elf_ingested_object(&opts);
 
@@ -156,37 +156,45 @@ fn elf_module_survives_bind_rerand_migrate_unload_with_clean_oracle() {
         .verify_quiesced(fleet.registry(0), None, 0)
         .assert_clean();
 
-    // Fleet migration: the catalog replays the *ELF-ingested* object on
-    // the destination shard; bindings there must resolve against the
-    // destination kernel.
-    let oracle1 = LayoutOracle::new(fleet.kernel(1).clone(), clock.clone());
-    fleet.registry(1).set_cycle_hooks(oracle1.clone());
-    oracle1.track_modules(fleet.registry(1));
-    let migrated = fleet.migrate("elfmod", 1).expect("migrate");
-    let mut vm = fleet.kernel(1).vm();
+    // Evict, then reload: the catalog replays the *ELF-ingested* object
+    // at fresh VAs in the same shard. The vacated spans must be gone and
+    // the rebuilt copy's bindings must resolve afresh.
+    let vacated: Vec<(u64, u64)> = fleet
+        .live_spans()
+        .into_iter()
+        .map(|(_, _, base, span)| (base, span))
+        .collect();
+    fleet.evict("elfmod").expect("evict");
+    oracle.module_evicted("elfmod", &vacated);
+    let (shard, reloaded) = fleet.ensure_resident("elfmod").expect("reload");
+    assert_eq!(shard, 0);
+    oracle.module_faulted_in("elfmod");
+    let mut vm = fleet.kernel(0).vm();
     assert_eq!(
         fleet
-            .kernel(1)
+            .kernel(0)
             .ioctl(&mut vm, ELFMOD_MINOR, 0, 9)
-            .expect("post-migration ioctl"),
+            .expect("post-reload ioctl"),
         1234
     );
-    assert!(adelie_core::verify_plt_bindings(fleet.kernel(1), &migrated).is_empty());
+    assert!(adelie_core::verify_plt_bindings(fleet.kernel(0), &reloaded).is_empty());
     assert!(fleet.verify_symbol_integrity().is_empty());
+    assert!(fleet.verify_layout().is_empty());
 
-    // One more cycle on the destination, then unload everything.
+    // One more audited cycle on the reloaded copy, then unload.
     clock.advance(std::time::Duration::from_millis(10));
-    rerandomize_module(fleet.kernel(1), fleet.registry(1), &migrated).expect("dst cycle");
-    let mut vm = fleet.kernel(1).vm();
+    rerandomize_module(fleet.kernel(0), fleet.registry(0), &reloaded).expect("reload cycle");
+    let mut vm = fleet.kernel(0).vm();
     assert_eq!(
         fleet
-            .kernel(1)
+            .kernel(0)
             .ioctl(&mut vm, ELFMOD_MINOR, 0, 11)
-            .expect("post-dst-cycle ioctl"),
+            .expect("post-reload-cycle ioctl"),
         1234
     );
-    oracle1
-        .verify_quiesced(fleet.registry(1), None, 0)
+    assert_eq!(oracle.commits().len(), 4);
+    oracle
+        .verify_quiesced(fleet.registry(0), None, 0)
         .assert_clean();
     fleet.unload("elfmod").expect("unload");
     assert!(fleet.live_spans().is_empty());
