@@ -204,7 +204,15 @@ struct InstallRecord {
     shard: usize,
     obj: ObjectFile,
     opts: TransformOptions,
+    /// Whether the shard counters count this module as resident rather
+    /// than cold. A fault-in sets it only after its load, under the
+    /// catalog lock, so a registry copy whose record still says cold is
+    /// a fault-in in flight: [`Fleet::unload`] leaves that copy to the
+    /// fault-in, which re-checks the record and unloads it.
+    resident: bool,
 }
+
+type Catalog = HashMap<Arc<str>, InstallRecord>;
 
 /// Admission-control limits on fleet mutations.
 #[derive(Copy, Clone, Debug)]
@@ -492,7 +500,7 @@ pub struct Fleet {
     /// demand loader (which runs inside `Vm::call`) can consult the
     /// recipe without a back-reference to the fleet. Lock order:
     /// `catalog` before any [`ColdTier`] lock, never the reverse.
-    catalog: Arc<Mutex<HashMap<Arc<str>, InstallRecord>>>,
+    catalog: Arc<Mutex<Catalog>>,
     /// Per-shard occupancy, maintained incrementally (see
     /// [`ShardCounter`]).
     counters: Arc<Mutex<Vec<ShardCounter>>>,
@@ -729,6 +737,7 @@ impl Fleet {
                 shard,
                 obj: obj.clone(),
                 opts: *opts,
+                resident: true,
             },
         );
         {
@@ -775,6 +784,7 @@ impl Fleet {
                 shard,
                 obj: obj.clone(),
                 opts: *opts,
+                resident: false,
             },
         );
         self.counters.lock()[shard].cold += 1;
@@ -866,8 +876,10 @@ impl Fleet {
         // spans for the shard.
         {
             let mut c = ShardCounter::default();
-            for (name, _) in catalog.iter().filter(|(_, rec)| rec.shard == shard) {
-                match registry.get(name) {
+            for (name, rec) in catalog.iter_mut().filter(|(_, rec)| rec.shard == shard) {
+                let resident = registry.get(name);
+                rec.resident = resident.is_some();
+                match resident {
                     Some(m) => {
                         c.resident += 1;
                         c.mapped_bytes += m.mapped_bytes();
@@ -900,13 +912,15 @@ impl Fleet {
     /// [`FleetError::UnknownModule`] / [`FleetError::Unload`].
     pub fn unload(&self, name: &str) -> Result<(), FleetError> {
         let mut catalog = self.catalog.lock();
-        let shard = catalog
+        let (shard, counted) = catalog
             .get(name)
-            .map(|rec| rec.shard)
+            .map(|rec| (rec.shard, rec.resident))
             .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?;
-        let resident = self.registries[shard].get(name);
+        let resident = counted.then(|| self.registries[shard].get(name)).flatten();
         let Some(module) = resident else {
-            // Cold: nothing is mapped — deregistering is a catalog edit.
+            // Cold: nothing counted is mapped — deregistering is a
+            // catalog edit. A copy a fault-in is loading right now is
+            // the fault-in's to unload once it sees the record gone.
             catalog.remove(name);
             let mut counters = self.counters.lock();
             counters[shard].cold = counters[shard].cold.saturating_sub(1);
@@ -1014,8 +1028,7 @@ impl Fleet {
             let t = tier.clone();
             let catalog = Arc::clone(&self.catalog);
             let counters = Arc::clone(&self.counters);
-            let registries = self.registries.clone();
-            let sharded = Arc::clone(&self.sharded);
+            let registry = Arc::clone(&self.registries[shard]);
             kernel.set_demand_loader(Arc::new(move |va| {
                 let (name, old) = t.evicted.lock().resolve(shard, va)?;
                 // try_lock: install, unload, evict, cold_tick and
@@ -1032,16 +1045,9 @@ impl Fleet {
                     }
                     (rec.obj.clone(), rec.opts)
                 };
-                let module = materialize(
-                    &sharded,
-                    &registries,
-                    &counters,
-                    Some(&t),
-                    shard,
-                    &obj,
-                    &opts,
-                )
-                .ok()?;
+                let module =
+                    materialize(&catalog, &registry, &counters, Some(&t), shard, &obj, &opts)
+                        .ok()?;
                 let new_va = if va >= old.imm_base && va < old.imm_base + old.imm_span {
                     module.immovable.as_ref()?.base + (va - old.imm_base)
                 } else {
@@ -1067,7 +1073,9 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownModule`] / [`FleetError::Load`].
+    /// [`FleetError::UnknownModule`] / [`FleetError::Load`]. A module
+    /// unloaded while it was being faulted in is `UnknownModule`, and
+    /// the copy the fault-in loaded is unloaded again.
     pub fn ensure_resident(&self, name: &str) -> Result<(usize, Arc<LoadedModule>), FleetError> {
         let (shard, obj, opts) = {
             let catalog = self.catalog.lock();
@@ -1083,8 +1091,8 @@ impl Fleet {
         // interpreted code, which must be able to demand-fault.
         let tier = self.cold_tier();
         let module = materialize(
-            &self.sharded,
-            &self.registries,
+            &self.catalog,
+            &self.registries[shard],
             &self.counters,
             tier.as_deref(),
             shard,
@@ -1105,7 +1113,7 @@ impl Fleet {
     ///
     /// [`FleetError::UnknownModule`] / [`FleetError::Unload`].
     pub fn evict(&self, name: &str) -> Result<(), FleetError> {
-        let catalog = self.catalog.lock();
+        let mut catalog = self.catalog.lock();
         let shard = catalog
             .get(name)
             .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?
@@ -1113,7 +1121,7 @@ impl Fleet {
         if self.registries[shard].get(name).is_none() {
             return Ok(());
         }
-        self.evict_batch(shard, &[name])
+        self.evict_batch(&mut catalog, shard, &[name])
             .pop()
             .expect("one result per name")
     }
@@ -1126,7 +1134,12 @@ impl Fleet {
     /// lock, one pass over the resident span index, then the
     /// last-call stamps and the evicted index. One printk line names
     /// the batch. Returns one result per name, in order.
-    fn evict_batch(&self, shard: usize, names: &[&str]) -> Vec<Result<(), FleetError>> {
+    fn evict_batch(
+        &self,
+        catalog: &mut Catalog,
+        shard: usize,
+        names: &[&str],
+    ) -> Vec<Result<(), FleetError>> {
         let registry = &self.registries[shard];
         let records: Vec<Option<(Arc<str>, EvictedModule, usize)>> = names
             .iter()
@@ -1148,7 +1161,10 @@ impl Fleet {
         if !evicted.is_empty() {
             {
                 let mut counters = self.counters.lock();
-                for (_, _, bytes) in &evicted {
+                for (name, _, bytes) in &evicted {
+                    if let Some(rec) = catalog.get_mut(name) {
+                        rec.resident = false;
+                    }
                     counters[shard].resident -= 1;
                     counters[shard].cold += 1;
                     counters[shard].mapped_bytes -= bytes;
@@ -1210,7 +1226,7 @@ impl Fleet {
             return Vec::new();
         };
         tier.now_ns.store(now_ns, Ordering::Relaxed);
-        let catalog = self.catalog.lock();
+        let mut catalog = self.catalog.lock();
         let mut candidates: Vec<(u64, String, usize)> = Vec::new();
         {
             let last = tier.last_call.lock();
@@ -1251,7 +1267,8 @@ impl Fleet {
                 }
                 *touched = true;
                 let names: Vec<&str> = round.iter().map(|&i| candidates[i].1.as_str()).collect();
-                for (i, result) in round.into_iter().zip(self.evict_batch(shard, &names)) {
+                let results = self.evict_batch(&mut catalog, shard, &names);
+                for (i, result) in round.into_iter().zip(results) {
                     if result.is_ok() {
                         evicted[i] = true;
                         remaining -= 1;
@@ -1305,31 +1322,54 @@ impl Fleet {
     }
 }
 
-/// Load `obj` into `shard` and do the fault-in bookkeeping (counters,
-/// span index, evicted-index cleanup). Shared by
+/// Load `obj` into `registry`, shard `shard`'s, and do the fault-in
+/// bookkeeping (counters, span index, evicted-index cleanup). Shared by
 /// [`Fleet::ensure_resident`] and the per-shard demand loaders — the
 /// latter run inside `Vm::call` with no `&Fleet` in reach, hence the
 /// exploded borrows.
+///
+/// The caller read the catalog record and dropped the lock, so that
+/// init can demand-fault. The record is checked again under the lock
+/// after the load: if a [`Fleet::unload`] removed it meanwhile, or it
+/// no longer names `shard`, the copy is unloaded and the fault-in
+/// fails with [`FleetError::UnknownModule`].
 fn materialize(
-    sharded: &ShardedKernel,
-    registries: &[Arc<ModuleRegistry>],
+    catalog: &Mutex<Catalog>,
+    registry: &ModuleRegistry,
     counters: &Mutex<Vec<ShardCounter>>,
     tier: Option<&ColdTier>,
     shard: usize,
     obj: &ObjectFile,
     opts: &TransformOptions,
 ) -> Result<Arc<LoadedModule>, FleetError> {
-    let module = match registries[shard].load(obj, opts) {
+    let module = match registry.load(obj, opts) {
         Ok(m) => m,
         Err(e) => {
             // Lost a fault-in race: another caller materialized it
             // between our catalog read and the load.
-            if let Some(m) = registries[shard].get(&obj.name) {
+            if let Some(m) = registry.get(&obj.name) {
                 return Ok(m);
             }
             return Err(FleetError::Load(e));
         }
     };
+    let mut catalog = catalog.lock();
+    match catalog.get_mut(obj.name.as_str()) {
+        Some(rec) if rec.shard == shard => {
+            if rec.resident {
+                // A shard recovery counted the copy while init ran.
+                return Ok(module);
+            }
+            rec.resident = true;
+        }
+        _ => {
+            if registry.unload(&obj.name).is_err() {
+                // The copy must not outlive its record: skip the exit.
+                let _ = registry.force_unload(&obj.name);
+            }
+            return Err(FleetError::UnknownModule(obj.name.clone()));
+        }
+    }
     {
         let mut c = counters.lock();
         c[shard].cold = c[shard].cold.saturating_sub(1);
@@ -1341,7 +1381,8 @@ fn materialize(
         tier.insert_module(shard, &module);
         tier.fault_ins.fetch_add(1, Ordering::Relaxed);
     }
-    sharded.shard(shard).printk.log_limited(
+    drop(catalog);
+    registry.kernel().printk.log_limited(
         "fleet-faultin",
         format!("fleet: {} faulted in on shard {shard}", obj.name),
     );
@@ -1689,6 +1730,70 @@ mod tests {
         assert!(fleet.evicted_spans("cz").is_none());
         assert!(fleet.verify_layout().is_empty());
         assert!(fleet.verify_symbol_integrity().is_empty());
+    }
+
+    /// A module unloaded while it is being faulted in: its init calls a
+    /// native that runs `Fleet::unload` on it, once through
+    /// `ensure_resident` and once through the demand loader. The
+    /// fault-in must notice the record is gone, unload its copy and
+    /// fail, leaving no resident, no record and consistent counters.
+    #[test]
+    fn unload_during_fault_in_leaves_no_resident() {
+        use std::sync::atomic::AtomicBool;
+        let fleet = Arc::new(fleet(1, Box::new(RoundRobin::new())));
+        fleet.enable_cold_tier(ColdTierConfig::default());
+        let armed = Arc::new(AtomicBool::new(false));
+        let (weak, gate) = (Arc::downgrade(&fleet), armed.clone());
+        fleet
+            .kernel(0)
+            .symbols
+            .register_native("test_unload_victim", move |_| {
+                if gate.load(Ordering::Relaxed) {
+                    let fleet = weak.upgrade().expect("fleet outlives its kernels' calls");
+                    fleet
+                        .unload("victim")
+                        .map_err(|e| adelie_kernel::VmError::Native(e.to_string()))?;
+                }
+                Ok(0)
+            });
+        let mut spec = stateful_spec("victim");
+        spec.funcs.push(FuncSpec::exported(
+            "victim_init",
+            vec![MOp::CallKernel("test_unload_victim".into()), MOp::Ret],
+        ));
+        spec.init = Some("victim_init".into());
+        let opts = TransformOptions::rerandomizable(true);
+        let obj = transform(&spec, &opts).unwrap();
+        let gone = |fleet: &Fleet| {
+            assert!(fleet.registry(0).get("victim").is_none(), "copy survived");
+            assert_eq!(fleet.shard_of("victim"), None);
+            let stats = fleet.cold_stats();
+            assert_eq!((stats.resident, stats.cold), (0, 0));
+            let violations = fleet.verify_layout();
+            assert!(violations.is_empty(), "{violations:?}");
+        };
+
+        // Through ensure_resident.
+        fleet.register(&obj, &opts).unwrap();
+        armed.store(true, Ordering::Relaxed);
+        assert!(matches!(
+            fleet.ensure_resident("victim"),
+            Err(FleetError::UnknownModule(_))
+        ));
+        gone(&fleet);
+
+        // Through the demand loader: a stale entry VA into the evicted
+        // copy faults it in, the unload runs in init, and the call
+        // fails with the original fault instead of being redirected.
+        armed.store(false, Ordering::Relaxed);
+        let (_, module) = fleet.install(&obj, &opts).unwrap();
+        let entry = module.export("victim_bump").unwrap();
+        drop(module);
+        fleet.evict("victim").unwrap();
+        armed.store(true, Ordering::Relaxed);
+        assert!(fleet.kernel(0).vm().call(entry, &[]).is_err());
+        assert_eq!(fleet.cold_stats().demand_redirects, 0);
+        gone(&fleet);
     }
 
     /// `register` keeps a module cold (catalog-only) until first use;

@@ -94,6 +94,12 @@ impl DeviceTable {
         self.chars.read().get(&minor).cloned()
     }
 
+    /// Run `f` on the character device on `minor` under the read lock,
+    /// without cloning it (the per-call ioctl path).
+    pub fn with_chrdev<R>(&self, minor: u32, f: impl FnOnce(&CharDev) -> R) -> Option<R> {
+        self.chars.read().get(&minor).map(f)
+    }
+
     /// Install the block device (one per machine, like the paper's
     /// single NVMe under test).
     pub fn register_blkdev(&self, dev: BlockDev) {

@@ -19,8 +19,8 @@ use crate::symbols::NativeFn;
 use crate::{Kernel, ObserverList};
 use adelie_isa::{decode, AluOp, Cond, DecodeError, Insn, Mem, Reg, ARG_REGS};
 use adelie_vmem::{
-    page_base, page_offset, Access, Fault, Pfn, PhysMem, PteKind, SpaceReader, Tlb, TlbStats,
-    Translation, PAGE_SIZE,
+    page_base, page_offset, Access, Fault, PageRegister, Pfn, PhysMem, PteKind, SpaceReader, Tlb,
+    TlbStats, Translation, PAGE_SIZE,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -175,6 +175,11 @@ pub struct Vm<'k> {
     regs: [u64; 16],
     flags: Flags,
     tlb: Tlb,
+    /// Page registers (DESIGN.md §14.8): the micro-TLB entry of the
+    /// last data page (index 0, reads and writes) and of the last code
+    /// page (index 1). An access to the same page, with the space's
+    /// generation and the TLB's stamp unchanged, skips the TLB.
+    page_regs: [Option<PageRegister>; 2],
     /// This CPU's long-lived read handle into the kernel address space:
     /// owns one reader slot of the snapshot reclamation domain, so the
     /// translate hot path pays only an epoch enter/leave — never a lock
@@ -205,6 +210,7 @@ impl<'k> Vm<'k> {
             regs: [0; 16],
             flags: Flags::default(),
             tlb: Tlb::with_arch(kernel.config.arch),
+            page_regs: [None; 2],
             reader: kernel.space.reader(),
             native_cache: HashMap::new(),
             decoded: DecodeCache::default(),
@@ -433,6 +439,30 @@ impl<'k> Vm<'k> {
 
     fn translate(&mut self, va: u64, access: Access) -> Result<Translation, VmError> {
         let page_va = page_base(va);
+        let gen = self.kernel.space.generation();
+        // Same page as the last access of this class, nothing changed
+        // since: the register is the micro hit the probe would make.
+        // The permission check still runs, so NX and write faults are
+        // those of the probe.
+        let class = usize::from(access == Access::Exec);
+        if let Some(reg) = &self.page_regs[class] {
+            if let Some(pte) = self.tlb.register_hit(reg, page_va, gen) {
+                pte.check(va, access)?;
+                return Ok(Translation { pte, page_va });
+            }
+        }
+        let t = self.translate_tlb(va, page_va, gen, access)?;
+        self.page_regs[class] = self.tlb.load_register(page_va, gen);
+        Ok(t)
+    }
+
+    fn translate_tlb(
+        &mut self,
+        va: u64,
+        page_va: u64,
+        gen: u64,
+        access: Access,
+    ) -> Result<Translation, VmError> {
         // Hit fast path: when this CPU's TLB is already at the space's
         // current generation, a lookup is one atomic load plus a
         // micro-TLB array probe — no lock, no epoch pin, nothing a
@@ -440,7 +470,6 @@ impl<'k> Vm<'k> {
         // roots are immutable and generations monotonic: an entry
         // tagged with the current generation was valid when that
         // generation was published and nothing has retired it since.
-        let gen = self.kernel.space.generation();
         if let Some(hit) = self.tlb.try_lookup_current(page_va, gen) {
             if let Some(pte) = hit {
                 pte.check(va, access)?;

@@ -356,14 +356,15 @@ impl Kernel {
     /// `VmError::Native` for an unknown device, else whatever the
     /// driver's wrapper raises.
     pub fn ioctl(&self, vm: &mut Vm<'_>, minor: u32, cmd: u64, arg: u64) -> Result<u64, VmError> {
-        let dev = self
+        let entry = self
             .devices
-            .chrdev(minor)
-            .ok_or_else(|| VmError::Native(format!("ioctl: no chrdev minor {minor}")))?;
-        if dev.ioctl == 0 {
-            return Err(VmError::Native(format!("ioctl: {} has no ioctl", dev.name)));
-        }
-        vm.call(dev.ioctl, &[minor as u64, cmd, arg])
+            .with_chrdev(minor, |dev| match dev.ioctl {
+                0 => Err(format!("ioctl: {} has no ioctl", dev.name)),
+                entry => Ok(entry),
+            })
+            .unwrap_or_else(|| Err(format!("ioctl: no chrdev minor {minor}")))
+            .map_err(VmError::Native)?;
+        vm.call(entry, &[minor as u64, cmd, arg])
     }
 
     /// Poll the network driver's receive path once; returns how many

@@ -2,7 +2,7 @@
 //! against computed flags, signed and unsigned comparisons.
 
 use adelie_isa::{AluOp, Asm, Cond, Reg};
-use adelie_kernel::{Kernel, KernelConfig};
+use adelie_kernel::{Kernel, KernelConfig, VmError};
 use adelie_vmem::{PteFlags, PAGE_SIZE};
 use std::sync::Arc;
 
@@ -316,7 +316,6 @@ fn a_freed_and_reallocated_text_frame_never_serves_the_old_instruction() {
 fn rerandomized_module_faults_at_the_old_entry_and_runs_at_the_new() {
     use adelie_core::{rerandomize_module, ModuleRegistry};
     use adelie_drivers::{install_dummy, specs::DUMMY_MINOR};
-    use adelie_kernel::VmError;
     use adelie_plugin::TransformOptions;
 
     let kernel = Kernel::new(KernelConfig::default());
@@ -345,4 +344,93 @@ fn rerandomized_module_faults_at_the_old_entry_and_runs_at_the_new() {
         assert_eq!(vm.call(new, &[0, 0, arg]).unwrap(), arg);
         assert_eq!(kernel.ioctl(&mut vm, DUMMY_MINOR, 0, arg).unwrap(), arg);
     }
+}
+
+// Page registers (DESIGN.md §14.8) let a CPU skip the TLB for an access
+// to the page it touched last. They must be invisible: the same faults,
+// the same bytes and the same `TlbStats` as probing every access. The
+// counts asserted below are those of a probe-every-access interpreter.
+
+/// `(hits, micro_hits, misses)` of one outermost call on a fresh `Vm`.
+fn call_counts(kernel: &Kernel, f: u64, args: &[u64]) -> (u64, (u64, u64, u64)) {
+    let mut vm = kernel.vm();
+    let before = vm.tlb_stats();
+    let rax = vm.call(f, args).unwrap();
+    let d = vm.tlb_stats().delta_since(&before);
+    (rax, (d.hits, d.micro_hits, d.misses))
+}
+
+/// Map `bytes` as text at `va` (one page).
+fn map_text(kernel: &Kernel, va: u64, bytes: &[u8]) -> adelie_vmem::Pfn {
+    let pfn = kernel.phys.alloc();
+    kernel.phys.write(pfn, 0, bytes);
+    kernel.space.map(va, pfn, PteFlags::TEXT).unwrap();
+    pfn
+}
+
+#[test]
+fn loads_alternating_between_pages_of_one_micro_slot_are_l2_hits() {
+    let kernel = Kernel::new(KernelConfig::default());
+    // The code page and both data pages are 512 pages apart: all three
+    // share one micro-TLB slot, so every access evicts the previous
+    // page's micro entry and the next access to it is an L2 hit.
+    let stride = 512 * PAGE_SIZE as u64;
+    let code = 0x350_0000_0000;
+    let (a, b) = (code + stride, code + 2 * stride);
+    kernel
+        .space
+        .map(a, kernel.phys.alloc(), PteFlags::DATA)
+        .unwrap();
+    kernel
+        .space
+        .map(b, kernel.phys.alloc(), PteFlags::DATA)
+        .unwrap();
+    place(&kernel, a, &7u64.to_le_bytes());
+    place(&kernel, b, &35u64.to_le_bytes());
+    // rax = 0; do { rax += [rdi]; rax += [rsi]; } while (--rdx);
+    let mut asm = Asm::new();
+    asm.mov_imm32(Reg::Rax, 0);
+    asm.label("loop");
+    asm.alu_load(AluOp::Add, Reg::Rax, adelie_isa::Mem::base(Reg::Rdi));
+    asm.alu_load(AluOp::Add, Reg::Rax, adelie_isa::Mem::base(Reg::Rsi));
+    asm.alu_imm(AluOp::Sub, Reg::Rdx, 1);
+    asm.jcc_label(Cond::Ne, "loop");
+    asm.ret();
+    map_text(&kernel, code, &asm.assemble().unwrap().bytes);
+    let (rax, counts) = call_counts(&kernel, code, &[a, b, 100]);
+    assert_eq!(rax, 100 * 42);
+    // Per iteration: 4 fetches and 2 loads, of which only the fetches
+    // of `jne` and the first `add` find their page still in the slot.
+    assert_eq!(counts, (600, 202, 4), "(hits, micro_hits, misses)");
+}
+
+#[test]
+fn a_native_remapping_the_running_code_page_returns_into_the_new_bytes() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let page = 0x360_0000_0000;
+    // call remap; mov eax, v; ret — the two copies differ only in v.
+    let code = |native: u64, v: i32| {
+        let mut asm = Asm::new();
+        asm.mov_imm64(Reg::Rcx, native);
+        asm.call_reg(Reg::Rcx);
+        asm.mov_imm32(Reg::Rax, v);
+        asm.ret();
+        asm.assemble().unwrap().bytes
+    };
+    let fresh = kernel.phys.alloc();
+    let remap = kernel
+        .symbols
+        .register_native("test_remap_caller", move |vm| {
+            let space = &vm.kernel.space;
+            space.unmap(page).map_err(VmError::Fault)?;
+            space
+                .map(page, fresh, PteFlags::TEXT)
+                .map_err(VmError::Fault)?;
+            Ok(0)
+        });
+    kernel.phys.write(fresh, 0, &code(remap, 2));
+    map_text(&kernel, page, &code(remap, 1));
+    let (rax, counts) = call_counts(&kernel, page, &[]);
+    assert_eq!(rax, 2, "returned into the old frame's bytes");
+    assert_eq!(counts, (5, 4, 3), "(hits, micro_hits, misses)");
 }

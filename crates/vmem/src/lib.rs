@@ -61,7 +61,7 @@ pub use space::{
     AddressSpace, BatchOutcome, Pte, PteFlags, PteKind, SpaceConfig, SpacePin, SpaceReader,
     SpaceStats, TlbSync, Translation, DEFAULT_INVAL_LOG, READER_SLOTS,
 };
-pub use tlb::{Tlb, TlbStats};
+pub use tlb::{PageRegister, Tlb, TlbStats};
 
 /// Page size in bytes (4 KiB, like x86-64).
 pub const PAGE_SIZE: usize = 4096;

@@ -27,7 +27,7 @@
 //!
 //! # ASID tagging (the space-switch story)
 //!
-//! Entries are stored in the arch's *hardware* encoding
+//! L2 entries are stored in the arch's *hardware* encoding
 //! ([`crate::HwPte`]) and keyed by `(asid, page_va)`, mirroring
 //! PCID-tagged x86 TLBs and `satp.ASID`-tagged riscv ones. Pointing the
 //! TLB at a different [`AddressSpace`] — fleet shards each own one — is
@@ -76,26 +76,51 @@
 //! readable again — an explicit [`Tlb::flush`], a rollover adoption, an
 //! ASID-collision flush — clears slots eagerly. See DESIGN.md §14–§15
 //! for the coherence argument.
+//!
+//! A micro entry holds the *decoded* [`Pte`]: the hardware bits are
+//! decoded once, when an L2 hit or a walk fills the slot, so a micro
+//! hit is a tag compare and a copy.
+//!
+//! # Page registers
+//!
+//! A caller that touches one page many times in a row may keep a copy
+//! of its micro entry, a [`PageRegister`], and skip the probe. The TLB
+//! bumps a *stamp* on every micro fill and on every flush, bind and
+//! resynchronization, so a register whose stamp, page and generation
+//! still match is exactly the micro hit the probe would have made, and
+//! [`Tlb::register_hit`] counts it as one (DESIGN.md §14.8).
 
 use crate::arch::{ArchKind, Asid};
 use crate::hash::BuildPageHasher;
 use crate::{AddressSpace, HwPte, Pte, SpacePin, TlbSync, Translation};
 use std::collections::{HashMap, VecDeque};
 
-/// Slots in the direct-mapped micro-TLB (power of two; 512 × 32-byte
-/// entries ≈ 16 KiB, L1-cache resident).
+/// Slots in the direct-mapped micro-TLB (power of two; 512 × 48-byte
+/// entries = 24 KiB, L1-cache resident).
 const MICRO_SLOTS: usize = 512;
 
-/// One micro-TLB entry: a translation valid exactly while the owning
-/// TLB is bound to ASID `asid` *and* its generation cursor equals
-/// `gen`. Both halves of the tag are checked on probe, so neither a
-/// shootdown nor a space switch needs to touch the array.
+/// One micro-TLB entry: a decoded translation valid exactly while the
+/// owning TLB is bound to ASID `asid` *and* its generation cursor
+/// equals `gen`. Both halves of the tag are checked on probe, so
+/// neither a shootdown nor a space switch needs to touch the array.
 #[derive(Copy, Clone, Debug)]
 struct MicroEntry {
     page_va: u64,
     asid: u16,
     gen: u64,
-    hw: HwPte,
+    pte: Pte,
+}
+
+/// A copy of one micro-TLB entry held by the caller (DESIGN.md §14.8):
+/// the page, the space generation and the TLB stamp it was copied
+/// under, and the decoded PTE. Loaded by [`Tlb::load_register`] and
+/// served by [`Tlb::register_hit`] while all three still match.
+#[derive(Copy, Clone, Debug)]
+pub struct PageRegister {
+    page_va: u64,
+    gen: u64,
+    stamp: u64,
+    pte: Pte,
 }
 
 /// TLB hit/miss/flush counters.
@@ -188,6 +213,11 @@ pub struct Tlb {
     /// invalidation removed keys. Keys are trusted page numbers, so
     /// the map uses the cheap deterministic [`BuildPageHasher`].
     entries: HashMap<(u16, u64), (HwPte, u64), BuildPageHasher>,
+    /// Bumped on every change that could alter what a micro probe
+    /// returns: a micro fill, a flush, a bind, a resynchronization.
+    /// A [`PageRegister`] copied under an unchanged stamp is still
+    /// the micro entry it copied.
+    stamp: u64,
     /// FIFO insertion order, lazily pruned (entries whose seq no longer
     /// matches were invalidated or re-inserted). Capacity is global
     /// across ASIDs, like a real shared TLB.
@@ -249,6 +279,7 @@ impl Tlb {
         Tlb {
             micro: vec![None; MICRO_SLOTS],
             entries: HashMap::default(),
+            stamp: 0,
             order: VecDeque::new(),
             seq: 0,
             generation: 0,
@@ -317,6 +348,7 @@ impl Tlb {
         if space_id == self.space_id {
             return;
         }
+        self.stamp += 1;
         if self.space_id == 0 {
             // First bind ever. Entries inserted before any lookup (a
             // warmed but never-bound TLB) carry the null ASID — claim
@@ -371,6 +403,7 @@ impl Tlb {
         if self.entries.is_empty() || asid == 0 {
             return;
         }
+        self.stamp += 1;
         let claimed: Vec<_> = self
             .entries
             .drain()
@@ -407,10 +440,62 @@ impl Tlb {
             if e.page_va == page_va && e.asid == self.asid && e.gen == current_gen {
                 self.stats.hits += 1;
                 self.stats.micro_hits += 1;
-                return Some(Some(self.arch.decode_owned(e.hw)));
+                return Some(Some(e.pte));
             }
         }
         Some(self.probe(page_va))
+    }
+
+    /// The PTE a [`Tlb::try_lookup_current`] of `page_va` at
+    /// `current_gen` would serve from the micro-TLB right now, without
+    /// counting anything; `None` when that probe would not be a micro
+    /// hit.
+    fn micro_pte(&self, page_va: u64, current_gen: u64) -> Option<Pte> {
+        if current_gen != self.generation {
+            return None;
+        }
+        let e = self.micro[Self::micro_idx(page_va)]?;
+        (e.page_va == page_va && e.asid == self.asid && e.gen == current_gen).then_some(e.pte)
+    }
+
+    /// Copy the micro-TLB's entry for `page_va` into a register, if a
+    /// [`Tlb::try_lookup_current`] at `current_gen` would be a micro
+    /// hit now. Call it right after a lookup of `page_va` at
+    /// `current_gen`: a hit or a fill leaves the entry in place, a
+    /// miss with nothing filled (capacity 0) leaves no register.
+    pub fn load_register(&self, page_va: u64, current_gen: u64) -> Option<PageRegister> {
+        self.micro_pte(page_va, current_gen)
+            .map(|pte| PageRegister {
+                page_va,
+                gen: current_gen,
+                stamp: self.stamp,
+                pte,
+            })
+    }
+
+    /// Serve `page_va` from `reg` when it is still exact: same page,
+    /// the space still at the register's generation, and no micro fill,
+    /// flush, bind or resynchronization since it was loaded. The hit is
+    /// counted as the micro hit it replaces, so [`TlbStats`] match a
+    /// probe-every-access run. `None` means the caller must look up.
+    #[inline]
+    pub fn register_hit(
+        &mut self,
+        reg: &PageRegister,
+        page_va: u64,
+        current_gen: u64,
+    ) -> Option<Pte> {
+        if reg.page_va != page_va || reg.gen != current_gen || reg.stamp != self.stamp {
+            return None;
+        }
+        debug_assert_eq!(
+            self.micro_pte(page_va, current_gen),
+            Some(reg.pte),
+            "a page register served what the micro-TLB would not"
+        );
+        self.stats.hits += 1;
+        self.stats.micro_hits += 1;
+        Some(reg.pte)
     }
 
     #[inline]
@@ -418,22 +503,19 @@ impl Tlb {
         ((page_va >> crate::PAGE_SHIFT) as usize) & (MICRO_SLOTS - 1)
     }
 
-    /// Install `(page_va, hw)` in the micro-TLB, tagged with the
+    /// Install `(page_va, pte)` in the micro-TLB, tagged with the
     /// current (asid, generation) binding. Callers must only pass
     /// translations valid at `self.generation` in the currently-bound
     /// space.
     #[inline]
-    fn micro_fill(&mut self, page_va: u64, hw: HwPte) {
-        let asid = self.asid;
-        let gen = self.generation;
-        if let Some(slot) = self.micro.get_mut(Self::micro_idx(page_va)) {
-            *slot = Some(MicroEntry {
-                page_va,
-                asid,
-                gen,
-                hw,
-            });
-        }
+    fn micro_fill(&mut self, page_va: u64, pte: Pte) {
+        self.stamp += 1;
+        self.micro[Self::micro_idx(page_va)] = Some(MicroEntry {
+            page_va,
+            asid: self.asid,
+            gen: self.generation,
+            pte,
+        });
     }
 
     fn probe(&mut self, page_va: u64) -> Option<Pte> {
@@ -441,10 +523,11 @@ impl Tlb {
         match hit {
             Some(hw) => {
                 self.stats.hits += 1;
-                // Promote the L2 hit so the next probe of this page is
-                // one array access.
-                self.micro_fill(page_va, hw);
-                Some(self.arch.decode_owned(hw))
+                // Promote the L2 hit, decoded once, so the next probe
+                // of this page is one array access.
+                let pte = self.arch.decode_owned(hw);
+                self.micro_fill(page_va, pte);
+                Some(pte)
             }
             None => {
                 self.stats.misses += 1;
@@ -454,6 +537,7 @@ impl Tlb {
     }
 
     fn apply_sync(&mut self, current: u64, plan: TlbSync) {
+        self.stamp += 1;
         match plan {
             TlbSync::Current => return,
             TlbSync::Full => {
@@ -489,6 +573,7 @@ impl Tlb {
     /// single-context invalidation primitive (invpcid type 1 /
     /// `sfence.vma x0, asid`), also forgetting the ASID's cursor.
     fn flush_asid(&mut self, asid: u16) {
+        self.stamp += 1;
         self.entries.retain(|&(a, _), _| a != asid);
         for slot in self.micro.iter_mut() {
             if slot.is_some_and(|e| e.asid == asid) {
@@ -509,8 +594,11 @@ impl Tlb {
         if self.capacity == 0 {
             return;
         }
+        // decode ∘ encode is the identity on valid PTEs (DESIGN.md
+        // §15.1), so the micro entry takes the walk's `Pte` as is.
+        self.micro_fill(t.page_va, t.pte);
         let hw = self.arch.encode(t.pte);
-        self.micro_fill(t.page_va, hw);
+        debug_assert_eq!(self.arch.decode_owned(hw), t.pte);
         let key = (self.asid, t.page_va);
         if let Some(slot) = self.entries.get_mut(&key) {
             slot.0 = hw;
@@ -547,6 +635,7 @@ impl Tlb {
     /// cursor value would make lazily-retained tags match again — the
     /// one case tag-based invalidation cannot cover.
     pub fn flush(&mut self) {
+        self.stamp += 1;
         self.micro.fill(None);
         self.entries.clear();
         self.order.clear();
@@ -964,6 +1053,47 @@ mod tests {
         ));
         assert!(tlb.stats().micro_hits > micro_hits_before);
         assert_eq!(tlb.stats().flushes, 0);
+    }
+
+    /// A page register serves exactly the micro hits a probe would
+    /// make and counts them as such. A fill of its slot by a colliding
+    /// page, a shootdown, or a TLB with no capacity (nothing filled)
+    /// leaves no register to serve.
+    #[test]
+    fn page_register_serves_only_what_the_micro_tlb_would() {
+        let phys = PhysMem::new();
+        let space = AddressSpace::new();
+        let twin = VA + (MICRO_SLOTS * PAGE_SIZE) as u64;
+        space.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
+        space.map(twin, phys.alloc(), PteFlags::DATA).unwrap();
+        let mut tlb = Tlb::new();
+        assert_eq!(tlb.lookup(VA, &space), None);
+        warm(&mut tlb, &space, VA);
+        let gen = space.generation();
+        let reg = tlb
+            .load_register(VA, gen)
+            .expect("the fill left a micro entry");
+        let pte = space.translate(VA, Access::Read).unwrap().pte;
+        assert_eq!(tlb.register_hit(&reg, VA, gen), Some(pte));
+        assert_eq!((tlb.stats().hits, tlb.stats().micro_hits), (1, 1));
+        assert_eq!(tlb.register_hit(&reg, twin, gen), None, "another page");
+        // The twin takes the slot: the register dies with the entry.
+        warm(&mut tlb, &space, twin);
+        assert_eq!(tlb.register_hit(&reg, VA, gen), None);
+        assert!(matches!(tlb.try_lookup_current(VA, gen), Some(Some(_))));
+        assert_eq!(tlb.stats().micro_hits, 1, "that probe was an L2 hit");
+        // A shootdown elsewhere advances the generation.
+        let reg = tlb.load_register(VA, gen).unwrap();
+        space
+            .map(VA + 0x40_0000, phys.alloc(), PteFlags::DATA)
+            .unwrap();
+        space.unmap(VA + 0x40_0000).unwrap();
+        assert_eq!(tlb.register_hit(&reg, VA, space.generation()), None);
+        // No capacity: nothing is filled, so nothing can be registered.
+        let mut empty = Tlb::with_capacity(0);
+        assert_eq!(empty.lookup(VA, &space), None);
+        warm(&mut empty, &space, VA);
+        assert!(empty.load_register(VA, space.generation()).is_none());
     }
 
     /// `lookup_batch` pays one resynchronization for N probes and
