@@ -18,7 +18,7 @@
 //!   demand fault), then [`Fleet::unload`]; [`Fleet::recover_shard`]
 //!   rebuilds a crashed shard's residents from their catalog records.
 
-use crate::{LoadError, LoadedModule, ModuleRegistry};
+use crate::{LinkPlan, LoadError, LoadedModule, ModuleRegistry};
 use adelie_kernel::{Kernel, ShardedKernel};
 use adelie_obj::ObjectFile;
 use adelie_plugin::TransformOptions;
@@ -198,17 +198,72 @@ impl ShardPlacement for Pinned {
     }
 }
 
+/// How to build a module in any shard: its options and either the
+/// object, until the first load links it, or the link plan that load
+/// derived from it. Every later load — fault-in, demand fault, shard
+/// recovery — instantiates that plan instead of linking again.
+/// Registration does not plan: a catalog of 10^4–10^6 cold modules
+/// would pay for links most never use. The plan replaces the object,
+/// which nothing needs once linked: keeping both held every faulted
+/// module twice (DESIGN.md §17.6 has the peak RSS of each).
+struct Recipe {
+    name: Arc<str>,
+    opts: TransformOptions,
+    link: Mutex<Link>,
+}
+
+/// Where a [`Recipe`] is in its one-way trip from object to plan.
+enum Link {
+    Object(ObjectFile),
+    Planned(Arc<LinkPlan>),
+    /// The object cannot be linked; every load reports why.
+    Rejected(LoadError),
+}
+
+impl Recipe {
+    fn new(obj: &ObjectFile, opts: &TransformOptions) -> Arc<Recipe> {
+        Arc::new(Recipe {
+            name: obj.name.as_str().into(),
+            opts: *opts,
+            link: Mutex::new(Link::Object(obj.clone())),
+        })
+    }
+
+    /// The plan, linking the object on first use.
+    fn plan(&self) -> Result<Arc<LinkPlan>, LoadError> {
+        let mut link = self.link.lock();
+        if let Link::Object(obj) = &*link {
+            *link = match LinkPlan::new(obj, &self.opts) {
+                Ok(plan) => Link::Planned(Arc::new(plan)),
+                Err(e) => Link::Rejected(e),
+            };
+        }
+        match &*link {
+            Link::Planned(plan) => Ok(plan.clone()),
+            Link::Rejected(e) => Err(e.clone()),
+            Link::Object(_) => unreachable!("linked above"),
+        }
+    }
+
+    /// Load into `registry` from the plan.
+    fn load(&self, registry: &ModuleRegistry) -> Result<Arc<LoadedModule>, LoadError> {
+        registry.load_plan(&*self.plan()?)
+    }
+}
+
 /// What the catalog remembers about an installed module — enough to
 /// rebuild it in any shard.
 struct InstallRecord {
     shard: usize,
-    obj: ObjectFile,
-    opts: TransformOptions,
+    /// Shared, so a fault-in takes it out from under the catalog lock
+    /// with a reference count, not a copy of the object.
+    recipe: Arc<Recipe>,
     /// Whether the shard counters count this module as resident rather
     /// than cold. A fault-in sets it only after its load, under the
     /// catalog lock, so a registry copy whose record still says cold is
     /// a fault-in in flight: [`Fleet::unload`] leaves that copy to the
-    /// fault-in, which re-checks the record and unloads it.
+    /// fault-in, which re-checks the record and unloads it — and
+    /// [`Fleet::evict`] and [`Fleet::cold_tick`] never pick it.
     resident: bool,
 }
 
@@ -730,13 +785,13 @@ impl Fleet {
             return Err(FleetError::UnknownShard(shard));
         }
         self.check_occupancy(shard)?;
-        let module = self.registries[shard].load(obj, opts)?;
+        let recipe = Recipe::new(obj, opts);
+        let module = recipe.load(&self.registries[shard])?;
         catalog.insert(
             module.name.clone(),
             InstallRecord {
                 shard,
-                obj: obj.clone(),
-                opts: *opts,
+                recipe,
                 resident: true,
             },
         );
@@ -782,8 +837,7 @@ impl Fleet {
             Arc::from(obj.name.as_str()),
             InstallRecord {
                 shard,
-                obj: obj.clone(),
-                opts: *opts,
+                recipe: Recipe::new(obj, opts),
                 resident: false,
             },
         );
@@ -861,8 +915,7 @@ impl Fleet {
                 // stale mapping survives rebuild.
                 report.vacated.extend(spans);
             }
-            let rec = &catalog[&name];
-            match registry.load(&rec.obj, &rec.opts) {
+            match catalog[&name].recipe.load(registry) {
                 Ok(_) => report.rebuilt.push(name.to_string()),
                 Err(e) => {
                     report.failed.push((name.to_string(), e.to_string()));
@@ -1036,18 +1089,17 @@ impl Fleet {
                 // interpreted init or exit runs; a demand fault from
                 // inside that code would deadlock here, so the fault
                 // stands and the caller retries.
-                let (obj, opts) = {
+                let recipe = {
                     let catalog = catalog.try_lock()?;
                     let rec = catalog.get(&name)?;
                     if rec.shard != shard {
                         // Never redirect into another shard's window.
                         return None;
                     }
-                    (rec.obj.clone(), rec.opts)
+                    rec.recipe.clone()
                 };
                 let module =
-                    materialize(&catalog, &registry, &counters, Some(&t), shard, &obj, &opts)
-                        .ok()?;
+                    materialize(&catalog, &registry, &counters, Some(&t), shard, &recipe).ok()?;
                 let new_va = if va >= old.imm_base && va < old.imm_base + old.imm_span {
                     module.immovable.as_ref()?.base + (va - old.imm_base)
                 } else {
@@ -1077,7 +1129,7 @@ impl Fleet {
     /// unloaded while it was being faulted in is `UnknownModule`, and
     /// the copy the fault-in loaded is unloaded again.
     pub fn ensure_resident(&self, name: &str) -> Result<(usize, Arc<LoadedModule>), FleetError> {
-        let (shard, obj, opts) = {
+        let (shard, recipe) = {
             let catalog = self.catalog.lock();
             let rec = catalog
                 .get(name)
@@ -1085,7 +1137,7 @@ impl Fleet {
             if let Some(m) = self.registries[rec.shard].get(name) {
                 return Ok((rec.shard, m));
             }
-            (rec.shard, rec.obj.clone(), rec.opts)
+            (rec.shard, rec.recipe.clone())
         };
         // The catalog lock is dropped before loading: init runs
         // interpreted code, which must be able to demand-fault.
@@ -1096,8 +1148,7 @@ impl Fleet {
             &self.counters,
             tier.as_deref(),
             shard,
-            &obj,
-            &opts,
+            &recipe,
         )?;
         Ok((shard, module))
     }
@@ -1114,20 +1165,24 @@ impl Fleet {
     /// [`FleetError::UnknownModule`] / [`FleetError::Unload`].
     pub fn evict(&self, name: &str) -> Result<(), FleetError> {
         let mut catalog = self.catalog.lock();
-        let shard = catalog
+        let rec = catalog
             .get(name)
-            .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?
-            .shard;
-        if self.registries[shard].get(name).is_none() {
+            .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?;
+        // A copy not yet counted resident is a fault-in in flight: it
+        // is the fault-in's to finish, and the counters do not count
+        // it, so evicting it would underflow them.
+        if !rec.resident {
             return Ok(());
         }
+        let shard = rec.shard;
         self.evict_batch(&mut catalog, shard, &[name])
             .pop()
             .expect("one result per name")
     }
 
     /// Evict `names` — residents of `shard`, owned there by the catalog
-    /// the caller holds locked — as one teardown: their exits run in
+    /// the caller holds locked, each with a record counted resident —
+    /// as one teardown: their exits run in
     /// order, every module that survived its exit retires in one vmem
     /// batch ([`ModuleRegistry::unload_many`]), and the fleet's
     /// bookkeeping runs once for the batch — the counters under one
@@ -1162,9 +1217,9 @@ impl Fleet {
             {
                 let mut counters = self.counters.lock();
                 for (name, _, bytes) in &evicted {
-                    if let Some(rec) = catalog.get_mut(name) {
-                        rec.resident = false;
-                    }
+                    let rec = catalog.get_mut(name).expect("victims have records");
+                    debug_assert!(rec.resident, "{name} evicted while not counted resident");
+                    rec.resident = false;
                     counters[shard].resident -= 1;
                     counters[shard].cold += 1;
                     counters[shard].mapped_bytes -= bytes;
@@ -1227,13 +1282,18 @@ impl Fleet {
         };
         tier.now_ns.store(now_ns, Ordering::Relaxed);
         let mut catalog = self.catalog.lock();
-        let mut candidates: Vec<(u64, String, usize)> = Vec::new();
+        let mut candidates: Vec<(u64, Arc<str>, usize)> = Vec::new();
         {
+            // The span index holds exactly the copies the counters
+            // count resident: a fault-in still running (a tick called
+            // from an init) is indexed only once it completes, so it
+            // is no victim.
+            let ranges = tier.ranges.lock();
             let last = tier.last_call.lock();
-            for (shard, registry) in self.registries.iter().enumerate() {
-                for name in registry.list() {
-                    let stamp = last.get(name.as_str()).copied().unwrap_or(0);
-                    candidates.push((stamp, name, shard));
+            for (shard, index) in ranges.iter().enumerate() {
+                for (_, _, name) in index {
+                    let stamp = last.get(name).copied().unwrap_or(0);
+                    candidates.push((stamp, name.clone(), shard));
                 }
             }
         }
@@ -1266,7 +1326,7 @@ impl Fleet {
                     continue;
                 }
                 *touched = true;
-                let names: Vec<&str> = round.iter().map(|&i| candidates[i].1.as_str()).collect();
+                let names: Vec<&str> = round.iter().map(|&i| &*candidates[i].1).collect();
                 let results = self.evict_batch(&mut catalog, shard, &names);
                 for (i, result) in round.into_iter().zip(results) {
                     if result.is_ok() {
@@ -1283,7 +1343,7 @@ impl Fleet {
         candidates
             .into_iter()
             .zip(evicted)
-            .filter_map(|((_, name, _), gone)| gone.then_some(name))
+            .filter_map(|((_, name, _), gone)| gone.then(|| name.to_string()))
             .collect()
     }
 
@@ -1322,7 +1382,7 @@ impl Fleet {
     }
 }
 
-/// Load `obj` into `registry`, shard `shard`'s, and do the fault-in
+/// Load `recipe` into `registry`, shard `shard`'s, and do the fault-in
 /// bookkeeping (counters, span index, evicted-index cleanup). Shared by
 /// [`Fleet::ensure_resident`] and the per-shard demand loaders — the
 /// latter run inside `Vm::call` with no `&Fleet` in reach, hence the
@@ -1339,22 +1399,22 @@ fn materialize(
     counters: &Mutex<Vec<ShardCounter>>,
     tier: Option<&ColdTier>,
     shard: usize,
-    obj: &ObjectFile,
-    opts: &TransformOptions,
+    recipe: &Recipe,
 ) -> Result<Arc<LoadedModule>, FleetError> {
-    let module = match registry.load(obj, opts) {
+    let name = &recipe.name;
+    let module = match recipe.load(registry) {
         Ok(m) => m,
         Err(e) => {
             // Lost a fault-in race: another caller materialized it
             // between our catalog read and the load.
-            if let Some(m) = registry.get(&obj.name) {
+            if let Some(m) = registry.get(name) {
                 return Ok(m);
             }
             return Err(FleetError::Load(e));
         }
     };
     let mut catalog = catalog.lock();
-    match catalog.get_mut(obj.name.as_str()) {
+    match catalog.get_mut(name) {
         Some(rec) if rec.shard == shard => {
             if rec.resident {
                 // A shard recovery counted the copy while init ran.
@@ -1363,11 +1423,11 @@ fn materialize(
             rec.resident = true;
         }
         _ => {
-            if registry.unload(&obj.name).is_err() {
+            if registry.unload(name).is_err() {
                 // The copy must not outlive its record: skip the exit.
-                let _ = registry.force_unload(&obj.name);
+                let _ = registry.force_unload(name);
             }
-            return Err(FleetError::UnknownModule(obj.name.clone()));
+            return Err(FleetError::UnknownModule(name.to_string()));
         }
     }
     {
@@ -1377,14 +1437,14 @@ fn materialize(
         c[shard].mapped_bytes += module.mapped_bytes();
     }
     if let Some(tier) = tier {
-        tier.evicted.lock().remove(obj.name.as_str());
+        tier.evicted.lock().remove(name);
         tier.insert_module(shard, &module);
         tier.fault_ins.fetch_add(1, Ordering::Relaxed);
     }
     drop(catalog);
     registry.kernel().printk.log_limited(
         "fleet-faultin",
-        format!("fleet: {} faulted in on shard {shard}", obj.name),
+        format!("fleet: {name} faulted in on shard {shard}"),
     );
     Ok(module)
 }
@@ -1794,6 +1854,70 @@ mod tests {
         assert!(fleet.kernel(0).vm().call(entry, &[]).is_err());
         assert_eq!(fleet.cold_stats().demand_redirects, 0);
         gone(&fleet);
+    }
+
+    /// A cold tick and an explicit evict run from inside a module's
+    /// init while that module is being faulted in. The copy is in the
+    /// registry but its record does not count it resident yet, so it is
+    /// no victim of either: the fault-in finishes, and the module is
+    /// resident once, with consistent counters.
+    #[test]
+    fn evict_during_fault_in_leaves_the_copy_to_the_fault_in() {
+        use std::sync::atomic::AtomicBool;
+        let fleet = Arc::new(fleet(1, Box::new(RoundRobin::new())));
+        // Every resident is idle and over the cap at every tick.
+        fleet.enable_cold_tier(ColdTierConfig {
+            idle_ns: 0,
+            max_resident: 0,
+        });
+        let armed = Arc::new(AtomicBool::new(false));
+        let (weak, gate) = (Arc::downgrade(&fleet), armed.clone());
+        fleet
+            .kernel(0)
+            .symbols
+            .register_native("test_evict_victim", move |_| {
+                if gate.load(Ordering::Relaxed) {
+                    let fleet = weak.upgrade().expect("fleet outlives its kernels' calls");
+                    let evicted = fleet.cold_tick(1);
+                    assert!(evicted.is_empty(), "tick evicted {evicted:?}");
+                    fleet
+                        .evict("victim")
+                        .map_err(|e| adelie_kernel::VmError::Native(e.to_string()))?;
+                }
+                Ok(0)
+            });
+        let mut spec = stateful_spec("victim");
+        spec.funcs.push(FuncSpec::exported(
+            "victim_init",
+            vec![MOp::CallKernel("test_evict_victim".into()), MOp::Ret],
+        ));
+        spec.init = Some("victim_init".into());
+        let opts = TransformOptions::rerandomizable(true);
+        let obj = transform(&spec, &opts).unwrap();
+        let resident_once = |fleet: &Fleet| {
+            let stats = fleet.cold_stats();
+            assert_eq!((stats.resident, stats.cold), (1, 0));
+            let violations = fleet.verify_layout();
+            assert!(violations.is_empty(), "{violations:?}");
+        };
+
+        // Through ensure_resident.
+        fleet.register(&obj, &opts).unwrap();
+        armed.store(true, Ordering::Relaxed);
+        let (_, module) = fleet.ensure_resident("victim").unwrap();
+        resident_once(&fleet);
+        let entry = module.export("victim_bump").unwrap();
+        drop(module);
+        assert_eq!(fleet.kernel(0).vm().call(entry, &[]).unwrap(), 1);
+
+        // Through the demand loader: evict for real (the tick runs
+        // outside any init now), then call the stale entry.
+        armed.store(false, Ordering::Relaxed);
+        assert_eq!(fleet.cold_tick(2), vec!["victim".to_string()]);
+        armed.store(true, Ordering::Relaxed);
+        assert_eq!(fleet.kernel(0).vm().call(entry, &[]).unwrap(), 1);
+        assert_eq!(fleet.cold_stats().demand_redirects, 1);
+        resident_once(&fleet);
     }
 
     /// `register` keeps a module cold (catalog-only) until first use;

@@ -2,11 +2,11 @@
 //!
 //! The paper's contribution, implemented over the simulated substrate:
 //!
-//! * [`Loader`] — loads PIC relocatable modules anywhere in the 57-bit
-//!   address space (64-bit KASLR), builds the four GOTs of Fig. 2b,
-//!   emits retpoline PLT stubs, applies the Fig. 4 run-time patches, and
-//!   seals GOT pages; also provides the non-PIC legacy mode (vanilla
-//!   Linux baseline, 2 GiB window),
+//! * [`LinkPlan`] — links a PIC relocatable module once (builds the
+//!   four GOTs of Fig. 2b, emits retpoline PLT stubs, applies the Fig. 4
+//!   run-time patches) and instantiates it anywhere in the 57-bit
+//!   address space (64-bit KASLR) with GOT pages sealed; also provides
+//!   the non-PIC legacy mode (vanilla Linux baseline, 2 GiB window),
 //! * [`rerandomize_module`] — one zero-copy re-randomization cycle with
 //!   local-GOT rebuilds, key rotation, pointer adjustment, and
 //!   SMR-delayed unmapping (§4.2); driven continuously by the
@@ -56,7 +56,7 @@ pub use fleet::{
     RecoveryReport, RoundRobin, ShardLoad, ShardPlacement,
 };
 pub use hooks::{CycleCommit, CycleHooks, CycleStage};
-pub use loader::{LoadError, Loader};
+pub use loader::{Bases, LinkPlan, LoadError};
 pub use module::{
     AdjustSlot, LazyPltSlot, LoadStats, LoadedModule, LocalGotEntry, PageGroup, Part, PartImage,
 };
@@ -66,7 +66,7 @@ pub use supervise::ShardWatchdog;
 
 use adelie_kernel::{layout, Kernel};
 use adelie_obj::ObjectFile;
-use adelie_plugin::TransformOptions;
+use adelie_plugin::{CodeModel, TransformOptions};
 use adelie_vmem::PAGE_SIZE;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -144,8 +144,27 @@ impl ModuleRegistry {
         obj: &ObjectFile,
         opts: &TransformOptions,
     ) -> Result<Arc<LoadedModule>, LoadError> {
-        let loader = Loader::new(&self.kernel, &self.va);
-        let module = loader.load(obj, opts)?;
+        self.load_plan(&LinkPlan::new(obj, opts)?)
+    }
+
+    /// Instantiate `plan` at freshly drawn bases and run its init entry
+    /// point — the one load path: [`ModuleRegistry::load`] links first,
+    /// a fleet fault-in reuses the plan its catalog record keeps.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError`] from placement or [`LinkPlan::instantiate`], or
+    /// [`LoadError::MissingEntry`] wrapping an init failure.
+    pub fn load_plan(&self, plan: &LinkPlan) -> Result<Arc<LoadedModule>, LoadError> {
+        // An object this kernel cannot link is turned away before a
+        // base is drawn: a rejected load reserves no VA and consumes
+        // nothing from the kernel RNG.
+        let imports = plan.resolve_imports(&self.kernel)?;
+        let (bases, reservations) = self.place(plan)?;
+        let module = plan.instantiate_resolved(&self.kernel, bases, &imports)?;
+        // Both parts are mapped: the page tables exclude the ranges
+        // from future picks, so the reservations can go.
+        drop(reservations);
         self.modules
             .write()
             .insert(module.name.clone(), module.clone());
@@ -160,6 +179,56 @@ impl ModuleRegistry {
             }
         }
         Ok(module)
+    }
+
+    /// Pick bases for `plan`: random free ranges in the kernel's module
+    /// window (the 64-bit KASLR placement), or the next span of the
+    /// legacy 2 GiB window, then the initial key. Reservations (not a
+    /// held lock) keep other placements out of the chosen ranges while
+    /// the instance is built and mapped, so loads and re-randomization
+    /// cycles proceed concurrently; the caller drops them once mapped.
+    fn place(&self, plan: &LinkPlan) -> Result<(Bases, Vec<VaReservation>), LoadError> {
+        let reserve = |pages| self.reserve_va(pages).ok_or(LoadError::NoSpace);
+        let (mov_pages, imm_pages) = plan.part_pages();
+        let mut reservations = Vec::with_capacity(2);
+        let movable = match plan.model() {
+            CodeModel::Pic => {
+                let r = reserve(mov_pages)?;
+                let base = r.base();
+                reservations.push(r);
+                base
+            }
+            CodeModel::Legacy => {
+                let size = (mov_pages * PAGE_SIZE) as u64;
+                let base = self.va.legacy_bump(size);
+                // The top of the window is kernel text; the window is
+                // full when the cursor reaches it.
+                if base + size > layout::NATIVE_BASE {
+                    return Err(LoadError::NoSpace);
+                }
+                base
+            }
+        };
+        // The movable reservation is already recorded, so the
+        // immovable pick is disjoint from it by construction.
+        let immovable = match imm_pages {
+            Some(pages) => {
+                let r = reserve(pages)?;
+                let base = r.base();
+                reservations.push(r);
+                Some(base)
+            }
+            None => None,
+        };
+        let key = self.kernel.rng_u64();
+        Ok((
+            Bases {
+                movable,
+                immovable,
+                key,
+            },
+            reservations,
+        ))
     }
 
     /// Look up a loaded module.

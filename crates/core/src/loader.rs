@@ -1,23 +1,24 @@
 //! The PIC module loader.
 //!
 //! Keeps the relocatable format and finalizes everything at load time
-//! (paper §4.1): builds the four GOTs (movable/immovable × local/fixed),
-//! emits retpoline-safe PLT stubs when the mitigation is on, applies the
-//! Fig. 4 run-time patches (`call *foo@GOTPCREL(%rip)` → `call foo; nop`
-//! and `mov foo@GOTPCREL(%rip),%r` → `lea foo(%rip),%r` for same-part
-//! symbols), seals GOT pages read-only, and registers exports with the
-//! kernel symbol table. The legacy (non-PIC) mode reproduces vanilla
+//! (paper §4.1), in two steps: a base-independent [`LinkPlan`] per
+//! object, and one instantiation per load at the chosen bases. It
+//! builds the four GOTs (movable/immovable × local/fixed), emits
+//! retpoline-safe PLT stubs when the mitigation is on, applies the
+//! Fig. 4 run-time patches (`call *foo@GOTPCREL(%rip)` → `call foo;
+//! nop` and `mov foo@GOTPCREL(%rip),%r` → `lea foo(%rip),%r` for
+//! same-part symbols), seals GOT pages read-only, and registers exports
+//! with the kernel symbol table. The legacy (non-PIC) mode reproduces vanilla
 //! Linux: absolute relocations, single region in the 2 GiB window.
 
 use crate::module::{
     AdjustSlot, LazyPltSlot, LoadStats, LoadedModule, LocalGotEntry, PageGroup, Part, PartImage,
 };
-use crate::va::{VaAllocator, VaReservation};
 use adelie_isa::{Asm, Reg};
 use adelie_kernel::{layout, Kernel, VmError};
 use adelie_obj::{ObjectFile, Reloc, RelocKind, SectionKind, SymbolDef};
 use adelie_plugin::{CodeModel, TransformOptions, KEY_SYMBOL};
-use adelie_vmem::{Batch, PteFlags, PAGE_SIZE};
+use adelie_vmem::{Batch, Pfn, PteFlags, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -330,29 +331,135 @@ impl Drop for BinderGuard<'_> {
     }
 }
 
-/// Loads object files into the simulated kernel.
-pub struct Loader<'k> {
-    kernel: &'k Arc<Kernel>,
-    va: &'k Arc<VaAllocator>,
+/// What a base-dependent value points at.
+#[derive(Copy, Clone, Debug)]
+enum Target {
+    /// A module symbol: its part and its offset from that part's base.
+    Local(Part, u64),
+    /// A kernel symbol, by index into [`LinkPlan::imports`].
+    Import(usize),
 }
 
-impl<'k> Loader<'k> {
-    /// A loader bound to the kernel plus the registry's allocation state.
-    pub(crate) fn new(kernel: &'k Arc<Kernel>, va: &'k Arc<VaAllocator>) -> Loader<'k> {
-        Loader { kernel, va }
-    }
+/// How a base-dependent relocation is written.
+#[derive(Copy, Clone, Debug)]
+enum FixupKind {
+    /// `S + A` into 64 bits.
+    Abs64,
+    /// `S + A` into a sign-extended 32-bit field (legacy only).
+    Abs32,
+    /// `S + A - P` into 32 bits, `S` in another part or the kernel.
+    PcRel32,
+}
 
-    /// Load `obj` under the given options (the same options that drove
-    /// the plugin transformation).
+/// A relocation whose value depends on where the instance lands,
+/// applied by [`LinkPlan::instantiate`].
+#[derive(Clone, Debug)]
+struct Fixup {
+    /// Byte offset of the field within its part.
+    at: usize,
+    kind: FixupKind,
+    target: Target,
+    addend: i64,
+    /// The relocation's symbol (diagnostics).
+    symbol: Arc<str>,
+}
+
+/// What an instance writes into one fixed-GOT slot.
+#[derive(Copy, Clone, Debug)]
+enum FixedSlot {
+    /// The resolved address (eager binding).
+    Resolved(Target),
+    /// The binder trampoline of lazy slot `n` (lazy binding).
+    Binder(usize),
+}
+
+/// One part of a [`LinkPlan`]: its layout and the bytes every instance
+/// starts from.
+#[derive(Debug)]
+struct PartTemplate {
+    part: Part,
+    total_pages: usize,
+    groups: Vec<PageGroup>,
+    /// The image's non-zero pages before the GOTs — sections with
+    /// every base-independent relocation and Fig. 4 patch applied, PLT
+    /// stubs and the retpoline thunk — as `(page index, bytes up to the
+    /// page's last non-zero byte)`.
+    pages: Vec<(usize, Vec<u8>)>,
+    /// Local GOT layout; lazy slots carry their binder index and a zero
+    /// binder address.
+    lgot_off: u64,
+    lgot: Vec<LocalGotEntry>,
+    fgot_off: u64,
+    fgot: Vec<FixedSlot>,
+    fgot_names: Vec<Arc<str>>,
+    plt_off: u64,
+    plt_stubs: usize,
+    fixups: Vec<Fixup>,
+}
+
+/// A lazily-bound PLT slot of the plan (see [`LazyPltSlot`]).
+#[derive(Debug)]
+struct LazyTemplate {
+    symbol: Arc<str>,
+    part: Part,
+    local: bool,
+    idx: usize,
+    target_off: Option<u64>,
+    binder_name: String,
+}
+
+/// Where one instance of a [`LinkPlan`] lives: its part bases and the
+/// return-address encryption key its key slot starts with.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct Bases {
+    /// Base of the movable (or only) part.
+    pub movable: u64,
+    /// Base of the immovable part; `Some` exactly when the plan has one.
+    pub immovable: Option<u64>,
+    /// Initial key.
+    pub key: u64,
+}
+
+/// A module linked once, ready to be instantiated at any bases.
+///
+/// The movable part is position-independent, so everything the loader
+/// decides about an object except its bases is the same for every
+/// load: section layout, GOT and PLT slots, the patched bytes of every
+/// same-part reference, adjustable data slots, exports and statistics.
+/// [`LinkPlan::new`] computes all of that once (and rejects malformed
+/// objects before anything is allocated); [`LinkPlan::instantiate`]
+/// copies the template, writes the GOTs and the few base-relative
+/// fixups, stages frames and maps the result (DESIGN.md §17.6).
+#[derive(Debug)]
+pub struct LinkPlan {
+    name: Arc<str>,
+    model: CodeModel,
+    rerandomizable: bool,
+    movable: PartTemplate,
+    immovable: Option<PartTemplate>,
+    /// Kernel symbols the instance resolves, in first-reference order.
+    imports: Vec<Arc<str>>,
+    lazy: Vec<LazyTemplate>,
+    syms: Vec<(Arc<str>, SymPlace)>,
+    adjust_slots: Vec<AdjustSlot>,
+    exports: Vec<(String, SymPlace)>,
+    init: Option<SymPlace>,
+    exit: Option<SymPlace>,
+    update_pointers: Option<SymPlace>,
+    stats: LoadStats,
+}
+
+impl LinkPlan {
+    /// Link `obj` under the given options (the same options that drove
+    /// the plugin transformation): pure and base-independent.
     ///
     /// # Errors
     ///
-    /// See [`LoadError`].
-    pub fn load(
-        &self,
-        obj: &ObjectFile,
-        opts: &TransformOptions,
-    ) -> Result<Arc<LoadedModule>, LoadError> {
+    /// Every [`LoadError`] an object alone can cause: `TooLarge`,
+    /// `CrossPartPcRel`, `UnexpectedReloc`, `FieldOverflow` for a
+    /// same-part reference and `MissingEntry`. `Unresolved` and
+    /// `NoSpace` depend on the kernel and come from instantiation.
+    pub fn new(obj: &ObjectFile, opts: &TransformOptions) -> Result<LinkPlan, LoadError> {
         let rerand = opts.rerandomize;
         let single_part = !rerand;
         let mut movable = PartPlan::new(Part::Movable, rerand, single_part);
@@ -382,10 +489,9 @@ impl<'k> Loader<'k> {
         };
 
         // Data section placement happens after the PLT, whose size we
-        // don't know yet — compute data offsets relative to a
-        // placeholder and fix up after the reloc scan. To keep it
-        // simple, scan relocs first (they only need *code* bytes for
-        // patch detection and symbol *identity*, not final offsets).
+        // don't know yet — so scan relocs first (they only need *code*
+        // bytes for patch detection and symbol *identity*, not final
+        // offsets).
 
         // Which part is each symbol in?
         let part_of_sec = |sec: SectionKind| -> Part {
@@ -608,7 +714,7 @@ impl<'k> Loader<'k> {
             // The part must fit inside the randomization arena — a
             // reservation could never succeed past this anyway, but an
             // adversarial size has to fail *before* image allocation.
-            let part_bytes = (plan.total_pages as u64)
+            (plan.total_pages as u64)
                 .checked_mul(PAGE_SIZE as u64)
                 .filter(|&b| b < layout::MODULE_CEILING)
                 .ok_or_else(|| {
@@ -617,7 +723,6 @@ impl<'k> Loader<'k> {
                         plan.total_pages
                     ))
                 })?;
-            let _ = part_bytes;
             Ok(())
         };
         finalize(&mut movable, mov_code_end, obj, opts.retpoline)?;
@@ -656,148 +761,85 @@ impl<'k> Loader<'k> {
             fill_lgot(imm, &sym_place);
         }
 
-        // ---- lazy PLT binders ---------------------------------------
-        // Each lazy slot gets a per-slot binder trampoline in the native
-        // dispatch region. The binder holds a Weak to the module (filled
-        // in after construction): on the first call through the stub it
-        // binds the slot, then forwards the call with the caller's
-        // argument registers intact. Registered *before* image build so
-        // the GOT contents can start at the binder address; torn down by
-        // the guard if a later load step fails, and at unload.
-        let module_cell: Arc<OnceLock<Weak<LoadedModule>>> = Arc::new(OnceLock::new());
-        let mut lazy_slots: Vec<LazyPltSlot> = Vec::new();
-        {
-            let mut collect = |plan: &PartPlan| -> Result<(), LoadError> {
-                for ls in &plan.lazy {
-                    let target_off = if ls.movable_target {
-                        Some(
-                            sym_place
-                                .get(&*ls.symbol)
-                                .expect("movable lazy target must be placed")
-                                .off,
-                        )
-                    } else {
-                        None
-                    };
-                    lazy_slots.push(LazyPltSlot {
-                        symbol: ls.symbol.clone(),
-                        part: plan.part,
-                        local: ls.got.local,
-                        idx: ls.got.idx,
-                        binder_va: 0,
-                        binder_name: String::new(),
-                        target_off,
-                        bound: AtomicU64::new(0),
-                    });
-                }
-                Ok(())
-            };
-            collect(&movable)?;
-            if let Some(imm) = immovable.as_ref() {
-                collect(imm)?;
-            }
-        }
-        let mut binder_guard = BinderGuard {
-            kernel: self.kernel,
-            names: Vec::new(),
-            armed: true,
-        };
-        for (i, slot) in lazy_slots.iter_mut().enumerate() {
-            let binder_name = format!("__plt_bind__{}__{}__{}", obj.name, i, slot.symbol);
-            let cell = module_cell.clone();
-            let va = self
-                .kernel
-                .symbols
-                .register_native(&binder_name, move |vm| {
-                    let m = cell.get().and_then(Weak::upgrade).ok_or_else(|| {
-                        VmError::Native("lazy PLT binder called on unloaded module".into())
-                    })?;
-                    let target = m.bind_plt_slot(vm.kernel, i).map_err(VmError::Native)?;
-                    vm.forward_call(target)
+        // ---- lazy PLT slots -----------------------------------------
+        // Each lazy slot gets a per-slot binder trampoline when an
+        // instance is created; the plan fixes the slots' order and
+        // names, and marks the GOT slots that start at a binder.
+        let mut lazy: Vec<LazyTemplate> = Vec::new();
+        for plan in std::iter::once(&movable).chain(immovable.as_ref()) {
+            for ls in &plan.lazy {
+                let target_off = ls.movable_target.then(|| {
+                    sym_place
+                        .get(&*ls.symbol)
+                        .expect("movable lazy target must be placed")
+                        .off
                 });
-            slot.binder_va = va;
-            slot.binder_name = binder_name.clone();
-            binder_guard.names.push(binder_name);
-        }
-        // Patch the placeholder local-GOT entries with binder addresses.
-        for (i, slot) in lazy_slots.iter().enumerate() {
-            if slot.local {
-                let plan = match slot.part {
-                    Part::Movable => &mut movable,
-                    Part::Immovable => immovable.as_mut().expect("lazy slot in missing part"),
-                };
-                plan.lgot[slot.idx] = LocalGotEntry::Lazy {
-                    lazy_idx: i,
-                    binder: slot.binder_va,
-                };
+                lazy.push(LazyTemplate {
+                    binder_name: format!("__plt_bind__{}__{}__{}", obj.name, lazy.len(), ls.symbol),
+                    symbol: ls.symbol.clone(),
+                    part: plan.part,
+                    local: ls.got.local,
+                    idx: ls.got.idx,
+                    target_off,
+                });
             }
         }
-        // Fixed-GOT lazy slots, for the image builder.
-        let lazy_fgot: HashMap<(Part, usize), u64> = lazy_slots
-            .iter()
-            .filter(|s| !s.local)
-            .map(|s| ((s.part, s.idx), s.binder_va))
-            .collect();
+        for (i, slot) in lazy.iter().enumerate().filter(|(_, s)| s.local) {
+            let plan = match slot.part {
+                Part::Movable => &mut movable,
+                Part::Immovable => immovable.as_mut().expect("lazy slot in missing part"),
+            };
+            plan.lgot[slot.idx] = LocalGotEntry::Lazy {
+                lazy_idx: i,
+                binder: 0,
+            };
+        }
 
-        // ---- base selection -----------------------------------------
-        // Reservations (not a held lock) keep other placements out of
-        // the chosen ranges while the images are built and mapped, so
-        // loads and re-randomization cycles can proceed concurrently.
-        let mut _mov_reservation: Option<VaReservation> = None;
-        let movable_base = match opts.model {
-            CodeModel::Pic => {
-                let r = self.reserve(movable.total_pages)?;
-                let base = r.base();
-                _mov_reservation = Some(r);
-                base
-            }
-            CodeModel::Legacy => {
-                let size = (movable.total_pages * PAGE_SIZE) as u64;
-                let base = self.va.legacy_bump(size);
-                // The top of the window is kernel text; the window is
-                // full when the cursor reaches it.
-                if base + size > layout::NATIVE_BASE {
-                    return Err(LoadError::NoSpace);
-                }
-                base
-            }
+        // ---- templates ----------------------------------------------
+        let mut imports: Vec<Arc<str>> = Vec::new();
+        let mut import_index: HashMap<Arc<str>, usize> = HashMap::new();
+        let mut target = |name: &Arc<str>| match sym_place.get(&**name) {
+            Some(p) => Target::Local(p.part, p.off),
+            None => Target::Import(*import_index.entry(name.clone()).or_insert_with(|| {
+                imports.push(name.clone());
+                imports.len() - 1
+            })),
         };
-        // The movable reservation is already recorded, so the immovable
-        // pick is disjoint from it by construction.
-        let _imm_reservation = match immovable.as_ref() {
-            Some(imm) => Some(self.reserve(imm.total_pages)?),
-            None => None,
-        };
-        let immovable_base = _imm_reservation.as_ref().map(VaReservation::base);
-
-        // ---- materialize --------------------------------------------
-        let key = self.kernel.rng_u64();
-        let resolve = |name: &str| -> Result<u64, LoadError> {
-            if let Some(p) = sym_place.get(name) {
-                let base = match p.part {
-                    Part::Movable => movable_base,
-                    Part::Immovable => immovable_base.expect("immovable symbol without part"),
-                };
-                return Ok(base + p.off);
-            }
-            self.kernel
-                .symbols
-                .lookup(name)
-                .ok_or_else(|| LoadError::Unresolved(name.to_string()))
-        };
-
-        let mut adjust_slots: Vec<AdjustSlot> = Vec::new();
         let mut stats = LoadStats {
             payload_bytes: obj.payload_size(),
             ..LoadStats::default()
         };
-
-        let build_image = |plan: &PartPlan,
-                           base: u64,
-                           stats: &mut LoadStats,
-                           adjust: &mut Vec<AdjustSlot>|
-         -> Result<Vec<u8>, LoadError> {
-            let mut img = vec![0u8; plan.total_pages * PAGE_SIZE];
+        let mut adjust_slots = Vec::new();
+        let mut templates = Vec::with_capacity(2);
+        for plan in std::iter::once(&movable).chain(immovable.as_ref()) {
+            let fgot = plan
+                .fgot
+                .iter()
+                .enumerate()
+                .map(|(i, name)| {
+                    match lazy
+                        .iter()
+                        .position(|s| !s.local && s.part == plan.part && s.idx == i)
+                    {
+                        Some(n) => FixedSlot::Binder(n),
+                        None => FixedSlot::Resolved(target(name)),
+                    }
+                })
+                .collect();
+            // Only file-backed bytes and PLT code are non-zero before
+            // the GOTs: size the template by them, not by `.bss`.
+            let sections_end = plan
+                .sec_off
+                .iter()
+                .filter_map(|(&sec, &off)| Some(off as usize + obj.section(sec)?.bytes.len()))
+                .max()
+                .unwrap_or(0);
+            let plt_end = match (plan.plt.is_empty(), opts.retpoline) {
+                (true, _) => 0,
+                (false, true) => plan.thunk_off as usize + 32,
+                (false, false) => (plan.plt_off + plan.plt.len() as u64 * PLT_STUB_SIZE) as usize,
+            };
+            let mut img = vec![0u8; sections_end.max(plt_end)];
             // Section payloads.
             for (&sec, &off) in &plan.sec_off {
                 if let Some(s) = obj.section(sec) {
@@ -809,9 +851,9 @@ impl<'k> Loader<'k> {
                 for (i, (_sym, got)) in plan.plt.iter().enumerate() {
                     let stub_off = plan.plt_off + i as u64 * PLT_STUB_SIZE;
                     let slot_off = plan.slot_off(*got);
+                    let mut b = Vec::with_capacity(12);
                     if opts.retpoline {
                         // mov rax, [rip+slot] ; jmp thunk
-                        let mut b = Vec::with_capacity(12);
                         adelie_isa::encode_into(
                             &adelie_isa::Insn::MovLoad {
                                 dst: Reg::Rax,
@@ -827,18 +869,16 @@ impl<'k> Loader<'k> {
                             ),
                             &mut b,
                         );
-                        img[stub_off as usize..stub_off as usize + b.len()].copy_from_slice(&b);
                     } else {
                         // jmp *[rip+slot]
-                        let mut b = Vec::with_capacity(6);
                         adelie_isa::encode_into(
                             &adelie_isa::Insn::JmpMem(adelie_isa::Mem::RipRel(
                                 (slot_off as i64 - (stub_off as i64 + 6)) as i32,
                             )),
                             &mut b,
                         );
-                        img[stub_off as usize..stub_off as usize + b.len()].copy_from_slice(&b);
                     }
+                    img[stub_off as usize..stub_off as usize + b.len()].copy_from_slice(&b);
                 }
                 if opts.retpoline {
                     // The retpoline thunk (JMP_NOSPEC %rax, §2.5): the
@@ -859,81 +899,73 @@ impl<'k> Loader<'k> {
                 }
                 stats.plt_stubs += plan.plt.len();
             }
-            // GOT contents. Lazy slots start at their binder trampoline;
-            // everything else resolves eagerly at load time.
-            for (i, e) in plan.lgot.iter().enumerate() {
-                let v = match e {
-                    LocalGotEntry::Sym { offset, .. } => movable_base + offset,
-                    LocalGotEntry::Key => key,
-                    LocalGotEntry::Lazy { binder, .. } => *binder,
-                };
-                let off = plan.lgot_off as usize + i * 8;
-                img[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            }
-            for (i, name) in plan.fgot.iter().enumerate() {
-                let v = match lazy_fgot.get(&(plan.part, i)) {
-                    Some(&binder) => binder,
-                    None => resolve(name)?,
-                };
-                let off = plan.fgot_off as usize + i * 8;
-                img[off..off + 8].copy_from_slice(&v.to_le_bytes());
-            }
             stats.local_got_entries += plan.lgot.len();
             stats.fixed_got_entries += plan.fgot.len();
-            // Apply relocations.
+            // Relocations. A same-part reference is `S - P` between two
+            // offsets of one part, whatever its base: patched here once.
+            // Everything else becomes a fixup.
+            let mut fixups = Vec::new();
             for d in &plan.decisions {
-                let sec_off = plan.sec_off[&d.section];
-                let p = (sec_off + d.reloc.offset as u64) as usize;
-                let pva = base + p as u64;
+                let p = (plan.sec_off[&d.section] + d.reloc.offset as u64) as usize;
                 let field_i32 = |v: i64| -> Result<i32, LoadError> {
                     i32::try_from(v)
                         .map_err(|_| LoadError::FieldOverflow(d.reloc.symbol.to_string()))
                 };
+                let same_part_off = || match sym_place.get(&*d.reloc.symbol) {
+                    Some(place) if place.part == plan.part => Some(place.off as i64),
+                    _ => None,
+                };
+                let mut fixup = |kind| Fixup {
+                    at: p,
+                    kind,
+                    target: target(&d.reloc.symbol),
+                    addend: d.reloc.addend,
+                    symbol: d.reloc.symbol.clone(),
+                };
                 match &d.action {
-                    Action::PcRelDirect => {
-                        let s = resolve(&d.reloc.symbol)?;
-                        let v = field_i32(s as i64 + d.reloc.addend - pva as i64)?;
-                        img[p..p + 4].copy_from_slice(&v.to_le_bytes());
-                    }
+                    Action::PcRelDirect => match same_part_off() {
+                        Some(s) => {
+                            let v = field_i32(s + d.reloc.addend - p as i64)?;
+                            img[p..p + 4].copy_from_slice(&v.to_le_bytes());
+                        }
+                        None => fixups.push(fixup(FixupKind::PcRel32)),
+                    },
                     Action::PatchCallDirect | Action::PatchJmpDirect => {
-                        let s = resolve(&d.reloc.symbol)?;
+                        let s = same_part_off().expect("patched sites are same-part");
                         img[p - 2] = if matches!(d.action, Action::PatchCallDirect) {
                             0xE8
                         } else {
                             0xE9
                         };
                         // rel32 measured from the end of the 5-byte insn.
-                        let v = field_i32(s as i64 - (pva as i64 + 3))?;
+                        let v = field_i32(s - (p as i64 + 3))?;
                         img[p - 1..p + 3].copy_from_slice(&v.to_le_bytes());
                         img[p + 3] = 0x90; // pad with nop (Fig. 4)
                         stats.patched_calls += 1;
                         stats.got_entries_eliminated += 1;
                     }
                     Action::PatchMovLea => {
-                        let s = resolve(&d.reloc.symbol)?;
+                        let s = same_part_off().expect("patched sites are same-part");
                         img[p - 2] = 0x8D; // mov → lea
-                        let v = field_i32(s as i64 + d.reloc.addend - pva as i64)?;
+                        let v = field_i32(s + d.reloc.addend - p as i64)?;
                         img[p..p + 4].copy_from_slice(&v.to_le_bytes());
                         stats.patched_movs += 1;
                         stats.got_entries_eliminated += 1;
                     }
                     Action::Got(got) => {
-                        let slot_va = base + plan.slot_off(*got);
-                        let v = field_i32(slot_va as i64 + d.reloc.addend - pva as i64)?;
+                        let v = field_i32(plan.slot_off(*got) as i64 + d.reloc.addend - p as i64)?;
                         img[p..p + 4].copy_from_slice(&v.to_le_bytes());
                     }
                     Action::Plt(idx) => {
-                        let stub_va = base + plan.plt_off + *idx as u64 * PLT_STUB_SIZE;
-                        let v = field_i32(stub_va as i64 + d.reloc.addend - pva as i64)?;
+                        let stub = plan.plt_off + *idx as u64 * PLT_STUB_SIZE;
+                        let v = field_i32(stub as i64 + d.reloc.addend - p as i64)?;
                         img[p..p + 4].copy_from_slice(&v.to_le_bytes());
                     }
                     Action::Abs64 => {
-                        let s = resolve(&d.reloc.symbol)?;
-                        let v = (s as i64 + d.reloc.addend) as u64;
-                        img[p..p + 8].copy_from_slice(&v.to_le_bytes());
+                        fixups.push(fixup(FixupKind::Abs64));
                         if let Some(place) = sym_place.get(&*d.reloc.symbol) {
                             if place.part == Part::Movable && rerand {
-                                adjust.push(AdjustSlot {
+                                adjust_slots.push(AdjustSlot {
                                     part: plan.part,
                                     slot_off: p as u64,
                                     target_off: place.off,
@@ -941,41 +973,303 @@ impl<'k> Loader<'k> {
                             }
                         }
                     }
-                    Action::Abs32 => {
-                        let s = resolve(&d.reloc.symbol)?;
-                        let v = field_i32(s as i64 + d.reloc.addend)?;
-                        img[p..p + 4].copy_from_slice(&v.to_le_bytes());
-                    }
+                    Action::Abs32 => fixups.push(fixup(FixupKind::Abs32)),
                 }
             }
-            Ok(img)
+            let pages = img
+                .chunks(PAGE_SIZE)
+                .enumerate()
+                .filter_map(|(i, page)| {
+                    let len = page.iter().rposition(|&b| b != 0)? + 1;
+                    Some((i, page[..len].to_vec()))
+                })
+                .collect();
+            templates.push(PartTemplate {
+                part: plan.part,
+                total_pages: plan.total_pages,
+                groups: plan.groups.clone(),
+                pages,
+                lgot_off: plan.lgot_off,
+                lgot: plan.lgot.clone(),
+                fgot_off: plan.fgot_off,
+                fgot,
+                fgot_names: plan.fgot.clone(),
+                plt_off: plan.plt_off,
+                plt_stubs: plan.plt.len(),
+                fixups,
+            });
+        }
+        let total_pages = movable.total_pages + immovable.as_ref().map_or(0, |i| i.total_pages);
+        stats.mapped_bytes = total_pages * PAGE_SIZE;
+        stats.got_plt_bytes = (stats.local_got_entries + stats.fixed_got_entries) * 8
+            + stats.plt_stubs * PLT_STUB_SIZE as usize;
+
+        // ---- exports and entry points --------------------------------
+        let entry = |name: &str| -> Result<SymPlace, LoadError> {
+            sym_place
+                .get(name)
+                .copied()
+                .ok_or_else(|| LoadError::MissingEntry(name.to_string()))
+        };
+        let exports = obj
+            .exports
+            .iter()
+            .map(|e| Ok((e.clone(), entry(e)?)))
+            .collect::<Result<_, LoadError>>()?;
+        let init = obj.init.as_deref().map(entry).transpose()?;
+        let exit = obj.exit.as_deref().map(entry).transpose()?;
+        let update_pointers = obj.update_pointers.as_deref().map(entry).transpose()?;
+
+        let mut templates = templates.into_iter();
+        Ok(LinkPlan {
+            name: obj.name.as_str().into(),
+            model: opts.model,
+            rerandomizable: rerand,
+            movable: templates.next().expect("a movable part"),
+            immovable: templates.next(),
+            imports,
+            lazy,
+            syms: sym_place.into_iter().collect(),
+            adjust_slots,
+            exports,
+            init,
+            exit,
+            update_pointers,
+            stats,
+        })
+    }
+
+    /// The code model the plan was linked for.
+    pub(crate) fn model(&self) -> CodeModel {
+        self.model
+    }
+
+    /// Pages of the movable part and, when the plan has one, of the
+    /// immovable part — what placement must reserve.
+    pub(crate) fn part_pages(&self) -> (usize, Option<usize>) {
+        (
+            self.movable.total_pages,
+            self.immovable.as_ref().map(|p| p.total_pages),
+        )
+    }
+
+    /// The addresses of the plan's kernel imports in `kernel`, in
+    /// [`LinkPlan::instantiate`]'s order.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::Unresolved`] naming the first import `kernel` lacks.
+    pub fn resolve_imports(&self, kernel: &Kernel) -> Result<Vec<u64>, LoadError> {
+        self.imports
+            .iter()
+            .map(|name| {
+                kernel
+                    .symbols
+                    .lookup(name)
+                    .ok_or_else(|| LoadError::Unresolved(name.to_string()))
+            })
+            .collect()
+    }
+
+    /// The load statistics every instance reports.
+    pub fn stats(&self) -> &LoadStats {
+        &self.stats
+    }
+
+    /// Create one instance at `bases`: register its lazy-PLT binders,
+    /// resolve its kernel imports, copy the template, write the GOTs
+    /// and the fixups, stage one frame per page and map both parts as
+    /// one vmem batch, then publish the exports. The caller picked the
+    /// bases and keeps other placements out of them until this returns
+    /// (see [`crate::ModuleRegistry::load_plan`]); the module is not
+    /// registered anywhere and its init has not run.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::Unresolved`] for a kernel symbol `kernel` lacks and
+    /// [`LoadError::FieldOverflow`] for a fixup the bases push out of
+    /// range; neither leaves a frame allocated or a mapping behind.
+    ///
+    /// # Panics
+    ///
+    /// If `bases.immovable` does not match the plan's parts, or if the
+    /// ranges are already mapped.
+    pub fn instantiate(
+        &self,
+        kernel: &Arc<Kernel>,
+        bases: Bases,
+    ) -> Result<Arc<LoadedModule>, LoadError> {
+        let imports = self.resolve_imports(kernel)?;
+        self.instantiate_resolved(kernel, bases, &imports)
+    }
+
+    /// [`LinkPlan::instantiate`] with the imports already resolved in
+    /// `kernel` by [`LinkPlan::resolve_imports`].
+    pub(crate) fn instantiate_resolved(
+        &self,
+        kernel: &Arc<Kernel>,
+        bases: Bases,
+        imports: &[u64],
+    ) -> Result<Arc<LoadedModule>, LoadError> {
+        assert_eq!(
+            bases.immovable.is_some(),
+            self.immovable.is_some(),
+            "bases must name exactly the plan's parts"
+        );
+        // ---- lazy PLT binders ---------------------------------------
+        // The binder holds a Weak to the module (filled in after
+        // construction): on the first call through the stub it binds
+        // the slot, then forwards the call with the caller's argument
+        // registers intact. Registered before the images are built so
+        // the GOTs can start at the binder addresses; torn down by the
+        // guard if a later step fails, and at unload.
+        let module_cell: Arc<OnceLock<Weak<LoadedModule>>> = Arc::new(OnceLock::new());
+        let mut binder_guard = BinderGuard {
+            kernel,
+            names: Vec::new(),
+            armed: true,
+        };
+        let mut lazy_slots: Vec<LazyPltSlot> = Vec::with_capacity(self.lazy.len());
+        for (i, slot) in self.lazy.iter().enumerate() {
+            let cell = module_cell.clone();
+            let va = kernel
+                .symbols
+                .register_native(&slot.binder_name, move |vm| {
+                    let m = cell.get().and_then(Weak::upgrade).ok_or_else(|| {
+                        VmError::Native("lazy PLT binder called on unloaded module".into())
+                    })?;
+                    let target = m.bind_plt_slot(vm.kernel, i).map_err(VmError::Native)?;
+                    vm.forward_call(target)
+                });
+            binder_guard.names.push(slot.binder_name.clone());
+            lazy_slots.push(LazyPltSlot {
+                symbol: slot.symbol.clone(),
+                part: slot.part,
+                local: slot.local,
+                idx: slot.idx,
+                binder_va: va,
+                binder_name: slot.binder_name.clone(),
+                target_off: slot.target_off,
+                bound: AtomicU64::new(0),
+            });
+        }
+        let base_of = |part: Part| match part {
+            Part::Movable => bases.movable,
+            Part::Immovable => bases.immovable.expect("immovable symbol without part"),
+        };
+        let resolve = |t: Target| match t {
+            Target::Local(part, off) => base_of(part) + off,
+            Target::Import(i) => imports[i],
         };
 
-        let mov_img = build_image(&movable, movable_base, &mut stats, &mut adjust_slots)?;
-        let imm_img = match immovable.as_ref() {
-            Some(imm) => Some(build_image(
-                imm,
-                immovable_base.unwrap(),
-                &mut stats,
-                &mut adjust_slots,
-            )?),
+        // ---- images ---------------------------------------------------
+        let lgot_of = |tpl: &PartTemplate| -> Vec<LocalGotEntry> {
+            tpl.lgot
+                .iter()
+                .map(|e| match e {
+                    LocalGotEntry::Lazy { lazy_idx, .. } => LocalGotEntry::Lazy {
+                        lazy_idx: *lazy_idx,
+                        binder: lazy_slots[*lazy_idx].binder_va,
+                    },
+                    e => e.clone(),
+                })
+                .collect()
+        };
+        // What an instance writes over its template: the GOTs and the
+        // fixups, as `(offset in part, little-endian bytes, length)`,
+        // computed before any frame is allocated (a fixup can still
+        // overflow its field).
+        let writes_of = |tpl: &PartTemplate,
+                         lgot: &[LocalGotEntry]|
+         -> Result<Vec<(usize, [u8; 8], usize)>, LoadError> {
+            let base = base_of(tpl.part);
+            let mut writes = Vec::with_capacity(lgot.len() + tpl.fgot.len() + tpl.fixups.len());
+            // GOT contents. Lazy slots start at their binder trampoline;
+            // everything else resolves eagerly at load time.
+            for (i, e) in lgot.iter().enumerate() {
+                let v = match e {
+                    LocalGotEntry::Sym { offset, .. } => bases.movable + offset,
+                    LocalGotEntry::Key => bases.key,
+                    LocalGotEntry::Lazy { binder, .. } => *binder,
+                };
+                writes.push((tpl.lgot_off as usize + i * 8, v.to_le_bytes(), 8));
+            }
+            for (i, slot) in tpl.fgot.iter().enumerate() {
+                let v = match *slot {
+                    FixedSlot::Binder(n) => lazy_slots[n].binder_va,
+                    FixedSlot::Resolved(t) => resolve(t),
+                };
+                writes.push((tpl.fgot_off as usize + i * 8, v.to_le_bytes(), 8));
+            }
+            for f in &tpl.fixups {
+                let s = resolve(f.target) as i64;
+                let field_i32 = |v: i64| -> Result<[u8; 8], LoadError> {
+                    let v = i32::try_from(v)
+                        .map_err(|_| LoadError::FieldOverflow(f.symbol.to_string()))?;
+                    Ok((v as u32 as u64).to_le_bytes())
+                };
+                writes.push(match f.kind {
+                    FixupKind::Abs64 => (f.at, ((s + f.addend) as u64).to_le_bytes(), 8),
+                    FixupKind::Abs32 => (f.at, field_i32(s + f.addend)?, 4),
+                    FixupKind::PcRel32 => (
+                        f.at,
+                        field_i32(s + f.addend - (base + f.at as u64) as i64)?,
+                        4,
+                    ),
+                });
+            }
+            // Stable: overlapping fixups keep their relocation order.
+            writes.sort_by_key(|w| w.0);
+            Ok(writes)
+        };
+        let mov_lgot = lgot_of(&self.movable);
+        let imm_lgot = self.immovable.as_ref().map(lgot_of).unwrap_or_default();
+        let mov_writes = writes_of(&self.movable, &mov_lgot)?;
+        let imm_writes = match &self.immovable {
+            Some(tpl) => Some(writes_of(tpl, &imm_lgot)?),
             None => None,
         };
 
         // ---- map into the address space ------------------------------
         // Both parts install as ONE vmem batch: a single page-table
-        // lock acquisition and (being map-only) no shootdown at all —
-        // so a module (including a fleet fault-in or shard rebuild)
-        // appears in its shard atomically.
+        // transaction and (being map-only) no shootdown at all — so a
+        // module (including a fleet fault-in or shard rebuild) appears
+        // in its shard atomically. Each frame is allocated already
+        // holding its page: the template's bytes and the writes landing
+        // there, assembled only up to the page's last written byte (the
+        // frame zero-fills the rest).
         let mut install = Batch::new();
-        let stage_part = |plan: &PartPlan, base: u64, img: &[u8], install: &mut Batch| {
-            let frames = self.kernel.phys.alloc_n(plan.total_pages);
-            for (i, &pfn) in frames.iter().enumerate() {
-                self.kernel
-                    .phys
-                    .write(pfn, 0, &img[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
-            }
-            for g in &plan.groups {
+        let mut page = Vec::with_capacity(PAGE_SIZE);
+        let mut stage_part = |tpl: &PartTemplate,
+                              writes: &[(usize, [u8; 8], usize)],
+                              install: &mut Batch| {
+            let base = base_of(tpl.part);
+            let mut template = tpl.pages.iter().peekable();
+            let mut next_write = 0;
+            let frames: Vec<Pfn> = (0..tpl.total_pages)
+                .map(|i| {
+                    let (lo, hi) = (i * PAGE_SIZE, (i + 1) * PAGE_SIZE);
+                    page.clear();
+                    if let Some((_, bytes)) = template.next_if(|(p, _)| *p == i) {
+                        page.extend_from_slice(bytes);
+                    }
+                    // Writes are sorted by offset; one may straddle into
+                    // the next page, so the cursor only passes writes
+                    // that end here.
+                    while writes.get(next_write).is_some_and(|w| w.0 + w.2 <= lo) {
+                        next_write += 1;
+                    }
+                    for &(at, bytes, len) in writes[next_write..].iter().take_while(|w| w.0 < hi) {
+                        let (from, to) = (at.max(lo), (at + len).min(hi));
+                        if page.len() < to - lo {
+                            page.resize(to - lo, 0);
+                        }
+                        page[from - lo..to - lo].copy_from_slice(&bytes[from - at..to - at]);
+                    }
+                    kernel.phys.alloc_filled(&page)
+                })
+                .collect();
+            for g in &tpl.groups {
                 install.map_range(
                     base + (g.page_start * PAGE_SIZE) as u64,
                     &frames[g.page_start..g.page_start + g.pages],
@@ -986,130 +1280,89 @@ impl<'k> Loader<'k> {
             // unmapped — they contain nothing.
             PartImage {
                 base,
-                total_pages: plan.total_pages,
+                total_pages: tpl.total_pages,
                 frames,
-                groups: plan.groups.clone(),
-                lgot_off: plan.lgot_off,
-                lgot_slots: plan.lgot.len(),
-                fgot_off: plan.fgot_off,
-                fgot_slots: plan.fgot.len(),
-                fgot_names: plan.fgot.clone(),
-                plt_off: plan.plt_off,
-                plt_stubs: plan.plt.len(),
+                groups: tpl.groups.clone(),
+                lgot_off: tpl.lgot_off,
+                lgot_slots: tpl.lgot.len(),
+                fgot_off: tpl.fgot_off,
+                fgot_slots: tpl.fgot.len(),
+                fgot_names: tpl.fgot_names.clone(),
+                plt_off: tpl.plt_off,
+                plt_stubs: tpl.plt_stubs,
             }
         };
-        let movable_img = stage_part(&movable, movable_base, &mov_img, &mut install);
-        let immovable_img = immovable.as_ref().map(|imm| {
-            stage_part(
-                imm,
-                immovable_base.unwrap(),
-                imm_img.as_ref().unwrap(),
-                &mut install,
-            )
-        });
-        self.kernel
-            .space
-            .apply(install)
-            .expect("module range collision");
-        // Both parts are mapped: the page tables exclude the ranges from
-        // future picks, so the reservations can be released.
-        drop(_mov_reservation);
-        drop(_imm_reservation);
-
-        stats.mapped_bytes = (movable_img.total_pages
-            + immovable_img.as_ref().map(|i| i.total_pages).unwrap_or(0))
-            * PAGE_SIZE;
-        stats.got_plt_bytes = (stats.local_got_entries + stats.fixed_got_entries) * 8
-            + stats.plt_stubs * PLT_STUB_SIZE as usize;
+        let movable_img = stage_part(&self.movable, &mov_writes, &mut install);
+        let immovable_img = self
+            .immovable
+            .as_ref()
+            .zip(imm_writes.as_deref())
+            .map(|(tpl, writes)| stage_part(tpl, writes, &mut install));
+        kernel.space.apply(install).expect("module range collision");
 
         // ---- bookkeeping ---------------------------------------------
         let mut movable_syms = HashMap::new();
         let mut immovable_syms = HashMap::new();
-        for (name, place) in &sym_place {
+        for (name, place) in &self.syms {
             match place.part {
-                Part::Movable if rerand => {
+                Part::Movable if self.rerandomizable => {
                     movable_syms.insert(name.clone(), place.off);
                 }
-                Part::Movable => {
-                    // Non-re-randomizable: module never moves; treat all
-                    // symbols as absolute.
-                    immovable_syms.insert(name.clone(), movable_base + place.off);
-                }
-                Part::Immovable => {
-                    immovable_syms.insert(name.clone(), immovable_base.unwrap() + place.off);
+                // Non-re-randomizable: the module never moves, so every
+                // symbol is absolute.
+                part => {
+                    immovable_syms.insert(name.clone(), base_of(part) + place.off);
                 }
             }
         }
-        let resolve_export = |name: &str| -> Result<u64, LoadError> {
-            immovable_syms
-                .get(name)
-                .copied()
-                .or_else(|| movable_syms.get(name).map(|off| movable_base + off))
-                .ok_or_else(|| LoadError::MissingEntry(name.to_string()))
+        let va_of = |p: &SymPlace| base_of(p.part) + p.off;
+        let lgot_frames = |img: &PartImage| {
+            let start = (img.lgot_off / PAGE_SIZE as u64) as usize;
+            img.frames[start..start + img.lgot_pages()].to_vec()
         };
-        let mut exports = Vec::new();
-        for e in &obj.exports {
-            let va = resolve_export(e)?;
-            exports.push((e.clone(), va));
-        }
-        let entry = |name: &Option<String>| -> Result<Option<u64>, LoadError> {
-            name.as_ref().map(|n| resolve_export(n)).transpose()
-        };
-        let init_va = entry(&obj.init)?;
-        let exit_va = entry(&obj.exit)?;
-        let update_pointers_va = entry(&obj.update_pointers)?;
-
-        let movable_lgot_frames: Vec<_> = {
-            let pages = movable_img.lgot_pages();
-            let start = (movable_img.lgot_off / PAGE_SIZE as u64) as usize;
-            movable_img.frames[start..start + pages].to_vec()
-        };
-        let immovable_lgot_frames: Vec<_> = immovable_img
-            .as_ref()
-            .map(|img| {
-                let pages = img.lgot_pages();
-                let start = (img.lgot_off / PAGE_SIZE as u64) as usize;
-                img.frames[start..start + pages].to_vec()
-            })
-            .unwrap_or_default();
-
+        let movable_lgot_frames = lgot_frames(&movable_img);
+        let immovable_lgot_frames = immovable_img.as_ref().map(lgot_frames).unwrap_or_default();
         let module = Arc::new(LoadedModule {
-            name: obj.name.as_str().into(),
-            rerandomizable: rerand,
-            movable_base: AtomicU64::new(movable_base),
+            name: self.name.clone(),
+            rerandomizable: self.rerandomizable,
+            movable_base: AtomicU64::new(bases.movable),
             generation: AtomicU64::new(0),
-            current_key: AtomicU64::new(key),
+            current_key: AtomicU64::new(bases.key),
             movable: movable_img,
             immovable: immovable_img,
             movable_syms,
             immovable_syms,
-            lgot_movable: movable.lgot,
-            lgot_immovable: immovable.map(|p| p.lgot).unwrap_or_default(),
+            lgot_movable: mov_lgot,
+            lgot_immovable: imm_lgot,
             movable_lgot_frames: Mutex::new(movable_lgot_frames),
             immovable_lgot_frames: Mutex::new(immovable_lgot_frames),
-            adjust_slots,
-            init_va,
-            exit_va,
-            update_pointers_va,
+            adjust_slots: self.adjust_slots.clone(),
+            init_va: self.init.as_ref().map(va_of),
+            exit_va: self.exit.as_ref().map(va_of),
+            update_pointers_va: self.update_pointers.as_ref().map(va_of),
             pointer_refresh_failures: AtomicU64::new(0),
             lazy_plt: lazy_slots,
             plt_bind_lock: Mutex::new(()),
             plt_binds: AtomicU64::new(0),
             plt_reswings: AtomicU64::new(0),
-            exports,
-            stats,
+            exports: self
+                .exports
+                .iter()
+                .map(|(name, p)| (name.clone(), va_of(p)))
+                .collect(),
+            stats: self.stats,
             move_lock: Mutex::new(()),
         });
         // Arm the binders: they can now upgrade to the live module. The
-        // load can no longer fail, so the cleanup guard stands down (the
-        // binders are unregistered at unload instead).
+        // instance can no longer fail, so the cleanup guard stands down
+        // (the binders are unregistered at unload instead).
         let _ = module_cell.set(Arc::downgrade(&module));
         binder_guard.armed = false;
         // Publish exports in kallsyms so other modules can import them.
         for (name, va) in &module.exports {
-            self.kernel.symbols.define(name, *va);
+            kernel.symbols.define(name, *va);
         }
-        self.kernel.printk.log(format!(
+        kernel.printk.log(format!(
             "module {}: loaded ({} bytes mapped, {} local / {} fixed GOT entries, {} PLT stubs, {} patches)",
             module.name,
             module.stats.mapped_bytes,
@@ -1119,13 +1372,5 @@ impl<'k> Loader<'k> {
             module.stats.patched_calls + module.stats.patched_movs,
         ));
         Ok(module)
-    }
-
-    /// Reserve a random, free, page-aligned range anywhere in the 57-bit
-    /// arena — the 64-bit KASLR placement.
-    fn reserve(&self, pages: usize) -> Result<VaReservation, LoadError> {
-        self.va
-            .reserve(self.kernel, pages)
-            .ok_or(LoadError::NoSpace)
     }
 }

@@ -14,9 +14,9 @@
 //!   so fixtures are synthesized offline, in-process.
 //! * [`parse`] ingests such an object (or any well-formed ELF64
 //!   `ET_REL` for x86-64 using the supported relocation kinds) back
-//!   into an [`ObjectFile`](adelie_obj::ObjectFile), which then flows through `Loader::load`,
-//!   re-randomization, fleet fault-in and recovery, and the gadget
-//!   scanner unchanged.
+//!   into an [`ObjectFile`](adelie_obj::ObjectFile), which then flows
+//!   through the loader (`LinkPlan::new`), re-randomization, fleet
+//!   fault-in and recovery, and the gadget scanner unchanged.
 //!
 //! ## Mapping
 //!

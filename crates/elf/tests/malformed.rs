@@ -1,11 +1,16 @@
 //! Malformed-ELF property suite: truncated headers, out-of-range
 //! section offsets, bogus relocation symbols, and random byte
 //! corruption must all surface as a typed [`ElfError`] — never a panic,
-//! never an out-of-bounds read.
+//! never an out-of-bounds read. An object that parses but cannot be
+//! linked must surface as a typed [`LoadError`] before the loader
+//! allocates a frame or draws a base.
 
+use adelie_core::{LinkPlan, LoadError, ModuleRegistry};
 use adelie_elf::{consts, emit, parse, ElfError};
 use adelie_isa::{Asm, Reg};
-use adelie_obj::{Binding, ObjectBuilder, SectionKind};
+use adelie_kernel::{Kernel, KernelConfig};
+use adelie_obj::{Binding, ObjectBuilder, ObjectFile, SectionKind};
+use adelie_plugin::TransformOptions;
 use proptest::prelude::*;
 
 /// A valid fixture to mutate (relocations, imports, every section).
@@ -89,6 +94,137 @@ fn section_size_overflowing_the_offset_is_rejected() {
             "section {i} size u64::MAX must not parse"
         );
     }
+}
+
+/// The first RELA record of relocation type `ty`: its byte offset.
+fn rela_record(bytes: &[u8], ty: u32) -> usize {
+    let base = shoff(bytes);
+    for i in 1..shnum(bytes) {
+        let h = base + i * consts::SHDR_SIZE;
+        if u32::from_le_bytes(bytes[h + 4..h + 8].try_into().unwrap()) != 4 {
+            continue;
+        }
+        let off = u64::from_le_bytes(bytes[h + 24..h + 32].try_into().unwrap()) as usize;
+        let size = u64::from_le_bytes(bytes[h + 32..h + 40].try_into().unwrap()) as usize;
+        for rec in (off..off + size).step_by(24) {
+            let info = u64::from_le_bytes(bytes[rec + 8..rec + 16].try_into().unwrap());
+            if info as u32 == ty {
+                return rec;
+            }
+        }
+    }
+    panic!("fixture has no relocation of type {ty}");
+}
+
+/// Load `obj` into a fresh kernel and check the rejection left nothing
+/// behind: no frame allocated, no page mapped, no module registered,
+/// and the kernel RNG exactly where an identical kernel that never saw
+/// the object has it — so no base was drawn, no VA reserved.
+fn rejected_cleanly(obj: &ObjectFile, opts: &TransformOptions) -> LoadError {
+    let boot = || {
+        let kernel = Kernel::new(KernelConfig::default());
+        let registry = ModuleRegistry::new(&kernel);
+        (kernel, registry)
+    };
+    let (kernel, registry) = boot();
+    let (twin, _twin_registry) = boot();
+    let frames = kernel.phys.stats().frames_allocated;
+    let pages = kernel.space.stats().pages_mapped;
+    let err = registry
+        .load(obj, opts)
+        .expect_err("the object must be rejected");
+    assert_eq!(
+        kernel.phys.stats().frames_allocated,
+        frames,
+        "{err}: frames allocated"
+    );
+    assert_eq!(
+        kernel.space.stats().pages_mapped,
+        pages,
+        "{err}: pages mapped"
+    );
+    assert!(
+        registry.get(&obj.name).is_none(),
+        "{err}: module registered"
+    );
+    assert_eq!(kernel.rng_u64(), twin.rng_u64(), "{err}: a base was drawn");
+    err
+}
+
+/// Objects that parse but cannot be linked, one per typed loader
+/// error an ELF file alone can cause.
+#[test]
+fn unlinkable_objects_are_rejected_before_allocation() {
+    let full = fixture();
+    let pic = TransformOptions::pic(false);
+    // `.bss` sized near 2^62: the layout cannot hold it.
+    let mut bytes = full.clone();
+    let base = shoff(&bytes);
+    let bss = (1..shnum(&bytes))
+        .find(|&i| !has_file_data(&bytes, i))
+        .expect("fixture has a .bss");
+    put_u64(&mut bytes, base + bss * consts::SHDR_SIZE + 32, 1 << 62);
+    let obj = parse(&bytes).expect("NOBITS sizes are not file ranges");
+    assert!(matches!(
+        LinkPlan::new(&obj, &pic),
+        Err(LoadError::TooLarge(_))
+    ));
+    assert!(matches!(
+        rejected_cleanly(&obj, &pic),
+        LoadError::TooLarge(_)
+    ));
+
+    // `call *kmalloc@GOTPCREL` retyped as PC32: a kernel symbol is out
+    // of PC32 reach in PIC code.
+    let mut bytes = full.clone();
+    let rec = rela_record(&bytes, consts::R_X86_64_GOTPCREL);
+    let info = u64::from_le_bytes(bytes[rec + 8..rec + 16].try_into().unwrap());
+    put_u64(
+        &mut bytes,
+        rec + 8,
+        (info & !0xffff_ffff) | u64::from(consts::R_X86_64_PC32),
+    );
+    let obj = parse(&bytes).unwrap();
+    assert!(matches!(
+        rejected_cleanly(&obj, &pic),
+        LoadError::UnexpectedReloc(_)
+    ));
+
+    // Re-randomizable: `lea mut_msg(%rip)` reaches from movable text
+    // into immovable `.rodata`, which no PC32 field can span.
+    let obj = parse(&full).unwrap();
+    assert!(matches!(
+        rejected_cleanly(&obj, &TransformOptions::rerandomizable(false)),
+        LoadError::CrossPartPcRel(_)
+    ));
+
+    // An import the kernel does not export.
+    let at = full
+        .windows(8)
+        .position(|w| w == b"kmalloc\0")
+        .expect("import name in the string table");
+    let mut bytes = full.clone();
+    bytes[at + 6] = b'x';
+    let obj = parse(&bytes).unwrap();
+    assert_eq!(
+        rejected_cleanly(&obj, &pic),
+        LoadError::Unresolved("kmallox".into())
+    );
+
+    // An export the object does not define.
+    let mut obj = parse(&full).unwrap();
+    obj.exports.push("mut_absent".into());
+    assert_eq!(
+        rejected_cleanly(&obj, &pic),
+        LoadError::MissingEntry("mut_absent".into())
+    );
+
+    // And the pristine fixture links (its init, which asks kmalloc
+    // for 0 bytes, is not what is under test here).
+    let plan = LinkPlan::new(&parse(&full).unwrap(), &pic).expect("the fixture links");
+    let kernel = Kernel::new(KernelConfig::default());
+    plan.resolve_imports(&kernel)
+        .expect("the fixture's imports resolve");
 }
 
 proptest! {

@@ -475,9 +475,11 @@ impl<'k> Vm<'k> {
                 pte.check(va, access)?;
                 return Ok(Translation { pte, page_va });
             }
-            // Miss at the current generation: walk the current
-            // immutable snapshot under one epoch pin — zero locks.
-            let t = self.reader.pin().translate(va, access)?;
+            // Miss at the current generation: walk under one epoch
+            // pin — zero locks — through the TLB's leaf-node cache.
+            let pin = self.reader.pin();
+            let t = self.tlb.walk(&pin, va, access)?;
+            drop(pin);
             self.tlb.insert(&t);
             return Ok(t);
         }
@@ -489,7 +491,7 @@ impl<'k> Vm<'k> {
             pte.check(va, access)?;
             return Ok(Translation { pte, page_va });
         }
-        let t = pin.translate(va, access)?;
+        let t = self.tlb.walk(&pin, va, access)?;
         drop(pin);
         self.tlb.insert(&t);
         Ok(t)

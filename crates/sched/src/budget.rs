@@ -13,9 +13,15 @@
 //! * **pressure** — the spend/budget ratio is fed into [`Policy::
 //!   Adaptive`](crate::Policy::Adaptive), which stretches periods
 //!   *before* the hard bound engages (a soft, anticipatory signal).
+//!
+//! Spend is measured against time on the owning scheduler's
+//! [`Clock`]: the wall clock for a threaded pool, the harness's
+//! [`SimClock`](crate::SimClock) for a stepped one, so a stepped pool's
+//! throttling is as deterministic as the rest of its timeline.
 
+use crate::clock::Clock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tracks randomizer-pool CPU spend against a budget.
 pub struct BudgetController {
@@ -23,16 +29,18 @@ pub struct BudgetController {
     /// Cap as a fraction of total modeled CPU (`cpus` cores);
     /// `f64::INFINITY` disables the budget.
     max_frac: f64,
-    start: Instant,
+    /// The timeline whose t = 0 starts the budget.
+    clock: Clock,
     spent_ns: AtomicU64,
 }
 
 impl BudgetController {
     /// A controller for a `cpus`-core machine capping randomizer spend
-    /// at `max_frac` of total CPU (`0.05` = 5% of the machine). Pass
-    /// `f64::INFINITY` (or anything non-finite / non-positive) for
-    /// "uncapped".
-    pub fn new(cpus: usize, max_frac: f64) -> BudgetController {
+    /// at `max_frac` of total CPU (`0.05` = 5% of the machine), with
+    /// time measured on `clock` — its scheduler's, so the budget runs
+    /// on the same timeline as the deadlines. Pass `f64::INFINITY` (or
+    /// anything non-finite / non-positive) for "uncapped".
+    pub fn new(cpus: usize, max_frac: f64, clock: Clock) -> BudgetController {
         let max_frac = if max_frac.is_finite() && max_frac > 0.0 {
             max_frac
         } else {
@@ -41,7 +49,7 @@ impl BudgetController {
         BudgetController {
             cpus: cpus.max(1),
             max_frac,
-            start: Instant::now(),
+            clock,
             spent_ns: AtomicU64::new(0),
         }
     }
@@ -81,9 +89,13 @@ impl BudgetController {
         self.spent().as_secs_f64() / budget
     }
 
-    /// Spend/budget ratio now.
+    /// Spend/budget ratio now, on the controller's clock.
     pub fn pressure(&self) -> f64 {
-        self.pressure_at(self.start.elapsed())
+        self.pressure_at(self.now())
+    }
+
+    fn now(&self) -> Duration {
+        Duration::from_nanos(self.clock.now_ns())
     }
 
     /// How long the pool must stay idle, measured from wall-time `wall`,
@@ -100,10 +112,10 @@ impl BudgetController {
         needed_wall.saturating_sub(wall)
     }
 
-    /// How long the pool must stay idle from *now* to return under the
-    /// cap.
+    /// How long the pool must stay idle from *now* (on the controller's
+    /// clock) to return under the cap.
     pub fn throttle(&self) -> Duration {
-        self.throttle_at(self.start.elapsed())
+        self.throttle_at(self.now())
     }
 }
 
@@ -124,18 +136,18 @@ mod tests {
 
     #[test]
     fn uncapped_never_pushes_back() {
-        let b = BudgetController::new(4, f64::INFINITY);
+        let b = BudgetController::new(4, f64::INFINITY, Clock::wall());
         b.record(Duration::from_secs(1000));
         assert_eq!(b.pressure_at(Duration::from_millis(1)), 0.0);
         assert_eq!(b.throttle_at(Duration::from_millis(1)), Duration::ZERO);
-        let zero = BudgetController::new(4, 0.0);
+        let zero = BudgetController::new(4, 0.0, Clock::wall());
         assert!(!zero.is_capped(), "non-positive caps mean uncapped");
     }
 
     #[test]
     fn pressure_is_spend_over_budget() {
         // 2 CPUs at a 25% cap: budget = 0.5 CPU-seconds per wall second.
-        let b = BudgetController::new(2, 0.25);
+        let b = BudgetController::new(2, 0.25, Clock::wall());
         b.record(Duration::from_millis(250));
         // After 1 s of wall time the budget is 500 ms: half used.
         assert!((b.pressure_at(Duration::from_secs(1)) - 0.5).abs() < 1e-9);
@@ -145,7 +157,7 @@ mod tests {
 
     #[test]
     fn throttle_returns_exactly_to_cap() {
-        let b = BudgetController::new(1, 0.5);
+        let b = BudgetController::new(1, 0.5, Clock::wall());
         b.record(Duration::from_millis(400));
         // 400 ms spent at a 0.5 cap needs 800 ms of wall time.
         assert_eq!(
@@ -154,5 +166,22 @@ mod tests {
         );
         // Already past the break-even point: no throttle.
         assert_eq!(b.throttle_at(Duration::from_secs(1)), Duration::ZERO);
+    }
+
+    /// On a virtual clock, pressure and throttle move only when the
+    /// clock does.
+    #[test]
+    fn virtual_clock_drives_pressure_and_throttle() {
+        let sim = crate::SimClock::new();
+        let b = BudgetController::new(1, 0.5, Clock::Virtual(sim.clone()));
+        b.record(Duration::from_millis(400));
+        assert_eq!(b.pressure(), f64::INFINITY, "spend at t = 0");
+        assert_eq!(b.throttle(), Duration::from_millis(800));
+        sim.advance(Duration::from_millis(400));
+        assert!((b.pressure() - 2.0).abs() < 1e-9);
+        assert_eq!(b.throttle(), Duration::from_millis(400));
+        sim.advance(Duration::from_millis(400));
+        assert!((b.pressure() - 1.0).abs() < 1e-9);
+        assert_eq!(b.throttle(), Duration::ZERO);
     }
 }

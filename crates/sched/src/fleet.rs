@@ -23,7 +23,7 @@ use crate::budget::BudgetController;
 use crate::policy::Policy;
 use crate::scheduler::{CycleReport, SchedConfig, Scheduler};
 use crate::stats::SchedStats;
-use crate::SimClock;
+use crate::{Clock, SimClock};
 use adelie_core::ModuleRegistry;
 use adelie_kernel::Kernel;
 use std::sync::Arc;
@@ -40,13 +40,18 @@ pub struct FleetScheduler {
 }
 
 impl FleetScheduler {
-    fn global_budget(shards: &[ShardSched], config: &SchedConfig) -> Arc<BudgetController> {
+    fn global_budget(
+        shards: &[ShardSched],
+        config: &SchedConfig,
+        clock: Clock,
+    ) -> Arc<BudgetController> {
         // The modeled machine is the union of the shards: the global
         // cap is a fraction of *total* fleet CPUs.
         let total_cpus: usize = shards.iter().map(|(k, _, _)| k.config.cpus).sum();
         Arc::new(BudgetController::new(
             total_cpus.max(1),
             config.max_cpu_frac,
+            clock,
         ))
     }
 
@@ -58,7 +63,7 @@ impl FleetScheduler {
     /// re-randomizable, or `config.workers` is zero.
     pub fn spawn(shards: Vec<ShardSched>, config: SchedConfig) -> FleetScheduler {
         assert!(!shards.is_empty(), "fleet scheduler needs shards");
-        let budget = FleetScheduler::global_budget(&shards, &config);
+        let budget = FleetScheduler::global_budget(&shards, &config, Clock::wall());
         let groups = shards
             .into_iter()
             .map(|(kernel, registry, modules)| {
@@ -92,7 +97,7 @@ impl FleetScheduler {
         cycle_cost: Duration,
     ) -> FleetScheduler {
         assert!(!shards.is_empty(), "fleet scheduler needs shards");
-        let budget = FleetScheduler::global_budget(&shards, &config);
+        let budget = FleetScheduler::global_budget(&shards, &config, Clock::Virtual(clock.clone()));
         let groups = shards
             .into_iter()
             .map(|(kernel, registry, modules)| {

@@ -565,6 +565,7 @@ impl Scheduler {
             Arc::new(BudgetController::new(
                 kernel.config.cpus,
                 config.max_cpu_frac,
+                shared.clock.clone(),
             ))
         });
         kernel.printk.log(format!(

@@ -311,23 +311,36 @@ fn failed_cycles_are_counted_not_fatal() {
 
 /// The CPU budget caps pool spend: an aggressive policy under a tiny
 /// budget must cycle far less than the same policy uncapped, and
-/// pressure must register.
+/// pressure must register. Stepped on a virtual clock through the same
+/// 300 ms window, with every cycle charged a modeled 50 µs, so both
+/// counts are exact rather than what a real-time window happened to
+/// fit on a loaded host.
 #[test]
 fn budget_applies_backpressure() {
+    const WINDOW: Duration = Duration::from_millis(300);
     let run = |max_cpu_frac: f64| {
         let (kernel, registry, _modules) = boot_n(2);
-        let sched = Scheduler::spawn(
-            kernel.clone(),
+        let policy = Policy::FixedPeriod(Duration::from_micros(200));
+        let clock = SimClock::new();
+        let sched = Scheduler::spawn_stepped(
+            kernel,
             registry,
-            &["mod0", "mod1"],
+            &[("mod0", policy.clone()), ("mod1", policy.clone())],
             SchedConfig {
                 workers: 2,
-                policy: Policy::FixedPeriod(Duration::from_micros(200)),
+                policy,
                 max_cpu_frac,
                 ..SchedConfig::default()
             },
+            clock,
+            Duration::from_micros(50),
         );
-        std::thread::sleep(Duration::from_millis(300));
+        while sched
+            .peek_deadline_ns()
+            .is_some_and(|d| d <= WINDOW.as_nanos() as u64)
+        {
+            sched.step();
+        }
         sched.stop()
     };
     let uncapped = run(f64::INFINITY);

@@ -27,7 +27,7 @@
 use crate::PAGE_SIZE;
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// A physical frame number.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -57,6 +57,11 @@ struct Slot {
     live: AtomicBool,
     /// Allocated on the pfn's first allocation, freed with the store.
     page: AtomicPtr<Page>,
+    /// Words of the page that may be non-zero: every word at or past
+    /// this index is zero. Maintained under the write lock, so
+    /// reallocation zeroes what the frame's last life wrote, not all
+    /// 512 words.
+    dirty: AtomicUsize,
 }
 
 /// Chunk index and slot index of `pfn`.
@@ -280,6 +285,21 @@ impl PhysMem {
 
     /// Allocate one zeroed frame.
     pub fn alloc(&self) -> Pfn {
+        self.alloc_filled(&[])
+    }
+
+    /// Allocate one frame holding `bytes` followed by zeroes — one pass
+    /// instead of zeroing and then a [`PhysMem::write`], and only over
+    /// the words `bytes` covers plus those the frame's last life wrote
+    /// (each slot tracks how far writes reached, so a reused frame is
+    /// not zeroed in full). Same sequence lock, and the write version
+    /// advances once, as for any reallocation (DESIGN.md §18.3).
+    ///
+    /// # Panics
+    ///
+    /// If `bytes` is longer than a frame.
+    pub fn alloc_filled(&self, bytes: &[u8]) -> Pfn {
+        assert!(bytes.len() <= PAGE_SIZE, "fill exceeds a frame");
         self.allocated.fetch_add(1, Ordering::Relaxed);
         let pfn = self
             .free_list
@@ -288,14 +308,23 @@ impl PhysMem {
             .unwrap_or_else(|| self.next.fetch_add(1, Ordering::Relaxed));
         let slot = self.claimed_slot(pfn);
         let odd = slot.lock();
-        match slot.page() {
-            Some(page) => page.iter().for_each(|w| w.store(0, Ordering::Relaxed)),
-            None => {
-                // SAFETY: all-zero bits are valid `AtomicU64`s.
-                let page = unsafe { Box::<Page>::new_zeroed().assume_init() };
-                slot.page.store(Box::into_raw(page), Ordering::Release);
-            }
+        let page = slot.page().unwrap_or_else(|| {
+            // SAFETY: all-zero bits are valid `AtomicU64`s.
+            let page = unsafe { Box::<Page>::new_zeroed().assume_init() };
+            slot.page.store(Box::into_raw(page), Ordering::Release);
+            slot.page().expect("page just published")
+        });
+        // Zero what the last life may have left past `bytes` (from the
+        // first partly covered word on), then fill.
+        let filled = bytes.len().div_ceil(8);
+        let dirty = slot.dirty.load(Ordering::Relaxed);
+        if dirty > bytes.len() / 8 {
+            page[bytes.len() / 8..dirty]
+                .iter()
+                .for_each(|w| w.store(0, Ordering::Relaxed));
         }
+        copy_in(page, 0, bytes);
+        slot.dirty.store(filled, Ordering::Relaxed);
         slot.live.store(true, Ordering::Release);
         slot.unlock(odd);
         Pfn(pfn)
@@ -386,6 +415,11 @@ impl PhysMem {
         let live = slot.live.load(Ordering::Relaxed);
         if live {
             copy_in(page, offset, bytes);
+            // The write lock is held: no other writer moves `dirty`.
+            let end = (offset + bytes.len()).div_ceil(8);
+            if end > slot.dirty.load(Ordering::Relaxed) {
+                slot.dirty.store(end, Ordering::Relaxed);
+            }
         }
         slot.unlock(odd);
         assert!(live, "write of freed {pfn}");
@@ -407,9 +441,7 @@ impl PhysMem {
     pub fn clone_frame(&self, pfn: Pfn) -> Pfn {
         let mut buf = [0u8; PAGE_SIZE];
         self.read(pfn, 0, &mut buf);
-        let new = self.alloc();
-        self.write(new, 0, &buf);
-        new
+        self.alloc_filled(&buf)
     }
 
     /// Snapshot of allocation counters.
@@ -570,6 +602,35 @@ mod tests {
         let v3 = pm.version(a);
         pm.read_u64(a, 0);
         assert_eq!(pm.version(a), v3);
+    }
+
+    /// A filled allocation is exactly the bytes then zeroes, even on a
+    /// reused page with an unaligned fill length, and its version moves
+    /// once past the freed frame's — the same rule as any reallocation.
+    #[test]
+    fn alloc_filled_zeroes_past_the_fill_and_bumps_the_version_once() {
+        let pm = PhysMem::new();
+        let pfn = pm.alloc();
+        pm.write(pfn, 0, &[0xAA; PAGE_SIZE]);
+        pm.free(pfn);
+        let freed = pm.version(pfn);
+        let fill: Vec<u8> = (1..=13).collect();
+        let again = pm.alloc_filled(&fill);
+        assert_eq!(again, pfn, "the freed frame is reused");
+        assert_eq!(pm.version(again), freed + 2);
+        let mut page = [0xFFu8; PAGE_SIZE];
+        pm.read(again, 0, &mut page);
+        assert_eq!(&page[..13], &fill[..]);
+        assert!(page[13..].iter().all(|&b| b == 0), "stale bytes survived");
+        assert_eq!(pm.stats().frames_live, 1);
+        // Only the last word written: a reallocation must still clear
+        // it, however short the fill.
+        pm.write_u64(again, PAGE_SIZE - 8, u64::MAX);
+        pm.free(again);
+        let third = pm.alloc_filled(&[7]);
+        pm.read(third, 0, &mut page);
+        assert_eq!(page[0], 7);
+        assert!(page[1..].iter().all(|&b| b == 0), "the last word survived");
     }
 
     #[test]

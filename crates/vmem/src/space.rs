@@ -43,10 +43,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Bits below the flat-directory prefix: one prefix names one
-/// leaf-level radix node (512 pages = 2 MiB of virtual space).
-const FLAT_SHIFT: u32 = PAGE_SHIFT + 9;
-
 /// Default capacity (in generations) of the invalidation log — how far
 /// a TLB may lag behind the current generation and still resynchronize
 /// with a partial (range-based) invalidation instead of a full flush.
@@ -173,78 +169,207 @@ enum Entry {
     Leaf(HwPte),
 }
 
-/// One radix node of an immutable snapshot: its occupied slots only,
-/// sorted by slot index (an absent index is an empty slot). Interior
-/// children are `Arc`-shared: a write transaction path-copies only the
-/// nodes it touches and shares every untouched subtree with the
-/// previous snapshot. Writers reach a child through `Arc::make_mut`: a
-/// node created in this transaction (refcount 1) is mutated in place,
-/// one shared with the published snapshot (which stays alive for the
-/// whole transaction) is copied first. Because only occupied slots are
-/// stored, that copy, a prune check and a drop cost O(children), not
-/// O(512) — and PIC placement anywhere in the 57-bit space leaves most
-/// interior nodes holding one or two children.
-#[derive(Clone, Default)]
-struct Node {
-    slots: Vec<(u16, Entry)>,
+/// Occupied slots sorted by slot index (an absent index is an empty
+/// slot).
+type Slots = Vec<(u16, Entry)>;
+
+/// Slot indices per chunk of a chunked node, and chunks per node.
+const CHUNK: usize = 32;
+const CHUNKS: usize = 512 / CHUNK;
+
+/// One radix node of an immutable snapshot: its occupied slots only.
+/// Interior children are `Arc`-shared: a write transaction path-copies
+/// only the nodes it touches and shares every untouched subtree with
+/// the previous snapshot. Because only occupied slots are stored, a
+/// copy, a prune check and a drop cost O(children), not O(512) — and
+/// PIC placement anywhere in the 57-bit space leaves most interior
+/// nodes holding one or two children.
+///
+/// A node with more than [`CHUNK`] occupied slots keeps them in
+/// [`CHUNKS`] `Arc`-shared chunks, chunk `c` holding indices
+/// `[c·CHUNK, (c+1)·CHUNK)`. Copying it clones the chunk pointers, and
+/// a write then copies only the chunk it touches — so the root, which
+/// fills with one slot per 2^48-byte region as residents accumulate,
+/// costs at most `CHUNKS + CHUNK` slot copies per transaction instead
+/// of one per occupied slot (DESIGN.md §11.2).
+#[derive(Clone)]
+enum Node {
+    Small(Slots),
+    Chunked {
+        len: usize,
+        chunks: Box<[Arc<Slots>]>,
+    },
+}
+
+impl Default for Node {
+    fn default() -> Node {
+        Node::Small(Vec::new())
+    }
+}
+
+fn find(slots: &Slots, idx: usize) -> Result<usize, usize> {
+    slots.binary_search_by_key(&(idx as u16), |&(i, _)| i)
+}
+
+/// Copy-on-write through a shared pointer: mutate in place when this
+/// transaction owns `arc` alone, otherwise copy first and add the
+/// copy's slot count to `copied`.
+fn cow<'a, T: Clone>(
+    arc: &'a mut Arc<T>,
+    cost: impl FnOnce(&T) -> u64,
+    copied: &mut u64,
+) -> &'a mut T {
+    if Arc::get_mut(arc).is_none() {
+        *copied += cost(arc);
+    }
+    Arc::make_mut(arc)
 }
 
 impl Node {
-    /// Position of slot `idx` in `slots`, or where it would go.
-    fn find(&self, idx: usize) -> Result<usize, usize> {
-        self.slots.binary_search_by_key(&(idx as u16), |&(i, _)| i)
-    }
-
+    /// The entry at slot `idx`, if occupied.
     fn get(&self, idx: usize) -> Option<&Entry> {
-        self.find(idx).ok().map(|pos| &self.slots[pos].1)
+        let slots = self.slots_of(idx);
+        find(slots, idx).ok().map(|pos| &slots[pos].1)
     }
 
-    fn get_mut(&mut self, idx: usize) -> Option<&mut Entry> {
-        let pos = self.find(idx).ok()?;
-        Some(&mut self.slots[pos].1)
-    }
-
-    /// The entry at `idx`, first filling an empty slot with `make()`.
-    fn get_or_insert_with(&mut self, idx: usize, make: impl FnOnce() -> Entry) -> &mut Entry {
-        let pos = self.find(idx).unwrap_or_else(|pos| {
-            self.slots.insert(pos, (idx as u16, make()));
-            pos
-        });
-        &mut self.slots[pos].1
+    /// Occupied slots.
+    fn len(&self) -> usize {
+        match self {
+            Node::Small(slots) => slots.len(),
+            Node::Chunked { len, .. } => *len,
+        }
     }
 
     /// Whether no slot is occupied (so the node can be pruned).
     fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
+    }
+
+    /// Slots a clone of this node copies: its entries, or its chunk
+    /// pointers once chunked.
+    fn copy_cost(&self) -> u64 {
+        match self {
+            Node::Small(slots) => slots.len() as u64,
+            Node::Chunked { .. } => CHUNKS as u64,
+        }
+    }
+
+    /// The slot vector holding index `idx`.
+    fn slots_of(&self, idx: usize) -> &Slots {
+        match self {
+            Node::Small(slots) => slots,
+            Node::Chunked { chunks, .. } => &chunks[idx / CHUNK],
+        }
+    }
+
+    /// The slot vector holding index `idx`, mutable, copying a shared
+    /// chunk first.
+    fn slots_of_mut(&mut self, idx: usize, copied: &mut u64) -> &mut Slots {
+        match self {
+            Node::Small(slots) => slots,
+            Node::Chunked { chunks, .. } => {
+                cow(&mut chunks[idx / CHUNK], |c| c.len() as u64, copied)
+            }
+        }
+    }
+
+    /// The entry at `idx`, mutable; copies nothing when `idx` is empty.
+    fn get_mut(&mut self, idx: usize, copied: &mut u64) -> Option<&mut Entry> {
+        let pos = find(self.slots_of(idx), idx).ok()?;
+        Some(&mut self.slots_of_mut(idx, copied)[pos].1)
+    }
+
+    /// The entry at `idx`, first filling an empty slot with `make()`.
+    fn get_or_insert_with(
+        &mut self,
+        idx: usize,
+        make: impl FnOnce() -> Entry,
+        copied: &mut u64,
+    ) -> &mut Entry {
+        let pos = match find(self.slots_of(idx), idx) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                self.slots_of_mut(idx, copied)
+                    .insert(pos, (idx as u16, make()));
+                match self {
+                    Node::Chunked { len, .. } => *len += 1,
+                    Node::Small(slots) if slots.len() > CHUNK => {
+                        self.rechunk(copied);
+                        return self.get_mut(idx, copied).expect("slot just filled");
+                    }
+                    Node::Small(_) => {}
+                }
+                pos
+            }
+        };
+        &mut self.slots_of_mut(idx, copied)[pos].1
+    }
+
+    /// Empty slot `idx`, found at `pos` of its slot vector.
+    fn remove_at(&mut self, idx: usize, pos: usize, copied: &mut u64) {
+        self.slots_of_mut(idx, copied).remove(pos);
+        if let Node::Chunked { len, .. } = self {
+            *len -= 1;
+            // Hysteresis: back to one vector at half the split size,
+            // so a node hovering at the threshold does not flip.
+            if *len <= CHUNK / 2 {
+                self.rechunk(copied);
+            }
+        }
+    }
+
+    /// Every occupied slot with its index, in index order.
+    fn slots(&self) -> impl Iterator<Item = &(u16, Entry)> {
+        let (small, chunks): (&[(u16, Entry)], &[Arc<Slots>]) = match self {
+            Node::Small(slots) => (slots, &[]),
+            Node::Chunked { chunks, .. } => (&[], chunks),
+        };
+        small.iter().chain(chunks.iter().flat_map(|c| c.iter()))
+    }
+
+    /// Switch between the two layouts: split a small node past
+    /// [`CHUNK`] slots (moving its entries), merge a chunked one that
+    /// shrank (copying them, since its chunks may be shared). Runs once
+    /// per crossing, on a node this transaction already owns.
+    fn rechunk(&mut self, copied: &mut u64) {
+        *self = match std::mem::take(self) {
+            Node::Small(slots) => {
+                let mut chunks: Vec<Slots> = vec![Vec::new(); CHUNKS];
+                let len = slots.len();
+                for (idx, e) in slots {
+                    chunks[idx as usize / CHUNK].push((idx, e));
+                }
+                Node::Chunked {
+                    len,
+                    chunks: chunks.into_iter().map(Arc::new).collect(),
+                }
+            }
+            Node::Chunked { chunks, len } => {
+                *copied += len as u64;
+                Node::Small(chunks.iter().flat_map(|c| c.iter().cloned()).collect())
+            }
+        };
     }
 }
 
-/// What writers publish and readers load: the radix tree plus a
-/// **flattened leaf directory** mapping `va >> FLAT_SHIFT` prefixes
-/// straight to the `Arc` of the leaf-level node holding that 2 MiB
-/// region's PTEs. A translation is then one hash probe plus one slot
-/// read — ≤2 pointer chases — instead of a 5-level chase. The tree
-/// stays the ground truth (writers path-copy it as before); the
-/// directory is re-derived for exactly the prefixes a transaction
-/// touched, at publish time, so the two views are equal by
-/// construction in every published snapshot.
+/// What writers publish and readers load: the radix tree and the
+/// backend whose leaf encoding it uses.
 struct SnapshotRoot {
-    /// The 5-level radix tree (ground truth; what the next write
-    /// transaction shallow-clones).
+    /// The 5-level radix tree (what the next write transaction
+    /// clones).
     root: Node,
-    /// `va >> FLAT_SHIFT` → leaf-level node. Shares the tree's nodes —
-    /// an entry is exactly the `Arc` reachable by chasing the tree.
-    flat: HashMap<u64, Arc<Node>, BuildPageHasher>,
     /// The backend whose bit layout every [`Entry::Leaf`] in this
     /// snapshot uses (walks need it to decode).
     arch: ArchKind,
 }
 
-/// Resolve the leaf-level node for `prefix` by chasing the tree — the
-/// publish-time step that keeps the flat directory consistent. `None`
-/// when the region is entirely unmapped (interior pruning removed it).
-fn leaf_node_of(root: &Node, prefix: u64) -> Option<Arc<Node>> {
-    let va = prefix << FLAT_SHIFT;
+/// Bits below a leaf-node prefix: one prefix names one leaf-level
+/// radix node (512 pages = 2 MiB of virtual space).
+pub(crate) const LEAF_SHIFT: u32 = PAGE_SHIFT + 9;
+
+/// The leaf-level node covering `va`, by chasing the tree. `None` when
+/// the 2 MiB region is entirely unmapped (pruning removed its node).
+fn leaf_of(root: &Node, va: u64) -> Option<&Arc<Node>> {
     let mut cur = root;
     for level in 0..LEVELS - 2 {
         cur = match cur.get(level_index(va, level)) {
@@ -253,7 +378,7 @@ fn leaf_node_of(root: &Node, prefix: u64) -> Option<Arc<Node>> {
         };
     }
     match cur.get(level_index(va, LEVELS - 2)) {
-        Some(Entry::Table(t)) => Some(t.clone()),
+        Some(Entry::Table(t)) => Some(t),
         _ => None,
     }
 }
@@ -282,6 +407,12 @@ pub struct SpaceStats {
     /// Retired snapshot roots actually reclaimed — freed only after
     /// every reader epoch that could observe them advanced.
     pub snapshots_reclaimed: u64,
+    /// Node slots write transactions copied: entries of shared nodes
+    /// and chunks they path-copied, plus chunk pointers of chunked
+    /// nodes. Exact and deterministic — the publish-cost measure that
+    /// must not grow with the number of mappings a transaction leaves
+    /// alone (`BENCH_publish_scale.json`).
+    pub slots_copied: u64,
 }
 
 #[derive(Default)]
@@ -293,6 +424,7 @@ struct AtomicStats {
     batches: AtomicU64,
     coalesced_shootdowns: AtomicU64,
     snapshot_publishes: AtomicU64,
+    slots_copied: AtomicU64,
 }
 
 /// A cache-line-padded counter: the walk counter is bumped on every
@@ -436,10 +568,10 @@ pub struct AddressSpace {
     /// cached instead of trusting a numerically-equal generation from
     /// an unrelated timeline.
     id: u64,
-    /// The currently-published snapshot (radix tree + flattened leaf
-    /// directory). Readers load this while epoch-pinned; the pointee is
-    /// owned by `writer.current` (or by a pending reclamation closure
-    /// once superseded).
+    /// The currently-published snapshot (the radix tree). Readers load
+    /// this while epoch-pinned; the pointee is owned by
+    /// `writer.current` (or by a pending reclamation closure once
+    /// superseded).
     snapshot: AtomicPtr<SnapshotRoot>,
     /// Serializes writers. Readers never touch it.
     writer: Mutex<WriterState>,
@@ -537,7 +669,6 @@ impl AddressSpace {
         let asid = config.asid.unwrap_or_else(|| arch.allocate_asid());
         let root = Arc::new(SnapshotRoot {
             root: Node::default(),
-            flat: HashMap::default(),
             arch,
         });
         let snapshot = AtomicPtr::new(Arc::as_ptr(&root) as *mut SnapshotRoot);
@@ -706,14 +837,18 @@ impl AddressSpace {
         self.pin().plan_sync(seen_gen)
     }
 
-    fn plan_sync_pinned(&self, seen_gen: u64) -> (u64, TlbSync) {
+    /// [`AddressSpace::plan_sync`], plus every span retired in the gap
+    /// whenever the log covers it — also when there are too many for a
+    /// partial flush, so a TLB's leaf-node cache can still drop only
+    /// the regions they touch.
+    fn plan_sync_pinned(&self, seen_gen: u64) -> (u64, TlbSync, Option<Vec<(u64, u64)>>) {
         let current = self.generation();
         if current == seen_gen {
-            return (current, TlbSync::Current);
+            return (current, TlbSync::Current, None);
         }
         let ring = &self.inval;
         if current < seen_gen {
-            return (current, TlbSync::Full);
+            return (current, TlbSync::Full, None);
         }
         let mut covered: Vec<(u64, u64)> = Vec::new();
         let mut spans: Vec<(u64, u64)> = Vec::new();
@@ -743,14 +878,17 @@ impl AddressSpace {
         let mut need = seen_gen + 1;
         for (lo, hi) in covered {
             if lo > need {
-                return (current, TlbSync::Full);
+                return (current, TlbSync::Full, None);
             }
             need = need.max(hi + 1);
         }
-        if need <= current || spans.len() > MAX_SYNC_SPANS {
-            return (current, TlbSync::Full);
+        if need <= current {
+            return (current, TlbSync::Full, None);
         }
-        (current, TlbSync::Ranges(spans))
+        if spans.len() > MAX_SYNC_SPANS {
+            return (current, TlbSync::Full, Some(spans));
+        }
+        (current, TlbSync::Ranges(spans), None)
     }
 
     fn check(&self, va: u64) -> Result<(), Fault> {
@@ -763,35 +901,21 @@ impl AddressSpace {
 
     /// Begin a write transaction: take the writer mutex and build a
     /// scratch root sharing every subtree of the current snapshot.
-    fn begin(&self) -> (MutexGuard<'_, WriterState>, Node) {
+    fn begin(&self) -> (MutexGuard<'_, WriterState>, Scratch) {
         let st = self.writer.lock();
-        let scratch = st.current.root.clone();
-        (st, scratch)
+        let root = st.current.root.clone();
+        let copied = root.copy_cost();
+        (st, Scratch { root, copied })
     }
 
     /// Publish `scratch` as the new snapshot and retire the old root
     /// through the reclamation domain. Caller holds the writer mutex.
-    ///
-    /// `touched` lists the `va >> FLAT_SHIFT` prefixes this transaction
-    /// may have changed (one entry per page *attempted*, duplicates
-    /// fine): the flat leaf directory is re-derived from the scratch
-    /// tree for exactly those prefixes, so directory and tree stay
-    /// equal by construction. A prefix mutated but not listed would
-    /// desync the directory — every mutation site below pushes as it
-    /// goes.
-    fn publish(&self, st: &mut WriterState, scratch: Node, touched: &mut Vec<u64>) {
-        touched.sort_unstable();
-        touched.dedup();
-        let mut flat = st.current.flat.clone();
-        for &prefix in touched.iter() {
-            match leaf_node_of(&scratch, prefix) {
-                Some(node) => flat.insert(prefix, node),
-                None => flat.remove(&prefix),
-            };
-        }
+    /// Nothing here depends on how much the table maps: the old root
+    /// shares every untouched subtree with the new one, so dropping it
+    /// later frees only the nodes this transaction replaced.
+    fn publish(&self, st: &mut WriterState, scratch: Scratch) {
         let new = Arc::new(SnapshotRoot {
-            root: scratch,
-            flat,
+            root: scratch.root,
             arch: self.arch,
         });
         self.snapshot
@@ -800,6 +924,9 @@ impl AddressSpace {
         self.stats
             .snapshot_publishes
             .fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .slots_copied
+            .fetch_add(scratch.copied, Ordering::Relaxed);
         let reclaimed = self.reclaimed_snapshots.clone();
         self.smr.retire(Box::new(move || {
             drop(old);
@@ -918,8 +1045,8 @@ impl AddressSpace {
     fn map_pte(&self, va: u64, pte: Pte) -> Result<(), Fault> {
         self.check(va)?;
         let (mut st, mut scratch) = self.begin();
-        map_in(&mut scratch, va, self.arch.encode(pte))?;
-        self.publish(&mut st, scratch, &mut vec![va >> FLAT_SHIFT]);
+        scratch.map(va, self.arch.encode(pte))?;
+        self.publish(&mut st, scratch);
         self.stats.pages_mapped.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -934,22 +1061,20 @@ impl AddressSpace {
         let (mut st, mut scratch) = self.begin();
         let mut outcome = Ok(());
         let mut mapped = 0u64;
-        let mut touched = Vec::new();
         for (i, &pfn) in pfns.iter().enumerate() {
             let page_va = va + (i * PAGE_SIZE) as u64;
             let hw = self.arch.encode(Pte {
                 kind: PteKind::Frame(pfn),
                 flags,
             });
-            touched.push(page_va >> FLAT_SHIFT);
-            if let Err(fault) = check_va(page_va).and_then(|()| map_in(&mut scratch, page_va, hw)) {
+            if let Err(fault) = check_va(page_va).and_then(|()| scratch.map(page_va, hw)) {
                 outcome = Err(fault);
                 break;
             }
             mapped += 1;
         }
         if mapped > 0 {
-            self.publish(&mut st, scratch, &mut touched);
+            self.publish(&mut st, scratch);
             self.stats.pages_mapped.fetch_add(mapped, Ordering::Relaxed);
         }
         outcome
@@ -965,8 +1090,8 @@ impl AddressSpace {
     pub fn unmap(&self, va: u64) -> Result<Pte, Fault> {
         self.check(va)?;
         let (mut st, mut scratch) = self.begin();
-        let pte = self.arch.decode_owned(unmap_in(&mut scratch, va)?);
-        self.publish(&mut st, scratch, &mut vec![va >> FLAT_SHIFT]);
+        let pte = self.arch.decode_owned(scratch.unmap(va)?);
+        self.publish(&mut st, scratch);
         self.stats.pages_unmapped.fetch_add(1, Ordering::Relaxed);
         self.shootdown(vec![(va, va + PAGE_SIZE as u64)]);
         Ok(pte)
@@ -985,11 +1110,9 @@ impl AddressSpace {
         let (mut st, mut scratch) = self.begin();
         let mut out = Vec::with_capacity(n);
         let mut outcome = Ok(());
-        let mut touched = Vec::new();
         for i in 0..n {
             let page_va = va + (i * PAGE_SIZE) as u64;
-            touched.push(page_va >> FLAT_SHIFT);
-            match check_va(page_va).and_then(|()| unmap_in(&mut scratch, page_va)) {
+            match check_va(page_va).and_then(|()| scratch.unmap(page_va)) {
                 Ok(hw) => out.push(self.arch.decode_owned(hw)),
                 Err(fault) => {
                     outcome = Err(fault);
@@ -998,7 +1121,7 @@ impl AddressSpace {
             }
         }
         if !out.is_empty() {
-            self.publish(&mut st, scratch, &mut touched);
+            self.publish(&mut st, scratch);
             self.stats
                 .pages_unmapped
                 .fetch_add(out.len() as u64, Ordering::Relaxed);
@@ -1013,20 +1136,13 @@ impl AddressSpace {
     /// pages were never mapped.
     pub fn unmap_sparse(&self, va: u64, n: usize) -> Vec<Pte> {
         let (mut st, mut scratch) = self.begin();
-        let mut out = Vec::new();
-        let mut touched = Vec::new();
-        for i in 0..n {
-            let page_va = va + (i * PAGE_SIZE) as u64;
-            if check_va(page_va).is_err() {
-                continue;
-            }
-            if let Ok(hw) = unmap_in(&mut scratch, page_va) {
-                out.push(self.arch.decode_owned(hw));
-                touched.push(page_va >> FLAT_SHIFT);
-            }
-        }
+        let out: Vec<Pte> = scratch
+            .clear(va, n)
+            .into_iter()
+            .map(|hw| self.arch.decode_owned(hw))
+            .collect();
         if !out.is_empty() {
-            self.publish(&mut st, scratch, &mut touched);
+            self.publish(&mut st, scratch);
             self.stats
                 .pages_unmapped
                 .fetch_add(out.len() as u64, Ordering::Relaxed);
@@ -1047,8 +1163,7 @@ impl AddressSpace {
     pub fn replace(&self, va: u64, pfn: Pfn, flags: PteFlags) -> Result<Pte, Fault> {
         self.check(va)?;
         let (mut st, mut scratch) = self.begin();
-        let old = replace_in(
-            &mut scratch,
+        let old = scratch.replace(
             va,
             self.arch.encode(Pte {
                 kind: PteKind::Frame(pfn),
@@ -1056,7 +1171,7 @@ impl AddressSpace {
             }),
         )?;
         let old = self.arch.decode_owned(old);
-        self.publish(&mut st, scratch, &mut vec![va >> FLAT_SHIFT]);
+        self.publish(&mut st, scratch);
         self.shootdown(vec![(va, va + PAGE_SIZE as u64)]);
         Ok(old)
     }
@@ -1070,8 +1185,8 @@ impl AddressSpace {
     pub fn protect(&self, va: u64, flags: PteFlags) -> Result<(), Fault> {
         self.check(va)?;
         let (mut st, mut scratch) = self.begin();
-        protect_in(&mut scratch, va, flags, self.arch)?;
-        self.publish(&mut st, scratch, &mut vec![va >> FLAT_SHIFT]);
+        scratch.protect(va, flags, self.arch)?;
+        self.publish(&mut st, scratch);
         self.stats.protects.fetch_add(1, Ordering::Relaxed);
         self.shootdown(vec![(va, va + PAGE_SIZE as u64)]);
         Ok(())
@@ -1089,12 +1204,10 @@ impl AddressSpace {
         let (mut st, mut scratch) = self.begin();
         let mut outcome = Ok(());
         let mut changed = 0usize;
-        let mut touched = Vec::new();
         for i in 0..n {
             let page_va = va + (i * PAGE_SIZE) as u64;
-            touched.push(page_va >> FLAT_SHIFT);
-            if let Err(fault) = check_va(page_va)
-                .and_then(|()| protect_in(&mut scratch, page_va, flags, self.arch).map(|_| ()))
+            if let Err(fault) =
+                check_va(page_va).and_then(|()| scratch.protect(page_va, flags, self.arch))
             {
                 outcome = Err(fault);
                 break;
@@ -1102,7 +1215,7 @@ impl AddressSpace {
             changed += 1;
         }
         if changed > 0 {
-            self.publish(&mut st, scratch, &mut touched);
+            self.publish(&mut st, scratch);
             self.stats
                 .protects
                 .fetch_add(changed as u64, Ordering::Relaxed);
@@ -1277,7 +1390,6 @@ impl AddressSpace {
         let mut mapped = 0u64;
         let mut unmapped = 0u64;
         let mut protects = 0u64;
-        let mut touched = Vec::new();
         let (mut st, mut scratch) = self.begin();
         for op in &batch.ops {
             match *op {
@@ -1286,35 +1398,27 @@ impl AddressSpace {
                         kind: PteKind::Frame(pfn),
                         flags,
                     });
-                    touched.push(va >> FLAT_SHIFT);
-                    map_in(&mut scratch, va, hw)?;
+                    scratch.map(va, hw)?;
                     mapped += 1;
                 }
                 BatchOp::UnmapRange { va, pages } => {
                     for i in 0..pages {
                         let page_va = va + (i * PAGE_SIZE) as u64;
-                        touched.push(page_va >> FLAT_SHIFT);
-                        removed.push(self.arch.decode_owned(unmap_in(&mut scratch, page_va)?));
+                        removed.push(self.arch.decode_owned(scratch.unmap(page_va)?));
                         unmapped += 1;
                     }
                     spans.push((va, va + (pages * PAGE_SIZE) as u64));
                 }
                 BatchOp::UnmapSparse { va, pages } => {
-                    for i in 0..pages {
-                        let page_va = va + (i * PAGE_SIZE) as u64;
-                        touched.push(page_va >> FLAT_SHIFT);
-                        if let Ok(hw) = unmap_in(&mut scratch, page_va) {
-                            removed.push(self.arch.decode_owned(hw));
-                            unmapped += 1;
-                        }
-                    }
+                    let hws = scratch.clear(va, pages);
+                    unmapped += hws.len() as u64;
+                    removed.extend(hws.into_iter().map(|hw| self.arch.decode_owned(hw)));
                     spans.push((va, va + (pages * PAGE_SIZE) as u64));
                 }
                 BatchOp::ProtectRange { va, pages, flags } => {
                     for i in 0..pages {
                         let page_va = va + (i * PAGE_SIZE) as u64;
-                        touched.push(page_va >> FLAT_SHIFT);
-                        protect_in(&mut scratch, page_va, flags, self.arch)?;
+                        scratch.protect(page_va, flags, self.arch)?;
                         protects += 1;
                     }
                     spans.push((va, va + (pages * PAGE_SIZE) as u64));
@@ -1324,13 +1428,12 @@ impl AddressSpace {
                         kind: PteKind::Frame(pfn),
                         flags,
                     });
-                    touched.push(va >> FLAT_SHIFT);
-                    removed.push(self.arch.decode_owned(replace_in(&mut scratch, va, hw)?));
+                    removed.push(self.arch.decode_owned(scratch.replace(va, hw)?));
                     spans.push((va, va + PAGE_SIZE as u64));
                 }
             }
         }
-        self.publish(&mut st, scratch, &mut touched);
+        self.publish(&mut st, scratch);
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.stats.pages_mapped.fetch_add(mapped, Ordering::Relaxed);
         self.stats
@@ -1367,6 +1470,7 @@ impl AddressSpace {
             coalesced_shootdowns: self.stats.coalesced_shootdowns.load(Ordering::Relaxed),
             snapshot_publishes: self.stats.snapshot_publishes.load(Ordering::Relaxed),
             snapshots_reclaimed: self.reclaimed_snapshots.load(Ordering::Relaxed),
+            slots_copied: self.stats.slots_copied.load(Ordering::Relaxed),
         }
     }
 }
@@ -1479,6 +1583,13 @@ impl SpacePin<'_> {
     /// Plan a TLB resynchronization (see [`AddressSpace::plan_sync`])
     /// without claiming another epoch pin.
     pub fn plan_sync(&self, seen_gen: u64) -> (u64, TlbSync) {
+        let (current, plan, _) = self.space.plan_sync_pinned(seen_gen);
+        (current, plan)
+    }
+
+    /// [`SpacePin::plan_sync`], plus the retired spans behind a `Full`
+    /// plan the log still covers (see `plan_sync_pinned`).
+    pub(crate) fn plan_sync_spans(&self, seen_gen: u64) -> (u64, TlbSync, Option<Vec<(u64, u64)>>) {
         self.space.plan_sync_pinned(seen_gen)
     }
 }
@@ -1514,57 +1625,18 @@ pub struct BatchOutcome {
 }
 
 /// Walk an immutable snapshot (read-only; the caller holds an epoch
-/// pin keeping `snap` alive).
-///
-/// Uses the flattened leaf directory: one hash probe finds the
-/// leaf-level node for the address's 2 MiB region, one slot read finds
-/// the PTE — ≤2 pointer chases instead of a 5-level tree descent. The
-/// directory is re-derived from the tree at every publish for exactly
-/// the touched prefixes, so the two views are interchangeable in any
-/// published snapshot.
+/// pin keeping `snap` alive): chase the tree to the address's
+/// leaf-level node, then read its slot.
 fn walk(snap: &SnapshotRoot, va: u64, access: Access) -> Result<Translation, Fault> {
-    let res = walk_flat(snap, va, access);
-    // Debug builds (so the whole deterministic test suite) re-walk the
-    // tree and insist the directory agrees — a mutation site that
-    // forgot to record a touched prefix fails loudly here, not as a
-    // silent wrong translation. Release builds pay nothing.
-    #[cfg(debug_assertions)]
-    assert_eq!(
-        res,
-        walk_tree(&snap.root, snap.arch, va, access),
-        "flat leaf directory diverged from the radix tree at {va:#x}"
-    );
-    res
-}
-
-fn walk_flat(snap: &SnapshotRoot, va: u64, access: Access) -> Result<Translation, Fault> {
-    let pte = match snap.flat.get(&(va >> FLAT_SHIFT)) {
-        Some(leaf) => match leaf.get(level_index(va, LEVELS - 1)) {
-            Some(Entry::Leaf(hw)) => snap.arch.decode_owned(*hw),
-            _ => return Err(Fault::Unmapped { va }),
-        },
-        None => return Err(Fault::Unmapped { va }),
-    };
-    check_access(va, &pte, access)?;
-    Ok(Translation {
-        pte,
-        page_va: page_base(va),
-    })
-}
-
-/// Walk the radix tree itself, ignoring the flat directory — the
-/// ground-truth structure writers mutate. The debug-build cross-check
-/// in [`walk`] compares the directory against this on every lookup.
-#[cfg(debug_assertions)]
-fn walk_tree(root: &Node, arch: ArchKind, va: u64, access: Access) -> Result<Translation, Fault> {
-    let mut cur: &Node = root;
-    for level in 0..LEVELS - 1 {
-        cur = match cur.get(level_index(va, level)) {
-            Some(Entry::Table(t)) => t,
-            _ => return Err(Fault::Unmapped { va }),
-        };
+    match leaf_of(&snap.root, va) {
+        Some(leaf) => pte_in(leaf, snap.arch, va, access),
+        None => Err(Fault::Unmapped { va }),
     }
-    let pte = match cur.get(level_index(va, LEVELS - 1)) {
+}
+
+/// Read `va`'s slot in its leaf-level node `leaf` and check `access`.
+fn pte_in(leaf: &Node, arch: ArchKind, va: u64, access: Access) -> Result<Translation, Fault> {
+    let pte = match leaf.get(level_index(va, LEVELS - 1)) {
         Some(Entry::Leaf(hw)) => arch.decode_owned(*hw),
         _ => return Err(Fault::Unmapped { va }),
     };
@@ -1573,6 +1645,115 @@ fn walk_tree(root: &Node, arch: ArchKind, va: u64, access: Access) -> Result<Tra
         pte,
         page_va: page_base(va),
     })
+}
+
+/// Most leaf nodes one [`LeafCache`] holds; a fill past it starts the
+/// cache over.
+const LEAF_CACHE_CAP: usize = 4096;
+
+/// A per-TLB paging-structure cache: `(asid, va >> LEAF_SHIFT)` → the
+/// leaf-level node a walk last reached for that 2 MiB region, so a
+/// walk is one hash probe and one slot search instead of a five-level
+/// chase (DESIGN.md §14.6).
+///
+/// Holding the `Arc` keeps the node alive without a pin. The node may
+/// belong to an older snapshot than the current one; it stays exact
+/// because the owning [`crate::Tlb`] invalidates it exactly as it
+/// invalidates its cached translations:
+///
+/// * an unmap, protect or frame swap publishes its span in the
+///   invalidation log, and the TLB's resynchronization drops every
+///   cached leaf whose region the span touches — so a leaf never
+///   serves a page changed since the generation the TLB is at;
+/// * a map publishes no span, so a cached leaf may lack pages mapped
+///   since: a slot the cached leaf does not hold is never trusted as a
+///   fault, and the walk falls back to the tree and refreshes the leaf.
+#[derive(Default)]
+pub(crate) struct LeafCache {
+    leaves: HashMap<(u16, u64), Arc<Node>, BuildPageHasher>,
+}
+
+impl fmt::Debug for LeafCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LeafCache")
+            .field("leaves", &self.leaves.len())
+            .finish()
+    }
+}
+
+impl LeafCache {
+    /// Translate `va` in `pin`'s space, whose entries this cache tags
+    /// `asid`: through the cached leaf of `va`'s region when it holds
+    /// the page, else by walking the pinned snapshot and caching the
+    /// leaf reached. Counts as one page-table walk. The caller must be
+    /// synchronized with the space's current generation.
+    pub(crate) fn walk(
+        &mut self,
+        pin: &SpacePin<'_>,
+        asid: u16,
+        va: u64,
+        access: Access,
+    ) -> Result<Translation, Fault> {
+        if va & !VA_MASK != 0 {
+            return Err(Fault::NonCanonical { va });
+        }
+        let space = pin.space;
+        space.walk_stripes[pin.slot]
+            .0
+            .fetch_add(1, Ordering::Relaxed);
+        let key = (asid, va >> LEAF_SHIFT);
+        if let Some(leaf) = self.leaves.get(&key) {
+            if leaf.get(level_index(va, LEVELS - 1)).is_some() {
+                return pte_in(leaf, space.arch, va, access);
+            }
+        }
+        // SAFETY: as in `SpacePin::translate`: `pin` entered its epoch
+        // before this load and outlives the walk, so the root is not
+        // reclaimed under it.
+        let snap = unsafe { &*space.snapshot.load(Ordering::SeqCst) };
+        let Some(leaf) = leaf_of(&snap.root, va) else {
+            return Err(Fault::Unmapped { va });
+        };
+        if self.leaves.len() >= LEAF_CACHE_CAP {
+            self.leaves.clear();
+        }
+        self.leaves.insert(key, leaf.clone());
+        pte_in(leaf, snap.arch, va, access)
+    }
+
+    /// Drop `asid`'s leaves whose 2 MiB region meets any of the
+    /// `[start, end)` `spans`.
+    pub(crate) fn invalidate(&mut self, asid: u16, spans: &[(u64, u64)]) {
+        if self.leaves.is_empty() {
+            return;
+        }
+        let prefixes = |&(s, e): &(u64, u64)| (s >> LEAF_SHIFT)..=((e - 1) >> LEAF_SHIFT);
+        let spans: Vec<(u64, u64)> = spans.iter().copied().filter(|&(s, e)| e > s).collect();
+        let count: u64 = spans
+            .iter()
+            .map(|span| prefixes(span).end() - prefixes(span).start() + 1)
+            .sum();
+        if count <= self.leaves.len() as u64 {
+            for span in &spans {
+                for p in prefixes(span) {
+                    self.leaves.remove(&(asid, p));
+                }
+            }
+        } else {
+            self.leaves
+                .retain(|&(a, p), _| a != asid || !spans.iter().any(|s| prefixes(s).contains(&p)));
+        }
+    }
+
+    /// Drop every leaf tagged `asid`.
+    pub(crate) fn flush_asid(&mut self, asid: u16) {
+        self.leaves.retain(|&(a, _), _| a != asid);
+    }
+
+    /// Drop everything.
+    pub(crate) fn clear(&mut self) {
+        self.leaves.clear();
+    }
 }
 
 /// Sort and merge overlapping or adjacent `[start, end)` spans in
@@ -1603,88 +1784,218 @@ fn check_va(va: u64) -> Result<(), Fault> {
     Ok(())
 }
 
-/// Map the arch-encoded leaf `hw` at `va` in the scratch tree,
-/// creating (or path-copying) intermediate tables.
-fn map_in(root: &mut Node, va: u64, hw: HwPte) -> Result<(), Fault> {
-    let mut cur: &mut Node = root;
-    for level in 0..LEVELS - 1 {
-        cur = match cur.get_or_insert_with(level_index(va, level), || {
-            Entry::Table(Arc::new(Node::default()))
-        }) {
-            Entry::Table(t) => Arc::make_mut(t),
-            Entry::Leaf(_) => return Err(Fault::AlreadyMapped { va }),
-        };
-    }
-    let idx = level_index(va, LEVELS - 1);
-    match cur.find(idx) {
-        Ok(_) => Err(Fault::AlreadyMapped { va }),
-        Err(pos) => {
-            cur.slots.insert(pos, (idx as u16, Entry::Leaf(hw)));
-            Ok(())
+/// Bytes of VA one slot covers at `level`.
+fn slot_span(level: u32) -> u64 {
+    1 << (PAGE_SHIFT + 9 * (LEVELS - 1 - level))
+}
+
+/// Append every leaf below `node` to `out`, in VA order.
+fn collect_leaves(node: &Node, out: &mut Vec<HwPte>) {
+    for (_, e) in node.slots() {
+        match e {
+            Entry::Leaf(hw) => out.push(*hw),
+            Entry::Table(t) => collect_leaves(t, out),
         }
     }
 }
 
-/// Remove the leaf at `va` from the scratch tree, path-copying on the
-/// way down and pruning empty tables on the way up.
-fn unmap_in(root: &mut Node, va: u64) -> Result<HwPte, Fault> {
-    fn remove(cur: &mut Node, va: u64, level: u32) -> Result<HwPte, Fault> {
-        let pos = cur
-            .find(level_index(va, level))
-            .map_err(|_| Fault::Unmapped { va })?;
-        let hw = match &mut cur.slots[pos].1 {
-            Entry::Leaf(hw) if level == LEVELS - 1 => *hw,
-            Entry::Table(t) if level < LEVELS - 1 => {
-                let node = Arc::make_mut(t);
-                let hw = remove(node, va, level + 1)?;
-                if !node.is_empty() {
-                    return Ok(hw);
-                }
-                hw
+/// The slot indices of a node at `level` covering VAs from `base` that
+/// meet `[start, end)`.
+fn slots_meeting(level: u32, base: u64, start: u64, end: u64) -> std::ops::RangeInclusive<usize> {
+    let span = slot_span(level);
+    let first = (start.max(base) - base) / span;
+    let last = ((end - 1).min(base + 512 * span - 1) - base) / span;
+    first as usize..=last as usize
+}
+
+/// Whether any leaf below `node` (at `level`, covering VAs from `base`)
+/// lies in `[start, end)`.
+fn maps_any(node: &Node, level: u32, base: u64, start: u64, end: u64) -> bool {
+    slots_meeting(level, base, start, end).any(|idx| match node.get(idx) {
+        None => false,
+        Some(Entry::Leaf(_)) => true,
+        Some(Entry::Table(t)) => {
+            let lo = base + idx as u64 * slot_span(level);
+            maps_any(t, level + 1, lo, start, end)
+        }
+    })
+}
+
+/// Whether every leaf below `node` (at `level`, covering VAs from
+/// `base`) lies in `[start, end)`. Published tables are never empty, so
+/// an occupied slot wholly outside the range proves a leaf outside it.
+fn maps_only_within(node: &Node, level: u32, base: u64, start: u64, end: u64) -> bool {
+    let span = slot_span(level);
+    node.slots().all(|(idx, e)| {
+        let lo = base + u64::from(*idx) * span;
+        if start <= lo && lo + span <= end {
+            return true;
+        }
+        match e {
+            Entry::Table(t) if lo < end && start < lo + span => {
+                maps_only_within(t, level + 1, lo, start, end)
             }
+            _ => false,
+        }
+    })
+}
+
+/// Remove every leaf in `[start, end)` below `node` (at `level`,
+/// covering VAs from `base`), appending the removed leaves to `out` in
+/// VA order. A table all of whose leaves the range removes leaves its
+/// parent whole, uncopied; a table the range only clips is copied only
+/// if it maps something there; emptied tables are pruned.
+fn clear(
+    node: &mut Node,
+    level: u32,
+    base: u64,
+    (start, end): (u64, u64),
+    copied: &mut u64,
+    out: &mut Vec<HwPte>,
+) {
+    for idx in slots_meeting(level, base, start, end) {
+        let lo = base + idx as u64 * slot_span(level);
+        let prune = match node.get(idx) {
+            None => continue,
+            Some(Entry::Leaf(hw)) => {
+                out.push(*hw);
+                true
+            }
+            Some(Entry::Table(t)) if maps_only_within(t, level + 1, lo, start, end) => {
+                collect_leaves(t, out);
+                true
+            }
+            Some(Entry::Table(t)) if !maps_any(t, level + 1, lo, start, end) => continue,
+            Some(Entry::Table(_)) => {
+                let Some(Entry::Table(t)) = node.get_mut(idx, copied) else {
+                    unreachable!("slot just read as a table");
+                };
+                let child = cow(t, Node::copy_cost, copied);
+                clear(child, level + 1, lo, (start, end), copied, out);
+                child.is_empty()
+            }
+        };
+        if prune {
+            let pos = find(node.slots_of(idx), idx).expect("slot just read");
+            node.remove_at(idx, pos, copied);
+        }
+    }
+}
+
+/// A write transaction's private tree and the slots copying it has
+/// cost so far (see [`SpaceStats::slots_copied`]).
+struct Scratch {
+    root: Node,
+    copied: u64,
+}
+
+/// The node at `level` (≥ 1) on `va`'s path in a scratch tree,
+/// mutable: shared nodes on the way are copied, missing ones created
+/// when `create`.
+fn path_mut<'a>(
+    root: &'a mut Node,
+    copied: &mut u64,
+    va: u64,
+    level: u32,
+    create: bool,
+) -> Result<&'a mut Node, Fault> {
+    let mut cur = root;
+    for l in 0..level {
+        let idx = level_index(va, l);
+        let entry = if create {
+            Some(cur.get_or_insert_with(idx, || Entry::Table(Arc::default()), copied))
+        } else {
+            cur.get_mut(idx, copied)
+        };
+        cur = match entry {
+            Some(Entry::Table(t)) => cow(t, Node::copy_cost, copied),
+            Some(Entry::Leaf(_)) if create => return Err(Fault::AlreadyMapped { va }),
             _ => return Err(Fault::Unmapped { va }),
         };
-        cur.slots.remove(pos);
+    }
+    Ok(cur)
+}
+
+impl Scratch {
+    /// Map the arch-encoded leaf `hw` at `va`, creating (or
+    /// path-copying) intermediate tables.
+    fn map(&mut self, va: u64, hw: HwPte) -> Result<(), Fault> {
+        let Scratch { root, copied } = self;
+        let leaf = path_mut(root, copied, va, LEVELS - 1, true)?;
+        let idx = level_index(va, LEVELS - 1);
+        if leaf.get(idx).is_some() {
+            return Err(Fault::AlreadyMapped { va });
+        }
+        leaf.get_or_insert_with(idx, || Entry::Leaf(hw), copied);
+        Ok(())
+    }
+
+    /// Remove the leaf at `va`, path-copying on the way down and
+    /// pruning emptied tables on the way up. A hole copies nothing.
+    fn unmap(&mut self, va: u64) -> Result<HwPte, Fault> {
+        fn remove(cur: &mut Node, va: u64, level: u32, copied: &mut u64) {
+            let idx = level_index(va, level);
+            let pos = find(cur.slots_of(idx), idx).expect("path checked before removal");
+            let prune = match &mut cur.slots_of_mut(idx, copied)[pos].1 {
+                Entry::Table(t) => {
+                    let node = cow(t, Node::copy_cost, copied);
+                    remove(node, va, level + 1, copied);
+                    node.is_empty()
+                }
+                Entry::Leaf(_) => true,
+            };
+            if prune {
+                cur.remove_at(idx, pos, copied);
+            }
+        }
+        let hw = match leaf_of(&self.root, va).and_then(|l| l.get(level_index(va, LEVELS - 1))) {
+            Some(Entry::Leaf(hw)) => *hw,
+            _ => return Err(Fault::Unmapped { va }),
+        };
+        remove(&mut self.root, va, 0, &mut self.copied);
         Ok(hw)
     }
-    remove(root, va, 0)
-}
 
-fn leaf_mut(root: &mut Node, va: u64) -> Result<&mut HwPte, Fault> {
-    let mut cur: &mut Node = root;
-    for level in 0..LEVELS - 1 {
-        cur = match cur.get_mut(level_index(va, level)) {
-            Some(Entry::Table(t)) => Arc::make_mut(t),
-            _ => return Err(Fault::Unmapped { va }),
-        };
+    /// Remove every leaf in the `pages` pages from `va`, skipping
+    /// holes (and any page past the canonical range); returns the
+    /// removed leaves in VA order. One descent for the whole run.
+    fn clear(&mut self, va: u64, pages: usize) -> Vec<HwPte> {
+        let end = va
+            .saturating_add((pages * PAGE_SIZE) as u64)
+            .min(VA_MASK + 1);
+        let mut out = Vec::new();
+        if va < end {
+            clear(&mut self.root, 0, 0, (va, end), &mut self.copied, &mut out);
+        }
+        out
     }
-    match cur.get_mut(level_index(va, LEVELS - 1)) {
-        Some(Entry::Leaf(hw)) => Ok(hw),
-        _ => Err(Fault::Unmapped { va }),
+
+    /// The mapped leaf at `va`, mutable.
+    fn leaf_mut(&mut self, va: u64) -> Result<&mut HwPte, Fault> {
+        let Scratch { root, copied } = self;
+        let node = path_mut(root, copied, va, LEVELS - 1, false)?;
+        match node.get_mut(level_index(va, LEVELS - 1), copied) {
+            Some(Entry::Leaf(hw)) => Ok(hw),
+            _ => Err(Fault::Unmapped { va }),
+        }
     }
-}
 
-/// Change the permissions of the leaf at `va` in the scratch tree,
-/// returning the old flags. Decodes the stored encoding, swaps the
-/// abstract flags, and re-encodes under the same arch.
-fn protect_in(
-    root: &mut Node,
-    va: u64,
-    flags: PteFlags,
-    arch: ArchKind,
-) -> Result<PteFlags, Fault> {
-    let hw = leaf_mut(root, va)?;
-    let mut pte = arch.decode_owned(*hw);
-    let old = std::mem::replace(&mut pte.flags, flags);
-    *hw = arch.encode(pte);
-    Ok(old)
-}
+    /// Change the permissions of the leaf at `va`: decode the stored
+    /// encoding, swap the abstract flags, re-encode under the same arch.
+    fn protect(&mut self, va: u64, flags: PteFlags, arch: ArchKind) -> Result<(), Fault> {
+        let hw = self.leaf_mut(va)?;
+        let mut pte = arch.decode_owned(*hw);
+        pte.flags = flags;
+        *hw = arch.encode(pte);
+        Ok(())
+    }
 
-/// Swap the leaf at `va` for the arch-encoded `new` in the scratch
-/// tree, returning the old encoded leaf.
-fn replace_in(root: &mut Node, va: u64, new: HwPte) -> Result<HwPte, Fault> {
-    let hw = leaf_mut(root, va)?;
-    Ok(std::mem::replace(hw, new))
+    /// Swap the leaf at `va` for the arch-encoded `new`, returning the
+    /// old encoded leaf.
+    fn replace(&mut self, va: u64, new: HwPte) -> Result<HwPte, Fault> {
+        let hw = self.leaf_mut(va)?;
+        Ok(std::mem::replace(hw, new))
+    }
 }
 
 fn check_access(va: u64, pte: &Pte, access: Access) -> Result<(), Fault> {
@@ -2186,29 +2497,30 @@ mod tests {
         });
     }
 
-    /// The flat leaf directory must agree with the radix tree after
-    /// every kind of mutation — single ops, ranges, sparse unmaps, and
-    /// batches that cross 2 MiB prefix boundaries. `walk` cross-checks
-    /// both structures on every lookup in debug builds, so translating
-    /// here *is* the equivalence assertion; this test just makes sure
-    /// the probes cover mapped, remapped, protected, and torn-down
-    /// prefixes explicitly. (`walk_tree` only exists in debug builds,
-    /// so a `cargo test --release` run skips this one.)
-    #[cfg(debug_assertions)]
+    /// A leaf-cache walk must agree with the tree walk after every
+    /// kind of mutation — single ops, ranges, sparse unmaps, and
+    /// batches that cross 2 MiB prefix boundaries — once the owning
+    /// TLB has resynchronized, which is the only state in which
+    /// [`crate::Tlb::walk`] consults the cache. Maps publish no
+    /// invalidation span, so the remap at the end exercises the
+    /// fall-back to the tree for slots a cached leaf lacks.
     #[test]
-    fn flat_directory_matches_tree_walk() {
+    fn leaf_cache_matches_tree_walk() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
+        let mut tlb = crate::Tlb::new();
         // 5 pages straddling a 2 MiB prefix boundary: 3 below, 2 above.
-        let base = 0x00ab_cdef_0000_0000 + (1u64 << FLAT_SHIFT) - 3 * PAGE_SIZE as u64;
+        let base = 0x00ab_cdef_0000_0000 + (1u64 << LEAF_SHIFT) - 3 * PAGE_SIZE as u64;
         let pfns: Vec<Pfn> = (0..5).map(|_| phys.alloc()).collect();
-        space.map_range(base, &pfns, PteFlags::DATA).unwrap();
-        let probe = |va: u64, access: Access| {
-            let snap = unsafe { &*space.snapshot.load(Ordering::SeqCst) };
+        space.map_range(base, &pfns[..4], PteFlags::DATA).unwrap();
+        let mut probe = |va: u64, access: Access| {
+            let mut reader = space.reader();
+            let pin = reader.pin();
+            tlb.lookup_pinned(va, &pin);
             assert_eq!(
-                walk_flat(snap, va, access),
-                walk_tree(&snap.root, snap.arch, va, access),
-                "flat/tree divergence at {va:#x}"
+                tlb.walk(&pin, va, access),
+                pin.translate(va, access),
+                "leaf cache / tree divergence at {va:#x}"
             );
         };
         let pages: Vec<u64> = (0..5).map(|i| base + (i * PAGE_SIZE) as u64).collect();
@@ -2216,6 +2528,9 @@ mod tests {
             probe(va, Access::Read);
             probe(va, Access::Exec);
         }
+        // The fifth page is mapped after both leaves were cached.
+        space.map(pages[4], pfns[4], PteFlags::DATA).unwrap();
+        probe(pages[4], Access::Read);
         // Protect one page on each side of the boundary, unmap the
         // middle, and re-check every probe plus never-mapped neighbors.
         space.protect(pages[0], PteFlags::RO_DATA).unwrap();
@@ -2228,24 +2543,56 @@ mod tests {
         }
         probe(base - PAGE_SIZE as u64, Access::Read);
         probe(base + (8 * PAGE_SIZE) as u64, Access::Read);
-        // Tear the rest down: the directory must drop emptied prefixes.
+        // Tear the rest down, then map a page back into an emptied
+        // region: the walk must find it, not the torn-down leaf.
         space.unmap_range(pages[3], 2).unwrap();
         space.unmap(pages[0]).unwrap();
-        let snap = unsafe { &*space.snapshot.load(Ordering::SeqCst) };
-        assert!(
-            snap.flat.is_empty(),
-            "emptied prefixes must leave the directory"
-        );
+        for &va in &pages {
+            probe(va, Access::Read);
+        }
+        space.map(pages[2], pfns[2], PteFlags::DATA).unwrap();
         for &va in &pages {
             probe(va, Access::Read);
         }
     }
 
+    /// Copied slots count what a transaction copies, and no more: a
+    /// chunked root costs its chunk pointers plus the one chunk a write
+    /// touches however many slots it holds, and an unmap of a hole
+    /// copies nothing.
+    #[test]
+    fn slots_copied_is_bounded_by_the_touched_path() {
+        let phys = PhysMem::new();
+        let space = AddressSpace::new();
+        let copied = |f: &dyn Fn()| {
+            let before = space.stats().slots_copied;
+            f();
+            space.stats().slots_copied - before
+        };
+        // 300 top-level regions: the root chunks.
+        for i in 0..300u64 {
+            space.map(i << 48, phys.alloc(), PteFlags::DATA).unwrap();
+        }
+        // A fresh region: the root's chunk pointers plus one chunk.
+        let n = copied(&|| space.map(400 << 48, phys.alloc(), PteFlags::DATA).unwrap());
+        assert!(n <= (CHUNKS + CHUNK) as u64, "{n} slots copied");
+        // A page beside a mapped one: also one leaf-level path, each
+        // node on it holding one slot.
+        let n = copied(&|| {
+            space
+                .map((7 << 48) + 0x1000, phys.alloc(), PteFlags::DATA)
+                .unwrap()
+        });
+        assert!(n <= (CHUNKS + CHUNK + 4) as u64, "{n} slots copied");
+        // A hole: nothing to unmap, so the path is left shared.
+        let n = copied(&|| assert!(space.unmap_sparse(3 << 48 | 0x5000, 1).is_empty()));
+        assert_eq!(n, 0);
+    }
+
     /// Sparse nodes prune to nothing: tearing down every mapping —
     /// scattered parts, a full 512-page leaf, and holes skipped by
-    /// `unmap_sparse` — leaves a root with no children and an empty
-    /// flat directory, so no emptied table lingers in any snapshot.
-    #[cfg(debug_assertions)]
+    /// `unmap_sparse` — leaves a root with no children, so no emptied
+    /// table lingers in any snapshot.
     #[test]
     fn full_teardown_leaves_an_empty_root() {
         let phys = PhysMem::new();
@@ -2270,9 +2617,8 @@ mod tests {
         assert!(
             snap.root.is_empty(),
             "root kept {} children",
-            snap.root.slots.len()
+            snap.root.len()
         );
-        assert!(snap.flat.is_empty(), "flat directory kept emptied prefixes");
         for va in [full, full + 511 * PAGE_SIZE as u64, VA] {
             assert_eq!(
                 space.translate(va, Access::Read),

@@ -92,7 +92,8 @@
 
 use crate::arch::{ArchKind, Asid};
 use crate::hash::BuildPageHasher;
-use crate::{AddressSpace, HwPte, Pte, SpacePin, TlbSync, Translation};
+use crate::space::LeafCache;
+use crate::{Access, AddressSpace, Fault, HwPte, Pte, SpacePin, TlbSync, Translation};
 use std::collections::{HashMap, VecDeque};
 
 /// Slots in the direct-mapped micro-TLB (power of two; 512 × 48-byte
@@ -246,6 +247,9 @@ pub struct Tlb {
     /// The ISA backend whose encoding cached entries use (must match
     /// the spaces this TLB serves).
     arch: ArchKind,
+    /// Leaf-level page-table nodes recent walks reached, tagged and
+    /// invalidated like `entries` ([`Tlb::walk`]).
+    leaves: LeafCache,
     stats: TlbStats,
     capacity: usize,
 }
@@ -288,6 +292,7 @@ impl Tlb {
             rollover: 0,
             cursors: HashMap::default(),
             arch,
+            leaves: LeafCache::default(),
             stats: TlbStats::default(),
             capacity,
         }
@@ -323,9 +328,7 @@ impl Tlb {
     /// space's ASID without dropping a single entry; see the module
     /// docs.
     pub fn lookup_pinned(&mut self, page_va: u64, pin: &SpacePin<'_>) -> Option<Pte> {
-        self.bind(pin.space().id(), pin.space().asid());
-        let (current, plan) = pin.plan_sync(self.generation);
-        self.apply_sync(current, plan);
+        self.sync(pin);
         self.probe(page_va)
     }
 
@@ -336,10 +339,15 @@ impl Tlb {
     /// a miss (the caller walks misses against one pinned snapshot —
     /// see `SpacePin::translate_batch`).
     pub fn lookup_batch(&mut self, page_vas: &[u64], pin: &SpacePin<'_>) -> Vec<Option<Pte>> {
-        self.bind(pin.space().id(), pin.space().asid());
-        let (current, plan) = pin.plan_sync(self.generation);
-        self.apply_sync(current, plan);
+        self.sync(pin);
         page_vas.iter().map(|&va| self.probe(va)).collect()
+    }
+
+    /// Bind to the pinned space and catch up with its invalidation log.
+    fn sync(&mut self, pin: &SpacePin<'_>) {
+        self.bind(pin.space().id(), pin.space().asid());
+        let (current, plan, spans) = pin.plan_sync_spans(self.generation);
+        self.apply_sync(current, plan, spans);
     }
 
     /// Re-bind the TLB to a (space, ASID) pair. The heart of the
@@ -384,6 +392,7 @@ impl Tlb {
                     // ours. Single-context invalidation, then start
                     // from scratch.
                     self.flush_asid(asid.value);
+                    self.leaves.flush_asid(asid.value);
                     self.stats.flushes += 1;
                     self.stats.switch_flushes += 1;
                     self.generation = 0;
@@ -536,7 +545,10 @@ impl Tlb {
         }
     }
 
-    fn apply_sync(&mut self, current: u64, plan: TlbSync) {
+    /// Catch up to generation `current` by `plan`. `spans`, when the
+    /// log still covered a gap too wide for a partial flush, lets the
+    /// leaf-node cache keep every region they did not touch.
+    fn apply_sync(&mut self, current: u64, plan: TlbSync, spans: Option<Vec<(u64, u64)>>) {
         self.stamp += 1;
         match plan {
             TlbSync::Current => return,
@@ -547,11 +559,16 @@ impl Tlb {
                     // only the bound ASID's entries are stale — the
                     // parked ones answer to their own cursors.
                     self.flush_asid(self.asid);
+                    match spans {
+                        Some(spans) => self.leaves.invalidate(self.asid, &spans),
+                        None => self.leaves.flush_asid(self.asid),
+                    }
                 } else {
                     self.micro.fill(None);
                     self.entries.clear();
                     self.order.clear();
                     self.cursors.clear();
+                    self.leaves.clear();
                 }
                 self.stats.flushes += 1;
                 self.stats.horizon_flushes += 1;
@@ -562,6 +579,7 @@ impl Tlb {
                 self.entries.retain(|&(a, va), _| {
                     a != asid || !spans.iter().any(|&(s, e)| va >= s && va < e)
                 });
+                self.leaves.invalidate(asid, &spans);
                 self.stats.entries_invalidated += (before - self.entries.len()) as u64;
                 self.stats.partial_flushes += 1;
             }
@@ -569,9 +587,11 @@ impl Tlb {
         self.generation = current;
     }
 
-    /// Evict every entry tagged `asid` from both levels — the
+    /// Evict every translation tagged `asid` from both levels — the
     /// single-context invalidation primitive (invpcid type 1 /
-    /// `sfence.vma x0, asid`), also forgetting the ASID's cursor.
+    /// `sfence.vma x0, asid`), also forgetting the ASID's cursor. The
+    /// leaf-node cache is the caller's to drop: a full sync whose gap
+    /// the log still covers keeps the regions it did not touch.
     fn flush_asid(&mut self, asid: u16) {
         self.stamp += 1;
         self.entries.retain(|&(a, _), _| a != asid);
@@ -581,6 +601,31 @@ impl Tlb {
             }
         }
         self.cursors.remove(&asid);
+    }
+
+    /// Walk the page table for `va` after a miss, under the caller's
+    /// pin. When this TLB is bound to the pinned space and at its
+    /// current generation, the walk goes through the leaf-node cache
+    /// (a paging-structure cache: the leaf-level node of `va`'s 2 MiB
+    /// region, kept from an earlier walk and invalidated with the
+    /// cached translations — DESIGN.md §14.6); otherwise it walks the
+    /// tree. Either way the result is what [`SpacePin::translate`]
+    /// would return at this TLB's generation.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SpacePin::translate`].
+    pub fn walk(
+        &mut self,
+        pin: &SpacePin<'_>,
+        va: u64,
+        access: Access,
+    ) -> Result<Translation, Fault> {
+        let space = pin.space();
+        if space.id() != self.space_id || space.generation() != self.generation {
+            return pin.translate(va, access);
+        }
+        self.leaves.walk(pin, self.asid, va, access)
     }
 
     /// Install a translation produced by a page-table walk, tagged
@@ -640,6 +685,7 @@ impl Tlb {
         self.entries.clear();
         self.order.clear();
         self.cursors.clear();
+        self.leaves.clear();
         self.stats.flushes += 1;
     }
 

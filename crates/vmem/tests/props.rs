@@ -701,3 +701,134 @@ proptest! {
         }
     }
 }
+
+/// Regions the leaf-cache cases map into: two neighbouring 2 MiB
+/// prefixes under the same upper tables, and a distant one.
+const LEAF_REGIONS: [u64; 3] = [
+    0x0033_0000_0040_0000,
+    0x0033_0000_0060_0000,
+    0x00a0_0000_0000_0000,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A mirror model for the TLB's leaf-node cache (DESIGN.md §14.6):
+    /// drive the exec-layer protocol — lookup, then [`Tlb::walk`] on a
+    /// miss, then insert, as `Vm::translate` does — against a HashMap
+    /// model of two spaces that share a forced ASID value, under
+    /// arbitrary interleavings of
+    ///
+    /// * map-only batches, which publish no invalidation span, so a
+    ///   cached leaf may lack the new pages;
+    /// * frame swaps, protects and unmaps, which publish spans;
+    /// * retire batches of more spans than a partial flush takes, which
+    ///   full-flush the TLB while the leaf cache keeps the untouched
+    ///   regions;
+    /// * space switches, whose ASID collision must drop the other
+    ///   space's leaves.
+    ///
+    /// Every walk must return exactly the model's translation, or
+    /// `Unmapped` for a page the model lacks.
+    #[test]
+    fn leaf_cache_serves_only_current_translations(
+        ops in proptest::collection::vec((0u8..8, 0usize..3, 0u64..24), 1..120),
+    ) {
+        let phys = PhysMem::new();
+        let forced = || AddressSpace::with_space_config(SpaceConfig {
+            asid: Some(Asid { value: 9, rollover: 0 }),
+            ..SpaceConfig::new()
+        });
+        let spaces = [forced(), forced()];
+        let mut models: [HashMap<u64, Pte>; 2] = [HashMap::new(), HashMap::new()];
+        let mut cur = 0usize;
+        let mut tlb = Tlb::new();
+        let page = |region: usize, i: u64| LEAF_REGIONS[region] + i * PAGE_SIZE as u64;
+        for (op, region, i) in ops {
+            let space = &spaces[cur];
+            let model = &mut models[cur];
+            let va = page(region, i);
+            let frame = |flags| Pte { kind: PteKind::Frame(phys.alloc()), flags };
+            match op {
+                // Translate through the TLB, walking on a miss.
+                0..=2 => {
+                    let mut reader = space.reader();
+                    let pin = reader.pin();
+                    let got = match tlb.lookup_pinned(va, &pin) {
+                        Some(pte) => Ok(pte),
+                        None => tlb.walk(&pin, va, Access::Read).map(|t| {
+                            tlb.insert(&t);
+                            t.pte
+                        }),
+                    };
+                    match model.get(&va) {
+                        Some(&want) => prop_assert_eq!(got, Ok(want), "at {:#x}", va),
+                        None => prop_assert_eq!(got, Err(Fault::Unmapped { va })),
+                    }
+                }
+                // Map-only batch: a few pages of the region, no span.
+                3 => {
+                    let mut batch = Batch::new();
+                    let mut next = model.clone();
+                    for j in 0..3 {
+                        let p = page(region, (i + j * 7) % 24);
+                        if let std::collections::hash_map::Entry::Vacant(slot) = next.entry(p) {
+                            let pte = frame(PteFlags::DATA);
+                            let PteKind::Frame(pfn) = pte.kind else { unreachable!() };
+                            batch.map_page(p, pfn, pte.flags);
+                            slot.insert(pte);
+                        }
+                    }
+                    space.apply(batch).expect("map-only batch");
+                    *model = next;
+                }
+                // Swap the frame behind a mapped page.
+                4 => {
+                    if model.contains_key(&va) {
+                        let pte = frame(PteFlags::DATA);
+                        let PteKind::Frame(pfn) = pte.kind else { unreachable!() };
+                        let mut batch = Batch::new();
+                        batch.swap_frame(va, pfn, pte.flags);
+                        space.apply(batch).expect("swap");
+                        model.insert(va, pte);
+                    }
+                }
+                // Protect or unmap a mapped page.
+                5 => {
+                    if let Some(pte) = model.get_mut(&va) {
+                        if i % 2 == 0 {
+                            space.protect(va, PteFlags::RO_DATA).expect("protect");
+                            pte.flags = PteFlags::RO_DATA;
+                        } else {
+                            space.unmap(va).expect("unmap");
+                            model.remove(&va);
+                        }
+                    }
+                }
+                // Retire every other page of the region, one span per
+                // page: more spans than a partial flush takes.
+                6 => {
+                    let mut batch = Batch::new();
+                    for j in (0..24).step_by(2) {
+                        for r in 0..LEAF_REGIONS.len() {
+                            batch.unmap_sparse(page(r, j + i % 2), 1);
+                        }
+                    }
+                    space.apply(batch).expect("retire batch");
+                    model.retain(|&p, _| {
+                        (p - LEAF_REGIONS.iter().rev().find(|&&r| p >= r).unwrap())
+                            / PAGE_SIZE as u64 % 2 != i % 2
+                    });
+                }
+                // Switch spaces: the shared ASID value must not let one
+                // space's leaves serve the other.
+                _ => cur = 1 - cur,
+            }
+        }
+        for (space, model) in spaces.iter().zip(&models) {
+            for (&va, &want) in model {
+                prop_assert_eq!(space.translate(va, Access::Read).map(|t| t.pte), Ok(want));
+            }
+        }
+    }
+}
