@@ -161,7 +161,7 @@ impl ModuleRegistry {
         // nothing from the kernel RNG.
         let imports = plan.resolve_imports(&self.kernel)?;
         let (bases, reservations) = self.place(plan)?;
-        let module = plan.instantiate_resolved(&self.kernel, bases, &imports)?;
+        let module = plan.instantiate(&self.kernel, bases, &imports)?;
         // Both parts are mapped: the page tables exclude the ranges
         // from future picks, so the reservations can go.
         drop(reservations);

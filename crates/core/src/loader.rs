@@ -41,6 +41,9 @@ pub enum LoadError {
     NoSpace,
     /// The declared init/exit entry point is not exported.
     MissingEntry(String),
+    /// A relocation field lies outside its section's file-backed bytes
+    /// (`.bss` has none) or overlaps another relocation's write.
+    BadRelocField(String),
     /// Section sizes/alignments overflow the layout arithmetic or the
     /// module arena — adversarial `sh_size` values land here instead of
     /// wrapping (same bug class as the `VaAllocator::reserve` fix).
@@ -59,6 +62,7 @@ impl fmt::Display for LoadError {
             LoadError::FieldOverflow(s) => write!(f, "relocation overflow for `{s}`"),
             LoadError::NoSpace => write!(f, "no free virtual address range"),
             LoadError::MissingEntry(s) => write!(f, "entry point `{s}` not defined"),
+            LoadError::BadRelocField(s) => write!(f, "bad relocation field: {s}"),
             LoadError::TooLarge(s) => write!(f, "module layout overflow: {s}"),
             LoadError::Ingest(s) => write!(f, "object ingestion failed: {s}"),
         }
@@ -528,7 +532,26 @@ impl LinkPlan {
             .concat()
             {
                 let Some(s) = obj.section(sec) else { continue };
+                // The byte range each relocation writes: its field, and
+                // for a patched site the two opcode bytes before it.
+                let mut writes = Vec::with_capacity(s.relocs.len());
                 for r in &s.relocs {
+                    let width = if matches!(r.kind, RelocKind::Abs64) {
+                        8
+                    } else {
+                        4
+                    };
+                    if r.offset
+                        .checked_add(width)
+                        .is_none_or(|end| end > s.bytes.len())
+                    {
+                        return Err(LoadError::BadRelocField(format!(
+                            "`{}` at {sec}+{:#x} (+{width}) outside its {} file-backed bytes",
+                            r.symbol,
+                            r.offset,
+                            s.bytes.len()
+                        )));
+                    }
                     let target_part = sym_place.get(&*r.symbol).map(|p| p.part);
                     let same_part = target_part == Some(plan.part);
                     let action = match r.kind {
@@ -631,11 +654,26 @@ impl LinkPlan {
                             }
                         }
                     };
+                    let patched = matches!(
+                        action,
+                        Action::PatchCallDirect | Action::PatchJmpDirect | Action::PatchMovLea
+                    );
+                    writes.push((r.offset - if patched { 2 } else { 0 }, r.offset + width));
                     plan.decisions.push(Decision {
                         section: sec,
                         reloc: r.clone(),
                         action,
                     });
+                }
+                // No two writes may overlap: a template write and an
+                // instance's fixup are applied at different times, so
+                // an overlap would have no single last writer.
+                writes.sort_unstable();
+                if let Some(w) = writes.windows(2).find(|w| w[1].0 < w[0].1) {
+                    return Err(LoadError::BadRelocField(format!(
+                        "{sec}+{:#x}..{:#x} overlaps {sec}+{:#x}..{:#x}",
+                        w[1].0, w[1].1, w[0].0, w[0].1
+                    )));
                 }
             }
             Ok(())
@@ -1077,35 +1115,24 @@ impl LinkPlan {
     }
 
     /// Create one instance at `bases`: register its lazy-PLT binders,
-    /// resolve its kernel imports, copy the template, write the GOTs
-    /// and the fixups, stage one frame per page and map both parts as
-    /// one vmem batch, then publish the exports. The caller picked the
-    /// bases and keeps other placements out of them until this returns
-    /// (see [`crate::ModuleRegistry::load_plan`]); the module is not
-    /// registered anywhere and its init has not run.
+    /// copy the template, write the GOTs and the fixups, stage one
+    /// frame per page and map both parts as one vmem batch, then
+    /// publish the exports. `imports` are the plan's kernel imports as
+    /// [`LinkPlan::resolve_imports`] found them in `kernel`. The caller
+    /// picked the bases and keeps other placements out of them until
+    /// this returns (see [`crate::ModuleRegistry::load_plan`]); the
+    /// module is not registered anywhere and its init has not run.
     ///
     /// # Errors
     ///
-    /// [`LoadError::Unresolved`] for a kernel symbol `kernel` lacks and
     /// [`LoadError::FieldOverflow`] for a fixup the bases push out of
-    /// range; neither leaves a frame allocated or a mapping behind.
+    /// range; it leaves no frame allocated and no mapping behind.
     ///
     /// # Panics
     ///
     /// If `bases.immovable` does not match the plan's parts, or if the
     /// ranges are already mapped.
     pub fn instantiate(
-        &self,
-        kernel: &Arc<Kernel>,
-        bases: Bases,
-    ) -> Result<Arc<LoadedModule>, LoadError> {
-        let imports = self.resolve_imports(kernel)?;
-        self.instantiate_resolved(kernel, bases, &imports)
-    }
-
-    /// [`LinkPlan::instantiate`] with the imports already resolved in
-    /// `kernel` by [`LinkPlan::resolve_imports`].
-    pub(crate) fn instantiate_resolved(
         &self,
         kernel: &Arc<Kernel>,
         bases: Bases,
@@ -1218,8 +1245,10 @@ impl LinkPlan {
                     ),
                 });
             }
-            // Stable: overlapping fixups keep their relocation order.
-            writes.sort_by_key(|w| w.0);
+            // Never overlapping: GOT slots sit on pages of their own,
+            // and `LinkPlan::new` rejects overlapping relocation fields.
+            writes.sort_unstable_by_key(|w| w.0);
+            debug_assert!(writes.windows(2).all(|w| w[0].0 + w[0].2 <= w[1].0));
             Ok(writes)
         };
         let mov_lgot = lgot_of(&self.movable);

@@ -21,7 +21,7 @@
 //! expensive build/map phase.
 
 use adelie_kernel::{layout, Kernel};
-use adelie_vmem::{Access, PAGE_SIZE};
+use adelie_vmem::PAGE_SIZE;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,15 +97,9 @@ impl VaAllocator {
 }
 
 fn range_is_free(kernel: &Kernel, base: u64, pages: usize) -> bool {
-    // One epoch pin and one snapshot-root load for the whole candidate
-    // range instead of a pin per page — this probe runs up to 256 times
-    // per allocation under VA pressure.
-    let vas: Vec<u64> = (0..pages).map(|i| base + (i * PAGE_SIZE) as u64).collect();
-    kernel
-        .space
-        .translate_batch(&vas, Access::Read)
-        .iter()
-        .all(|r| r.is_err())
+    // One descent of one snapshot for the whole candidate range — this
+    // probe runs up to 256 times per allocation under VA pressure.
+    !kernel.space.maps_any(base, pages)
 }
 
 /// A claimed-but-not-yet-mapped address range. Hold it while mapping;

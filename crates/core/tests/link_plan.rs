@@ -257,7 +257,8 @@ fn instantiate_matches_the_single_pass_loader_byte_for_byte() {
             let (kernel, _registry) = boot(&obj);
             let plan = LinkPlan::new(&obj, &opts).unwrap();
             assert_eq!(*plan.stats(), loaded.stats);
-            let forced = plan.instantiate(&kernel, bases).unwrap();
+            let imports = plan.resolve_imports(&kernel).unwrap();
+            let forced = plan.instantiate(&kernel, bases, &imports).unwrap();
             if let Some(init) = forced.init_va {
                 kernel.vm().call(init, &[]).unwrap();
             }

@@ -198,6 +198,40 @@ fn unlinkable_objects_are_rejected_before_allocation() {
         LoadError::CrossPartPcRel(_)
     ));
 
+    // `.rela.text` retargeted at `.bss`: the fields fit its size, so
+    // the file parses, but `.bss` has no bytes for a field to patch.
+    let mut bytes = full.clone();
+    let rela = (1..shnum(&bytes))
+        .map(|i| base + i * consts::SHDR_SIZE)
+        .find(|&h| u32::from_le_bytes(bytes[h + 4..h + 8].try_into().unwrap()) == consts::SHT_RELA)
+        .expect("fixture has a RELA section");
+    bytes[rela + 44..rela + 48].copy_from_slice(&(bss as u32).to_le_bytes());
+    let obj = parse(&bytes).expect("the fields fit the .bss size");
+    assert!(obj
+        .section(SectionKind::Bss)
+        .is_some_and(|s| !s.relocs.is_empty()));
+    assert!(matches!(
+        LinkPlan::new(&obj, &pic),
+        Err(LoadError::BadRelocField(_))
+    ));
+    assert!(matches!(
+        rejected_cleanly(&obj, &pic),
+        LoadError::BadRelocField(_)
+    ));
+
+    // `lea mut_msg(%rip)`'s field moved onto `call mut_helper@PLT`'s:
+    // two writes to the same bytes.
+    let mut bytes = full.clone();
+    let plt = rela_record(&bytes, consts::R_X86_64_PLT32);
+    let pc = rela_record(&bytes, consts::R_X86_64_PC32);
+    let at = u64::from_le_bytes(bytes[plt..plt + 8].try_into().unwrap());
+    put_u64(&mut bytes, pc, at + 2);
+    let obj = parse(&bytes).unwrap();
+    assert!(matches!(
+        rejected_cleanly(&obj, &pic),
+        LoadError::BadRelocField(_)
+    ));
+
     // An import the kernel does not export.
     let at = full
         .windows(8)

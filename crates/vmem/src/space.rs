@@ -827,6 +827,21 @@ impl AddressSpace {
         self.pin().translate_batch(vas, access)
     }
 
+    /// Whether any of the `pages` pages from `va` is mapped in the
+    /// current snapshot — one descent, sharing the upper levels across
+    /// the range, instead of one walk per page.
+    pub fn maps_any(&self, va: u64, pages: usize) -> bool {
+        if pages == 0 {
+            return false;
+        }
+        let _pin = self.pin();
+        // SAFETY: as in `SpacePin::translate`; the pin above entered
+        // before the load.
+        let snap = unsafe { &*self.snapshot.load(Ordering::SeqCst) };
+        let end = va.saturating_add(pages.saturating_mul(PAGE_SIZE) as u64);
+        maps_any(&snap.root, 0, 0, va, end)
+    }
+
     /// Plan how a TLB whose snapshot is `seen_gen` catches up to the
     /// current generation: returns the generation to adopt plus the
     /// cheapest safe action. [`TlbSync::Ranges`] is only returned when
@@ -2495,6 +2510,33 @@ mod tests {
             inval_log: 0,
             ..SpaceConfig::new()
         });
+    }
+
+    /// `maps_any` answers what a walk per page would: across a 2 MiB
+    /// prefix boundary, around holes, and for empty ranges.
+    #[test]
+    fn maps_any_matches_a_walk_per_page() {
+        let phys = PhysMem::new();
+        let space = AddressSpace::new();
+        let boundary = 0x00ab_cdef_0000_0000u64 + (1 << LEAF_SHIFT);
+        let page = |i: i64| boundary.wrapping_add_signed(i * PAGE_SIZE as i64);
+        for i in [-2i64, 1, 3] {
+            space.map(page(i), phys.alloc(), PteFlags::DATA).unwrap();
+        }
+        for start in -6i64..6 {
+            for pages in 0..6usize {
+                let va = page(start);
+                let walked = (0..pages).any(|k| {
+                    space
+                        .translate(va + (k * PAGE_SIZE) as u64, Access::Read)
+                        .is_ok()
+                });
+                assert_eq!(space.maps_any(va, pages), walked, "{start} + {pages}");
+            }
+        }
+        space.unmap_range(page(3), 1).unwrap();
+        assert!(!space.maps_any(page(2), 4));
+        assert!(space.maps_any(page(-3), 2));
     }
 
     /// A leaf-cache walk must agree with the tree walk after every
