@@ -29,7 +29,7 @@ use adelie_core::ModuleRegistry;
 use adelie_kernel::{FleetConfig, Kernel, KernelConfig, ShardedKernel};
 use adelie_sched::{Policy, SchedConfig, Scheduler, SimClock};
 use adelie_testkit::LayoutOracle;
-use adelie_vmem::{Access, PteFlags, Tlb, TlbStats};
+use adelie_vmem::{Access, Batch, PteFlags, Tlb, TlbStats};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -163,7 +163,9 @@ fn churn(label: &'static str, seed: u64) -> TlbStats {
         .map(|i| {
             let va = fleet.window(i).0;
             let k = fleet.shard(i);
-            k.space.map(va, k.phys.alloc(), PteFlags::DATA).unwrap();
+            k.space
+                .apply(Batch::new().map_page(va, k.phys.alloc(), PteFlags::DATA))
+                .unwrap();
             va
         })
         .collect();

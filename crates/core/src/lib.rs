@@ -340,7 +340,7 @@ impl ModuleRegistry {
             .map(|(i, _)| names[*i])
             .collect::<Vec<_>>()
             .join(", ");
-        if let Err(fault) = self.kernel.space.apply(retire) {
+        if let Err(fault) = self.kernel.space.apply(&retire) {
             // The batch rolled back: every part is still mapped, so the
             // frames must NOT be returned to the allocator (a
             // freed-but-mapped frame would alias the next load). Leak

@@ -1327,7 +1327,10 @@ impl LinkPlan {
             .as_ref()
             .zip(imm_writes.as_deref())
             .map(|(tpl, writes)| stage_part(tpl, writes, &mut install));
-        kernel.space.apply(install).expect("module range collision");
+        kernel
+            .space
+            .apply(&install)
+            .expect("module range collision");
 
         // ---- bookkeeping ---------------------------------------------
         let mut movable_syms = HashMap::new();

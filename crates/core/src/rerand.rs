@@ -205,7 +205,7 @@ pub fn rerandomize_module_epoch(
         if unmap_new {
             let mut batch = Batch::with_epoch(epoch);
             batch.unmap_sparse(new_base, pages);
-            let _ = kernel.space.apply(batch);
+            let _ = kernel.space.apply(&batch);
         }
         for &pfn in fresh {
             kernel.phys.free(pfn);
@@ -232,7 +232,7 @@ pub fn rerandomize_module_epoch(
             alias_batch.map_page(va, module.movable.frames[page], g.flags);
         }
     }
-    if let Err(fault) = kernel.space.apply(alias_batch) {
+    if let Err(fault) = kernel.space.apply(&alias_batch) {
         return Err(remap("alias", fault));
     }
 
@@ -283,7 +283,7 @@ pub fn rerandomize_module_epoch(
             &new_mov_lgot,
             PteFlags::RO_DATA, // sealed from birth
         );
-        if let Err(fault) = kernel.space.apply(lgot_batch) {
+        if let Err(fault) = kernel.space.apply(&lgot_batch) {
             rollback(&new_mov_lgot, true);
             return Err(remap("local GOT", fault));
         }
@@ -320,7 +320,7 @@ pub fn rerandomize_module_epoch(
                 let va = imm.base + imm.lgot_off + (i * PAGE_SIZE) as u64;
                 swap_batch.swap_frame(va, pfn, PteFlags::RO_DATA);
             }
-            if let Err(fault) = kernel.space.apply(swap_batch) {
+            if let Err(fault) = kernel.space.apply(&swap_batch) {
                 let fresh: Vec<Pfn> = new_mov_lgot.iter().chain(&new_imm_lgot).copied().collect();
                 rollback(&fresh, true);
                 return Err(remap("immovable GOT swap", fault));
@@ -340,7 +340,7 @@ pub fn rerandomize_module_epoch(
                 unswap.swap_frame(va_j, old, PteFlags::RO_DATA);
             }
             if !unswap.is_empty() {
-                let _ = kernel.space.apply(unswap);
+                let _ = kernel.space.apply(&unswap);
             }
         }
         let fresh: Vec<Pfn> = new_mov_lgot.iter().chain(&new_imm_lgot).copied().collect();
@@ -447,7 +447,7 @@ pub fn rerandomize_module_epoch(
             // same-deadline cycles coalesce their invalidation sets.
             let mut batch = Batch::with_epoch(epoch);
             batch.unmap_sparse(old_base, total_pages);
-            let _ = kernel2.space.apply(batch);
+            let _ = kernel2.space.apply(&batch);
             for pfn in doomed_frames {
                 kernel2.phys.free(pfn);
             }

@@ -130,7 +130,7 @@ impl StackPool {
         let pfns = kernel.phys.alloc_n(STACK_PAGES);
         kernel
             .space
-            .map_range(base, &pfns, PteFlags::DATA)
+            .apply(Batch::new().map_range(base, &pfns, PteFlags::DATA))
             .expect("reserved stack range collided");
         let top = base + span;
         self.frames.lock().insert(top, pfns);
@@ -146,7 +146,7 @@ impl StackPool {
     }
 
     /// [`StackPool::rotate`], tagging the retirement's unmap batch with
-    /// a shared shootdown `epoch` (see `adelie_vmem::Batch::epoch`).
+    /// a shared shootdown `epoch` (see `adelie_vmem::Batch::with_epoch`).
     /// All retired stacks are unmapped in **one** batch — a single TLB
     /// shootdown for the whole rotation, where the pre-batching code
     /// paid one per stack.
@@ -175,7 +175,7 @@ impl StackPool {
                 // not abort the teardown of every other stack.
                 batch.unmap_sparse(base, STACK_PAGES);
             }
-            let _ = kernel2.space.apply(batch);
+            let _ = kernel2.space.apply(&batch);
             for (_, pfns) in doomed {
                 for pfn in pfns {
                     kernel2.phys.free(pfn);

@@ -218,7 +218,7 @@ mod tests {
 mod props {
     use super::*;
     use adelie_kernel::KernelConfig;
-    use adelie_vmem::PteFlags;
+    use adelie_vmem::{Batch, PteFlags};
     use proptest::prelude::*;
 
     fn overlaps(ab: u64, ae: u64, bb: u64, be: u64) -> bool {
@@ -270,10 +270,10 @@ mod props {
                     // here the page tables must keep the range excluded.
                     1 if !held.is_empty() => {
                         let r = held.swap_remove(pick % held.len());
-                        let n = (r.span / PAGE_SIZE as u64) as usize;
+                        let pfns = kernel.phys.alloc_n((r.span / PAGE_SIZE as u64) as usize);
                         kernel
                             .space
-                            .map_range(r.base, &kernel.phys.alloc_n(n), PteFlags::DATA)
+                            .apply(Batch::new().map_range(r.base, &pfns, PteFlags::DATA))
                             .expect("reserved range must be mappable");
                         mapped.push((r.base, r.base + r.span));
                     }

@@ -314,7 +314,7 @@ impl MmioDevice for XhciDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adelie_vmem::PteFlags;
+    use adelie_vmem::{Batch, PteFlags};
 
     fn mem() -> (Arc<PhysMem>, Arc<AddressSpace>) {
         (Arc::new(PhysMem::new()), Arc::new(AddressSpace::new()))
@@ -325,7 +325,9 @@ mod tests {
         let (phys, space) = mem();
         let dev = NvmeDevice::new(phys.clone(), space.clone());
         let buf = 0x5000_0000u64;
-        space.map(buf, phys.alloc(), PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(buf, phys.alloc(), PteFlags::DATA))
+            .unwrap();
         // Read LBA 7 into buf.
         dev.mmio_write(nvme_regs::LBA, 7, 8);
         dev.mmio_write(nvme_regs::BUF, buf, 8);
@@ -358,8 +360,12 @@ mod tests {
         let dev = NicDevice::new(phys.clone(), space.clone());
         let rx_buf = 0x6000_0000u64;
         let tx_buf = 0x7000_0000u64;
-        space.map(rx_buf, phys.alloc(), PteFlags::DATA).unwrap();
-        space.map(tx_buf, phys.alloc(), PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(rx_buf, phys.alloc(), PteFlags::DATA))
+            .unwrap();
+        space
+            .apply(Batch::new().map_page(tx_buf, phys.alloc(), PteFlags::DATA))
+            .unwrap();
         dev.mmio_write(nic_regs::RX_BUF, rx_buf, 8);
         // Client injects a frame; driver doorbell pulls it in.
         dev.inject_rx(b"hello-nic");

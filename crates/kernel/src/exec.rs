@@ -203,6 +203,13 @@ pub struct Vm<'k> {
     tlb_published: TlbStats,
 }
 
+impl Drop for Vm<'_> {
+    /// Hand the kernel stack back for the next [`Kernel::vm`].
+    fn drop(&mut self) {
+        self.kernel.free_stack(self.stack_top);
+    }
+}
+
 impl<'k> Vm<'k> {
     pub(crate) fn new(kernel: &'k Kernel, cpu: usize, stack_top: u64) -> Vm<'k> {
         Vm {

@@ -8,7 +8,7 @@
 //! treats them separately).
 
 use crate::layout;
-use adelie_vmem::{AddressSpace, PhysMem, PteFlags, PAGE_SIZE};
+use adelie_vmem::{AddressSpace, Batch, PhysMem, PteFlags, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -76,7 +76,7 @@ impl Heap {
                     let page = inner.next_page;
                     inner.next_page += PAGE_SIZE as u64;
                     space
-                        .map(page, phys.alloc(), PteFlags::DATA)
+                        .apply(Batch::new().map_page(page, phys.alloc(), PteFlags::DATA))
                         .expect("heap page collision");
                     let csize = class_size(class);
                     for off in (0..PAGE_SIZE).step_by(csize) {
@@ -91,7 +91,7 @@ impl Heap {
                 let va = inner.next_page;
                 inner.next_page += (pages * PAGE_SIZE) as u64;
                 space
-                    .map_range(va, &phys.alloc_n(pages), PteFlags::DATA)
+                    .apply(Batch::new().map_range(va, &phys.alloc_n(pages), PteFlags::DATA))
                     .expect("heap page collision");
                 va
             }

@@ -48,7 +48,7 @@ pub use sharded::{FleetConfig, ShardedKernel};
 pub use symbols::{NativeFn, SymbolTable};
 
 use adelie_reclaim::{Ebr, Hyaline, Reclaimer};
-use adelie_vmem::{AddressSpace, PhysMem, PteFlags, SpaceConfig, PAGE_SIZE};
+use adelie_vmem::{AddressSpace, Batch, PhysMem, PteFlags, SpaceConfig, PAGE_SIZE};
 pub use adelie_vmem::{ArchKind, TlbStats};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
@@ -148,6 +148,9 @@ pub struct Kernel {
     pub vfs: Vfs,
     rng: Mutex<SmallRng>,
     next_stack: AtomicU64,
+    /// Tops of stacks whose `Vm` was dropped, reused before
+    /// `next_stack` maps fresh ones.
+    free_stacks: Mutex<Vec<u64>>,
     next_mmio_bar: AtomicU64,
     /// `(token, callback)` pairs; token 0 is the scheduler's primary
     /// slot (`set_call_observer` replaces it), higher tokens come from
@@ -195,6 +198,7 @@ impl Kernel {
             vfs: Vfs::new(),
             rng: Mutex::new(SmallRng::seed_from_u64(config.seed)),
             next_stack: AtomicU64::new(layout::STACK_BASE),
+            free_stacks: Mutex::new(Vec::new()),
             next_mmio_bar: AtomicU64::new(layout::MMIO_BASE),
             call_observers: RwLock::new(Arc::from([])),
             observers_gen: AtomicU64::new(0),
@@ -214,8 +218,9 @@ impl Kernel {
         self.percpu.tlb_totals()
     }
 
-    /// Create a simulated CPU for the calling thread (allocates a fresh
-    /// kernel stack; the CPU id is sticky per thread).
+    /// Create a simulated CPU for the calling thread (takes a kernel
+    /// stack, which the `Vm` returns when dropped; the CPU id is sticky
+    /// per thread).
     pub fn vm(&self) -> Vm<'_> {
         let cpu = self.percpu.current();
         let stack_top = self.alloc_stack();
@@ -223,21 +228,27 @@ impl Kernel {
     }
 
     /// Allocate a kernel stack (with an unmapped guard page below);
-    /// returns the initial stack-top address.
+    /// returns the initial stack-top address. A stack a dropped `Vm`
+    /// returned is reused before fresh pages are mapped.
     pub fn alloc_stack(&self) -> u64 {
+        if let Some(top) = self.free_stacks.lock().pop() {
+            return top;
+        }
         let base = self
             .next_stack
             .fetch_add(((STACK_PAGES + 1) * PAGE_SIZE) as u64, Ordering::Relaxed);
         // +1 page: the guard page at `base` stays unmapped.
         let first_mapped = base + PAGE_SIZE as u64;
+        let pfns = self.phys.alloc_n(STACK_PAGES);
         self.space
-            .map_range(
-                first_mapped,
-                &self.phys.alloc_n(STACK_PAGES),
-                PteFlags::DATA,
-            )
+            .apply(Batch::new().map_range(first_mapped, &pfns, PteFlags::DATA))
             .expect("stack region collision");
         first_mapped + (STACK_PAGES * PAGE_SIZE) as u64
+    }
+
+    /// Return a stack from [`Kernel::alloc_stack`] for reuse.
+    pub(crate) fn free_stack(&self, top: u64) {
+        self.free_stacks.lock().push(top);
     }
 
     /// Install the primary per-call observer (replacing any previous
@@ -332,19 +343,19 @@ impl Kernel {
         self.rng.lock().gen_range(0..bound)
     }
 
-    /// Register a device model and map its `pages`-page BAR; returns
-    /// `(device id, aperture base address)`.
+    /// Register a device model and map its `pages`-page BAR in one
+    /// batch; returns `(device id, aperture base address)`.
     pub fn map_device(&self, dev: Arc<dyn MmioDevice>, pages: usize) -> (u32, u64) {
         assert!((pages * PAGE_SIZE) as u64 <= layout::MMIO_BAR_SIZE);
         let id = self.mmio.register(dev);
         let base = self
             .next_mmio_bar
             .fetch_add(layout::MMIO_BAR_SIZE, Ordering::Relaxed);
+        let mut bar = Batch::new();
         for p in 0..pages {
-            self.space
-                .map_mmio(base + (p * PAGE_SIZE) as u64, id, p as u32, PteFlags::DATA)
-                .expect("MMIO window collision");
+            bar.map_mmio(base + (p * PAGE_SIZE) as u64, id, p as u32, PteFlags::DATA);
         }
+        self.space.apply(&bar).expect("MMIO window collision");
         (id, base)
     }
 
@@ -579,12 +590,12 @@ mod tests {
         let pages = bytes.len().div_ceil(PAGE_SIZE);
         kernel
             .space
-            .map_range(va, &kernel.phys.alloc_n(pages), PteFlags::DATA)
+            .apply(Batch::new().map_range(va, &kernel.phys.alloc_n(pages), PteFlags::DATA))
             .unwrap();
         kernel.space.write_bytes(&kernel.phys, va, bytes).unwrap();
         kernel
             .space
-            .protect_range(va, pages, PteFlags::TEXT)
+            .apply(Batch::new().protect_range(va, pages, PteFlags::TEXT))
             .unwrap();
     }
 
@@ -658,7 +669,7 @@ mod tests {
         // Data page is NX.
         let data_va = 0x40_0000_0000;
         k.space
-            .map(data_va, k.phys.alloc(), PteFlags::DATA)
+            .apply(Batch::new().map_page(data_va, k.phys.alloc(), PteFlags::DATA))
             .unwrap();
         let mut vm = k.vm();
         match vm.call(data_va, &[]) {
@@ -695,7 +706,7 @@ mod tests {
         load_code(&k, va, &a.assemble().unwrap().bytes);
         let mut vm = k.vm();
         assert_eq!(vm.call(va, &[]).unwrap(), 1);
-        k.space.unmap(va).unwrap();
+        k.space.apply(Batch::new().unmap_range(va, 1)).unwrap();
         match vm.call(va, &[]) {
             Err(VmError::Fault(adelie_vmem::Fault::Unmapped { .. })) => {}
             other => panic!("expected unmapped fault, got {other:?}"),
@@ -725,7 +736,9 @@ mod tests {
         let k = Kernel::new(KernelConfig::default());
         // Put a format string in simulated memory.
         let msg_va = 0x80_0000_0000;
-        k.space.map(msg_va, k.phys.alloc(), PteFlags::DATA).unwrap();
+        k.space
+            .apply(Batch::new().map_page(msg_va, k.phys.alloc(), PteFlags::DATA))
+            .unwrap();
         k.space
             .write_bytes(&k.phys, msg_va, b"Randomized %llu times\0")
             .unwrap();
@@ -808,5 +821,32 @@ mod tests {
             .space
             .translate(top - 8, adelie_vmem::Access::Write)
             .is_ok());
+    }
+
+    /// A dropped `Vm` hands its stack back: creating CPUs one after
+    /// another (a module init, an exit, a harness step) maps one stack,
+    /// not one per `Vm`; live `Vm`s still get distinct stacks.
+    #[test]
+    fn sequential_vms_reuse_one_stack() {
+        let k = Kernel::new(KernelConfig::default());
+        let mapped = || k.space.stats().pages_mapped;
+        let before = mapped();
+        for _ in 0..1000 {
+            drop(k.vm());
+        }
+        assert!(
+            mapped() - before <= STACK_PAGES as u64,
+            "1000 sequential Vms mapped {} pages",
+            mapped() - before
+        );
+        let live = k.vm();
+        let before = mapped();
+        let second = k.vm();
+        assert_eq!(
+            mapped() - before,
+            STACK_PAGES as u64,
+            "a live Vm's stack was handed out again"
+        );
+        drop((live, second));
     }
 }

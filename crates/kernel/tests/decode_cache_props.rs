@@ -20,8 +20,8 @@
 use adelie_isa::{decode, encode, AluOp, Asm, Cond, Insn, Mem, Reg, ARG_REGS};
 use adelie_kernel::{layout, Kernel, KernelConfig, Vm, VmError};
 use adelie_vmem::{
-    page_base, page_offset, Access, Fault, Pfn, PteFlags, PteKind, SpaceReader, Tlb, TlbStats,
-    Translation, PAGE_SIZE,
+    page_base, page_offset, Access, Batch, Fault, Pfn, PteFlags, PteKind, SpaceReader, Tlb,
+    TlbStats, Translation, PAGE_SIZE,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -125,14 +125,17 @@ impl World {
         });
         kernel
             .space
-            .map(SCRATCH, kernel.phys.alloc(), PteFlags::DATA)
+            .apply(Batch::new().map_page(SCRATCH, kernel.phys.alloc(), PteFlags::DATA))
             .unwrap();
         let mut poke = Asm::new();
         poke.mov_store(Mem::base(Reg::Rdi), Reg::Rsi);
         poke.ret();
         let pfn = kernel.phys.alloc();
         kernel.phys.write(pfn, 0, &poke.assemble().unwrap().bytes);
-        kernel.space.map(POKE, pfn, PteFlags::TEXT).unwrap();
+        kernel
+            .space
+            .apply(Batch::new().map_page(POKE, pfn, PteFlags::TEXT))
+            .unwrap();
         let mut world = World {
             kernel,
             slots: Vec::new(),
@@ -169,7 +172,10 @@ impl World {
     fn map(&self, slot: &Slot) {
         for (i, &pfn) in slot.pfns.iter().enumerate() {
             let va = slot.va + (i * PAGE_SIZE) as u64;
-            self.kernel.space.map(va, pfn, slot.flags).unwrap();
+            self.kernel
+                .space
+                .apply(Batch::new().map_page(va, pfn, slot.flags))
+                .unwrap();
         }
     }
 
@@ -177,7 +183,7 @@ impl World {
         for i in 0..2 {
             self.kernel
                 .space
-                .unmap(va + (i * PAGE_SIZE) as u64)
+                .apply(Batch::new().unmap_range(va + (i * PAGE_SIZE) as u64, 1))
                 .unwrap();
         }
     }
@@ -189,7 +195,10 @@ impl World {
             Some(va) => {
                 for (i, &pfn) in slot.pfns.iter().enumerate() {
                     let page = va + (i * PAGE_SIZE) as u64;
-                    self.kernel.space.map(page, pfn, PteFlags::DATA).unwrap();
+                    self.kernel
+                        .space
+                        .apply(Batch::new().map_page(page, pfn, PteFlags::DATA))
+                        .unwrap();
                 }
                 self.kernel
                     .space

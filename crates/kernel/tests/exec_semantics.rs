@@ -3,7 +3,7 @@
 
 use adelie_isa::{AluOp, Asm, Cond, Reg};
 use adelie_kernel::{Kernel, KernelConfig, VmError};
-use adelie_vmem::{PteFlags, PAGE_SIZE};
+use adelie_vmem::{Batch, PteFlags, PAGE_SIZE};
 use std::sync::Arc;
 
 fn run(kernel: &Arc<Kernel>, asm: &Asm, args: &[u64]) -> u64 {
@@ -13,12 +13,12 @@ fn run(kernel: &Arc<Kernel>, asm: &Asm, args: &[u64]) -> u64 {
     let pages = bytes.len().div_ceil(PAGE_SIZE);
     kernel
         .space
-        .map_range(va, &kernel.phys.alloc_n(pages), PteFlags::DATA)
+        .apply(Batch::new().map_range(va, &kernel.phys.alloc_n(pages), PteFlags::DATA))
         .unwrap();
     kernel.space.write_bytes(&kernel.phys, va, &bytes).unwrap();
     kernel
         .space
-        .protect_range(va, pages, PteFlags::TEXT)
+        .apply(Batch::new().protect_range(va, pages, PteFlags::TEXT))
         .unwrap();
     let mut vm = kernel.vm();
     vm.call(va, args).unwrap()
@@ -176,13 +176,16 @@ fn retpoline_thunk_executes_architecturally() {
     let tbytes = target.assemble().unwrap().bytes;
     kernel
         .space
-        .map(tva, kernel.phys.alloc(), PteFlags::DATA)
+        .apply(Batch::new().map_page(tva, kernel.phys.alloc(), PteFlags::DATA))
         .unwrap();
     kernel
         .space
         .write_bytes(&kernel.phys, tva, &tbytes)
         .unwrap();
-    kernel.space.protect(tva, PteFlags::TEXT).unwrap();
+    kernel
+        .space
+        .apply(Batch::new().protect_range(tva, 1, PteFlags::TEXT))
+        .unwrap();
     // thunk "returns" into rax=tva, runs the target, whose ret pops the
     // original `call thunk` return address… which then falls to our ret.
     assert_eq!(run(&kernel, &asm, &[tva]), 99);
@@ -218,7 +221,7 @@ fn self_modifying_code_on_a_wx_page_runs_the_new_bytes() {
     // Writable and executable: no NX bit.
     kernel
         .space
-        .map(va, kernel.phys.alloc(), PteFlags::WRITABLE)
+        .apply(Batch::new().map_page(va, kernel.phys.alloc(), PteFlags::WRITABLE))
         .unwrap();
     let f = va;
     // patch(dst=rdi, bytes=rsi): an interpreted MovStore into text.
@@ -255,8 +258,14 @@ fn text_rewritten_through_an_alias_or_phys_write_is_decoded_again() {
     let (text, alias) = (0x310_0000_0000, 0x320_0000_0000);
     let pfn = kernel.phys.alloc();
     kernel.phys.write(pfn, 0x40, &ret_imm(1));
-    kernel.space.map(text, pfn, PteFlags::TEXT).unwrap();
-    kernel.space.map(alias, pfn, PteFlags::DATA).unwrap();
+    kernel
+        .space
+        .apply(Batch::new().map_page(text, pfn, PteFlags::TEXT))
+        .unwrap();
+    kernel
+        .space
+        .apply(Batch::new().map_page(alias, pfn, PteFlags::DATA))
+        .unwrap();
     let f = text + 0x40;
 
     let mut vm = kernel.vm();
@@ -284,31 +293,46 @@ fn a_freed_and_reallocated_text_frame_never_serves_the_old_instruction() {
     let va = 0x330_0000_0000;
     let pfn = kernel.phys.alloc();
     kernel.phys.write(pfn, 0, &ret_imm(1));
-    kernel.space.map(va, pfn, PteFlags::TEXT).unwrap();
+    kernel
+        .space
+        .apply(Batch::new().map_page(va, pfn, PteFlags::TEXT))
+        .unwrap();
     let mut vm = kernel.vm();
     assert_eq!(vm.call(va, &[]).unwrap(), 1);
 
-    kernel.space.unmap(va).unwrap();
+    kernel.space.apply(Batch::new().unmap_range(va, 1)).unwrap();
     kernel.phys.free(pfn);
     let reused = kernel.phys.alloc();
     assert_eq!(reused, pfn, "free-list reuse hands back the same frame");
     // Same frame, same offset, other code — mapped at the old address
     // and at a fresh one.
     kernel.phys.write(reused, 0, &ret_imm(2));
-    kernel.space.map(va, reused, PteFlags::TEXT).unwrap();
+    kernel
+        .space
+        .apply(Batch::new().map_page(va, reused, PteFlags::TEXT))
+        .unwrap();
     assert_eq!(vm.call(va, &[]).unwrap(), 2);
     let elsewhere = 0x340_0000_0000;
-    kernel.space.map(elsewhere, reused, PteFlags::TEXT).unwrap();
+    kernel
+        .space
+        .apply(Batch::new().map_page(elsewhere, reused, PteFlags::TEXT))
+        .unwrap();
     assert_eq!(vm.call(elsewhere, &[]).unwrap(), 2);
 
     // Freed and reallocated as a zeroed frame: the zero bytes decode to
     // something else entirely (or nothing), never to the old `mov`.
-    kernel.space.unmap(va).unwrap();
-    kernel.space.unmap(elsewhere).unwrap();
+    kernel.space.apply(Batch::new().unmap_range(va, 1)).unwrap();
+    kernel
+        .space
+        .apply(Batch::new().unmap_range(elsewhere, 1))
+        .unwrap();
     kernel.phys.free(reused);
     let zeroed = kernel.phys.alloc();
     assert_eq!(zeroed, pfn);
-    kernel.space.map(va, zeroed, PteFlags::TEXT).unwrap();
+    kernel
+        .space
+        .apply(Batch::new().map_page(va, zeroed, PteFlags::TEXT))
+        .unwrap();
     assert!(!matches!(vm.call(va, &[]), Ok(1) | Ok(2)));
 }
 
@@ -364,7 +388,10 @@ fn call_counts(kernel: &Kernel, f: u64, args: &[u64]) -> (u64, (u64, u64, u64)) 
 fn map_text(kernel: &Kernel, va: u64, bytes: &[u8]) -> adelie_vmem::Pfn {
     let pfn = kernel.phys.alloc();
     kernel.phys.write(pfn, 0, bytes);
-    kernel.space.map(va, pfn, PteFlags::TEXT).unwrap();
+    kernel
+        .space
+        .apply(Batch::new().map_page(va, pfn, PteFlags::TEXT))
+        .unwrap();
     pfn
 }
 
@@ -379,11 +406,11 @@ fn loads_alternating_between_pages_of_one_micro_slot_are_l2_hits() {
     let (a, b) = (code + stride, code + 2 * stride);
     kernel
         .space
-        .map(a, kernel.phys.alloc(), PteFlags::DATA)
+        .apply(Batch::new().map_page(a, kernel.phys.alloc(), PteFlags::DATA))
         .unwrap();
     kernel
         .space
-        .map(b, kernel.phys.alloc(), PteFlags::DATA)
+        .apply(Batch::new().map_page(b, kernel.phys.alloc(), PteFlags::DATA))
         .unwrap();
     place(&kernel, a, &7u64.to_le_bytes());
     place(&kernel, b, &35u64.to_le_bytes());
@@ -422,9 +449,11 @@ fn a_native_remapping_the_running_code_page_returns_into_the_new_bytes() {
         .symbols
         .register_native("test_remap_caller", move |vm| {
             let space = &vm.kernel.space;
-            space.unmap(page).map_err(VmError::Fault)?;
             space
-                .map(page, fresh, PteFlags::TEXT)
+                .apply(Batch::new().unmap_range(page, 1))
+                .map_err(VmError::Fault)?;
+            space
+                .apply(Batch::new().map_page(page, fresh, PteFlags::TEXT))
                 .map_err(VmError::Fault)?;
             Ok(0)
         });

@@ -64,7 +64,7 @@ pub struct SchedConfig {
     /// Width of the *shared shootdown epoch*: cycles whose deadlines
     /// fall into the same window of this length receive the same epoch
     /// tag, so their page-table batches coalesce their TLB invalidation
-    /// sets into one merged log slot (`adelie_vmem::Batch::epoch`). A
+    /// sets into one merged log slot (`adelie_vmem::Batch::with_epoch`). A
     /// lagging TLB then pays one partial invalidation pass for the
     /// whole group of same-deadline cycles. `Duration::ZERO` coalesces
     /// only exactly-equal deadlines.

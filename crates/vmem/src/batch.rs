@@ -1,27 +1,49 @@
-//! Batched page-table mutations.
+//! Batched page-table mutations: the one way to change an address
+//! space.
 //!
-//! Every re-randomization cycle used to pay one lock acquisition and one
-//! whole-TLB shootdown *per page-table operation* — the worst-case §4.3
-//! cost the paper works to avoid. A [`Batch`] collects the cycle's
-//! mutations (`map_page`/`map_range`/`unmap_range`/`unmap_sparse`/
-//! `protect_range`/`swap_frame`) and [`crate::AddressSpace::apply`]
-//! executes them under **one** write-lock acquisition, publishing a
-//! single *invalidation set* of page spans with one generation bump, so
-//! TLBs evict only the covered entries instead of flushing wholesale
-//! (MARDU-style batched, targeted invalidation).
+//! A [`Batch`] queues mutations (`map_page`/`map_mmio`/`map_range`/
+//! `unmap_range`/`unmap_sparse`/`protect_range`/`swap_frame`) and
+//! [`crate::AddressSpace::apply`] executes them as one copy-on-write
+//! transaction under one write-lock acquisition, publishing a single
+//! *invalidation set* of page spans with one generation bump, so TLBs
+//! evict only the covered entries instead of flushing wholesale
+//! (MARDU-style batched, targeted invalidation). A re-randomization
+//! cycle's alias, GOT swing and retire are each one batch; a single
+//! page's change is a one-op batch:
 //!
-//! Application is atomic: if any operation faults, everything already
-//! applied is rolled back before the error is returned and no
-//! generation bump is published — callers observe either the whole
-//! batch or none of it.
+//! ```
+//! use adelie_vmem::{AddressSpace, Batch, PhysMem, PteFlags};
+//!
+//! let phys = PhysMem::new();
+//! let space = AddressSpace::new();
+//! let va = 0xff_8000_0000_0000;
+//! space.apply(Batch::new().map_range(va, &phys.alloc_n(2), PteFlags::DATA))?;
+//!
+//! // Seal the first page and retire the second: one generation bump.
+//! let mut batch = Batch::new();
+//! batch
+//!     .protect_range(va, 1, PteFlags::RO_DATA)
+//!     .unmap_range(va + 4096, 1);
+//! let out = space.apply(&batch)?;
+//! assert_eq!((out.removed.len(), out.shootdowns), (1, 1));
+//! # Ok::<(), adelie_vmem::Fault>(())
+//! ```
+//!
+//! Application is atomic: if any operation faults, nothing is
+//! published and no generation bump happens — callers observe either
+//! the whole batch or none of it.
 
-use crate::{Pfn, PteFlags};
+use crate::{Pfn, PteFlags, PteKind};
 
 /// One queued page-table mutation (see the [`Batch`] builder methods).
 #[derive(Clone, Debug)]
 pub(crate) enum BatchOp {
-    /// Map a single page.
-    Map { va: u64, pfn: Pfn, flags: PteFlags },
+    /// Map a single page onto a frame or a device register page.
+    Map {
+        va: u64,
+        kind: PteKind,
+        flags: PteFlags,
+    },
     /// Unmap `pages` consecutive pages; faults on the first hole.
     UnmapRange { va: u64, pages: usize },
     /// Unmap every mapped page in the range, skipping holes.
@@ -50,9 +72,13 @@ impl Batch {
         Batch::default()
     }
 
-    /// An empty batch carrying `epoch` as its shootdown-epoch tag when
-    /// `Some` (see [`Batch::epoch`]) — the shape cycle code uses to
-    /// thread an optional shared epoch through every batch it issues.
+    /// An empty batch tagged with the *shootdown epoch* `epoch` when
+    /// `Some`: invalidation sets of consecutive batches carrying the
+    /// same tag are coalesced into one merged invalidation-log slot, so
+    /// a TLB that lagged across the whole epoch resynchronizes with a
+    /// single partial invalidation pass instead of one per batch
+    /// (`adelie-sched` tags every batch of same-deadline cycles this
+    /// way).
     pub fn with_epoch(epoch: Option<u64>) -> Batch {
         Batch {
             epoch,
@@ -60,31 +86,33 @@ impl Batch {
         }
     }
 
-    /// Tag this batch with a *shootdown epoch*: invalidation sets of
-    /// consecutive batches carrying the same tag are coalesced into one
-    /// merged invalidation-log slot, so a TLB that lagged across the
-    /// whole epoch resynchronizes with a single partial invalidation
-    /// pass instead of one per batch (`adelie-sched` tags every batch
-    /// of same-deadline cycles this way).
-    pub fn epoch(mut self, epoch: u64) -> Batch {
-        self.epoch = Some(epoch);
+    /// Queue a single-page mapping (faults if `va` is already mapped).
+    /// Mapping one frame at several addresses is allowed — that *is*
+    /// the paper's zero-copy alias.
+    pub fn map_page(&mut self, va: u64, pfn: Pfn, flags: PteFlags) -> &mut Batch {
+        self.ops.push(BatchOp::Map {
+            va,
+            kind: PteKind::Frame(pfn),
+            flags,
+        });
         self
     }
 
-    /// Queue a single-page mapping (faults if `va` is already mapped).
-    pub fn map_page(&mut self, va: u64, pfn: Pfn, flags: PteFlags) -> &mut Batch {
-        self.ops.push(BatchOp::Map { va, pfn, flags });
+    /// Queue a mapping of register page `page` of device `dev` (an MMIO
+    /// leaf; faults if `va` is already mapped).
+    pub fn map_mmio(&mut self, va: u64, dev: u32, page: u32, flags: PteFlags) -> &mut Batch {
+        self.ops.push(BatchOp::Map {
+            va,
+            kind: PteKind::Mmio { dev, page },
+            flags,
+        });
         self
     }
 
     /// Queue a contiguous run of frames starting at `va`.
     pub fn map_range(&mut self, va: u64, pfns: &[Pfn], flags: PteFlags) -> &mut Batch {
         for (i, &pfn) in pfns.iter().enumerate() {
-            self.ops.push(BatchOp::Map {
-                va: va + (i * crate::PAGE_SIZE) as u64,
-                pfn,
-                flags,
-            });
+            self.map_page(va + (i * crate::PAGE_SIZE) as u64, pfn, flags);
         }
         self
     }

@@ -2,10 +2,11 @@
 //!
 //! The std `HashMap` defaults to SipHash-1-3 with a per-process random
 //! key — robust against adversarial keys, but measurably expensive on
-//! the translate hot path, where every L2 TLB probe and every flat
-//! snapshot-directory lookup hashes exactly one page-aligned `u64`. The
-//! keys here are *trusted* (virtual page numbers minted by the kernel's
-//! own allocator, never attacker-chosen), so a keyed hash buys nothing.
+//! the translate hot path, where every L2 TLB probe (keyed by ASID and
+//! page) and every leaf-node cache probe (keyed by ASID and 2 MiB
+//! prefix) hashes one such key. The keys here are *trusted* (virtual
+//! page numbers minted by the kernel's own allocator, never
+//! attacker-chosen), so a keyed hash buys nothing.
 //!
 //! [`PageHasher`] is a splitmix64-style finalizer: one xor, two
 //! multiply-shift rounds. It is also *deterministic across processes*,

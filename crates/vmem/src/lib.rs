@@ -20,27 +20,34 @@
 //!   and a lagging TLB evicts only covered entries, falling back to a
 //!   full flush past the log horizon — so re-randomization's TLB-flush
 //!   cost (paper §4.3) is both observable and *reducible*,
-//! * [`Batch`] — batched page-table mutation: a whole re-randomization
-//!   step applies under one lock acquisition and publishes a single
-//!   invalidation set with one generation bump,
+//! * [`Batch`] — page-table mutation, always batched: a whole
+//!   re-randomization step applies under one lock acquisition and
+//!   publishes a single invalidation set with one generation bump;
+//!   [`AddressSpace::apply`] is the table's only write path,
 //! * typed [`Fault`]s — unmapped access, write to read-only (the GOT
 //!   write-protection defence), execute of NX data.
 //!
 //! # Example
 //!
 //! ```
-//! use adelie_vmem::{AddressSpace, PhysMem, PteFlags, PAGE_SIZE};
+//! use adelie_vmem::{AddressSpace, Batch, PhysMem, PteFlags};
 //!
 //! let phys = PhysMem::new();
 //! let space = AddressSpace::new();
 //! let pfn = phys.alloc();
-//! space.map(0xff_8000_0000_0000, pfn, PteFlags::WRITABLE)?;
+//! space.apply(Batch::new().map_page(0xff_8000_0000_0000, pfn, PteFlags::WRITABLE))?;
 //! space.write_u64(&phys, 0xff_8000_0000_0008, 0xdead_beef)?;
 //! assert_eq!(space.read_u64(&phys, 0xff_8000_0000_0008)?, 0xdead_beef);
 //!
-//! // Zero-copy alias: map the same frame at a second address.
-//! space.map(0xee_9000_0000_0000, pfn, PteFlags::WRITABLE)?;
+//! // Zero-copy move: alias the frame at a second address and retire
+//! // the first, in one transaction with one generation bump.
+//! let mut remap = Batch::new();
+//! remap
+//!     .map_page(0xee_9000_0000_0000, pfn, PteFlags::WRITABLE)
+//!     .unmap_range(0xff_8000_0000_0000, 1);
+//! space.apply(&remap)?;
 //! assert_eq!(space.read_u64(&phys, 0xee_9000_0000_0008)?, 0xdead_beef);
+//! assert!(space.read_u64(&phys, 0xff_8000_0000_0008).is_err());
 //! # Ok::<(), adelie_vmem::Fault>(())
 //! ```
 

@@ -1,8 +1,8 @@
 //! The address space: a 5-level radix page table with permission bits,
 //! aliased (zero-copy) mappings, MMIO leaves, batched mutation
-//! ([`Batch`] / [`AddressSpace::apply`]), and a bounded *invalidation
-//! log* that lets TLBs do range-based shootdown instead of whole-TLB
-//! flushes (see [`crate::Tlb`]).
+//! ([`Batch`] / [`AddressSpace::apply`], the table's only write path),
+//! and a bounded *invalidation log* that lets TLBs do range-based
+//! shootdown instead of whole-TLB flushes (see [`crate::Tlb`]).
 //!
 //! # The RCU-style read path
 //!
@@ -631,21 +631,7 @@ impl AddressSpace {
     /// Create an empty address space with the default invalidation-log
     /// capacity ([`DEFAULT_INVAL_LOG`]).
     pub fn new() -> AddressSpace {
-        AddressSpace::with_inval_log(DEFAULT_INVAL_LOG)
-    }
-
-    /// Create an empty address space whose invalidation log holds
-    /// `capacity` generations — a small ring lets tests lag a TLB past
-    /// the log's horizon cheaply.
-    ///
-    /// # Panics
-    ///
-    /// If `capacity` is 0 (see [`AddressSpace::with_space_config`]).
-    pub fn with_inval_log(capacity: usize) -> AddressSpace {
-        AddressSpace::with_space_config(SpaceConfig {
-            inval_log: capacity,
-            ..SpaceConfig::new()
-        })
+        AddressSpace::with_space_config(SpaceConfig::new())
     }
 
     /// Create an empty address space from explicit [`SpaceConfig`]
@@ -906,10 +892,6 @@ impl AddressSpace {
         (current, TlbSync::Ranges(spans), None)
     }
 
-    fn check(&self, va: u64) -> Result<(), Fault> {
-        check_va(va)
-    }
-
     // ------------------------------------------------------------------
     // Writer side: COW transactions, snapshot publication, shootdowns.
     // ------------------------------------------------------------------
@@ -1017,241 +999,6 @@ impl AddressSpace {
                 unsafe { drop(Box::from_raw(old as *mut LogSlot)) };
             }));
         }
-    }
-
-    fn shootdown(&self, spans: Vec<(u64, u64)>) {
-        self.shootdown_epoch(spans, None);
-    }
-
-    /// Map one page at `va` (page-aligned) to `pfn`.
-    ///
-    /// Mapping the same frame at several addresses is allowed — that *is*
-    /// the paper's zero-copy mechanism.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::AlreadyMapped`] if `va` already has a mapping,
-    /// [`Fault::NonCanonical`] for out-of-range addresses.
-    pub fn map(&self, va: u64, pfn: Pfn, flags: PteFlags) -> Result<(), Fault> {
-        self.map_pte(
-            va,
-            Pte {
-                kind: PteKind::Frame(pfn),
-                flags,
-            },
-        )
-    }
-
-    /// Map a device register page.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AddressSpace::map`].
-    pub fn map_mmio(&self, va: u64, dev: u32, page: u32, flags: PteFlags) -> Result<(), Fault> {
-        self.map_pte(
-            va,
-            Pte {
-                kind: PteKind::Mmio { dev, page },
-                flags,
-            },
-        )
-    }
-
-    fn map_pte(&self, va: u64, pte: Pte) -> Result<(), Fault> {
-        self.check(va)?;
-        let (mut st, mut scratch) = self.begin();
-        scratch.map(va, self.arch.encode(pte))?;
-        self.publish(&mut st, scratch);
-        self.stats.pages_mapped.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Map a run of frames contiguously starting at `va` — one snapshot
-    /// publication for the whole run.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first conflicting page (earlier pages stay mapped).
-    pub fn map_range(&self, va: u64, pfns: &[Pfn], flags: PteFlags) -> Result<(), Fault> {
-        let (mut st, mut scratch) = self.begin();
-        let mut outcome = Ok(());
-        let mut mapped = 0u64;
-        for (i, &pfn) in pfns.iter().enumerate() {
-            let page_va = va + (i * PAGE_SIZE) as u64;
-            let hw = self.arch.encode(Pte {
-                kind: PteKind::Frame(pfn),
-                flags,
-            });
-            if let Err(fault) = check_va(page_va).and_then(|()| scratch.map(page_va, hw)) {
-                outcome = Err(fault);
-                break;
-            }
-            mapped += 1;
-        }
-        if mapped > 0 {
-            self.publish(&mut st, scratch);
-            self.stats.pages_mapped.fetch_add(mapped, Ordering::Relaxed);
-        }
-        outcome
-    }
-
-    /// Remove the mapping at `va`, returning the old leaf.
-    ///
-    /// Bumps the TLB generation (shootdown).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::Unmapped`] if nothing is mapped there.
-    pub fn unmap(&self, va: u64) -> Result<Pte, Fault> {
-        self.check(va)?;
-        let (mut st, mut scratch) = self.begin();
-        let pte = self.arch.decode_owned(scratch.unmap(va)?);
-        self.publish(&mut st, scratch);
-        self.stats.pages_unmapped.fetch_add(1, Ordering::Relaxed);
-        self.shootdown(vec![(va, va + PAGE_SIZE as u64)]);
-        Ok(pte)
-    }
-
-    /// Unmap `n` consecutive pages, returning their leaves. One shootdown
-    /// covers the whole range (batched invalidation, like `flush_tlb_range`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first unmapped page. Earlier pages stay unmapped,
-    /// and the shootdown still covers them — under range-based
-    /// invalidation an unpublished removal would let TLBs serve the
-    /// retired translations forever.
-    pub fn unmap_range(&self, va: u64, n: usize) -> Result<Vec<Pte>, Fault> {
-        let (mut st, mut scratch) = self.begin();
-        let mut out = Vec::with_capacity(n);
-        let mut outcome = Ok(());
-        for i in 0..n {
-            let page_va = va + (i * PAGE_SIZE) as u64;
-            match check_va(page_va).and_then(|()| scratch.unmap(page_va)) {
-                Ok(hw) => out.push(self.arch.decode_owned(hw)),
-                Err(fault) => {
-                    outcome = Err(fault);
-                    break;
-                }
-            }
-        }
-        if !out.is_empty() {
-            self.publish(&mut st, scratch);
-            self.stats
-                .pages_unmapped
-                .fetch_add(out.len() as u64, Ordering::Relaxed);
-            self.shootdown(vec![(va, va + (out.len() * PAGE_SIZE) as u64)]);
-        }
-        outcome.map(|()| out)
-    }
-
-    /// Unmap every mapped page in `[va, va + n pages)`, skipping holes;
-    /// returns the removed leaves. One shootdown for the whole range —
-    /// what the re-randomizer's retire step uses, since alignment-tail
-    /// pages were never mapped.
-    pub fn unmap_sparse(&self, va: u64, n: usize) -> Vec<Pte> {
-        let (mut st, mut scratch) = self.begin();
-        let out: Vec<Pte> = scratch
-            .clear(va, n)
-            .into_iter()
-            .map(|hw| self.arch.decode_owned(hw))
-            .collect();
-        if !out.is_empty() {
-            self.publish(&mut st, scratch);
-            self.stats
-                .pages_unmapped
-                .fetch_add(out.len() as u64, Ordering::Relaxed);
-        }
-        self.shootdown(vec![(va, va + (n * PAGE_SIZE) as u64)]);
-        out
-    }
-
-    /// Atomically swap the frame behind a mapped page, returning the old
-    /// leaf. This is how the re-randomizer swings a GOT page onto a
-    /// freshly built table (paper §4.2: "GOT pages … are remapped to
-    /// point to the new GOTs") without a window where the page is
-    /// unmapped. Bumps the TLB generation.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::Unmapped`] if the page is not mapped.
-    pub fn replace(&self, va: u64, pfn: Pfn, flags: PteFlags) -> Result<Pte, Fault> {
-        self.check(va)?;
-        let (mut st, mut scratch) = self.begin();
-        let old = scratch.replace(
-            va,
-            self.arch.encode(Pte {
-                kind: PteKind::Frame(pfn),
-                flags,
-            }),
-        )?;
-        let old = self.arch.decode_owned(old);
-        self.publish(&mut st, scratch);
-        self.shootdown(vec![(va, va + PAGE_SIZE as u64)]);
-        Ok(old)
-    }
-
-    /// Change the permissions of a mapped page (e.g. write-protecting a
-    /// GOT after initialization, §4.1). Bumps the TLB generation.
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::Unmapped`] if the page is not mapped.
-    pub fn protect(&self, va: u64, flags: PteFlags) -> Result<(), Fault> {
-        self.check(va)?;
-        let (mut st, mut scratch) = self.begin();
-        scratch.protect(va, flags, self.arch)?;
-        self.publish(&mut st, scratch);
-        self.stats.protects.fetch_add(1, Ordering::Relaxed);
-        self.shootdown(vec![(va, va + PAGE_SIZE as u64)]);
-        Ok(())
-    }
-
-    /// [`AddressSpace::protect`] over `n` consecutive pages. One
-    /// shootdown covers the whole range (batched invalidation — the
-    /// pre-batching code paid one per page).
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first unmapped page (earlier pages keep the new
-    /// permissions, and the shootdown still covers them).
-    pub fn protect_range(&self, va: u64, n: usize, flags: PteFlags) -> Result<(), Fault> {
-        let (mut st, mut scratch) = self.begin();
-        let mut outcome = Ok(());
-        let mut changed = 0usize;
-        for i in 0..n {
-            let page_va = va + (i * PAGE_SIZE) as u64;
-            if let Err(fault) =
-                check_va(page_va).and_then(|()| scratch.protect(page_va, flags, self.arch))
-            {
-                outcome = Err(fault);
-                break;
-            }
-            changed += 1;
-        }
-        if changed > 0 {
-            self.publish(&mut st, scratch);
-            self.stats
-                .protects
-                .fetch_add(changed as u64, Ordering::Relaxed);
-            self.shootdown(vec![(va, va + (changed * PAGE_SIZE) as u64)]);
-        }
-        outcome
-    }
-
-    /// Collect the leaves backing `n` consecutive pages — the gather step
-    /// of the zero-copy remap.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any page in the range is unmapped.
-    pub fn leaves_of_range(&self, va: u64, n: usize) -> Result<Vec<Pte>, Fault> {
-        let vas: Vec<u64> = (0..n).map(|i| va + (i * PAGE_SIZE) as u64).collect();
-        self.pin()
-            .translate_batch(&vas, Access::Read)
-            .into_iter()
-            .map(|r| r.map(|t| t.pte))
-            .collect()
     }
 
     /// Read `buf.len()` bytes starting at `va` (may cross pages).
@@ -1367,19 +1114,22 @@ impl AddressSpace {
     /// transaction: a single new snapshot is built and published with
     /// one atomic pointer store, carrying a single invalidation set with
     /// one generation bump (the batched-shootdown fast path; see
-    /// [`Batch`]'s docs).
+    /// [`Batch`]'s docs). This is the only way to change the table: a
+    /// single page's map, unmap or permission change is a one-op batch.
     ///
     /// Application is atomic by construction: a fault discards the
     /// scratch snapshot, so nothing is published, no generation bump
     /// occurs, and the space is exactly as it was before the call —
     /// concurrent readers only ever observe the pre- or post-batch
-    /// snapshot, never an intermediate state.
+    /// snapshot, never an intermediate state. A batch that changes no
+    /// leaf (an `unmap_sparse` over holes) publishes no snapshot either;
+    /// its ranges are still shot down.
     ///
     /// # Errors
     ///
     /// The first fault any queued operation raises; the batch is
     /// discarded.
-    pub fn apply(&self, batch: Batch) -> Result<BatchOutcome, Fault> {
+    pub fn apply(&self, batch: &Batch) -> Result<BatchOutcome, Fault> {
         for op in &batch.ops {
             let (va, pages) = match op {
                 BatchOp::Map { va, .. } | BatchOp::SwapFrame { va, .. } => (*va, 1),
@@ -1408,12 +1158,8 @@ impl AddressSpace {
         let (mut st, mut scratch) = self.begin();
         for op in &batch.ops {
             match *op {
-                BatchOp::Map { va, pfn, flags } => {
-                    let hw = self.arch.encode(Pte {
-                        kind: PteKind::Frame(pfn),
-                        flags,
-                    });
-                    scratch.map(va, hw)?;
+                BatchOp::Map { va, kind, flags } => {
+                    scratch.map(va, self.arch.encode(Pte { kind, flags }))?;
                     mapped += 1;
                 }
                 BatchOp::UnmapRange { va, pages } => {
@@ -1448,7 +1194,9 @@ impl AddressSpace {
                 }
             }
         }
-        self.publish(&mut st, scratch);
+        if mapped + protects > 0 || !removed.is_empty() {
+            self.publish(&mut st, scratch);
+        }
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.stats.pages_mapped.fetch_add(mapped, Ordering::Relaxed);
         self.stats
@@ -2053,21 +1801,33 @@ mod tests {
 
     const VA: u64 = 0x00ab_cdef_0012_3000;
 
+    /// Map `pages` fresh data frames from `va`, in one batch.
+    fn map_fresh(space: &AddressSpace, phys: &PhysMem, va: u64, pages: usize) {
+        let pfns = phys.alloc_n(pages);
+        space
+            .apply(Batch::new().map_range(va, &pfns, PteFlags::DATA))
+            .unwrap();
+    }
+
     #[test]
     fn map_translate_unmap() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let pfn = phys.alloc();
-        space.map(VA, pfn, PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(VA, pfn, PteFlags::DATA))
+            .unwrap();
         let t = space.translate(VA + 0x123, Access::Read).unwrap();
         assert_eq!(t.pte.kind, PteKind::Frame(pfn));
         assert_eq!(t.page_va, VA);
         assert_eq!(
-            space.map(VA, pfn, PteFlags::DATA),
-            Err(Fault::AlreadyMapped { va: VA })
+            space
+                .apply(Batch::new().map_page(VA, pfn, PteFlags::DATA))
+                .unwrap_err(),
+            Fault::AlreadyMapped { va: VA }
         );
-        let pte = space.unmap(VA).unwrap();
-        assert_eq!(pte.kind, PteKind::Frame(pfn));
+        let out = space.apply(Batch::new().unmap_range(VA, 1)).unwrap();
+        assert_eq!(out.removed[0].kind, PteKind::Frame(pfn));
         assert_eq!(
             space.translate(VA, Access::Read),
             Err(Fault::Unmapped { va: VA })
@@ -2079,7 +1839,9 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let pfn = phys.alloc();
-        space.map(VA, pfn, PteFlags::RO_DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(VA, pfn, PteFlags::RO_DATA))
+            .unwrap();
         assert!(space.translate(VA, Access::Read).is_ok());
         assert_eq!(
             space.translate(VA, Access::Write),
@@ -2090,7 +1852,9 @@ mod tests {
             Err(Fault::NotExecutable { va: VA })
         );
         // Text pages execute but don't write.
-        space.protect(VA, PteFlags::TEXT).unwrap();
+        space
+            .apply(Batch::new().protect_range(VA, 1, PteFlags::TEXT))
+            .unwrap();
         assert!(space.translate(VA, Access::Exec).is_ok());
         assert_eq!(
             space.translate(VA, Access::Write),
@@ -2103,9 +1867,13 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let pfn = phys.alloc();
-        space.map(VA, pfn, PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(VA, pfn, PteFlags::DATA))
+            .unwrap();
         let alias = 0x0044_0000_0000_0000u64;
-        space.map(alias, pfn, PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(alias, pfn, PteFlags::DATA))
+            .unwrap();
         space.write_u64(&phys, VA + 8, 77).unwrap();
         assert_eq!(space.read_u64(&phys, alias + 8).unwrap(), 77);
     }
@@ -2114,9 +1882,7 @@ mod tests {
     fn cross_page_rw() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space
-            .map_range(VA, &phys.alloc_n(2), PteFlags::DATA)
-            .unwrap();
+        map_fresh(&space, &phys, VA, 2);
         let data: Vec<u8> = (0..100).collect();
         let start = VA + PAGE_SIZE as u64 - 50;
         space.write_bytes(&phys, start, &data).unwrap();
@@ -2131,12 +1897,16 @@ mod tests {
         let space = AddressSpace::new();
         let g0 = space.generation();
         let pfn = phys.alloc();
-        space.map(VA, pfn, PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(VA, pfn, PteFlags::DATA))
+            .unwrap();
         assert_eq!(space.generation(), g0, "map does not shoot down");
-        space.protect(VA, PteFlags::RO_DATA).unwrap();
+        space
+            .apply(Batch::new().protect_range(VA, 1, PteFlags::RO_DATA))
+            .unwrap();
         assert!(space.generation() > g0, "protect shoots down");
         let g1 = space.generation();
-        space.unmap(VA).unwrap();
+        space.apply(Batch::new().unmap_range(VA, 1)).unwrap();
         assert!(space.generation() > g1, "unmap shoots down");
     }
 
@@ -2144,12 +1914,21 @@ mod tests {
     fn unmap_range_batches_shootdown() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space
-            .map_range(VA, &phys.alloc_n(8), PteFlags::DATA)
-            .unwrap();
+        map_fresh(&space, &phys, VA, 8);
         let g0 = space.generation();
-        let leaves = space.unmap_range(VA, 8).unwrap();
-        assert_eq!(leaves.len(), 8);
+        // A range running into a hole fails whole: no page of it is
+        // unmapped and nothing is shot down.
+        let err = space.apply(Batch::new().unmap_range(VA + 4 * PAGE_SIZE as u64, 5));
+        assert_eq!(
+            err.unwrap_err(),
+            Fault::Unmapped {
+                va: VA + 8 * PAGE_SIZE as u64
+            }
+        );
+        assert_eq!(space.generation(), g0);
+        assert!(space.maps_any(VA + 7 * PAGE_SIZE as u64, 1));
+        let out = space.apply(Batch::new().unmap_range(VA, 8)).unwrap();
+        assert_eq!(out.removed.len(), 8);
         assert_eq!(space.generation(), g0 + 1, "one shootdown for the range");
     }
 
@@ -2161,16 +1940,22 @@ mod tests {
         let b = phys.alloc();
         phys.write_u64(a, 0, 1);
         phys.write_u64(b, 0, 2);
-        space.map(VA, a, PteFlags::RO_DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(VA, a, PteFlags::RO_DATA))
+            .unwrap();
         assert_eq!(space.read_u64(&phys, VA).unwrap(), 1);
         let g0 = space.generation();
-        let old = space.replace(VA, b, PteFlags::RO_DATA).unwrap();
-        assert_eq!(old.kind, PteKind::Frame(a));
+        let out = space
+            .apply(Batch::new().swap_frame(VA, b, PteFlags::RO_DATA))
+            .unwrap();
+        assert_eq!(out.removed[0].kind, PteKind::Frame(a));
         assert_eq!(space.read_u64(&phys, VA).unwrap(), 2);
         assert!(space.generation() > g0, "replace shoots down");
         assert_eq!(
-            space.replace(VA + 0x1000, b, PteFlags::RO_DATA),
-            Err(Fault::Unmapped { va: VA + 0x1000 })
+            space
+                .apply(Batch::new().swap_frame(VA + 0x1000, b, PteFlags::RO_DATA))
+                .unwrap_err(),
+            Fault::Unmapped { va: VA + 0x1000 }
         );
     }
 
@@ -2178,7 +1963,9 @@ mod tests {
     fn mmio_leaves() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space.map_mmio(VA, 3, 0, PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_mmio(VA, 3, 0, PteFlags::DATA))
+            .unwrap();
         let t = space.translate(VA, Access::Write).unwrap();
         assert_eq!(t.pte.kind, PteKind::Mmio { dev: 3, page: 0 });
         assert_eq!(space.read_u64(&phys, VA), Err(Fault::MmioData { va: VA }));
@@ -2194,8 +1981,10 @@ mod tests {
         let phys = PhysMem::new();
         let bad = 1u64 << 60;
         assert_eq!(
-            space.map(bad, phys.alloc(), PteFlags::DATA),
-            Err(Fault::NonCanonical { va: bad })
+            space
+                .apply(Batch::new().map_page(bad, phys.alloc(), PteFlags::DATA))
+                .unwrap_err(),
+            Fault::NonCanonical { va: bad }
         );
         assert_eq!(
             space.translate(bad, Access::Read),
@@ -2204,23 +1993,13 @@ mod tests {
     }
 
     #[test]
-    fn leaves_of_range_gathers() {
-        let phys = PhysMem::new();
-        let space = AddressSpace::new();
-        let pfns = phys.alloc_n(4);
-        space.map_range(VA, &pfns, PteFlags::TEXT).unwrap();
-        let leaves = space.leaves_of_range(VA, 4).unwrap();
-        for (l, p) in leaves.iter().zip(&pfns) {
-            assert_eq!(l.kind, PteKind::Frame(*p));
-        }
-    }
-
-    #[test]
     fn fetch_short_read_at_edge() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let pfn = phys.alloc();
-        space.map(VA, pfn, PteFlags::TEXT).unwrap();
+        space
+            .apply(Batch::new().map_page(VA, pfn, PteFlags::TEXT))
+            .unwrap();
         let mut buf = [0u8; 16];
         // Fetch 8 bytes before the end of the mapped page → short read.
         let n = space
@@ -2235,9 +2014,7 @@ mod tests {
     fn batch_applies_with_one_shootdown() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space
-            .map_range(VA, &phys.alloc_n(4), PteFlags::DATA)
-            .unwrap();
+        map_fresh(&space, &phys, VA, 4);
         let g0 = space.generation();
         let swap = phys.alloc();
         let mut batch = Batch::new();
@@ -2246,7 +2023,7 @@ mod tests {
             .unmap_range(VA, 2)
             .protect_range(VA + 2 * PAGE_SIZE as u64, 2, PteFlags::RO_DATA)
             .swap_frame(VA + 3 * PAGE_SIZE as u64, swap, PteFlags::RO_DATA);
-        let outcome = space.apply(batch).unwrap();
+        let outcome = space.apply(&batch).unwrap();
         assert_eq!(space.generation(), g0 + 1, "one bump for the whole batch");
         assert_eq!(outcome.shootdowns, 1);
         assert_eq!(outcome.removed.len(), 3, "2 unmapped + 1 swapped-out");
@@ -2276,7 +2053,9 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let pfns = phys.alloc_n(2);
-        space.map_range(VA, &pfns, PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_range(VA, &pfns, PteFlags::DATA))
+            .unwrap();
         let g0 = space.generation();
         let s0 = space.stats();
         let mut batch = Batch::new();
@@ -2284,7 +2063,7 @@ mod tests {
             .unmap_range(VA, 2)
             .protect_range(VA + 0x20_0000, 1, PteFlags::TEXT) // unmapped → faults
             .map_page(VA + 0x30_0000, phys.alloc(), PteFlags::DATA);
-        let err = space.apply(batch).unwrap_err();
+        let err = space.apply(&batch).unwrap_err();
         assert!(matches!(err, Fault::Unmapped { .. }));
         // Atomicity: the scratch snapshot with the applied unmap was
         // discarded, no generation bump was published, and the stats
@@ -2312,7 +2091,7 @@ mod tests {
         let g0 = space.generation();
         let mut batch = Batch::new();
         batch.map_range(VA, &phys.alloc_n(3), PteFlags::DATA);
-        let outcome = space.apply(batch).unwrap();
+        let outcome = space.apply(&batch).unwrap();
         assert_eq!(outcome.shootdowns, 0);
         assert_eq!(space.generation(), g0, "pure maps invalidate nothing");
     }
@@ -2321,16 +2100,14 @@ mod tests {
     fn same_epoch_batches_coalesce_into_one_log_slot() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space
-            .map_range(VA, &phys.alloc_n(4), PteFlags::DATA)
-            .unwrap();
-        let mut a = Batch::new().epoch(7);
+        map_fresh(&space, &phys, VA, 4);
+        let mut a = Batch::with_epoch(Some(7));
         a.unmap_range(VA, 2);
-        let mut b = Batch::new().epoch(7);
+        let mut b = Batch::with_epoch(Some(7));
         b.unmap_range(VA + 2 * PAGE_SIZE as u64, 2);
         let seen = space.generation();
-        space.apply(a).unwrap();
-        space.apply(b).unwrap();
+        space.apply(&a).unwrap();
+        space.apply(&b).unwrap();
         assert_eq!(space.generation(), seen + 2, "each batch still bumps");
         assert_eq!(space.stats().coalesced_shootdowns, 1, "but slots merged");
         // A TLB that lagged across the whole epoch resynchronizes with
@@ -2354,7 +2131,7 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let victim = 0x1000u64;
-        space.map(victim, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&space, &phys, victim, 1);
         let edge = (VA_MASK + 1) - PAGE_SIZE as u64; // last canonical page
         for build in [
             |b: &mut Batch, va: u64| {
@@ -2370,7 +2147,7 @@ mod tests {
             let mut batch = Batch::new();
             build(&mut batch, edge);
             assert!(matches!(
-                space.apply(batch),
+                space.apply(&batch),
                 Err(Fault::NonCanonical { .. })
             ));
         }
@@ -2378,7 +2155,7 @@ mod tests {
         let mut batch = Batch::new();
         batch.unmap_sparse(edge, usize::MAX / PAGE_SIZE);
         assert!(matches!(
-            space.apply(batch),
+            space.apply(&batch),
             Err(Fault::NonCanonical { .. })
         ));
         // The victim never lost its mapping.
@@ -2394,15 +2171,13 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let pages = 128; // 2× MAX_SYNC_SPANS
-        space
-            .map_range(VA, &phys.alloc_n(pages), PteFlags::DATA)
-            .unwrap();
+        map_fresh(&space, &phys, VA, pages);
         let seen = space.generation();
         let mut batch = Batch::new();
         for i in 0..pages {
             batch.swap_frame(VA + (i * PAGE_SIZE) as u64, phys.alloc(), PteFlags::RO_DATA);
         }
-        space.apply(batch).unwrap();
+        space.apply(&batch).unwrap();
         match space.plan_sync(seen) {
             (_, TlbSync::Ranges(spans)) => {
                 assert_eq!(spans, vec![(VA, VA + (pages * PAGE_SIZE) as u64)]);
@@ -2414,13 +2189,16 @@ mod tests {
     #[test]
     fn plan_sync_degrades_to_full_past_the_horizon() {
         let phys = PhysMem::new();
-        let space = AddressSpace::with_inval_log(2);
-        space
-            .map_range(VA, &phys.alloc_n(8), PteFlags::DATA)
-            .unwrap();
+        let space = AddressSpace::with_space_config(SpaceConfig {
+            inval_log: 2,
+            ..SpaceConfig::new()
+        });
+        map_fresh(&space, &phys, VA, 8);
         let seen = space.generation();
         for i in 0..4u64 {
-            space.unmap(VA + i * PAGE_SIZE as u64).unwrap();
+            space
+                .apply(Batch::new().unmap_range(VA + i * PAGE_SIZE as u64, 1))
+                .unwrap();
         }
         assert!(matches!(space.plan_sync(seen), (_, TlbSync::Full)));
         // A fresh snapshot within the horizon gets ranges.
@@ -2439,10 +2217,8 @@ mod tests {
     fn stats_track_activity() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space
-            .map_range(VA, &phys.alloc_n(3), PteFlags::DATA)
-            .unwrap();
-        space.unmap(VA).unwrap();
+        map_fresh(&space, &phys, VA, 3);
+        space.apply(Batch::new().unmap_range(VA, 1)).unwrap();
         let s = space.stats();
         assert_eq!(s.pages_mapped, 3);
         assert_eq!(s.pages_unmapped, 1);
@@ -2456,12 +2232,14 @@ mod tests {
     fn snapshot_reclaim_accounting() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        space.protect(VA, PteFlags::RO_DATA).unwrap();
-        space.unmap(VA).unwrap();
+        map_fresh(&space, &phys, VA, 1);
+        space
+            .apply(Batch::new().protect_range(VA, 1, PteFlags::RO_DATA))
+            .unwrap();
+        space.apply(Batch::new().unmap_range(VA, 1)).unwrap();
         let mut batch = Batch::new();
         batch.map_range(VA, &phys.alloc_n(2), PteFlags::DATA);
-        space.apply(batch).unwrap();
+        space.apply(&batch).unwrap();
         let s = space.stats();
         assert_eq!(s.snapshot_publishes, 4, "one publication per transaction");
         space.flush_snapshots();
@@ -2480,13 +2258,17 @@ mod tests {
     fn pinned_reader_blocks_snapshot_reclaim() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&space, &phys, VA, 1);
         let before = space.stats().snapshots_reclaimed;
         let pin = space.pin();
         assert!(pin.translate(VA, Access::Read).is_ok());
         // Publish twice while the reader is pinned.
-        space.protect(VA, PteFlags::RO_DATA).unwrap();
-        space.protect(VA, PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().protect_range(VA, 1, PteFlags::RO_DATA))
+            .unwrap();
+        space
+            .apply(Batch::new().protect_range(VA, 1, PteFlags::DATA))
+            .unwrap();
         space.flush_snapshots();
         // The pinned epoch blocks at least the roots retired since it
         // entered (EBR: nothing retired after the pin may be freed).
@@ -2521,7 +2303,7 @@ mod tests {
         let boundary = 0x00ab_cdef_0000_0000u64 + (1 << LEAF_SHIFT);
         let page = |i: i64| boundary.wrapping_add_signed(i * PAGE_SIZE as i64);
         for i in [-2i64, 1, 3] {
-            space.map(page(i), phys.alloc(), PteFlags::DATA).unwrap();
+            map_fresh(&space, &phys, page(i), 1);
         }
         for start in -6i64..6 {
             for pages in 0..6usize {
@@ -2534,7 +2316,7 @@ mod tests {
                 assert_eq!(space.maps_any(va, pages), walked, "{start} + {pages}");
             }
         }
-        space.unmap_range(page(3), 1).unwrap();
+        space.apply(Batch::new().unmap_range(page(3), 1)).unwrap();
         assert!(!space.maps_any(page(2), 4));
         assert!(space.maps_any(page(-3), 2));
     }
@@ -2554,7 +2336,9 @@ mod tests {
         // 5 pages straddling a 2 MiB prefix boundary: 3 below, 2 above.
         let base = 0x00ab_cdef_0000_0000 + (1u64 << LEAF_SHIFT) - 3 * PAGE_SIZE as u64;
         let pfns: Vec<Pfn> = (0..5).map(|_| phys.alloc()).collect();
-        space.map_range(base, &pfns[..4], PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_range(base, &pfns[..4], PteFlags::DATA))
+            .unwrap();
         let mut probe = |va: u64, access: Access| {
             let mut reader = space.reader();
             let pin = reader.pin();
@@ -2571,14 +2355,20 @@ mod tests {
             probe(va, Access::Exec);
         }
         // The fifth page is mapped after both leaves were cached.
-        space.map(pages[4], pfns[4], PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(pages[4], pfns[4], PteFlags::DATA))
+            .unwrap();
         probe(pages[4], Access::Read);
         // Protect one page on each side of the boundary, unmap the
         // middle, and re-check every probe plus never-mapped neighbors.
-        space.protect(pages[0], PteFlags::RO_DATA).unwrap();
-        space.protect(pages[4], PteFlags::TEXT).unwrap();
-        space.unmap(pages[2]).unwrap();
-        space.unmap_sparse(pages[1], 1);
+        space
+            .apply(Batch::new().protect_range(pages[0], 1, PteFlags::RO_DATA))
+            .unwrap();
+        space
+            .apply(Batch::new().protect_range(pages[4], 1, PteFlags::TEXT))
+            .unwrap();
+        space.apply(Batch::new().unmap_range(pages[2], 1)).unwrap();
+        space.apply(Batch::new().unmap_sparse(pages[1], 1)).unwrap();
         for &va in &pages {
             probe(va, Access::Read);
             probe(va, Access::Write);
@@ -2587,12 +2377,14 @@ mod tests {
         probe(base + (8 * PAGE_SIZE) as u64, Access::Read);
         // Tear the rest down, then map a page back into an emptied
         // region: the walk must find it, not the torn-down leaf.
-        space.unmap_range(pages[3], 2).unwrap();
-        space.unmap(pages[0]).unwrap();
+        space.apply(Batch::new().unmap_range(pages[3], 2)).unwrap();
+        space.apply(Batch::new().unmap_range(pages[0], 1)).unwrap();
         for &va in &pages {
             probe(va, Access::Read);
         }
-        space.map(pages[2], pfns[2], PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_page(pages[2], pfns[2], PteFlags::DATA))
+            .unwrap();
         for &va in &pages {
             probe(va, Access::Read);
         }
@@ -2611,23 +2403,28 @@ mod tests {
             f();
             space.stats().slots_copied - before
         };
+        let map = |va: u64| {
+            map_fresh(&space, &phys, va, 1);
+        };
         // 300 top-level regions: the root chunks.
         for i in 0..300u64 {
-            space.map(i << 48, phys.alloc(), PteFlags::DATA).unwrap();
+            map(i << 48);
         }
         // A fresh region: the root's chunk pointers plus one chunk.
-        let n = copied(&|| space.map(400 << 48, phys.alloc(), PteFlags::DATA).unwrap());
+        let n = copied(&|| map(400 << 48));
         assert!(n <= (CHUNKS + CHUNK) as u64, "{n} slots copied");
         // A page beside a mapped one: also one leaf-level path, each
         // node on it holding one slot.
-        let n = copied(&|| {
-            space
-                .map((7 << 48) + 0x1000, phys.alloc(), PteFlags::DATA)
-                .unwrap()
-        });
+        let n = copied(&|| map((7 << 48) + 0x1000));
         assert!(n <= (CHUNKS + CHUNK + 4) as u64, "{n} slots copied");
-        // A hole: nothing to unmap, so the path is left shared.
-        let n = copied(&|| assert!(space.unmap_sparse(3 << 48 | 0x5000, 1).is_empty()));
+        // A hole: nothing to unmap, so the path is left shared and no
+        // snapshot is published.
+        let publishes = space.stats().snapshot_publishes;
+        let n = copied(&|| {
+            let out = space.apply(Batch::new().unmap_sparse(3 << 48 | 0x5000, 1));
+            assert!(out.unwrap().removed.is_empty());
+        });
+        assert_eq!(space.stats().snapshot_publishes, publishes);
         assert_eq!(n, 0);
     }
 
@@ -2640,13 +2437,11 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let full = 0x0012_3440_0000_0000u64;
-        space
-            .map_range(full, &phys.alloc_n(512), PteFlags::DATA)
-            .unwrap();
+        map_fresh(&space, &phys, full, 512);
         let scattered = [VA, 0x0100_0000_0000_0000, 0x0000_0000_0020_0000];
         for &va in &scattered {
             space
-                .map_range(va, &phys.alloc_n(3), PteFlags::TEXT)
+                .apply(Batch::new().map_range(va, &phys.alloc_n(3), PteFlags::TEXT))
                 .unwrap();
         }
         let mut batch = Batch::new();
@@ -2654,7 +2449,7 @@ mod tests {
         for &va in &scattered {
             batch.unmap_sparse(va - PAGE_SIZE as u64, 5);
         }
-        assert_eq!(space.apply(batch).unwrap().removed.len(), 512 + 3 * 3);
+        assert_eq!(space.apply(&batch).unwrap().removed.len(), 512 + 3 * 3);
         let snap = unsafe { &*space.snapshot.load(Ordering::SeqCst) };
         assert!(
             snap.root.is_empty(),
@@ -2677,7 +2472,9 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let pfns: Vec<Pfn> = (0..4).map(|_| phys.alloc()).collect();
-        space.map_range(VA, &pfns[..3], PteFlags::DATA).unwrap();
+        space
+            .apply(Batch::new().map_range(VA, &pfns[..3], PteFlags::DATA))
+            .unwrap();
         let vas = [
             VA + 0x10,
             VA + PAGE_SIZE as u64,
@@ -2694,7 +2491,7 @@ mod tests {
         // batch issued after a publish sees the new root even through a
         // pre-existing pin (the pin guards reclamation, not staleness).
         let pin = space.pin();
-        space.unmap(VA).unwrap();
+        space.apply(Batch::new().unmap_range(VA, 1)).unwrap();
         assert!(pin.translate_batch(&vas[..1], Access::Read)[0].is_err());
         drop(pin);
         assert!(space.translate_batch(&vas[..1], Access::Read)[0].is_err());

@@ -712,6 +712,14 @@ mod tests {
 
     const VA: u64 = 0x0012_3456_7800_0000;
 
+    /// Map `pages` fresh data frames from `va`, in one batch.
+    fn map_fresh(space: &AddressSpace, phys: &PhysMem, va: u64, pages: usize) {
+        let pfns = phys.alloc_n(pages);
+        space
+            .apply(Batch::new().map_range(va, &pfns, PteFlags::DATA))
+            .unwrap();
+    }
+
     fn warm(tlb: &mut Tlb, space: &AddressSpace, va: u64) {
         let t = space.translate(va, Access::Read).unwrap();
         tlb.insert(&t);
@@ -729,7 +737,7 @@ mod tests {
     fn hit_after_insert() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&space, &phys, VA, 1);
         let mut tlb = Tlb::new();
         assert_eq!(tlb.lookup(VA, &space), None);
         let t = space.translate(VA, Access::Read).unwrap();
@@ -744,12 +752,12 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let other = VA + 0x40_0000;
-        space.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        space.map(other, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&space, &phys, VA, 1);
+        map_fresh(&space, &phys, other, 1);
         let mut tlb = Tlb::new();
         warm(&mut tlb, &space, VA);
         warm(&mut tlb, &space, other);
-        space.unmap(VA).unwrap();
+        space.apply(Batch::new().unmap_range(VA, 1)).unwrap();
         // The retired page is gone, the unrelated one survives — a
         // partial flush, not a whole-TLB flush.
         assert_eq!(tlb.lookup(VA, &space), None);
@@ -763,16 +771,19 @@ mod tests {
     #[test]
     fn lagging_past_the_log_forces_full_flush() {
         let phys = PhysMem::new();
-        let space = AddressSpace::with_inval_log(4);
+        let space = AddressSpace::with_space_config(SpaceConfig {
+            inval_log: 4,
+            ..SpaceConfig::new()
+        });
         let keep = VA + 0x80_0000;
-        space.map(keep, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&space, &phys, keep, 1);
         let mut tlb = Tlb::new();
         warm(&mut tlb, &space, keep);
         // More shootdowns than the log holds, while the TLB sleeps.
         for i in 0..8u64 {
             let va = VA + i * PAGE_SIZE as u64;
-            space.map(va, phys.alloc(), PteFlags::DATA).unwrap();
-            space.unmap(va).unwrap();
+            map_fresh(&space, &phys, va, 1);
+            space.apply(Batch::new().unmap_range(va, 1)).unwrap();
         }
         // `keep` is still mapped, but the gap is unrecoverable — the
         // sync must flush everything rather than guess.
@@ -795,10 +806,8 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let survivor = VA + 0x100_0000;
-        space.map(survivor, phys.alloc(), PteFlags::DATA).unwrap();
-        space
-            .map_range(VA, &phys.alloc_n(8), PteFlags::DATA)
-            .unwrap();
+        map_fresh(&space, &phys, survivor, 1);
+        map_fresh(&space, &phys, VA, 8);
         let mut tlb = Tlb::new();
         warm(&mut tlb, &space, survivor);
         for i in 0..8u64 {
@@ -806,7 +815,7 @@ mod tests {
         }
         let mut batch = Batch::new();
         batch.unmap_sparse(VA, 8);
-        let outcome = space.apply(batch).unwrap();
+        let outcome = space.apply(&batch).unwrap();
         assert_eq!(outcome.shootdowns, 1);
         assert!(tlb.lookup(survivor, &space).is_some());
         for i in 0..8u64 {
@@ -827,7 +836,7 @@ mod tests {
         let mut tlb = Tlb::with_capacity(4);
         for i in 0..4u64 {
             let va = VA + i * PAGE_SIZE as u64;
-            space.map(va, phys.alloc(), PteFlags::DATA).unwrap();
+            map_fresh(&space, &phys, va, 1);
             warm(&mut tlb, &space, va);
         }
         assert_eq!(tlb.len(), 4);
@@ -851,9 +860,7 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         for i in 0..8u64 {
-            space
-                .map(VA + i * PAGE_SIZE as u64, phys.alloc(), PteFlags::DATA)
-                .unwrap();
+            map_fresh(&space, &phys, VA + i * PAGE_SIZE as u64, 1);
         }
         // Seeded (fixed) insertion order, twice over fresh TLBs: the
         // surviving set must be identical.
@@ -887,8 +894,8 @@ mod tests {
         let a = AddressSpace::new();
         let b = AddressSpace::new();
         // Identical mutation histories ⇒ identical generation counters.
-        a.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        b.map(VA + 0x40_0000, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&a, &phys, VA, 1);
+        map_fresh(&b, &phys, VA + 0x40_0000, 1);
         assert_eq!(a.generation(), b.generation());
         assert_ne!(a.id(), b.id());
         assert_ne!(a.asid(), b.asid());
@@ -926,8 +933,8 @@ mod tests {
         let phys = PhysMem::new();
         let a = space_with_asid(7, 0);
         let b = space_with_asid(7, 0);
-        a.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        b.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&a, &phys, VA, 1);
+        map_fresh(&b, &phys, VA, 1);
         assert_eq!(a.asid(), b.asid());
         let pte_a = a.translate(VA, Access::Read).unwrap().pte;
         let pte_b = b.translate(VA, Access::Read).unwrap().pte;
@@ -956,8 +963,8 @@ mod tests {
         let phys = PhysMem::new();
         let a = space_with_asid(9, 0);
         let wrapped = space_with_asid(9, 1);
-        a.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        wrapped.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&a, &phys, VA, 1);
+        map_fresh(&wrapped, &phys, VA, 1);
         let mut tlb = Tlb::new();
         assert!(tlb.lookup(VA, &a).is_none());
         warm(&mut tlb, &a, VA);
@@ -981,8 +988,7 @@ mod tests {
         let spaces: Vec<AddressSpace> = (0..3).map(|_| AddressSpace::new()).collect();
         for s in &spaces {
             for i in 0..8u64 {
-                s.map(VA + i * PAGE_SIZE as u64, phys.alloc(), PteFlags::DATA)
-                    .unwrap();
+                map_fresh(s, &phys, VA + i * PAGE_SIZE as u64, 1);
             }
         }
         let run = || {
@@ -1018,7 +1024,7 @@ mod tests {
         let space = AddressSpace::new();
         for i in 0..8u64 {
             let va = VA + i * 4096;
-            space.map(va, phys.alloc(), PteFlags::DATA).unwrap();
+            map_fresh(&space, &phys, va, 1);
             let t = space.translate(va, Access::Read).unwrap();
             tlb.insert(&t);
         }
@@ -1033,7 +1039,7 @@ mod tests {
     fn micro_tlb_hits_then_dies_on_shootdown() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&space, &phys, VA, 1);
         let mut tlb = Tlb::new();
         // Bind to the space and warm both levels.
         assert_eq!(tlb.lookup(VA, &space), None);
@@ -1047,7 +1053,7 @@ mod tests {
         assert_eq!(tlb.stats().micro_hits, 2);
         // Shootdown: the generation advances, so the fast path refuses
         // to answer at all (caller must resynchronize under a pin).
-        space.unmap(VA).unwrap();
+        space.apply(Batch::new().unmap_range(VA, 1)).unwrap();
         assert_eq!(tlb.try_lookup_current(VA, space.generation()), None);
         // After resyncing, the retired page misses at both levels.
         assert_eq!(tlb.lookup(VA, &space), None);
@@ -1065,9 +1071,8 @@ mod tests {
         let phys = PhysMem::new();
         let a = AddressSpace::new();
         let b = AddressSpace::new();
-        a.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        b.map(VA + PAGE_SIZE as u64, phys.alloc(), PteFlags::DATA)
-            .unwrap();
+        map_fresh(&a, &phys, VA, 1);
+        map_fresh(&b, &phys, VA + PAGE_SIZE as u64, 1);
         let mut tlb = Tlb::new();
         assert_eq!(tlb.lookup(VA, &a), None);
         warm(&mut tlb, &a, VA);
@@ -1110,8 +1115,8 @@ mod tests {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let twin = VA + (MICRO_SLOTS * PAGE_SIZE) as u64;
-        space.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        space.map(twin, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&space, &phys, VA, 1);
+        map_fresh(&space, &phys, twin, 1);
         let mut tlb = Tlb::new();
         assert_eq!(tlb.lookup(VA, &space), None);
         warm(&mut tlb, &space, VA);
@@ -1130,10 +1135,10 @@ mod tests {
         assert_eq!(tlb.stats().micro_hits, 1, "that probe was an L2 hit");
         // A shootdown elsewhere advances the generation.
         let reg = tlb.load_register(VA, gen).unwrap();
+        map_fresh(&space, &phys, VA + 0x40_0000, 1);
         space
-            .map(VA + 0x40_0000, phys.alloc(), PteFlags::DATA)
+            .apply(Batch::new().unmap_range(VA + 0x40_0000, 1))
             .unwrap();
-        space.unmap(VA + 0x40_0000).unwrap();
         assert_eq!(tlb.register_hit(&reg, VA, space.generation()), None);
         // No capacity: nothing is filled, so nothing can be registered.
         let mut empty = Tlb::with_capacity(0);
@@ -1148,18 +1153,16 @@ mod tests {
     fn batch_lookup_syncs_once() {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
-        space
-            .map_range(VA, &phys.alloc_n(4), PteFlags::DATA)
-            .unwrap();
+        map_fresh(&space, &phys, VA, 4);
         let mut tlb = Tlb::new();
         for i in [0u64, 2] {
             warm(&mut tlb, &space, VA + i * PAGE_SIZE as u64);
         }
         // Lag the TLB by one shootdown outside the cached pages.
+        map_fresh(&space, &phys, VA + 0x100_0000, 1);
         space
-            .map(VA + 0x100_0000, phys.alloc(), PteFlags::DATA)
+            .apply(Batch::new().unmap_range(VA + 0x100_0000, 1))
             .unwrap();
-        space.unmap(VA + 0x100_0000).unwrap();
         let pages: Vec<u64> = (0..4u64).map(|i| VA + i * PAGE_SIZE as u64).collect();
         let mut reader = space.reader();
         let pin = reader.pin();
@@ -1179,10 +1182,13 @@ mod tests {
     #[test]
     fn split_flush_accounting_stays_consistent() {
         let phys = PhysMem::new();
-        let a = AddressSpace::with_inval_log(2);
+        let a = AddressSpace::with_space_config(SpaceConfig {
+            inval_log: 2,
+            ..SpaceConfig::new()
+        });
         let b = AddressSpace::new();
-        a.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
-        b.map(VA, phys.alloc(), PteFlags::DATA).unwrap();
+        map_fresh(&a, &phys, VA, 1);
+        map_fresh(&b, &phys, VA, 1);
         let mut tlb = Tlb::new();
         assert!(tlb.lookup(VA, &a).is_none());
         warm(&mut tlb, &a, VA);
@@ -1190,8 +1196,8 @@ mod tests {
         // A horizon flush (lag past a 2-slot log)…
         for i in 1..=4u64 {
             let va = VA + i * PAGE_SIZE as u64;
-            a.map(va, phys.alloc(), PteFlags::DATA).unwrap();
-            a.unmap(va).unwrap();
+            map_fresh(&a, &phys, va, 1);
+            a.apply(Batch::new().unmap_range(va, 1)).unwrap();
         }
         assert_eq!(tlb.lookup(VA, &a), None);
         // …then two tagged switches (no flushes; outcomes irrelevant)…

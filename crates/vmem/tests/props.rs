@@ -14,6 +14,14 @@ fn arb_page() -> impl Strategy<Value = u64> {
     (0u64..(VA_MASK >> 12)).prop_map(|p| p << 12)
 }
 
+/// A page that often repeats: one of 8 neighbours, or anywhere.
+fn arb_model_page() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..8).prop_map(|i| 0x0031_0000_0000_0000 + (i << 12)),
+        arb_page(),
+    ]
+}
+
 fn arb_arch() -> impl Strategy<Value = ArchKind> {
     prop_oneof![Just(ArchKind::X86_64), Just(ArchKind::Riscv64Sv48)]
 }
@@ -42,37 +50,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A model-based test: a HashMap mirror of the radix table must
-    /// agree with it after arbitrary map/unmap/protect sequences.
+    /// agree with it after arbitrary map/unmap/protect sequences,
+    /// applied in batches of 1–4. A batch is all-or-nothing: the mirror
+    /// takes a batch's changes only when every op in it succeeds, and
+    /// a failed batch must leave the table exactly as the mirror says.
     #[test]
-    fn matches_model(ops in proptest::collection::vec(
-        (arb_page(), 0u8..3), 1..64)) {
+    fn matches_model(batches in proptest::collection::vec(
+        proptest::collection::vec((arb_model_page(), 0u8..3), 1..5), 1..24)) {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let mut model: HashMap<u64, PteFlags> = HashMap::new();
-        for (va, op) in ops {
-            match op {
-                0 => {
-                    let outcome = space.map(va, phys.alloc(), PteFlags::DATA);
-                    if let std::collections::hash_map::Entry::Vacant(e) = model.entry(va) {
-                        prop_assert!(outcome.is_ok());
-                        e.insert(PteFlags::DATA);
-                    } else {
-                        prop_assert_eq!(outcome, Err(Fault::AlreadyMapped { va }));
+        for ops in batches {
+            let mut batch = Batch::new();
+            let mut next = model.clone();
+            let mut ok = true;
+            for &(va, op) in &ops {
+                ok &= match op {
+                    0 => {
+                        batch.map_page(va, phys.alloc(), PteFlags::DATA);
+                        next.insert(va, PteFlags::DATA).is_none()
                     }
-                }
-                1 => {
-                    let outcome = space.unmap(va);
-                    prop_assert_eq!(outcome.is_ok(), model.remove(&va).is_some());
-                }
-                _ => {
-                    let outcome = space.protect(va, PteFlags::RO_DATA);
-                    if let std::collections::hash_map::Entry::Occupied(mut e) = model.entry(va) {
-                        prop_assert!(outcome.is_ok());
-                        e.insert(PteFlags::RO_DATA);
-                    } else {
-                        prop_assert!(outcome.is_err());
+                    1 => {
+                        batch.unmap_range(va, 1);
+                        next.remove(&va).is_some()
                     }
-                }
+                    _ => {
+                        batch.protect_range(va, 1, PteFlags::RO_DATA);
+                        next.insert(va, PteFlags::RO_DATA).is_some()
+                    }
+                };
+            }
+            let before = space.generation();
+            let outcome = space.apply(&batch);
+            prop_assert_eq!(outcome.is_ok(), ok, "batch {:?}", ops);
+            if ok {
+                model = next;
+            } else {
+                prop_assert_eq!(space.generation(), before, "a failed batch shoots nothing down");
+            }
+            for &(va, _) in &ops {
+                let t = space.translate(va, Access::Read).ok().map(|t| t.pte.flags);
+                prop_assert_eq!(t, model.get(&va).copied(), "{:#x}", va);
             }
         }
         // Final agreement on every address the model knows about.
@@ -90,8 +108,8 @@ proptest! {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let pfn = phys.alloc();
-        space.map(a, pfn, PteFlags::DATA).unwrap();
-        space.map(b, pfn, PteFlags::DATA).unwrap();
+        space.apply(Batch::new().map_page(a, pfn, PteFlags::DATA)).unwrap();
+        space.apply(Batch::new().map_page(b, pfn, PteFlags::DATA)).unwrap();
         space.write_u64(&phys, a + 40, val).unwrap();
         prop_assert_eq!(space.read_u64(&phys, b + 40).unwrap(), val);
     }
@@ -102,7 +120,7 @@ proptest! {
         let phys = PhysMem::new();
         let space = AddressSpace::new();
         let base = 0x42u64 << 13;
-        space.map_range(base, &phys.alloc_n(2), PteFlags::DATA).unwrap();
+        space.apply(Batch::new().map_range(base, &phys.alloc_n(2), PteFlags::DATA)).unwrap();
         let va = base + PAGE_SIZE as u64 - off as u64;
         space.write_u64(&phys, va, 0x1122_3344_5566_7788).unwrap();
         prop_assert_eq!(space.read_u64(&phys, va).unwrap(), 0x1122_3344_5566_7788);
@@ -128,7 +146,10 @@ proptest! {
         let phys = PhysMem::new();
         // A small log forces full-flush fallbacks; a small TLB forces
         // capacity evictions — both paths must stay stale-free.
-        let space = AddressSpace::with_inval_log(if small_log { 2 } else { 64 });
+        let space = AddressSpace::with_space_config(SpaceConfig {
+            inval_log: if small_log { 2 } else { 64 },
+            ..SpaceConfig::new()
+        });
         let mut eager = Tlb::new();
         let mut laggard = if small_tlb { Tlb::with_capacity(4) } else { Tlb::new() };
         let mut model: HashMap<u64, Pte> = HashMap::new();
@@ -169,7 +190,7 @@ proptest! {
                     }
                 }
             }
-            match space.apply(batch) {
+            match space.apply(&batch) {
                 Ok(_) => {
                     prop_assert!(ok, "batch succeeded but the model predicted a fault");
                     model = next;
@@ -255,8 +276,8 @@ proptest! {
         let v0: Vec<_> = (0..N).map(|_| phys.alloc()).collect();
         let v1: Vec<_> = (0..N).map(|_| phys.alloc()).collect();
         for i in 0..N {
-            space.map(anchor_va(i), anchors[i], PteFlags::DATA).unwrap();
-            space.map(toggle_va(i), v0[i], PteFlags::DATA).unwrap();
+            space.apply(Batch::new().map_page(anchor_va(i), anchors[i], PteFlags::DATA)).unwrap();
+            space.apply(Batch::new().map_page(toggle_va(i), v0[i], PteFlags::DATA)).unwrap();
         }
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -309,8 +330,8 @@ proptest! {
             let mut batch = Batch::new();
             batch.swap_frame(toggle_va(*i), frame, PteFlags::DATA);
             batch.map_page(scratch_va, phys.alloc(), PteFlags::DATA);
-            space.apply(batch).expect("writer batch failed");
-            space.unmap(scratch_va).unwrap();
+            space.apply(&batch).expect("writer batch failed");
+            space.apply(Batch::new().unmap_range(scratch_va, 1)).unwrap();
             if round % 5 == 4 {
                 space.flush_snapshots();
             }
@@ -389,7 +410,7 @@ proptest! {
             } else {
                 batch.map_page(va, pfn, PteFlags::DATA);
             }
-            space.apply(batch).expect("publish batch failed");
+            space.apply(&batch).expect("publish batch failed");
             model.insert(va, pte);
         };
 
@@ -448,7 +469,7 @@ proptest! {
                     if model.remove(&va).is_some() {
                         let mut batch = Batch::new();
                         batch.unmap_sparse(va, 1);
-                        space.apply(batch).expect("unmap batch failed");
+                        space.apply(&batch).expect("unmap batch failed");
                     }
                 }
                 // Stale generation read: capture the generation, publish
@@ -569,7 +590,7 @@ proptest! {
         if writable { flags = flags | PteFlags::WRITABLE; }
         if !executable { flags = flags | PteFlags::NX; }
         let va = 0x77u64 << 14;
-        space.map(va, phys.alloc(), flags).unwrap();
+        space.apply(Batch::new().map_page(va, phys.alloc(), flags)).unwrap();
         prop_assert!(space.translate(va, Access::Read).is_ok());
         prop_assert_eq!(space.translate(va, Access::Write).is_ok(), writable);
         prop_assert_eq!(space.translate(va, Access::Exec).is_ok(), executable);
@@ -622,7 +643,7 @@ proptest! {
         let space = AddressSpace::new();
         let mut model: HashMap<u64, Pte> = HashMap::new();
         let full = phys.alloc_n(512);
-        space.map_range(FULL_LEAF, &full, PteFlags::DATA).unwrap();
+        space.apply(Batch::new().map_range(FULL_LEAF, &full, PteFlags::DATA)).unwrap();
         for (i, &pfn) in full.iter().enumerate() {
             let pte = Pte { kind: PteKind::Frame(pfn), flags: PteFlags::DATA };
             model.insert(FULL_LEAF + i as u64 * PAGE, pte);
@@ -674,7 +695,7 @@ proptest! {
                     }
                 }
             }
-            match space.apply(batch) {
+            match space.apply(&batch) {
                 Ok(_) => {
                     prop_assert!(ok, "batch succeeded but the model predicted a fault");
                     model = next;
@@ -779,7 +800,7 @@ proptest! {
                             slot.insert(pte);
                         }
                     }
-                    space.apply(batch).expect("map-only batch");
+                    space.apply(&batch).expect("map-only batch");
                     *model = next;
                 }
                 // Swap the frame behind a mapped page.
@@ -789,7 +810,7 @@ proptest! {
                         let PteKind::Frame(pfn) = pte.kind else { unreachable!() };
                         let mut batch = Batch::new();
                         batch.swap_frame(va, pfn, pte.flags);
-                        space.apply(batch).expect("swap");
+                        space.apply(&batch).expect("swap");
                         model.insert(va, pte);
                     }
                 }
@@ -797,10 +818,12 @@ proptest! {
                 5 => {
                     if let Some(pte) = model.get_mut(&va) {
                         if i % 2 == 0 {
-                            space.protect(va, PteFlags::RO_DATA).expect("protect");
+                            space
+                                .apply(Batch::new().protect_range(va, 1, PteFlags::RO_DATA))
+                                .expect("protect");
                             pte.flags = PteFlags::RO_DATA;
                         } else {
-                            space.unmap(va).expect("unmap");
+                            space.apply(Batch::new().unmap_range(va, 1)).expect("unmap");
                             model.remove(&va);
                         }
                     }
@@ -814,7 +837,7 @@ proptest! {
                             batch.unmap_sparse(page(r, j + i % 2), 1);
                         }
                     }
-                    space.apply(batch).expect("retire batch");
+                    space.apply(&batch).expect("retire batch");
                     model.retain(|&p, _| {
                         (p - LEAF_REGIONS.iter().rev().find(|&&r| p >= r).unwrap())
                             / PAGE_SIZE as u64 % 2 != i % 2
