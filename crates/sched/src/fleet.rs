@@ -202,8 +202,21 @@ impl FleetScheduler {
     ///
     /// Panics when called on a threaded fleet.
     pub fn step(&self) -> Option<(usize, CycleReport)> {
+        self.step_choice(0)
+    }
+
+    /// (Step mode) like [`step`](FleetScheduler::step), but let the
+    /// shard that owns the fleet-wide earliest deadline pick among the
+    /// entries its `workers`-wide pool could legally run next
+    /// ([`Scheduler::step_choice`]). Shards never reorder against each
+    /// other: each group has its own pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called on a threaded fleet.
+    pub fn step_choice(&self, rank: usize) -> Option<(usize, CycleReport)> {
         let (shard, _) = self.peek_deadline_ns()?;
-        self.groups[shard].step().map(|r| (shard, r))
+        self.groups[shard].step_choice(rank).map(|r| (shard, r))
     }
 
     /// Completed cycles, summed over every shard group.

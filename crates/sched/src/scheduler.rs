@@ -53,7 +53,7 @@ pub struct SchedConfig {
     /// may be reordered against each other by [`Scheduler::step_choice`].
     pub workers: usize,
     /// Default policy for every module (override per module via
-    /// [`Scheduler::spawn_with_policies`]).
+    /// [`Scheduler::spawn_with_policies_shared`]).
     pub policy: Policy,
     /// Cap on the fraction of modeled CPU the pool may consume
     /// (`f64::INFINITY` = uncapped).
@@ -346,31 +346,16 @@ impl Scheduler {
             .iter()
             .map(|&n| (n, config.policy.clone()))
             .collect();
-        Scheduler::spawn_with_policies(kernel, registry, &with_policies, config)
+        Scheduler::spawn_with_policies_shared(kernel, registry, &with_policies, config, None)
     }
 
-    /// Start a pool with an explicit policy per module.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named module is missing or not re-randomizable, or if
-    /// `config.workers` is zero.
-    pub fn spawn_with_policies(
-        kernel: Arc<Kernel>,
-        registry: Arc<ModuleRegistry>,
-        modules: &[(&str, Policy)],
-        config: SchedConfig,
-    ) -> Scheduler {
-        Scheduler::spawn_with_policies_shared(kernel, registry, modules, config, None)
-    }
-
-    /// [`Scheduler::spawn_with_policies`] with an optional **shared**
-    /// [`BudgetController`]: fleet mode runs one worker group per shard
-    /// but all groups record spend into (and feel backpressure from)
-    /// the same global budget — a hot shard's cycles stretch every
-    /// shard's adaptive periods, keeping whole-machine randomizer CPU
-    /// under one cap. `None` creates a private per-pool budget (the
-    /// single-kernel shape).
+    /// Start a pool with an explicit policy per module and an optional
+    /// **shared** [`BudgetController`]: fleet mode runs one worker
+    /// group per shard but all groups record spend into (and feel
+    /// backpressure from) the same global budget — a hot shard's
+    /// cycles stretch every shard's adaptive periods, keeping
+    /// whole-machine randomizer CPU under one cap. `None` creates a
+    /// private per-pool budget (the single-kernel shape).
     ///
     /// # Panics
     ///

@@ -3,10 +3,11 @@
 //! A [`FaultPlan`] is a set of rules, each naming a module (or any
 //! module), a [`CycleStage`], and a 0-based cycle *attempt* index. It
 //! installs as [`CycleHooks`] on the registry (usually via
-//! [`Sim`](crate::Sim), chained with the layout oracle) and denies the
-//! matching stage of the matching attempt — which makes
-//! `rerandomize_module` fail there through its normal typed-error and
-//! rollback path, exactly as a real mmap/patch/callback failure would.
+//! [`FleetSim`](crate::FleetSim), one plan per shard chained with the
+//! shard's layout oracle) and denies the matching stage of the
+//! matching attempt — which makes `rerandomize_module` fail there
+//! through its normal typed-error and rollback path, exactly as a real
+//! mmap/patch/callback failure would.
 //! Every injection that actually fired is recorded so tests can assert
 //! the plan ran as written.
 

@@ -1,12 +1,20 @@
-//! The deterministic **fleet** simulation harness.
+//! The deterministic simulation harness.
 //!
-//! [`FleetSim`] is [`Sim`](crate::Sim) scaled out: K seeded kernel
-//! shards (a real [`Fleet`] over a
-//! [`ShardedKernel`](adelie_kernel::ShardedKernel), modules placed
-//! through the pluggable [`ShardPlacement`](adelie_core::ShardPlacement)
-//! machinery) on **one virtual clock**, driven one fleet-wide scheduler
-//! step at a time with per-shard traffic injected in proportion to
-//! virtual time. Same config ⇒ byte-identical fleet timeline.
+//! [`FleetSim`] assembles the full pipeline — K seeded kernel shards (a
+//! real [`Fleet`] over a [`ShardedKernel`](adelie_kernel::ShardedKernel),
+//! modules placed through the pluggable
+//! [`ShardPlacement`](adelie_core::ShardPlacement) machinery), loader,
+//! VA allocator, scheduler, reclaimer, kernel patching — on **one
+//! virtual clock** with seeded RNGs, and drives it one fleet-wide
+//! scheduler step at a time. Traffic (real interpreted calls through
+//! module wrappers) is injected per shard in proportion to virtual
+//! time, so the adaptive policy's call-rate telemetry sees a
+//! deterministic load. Same config ⇒ byte-identical timeline, which is
+//! what lets the fault-injection and attack-window suites assert exact
+//! properties instead of sleeping and hoping. A single-kernel scenario
+//! is `FleetSimConfig { shards: 1, .. }`, with one module named
+//! `{profile}_s0` per profile. [`FleetSim::run_explored`] reorders the
+//! cycles each shard's modeled worker pool could legally run together.
 //!
 //! Verification adds the cross-shard layer on top of the per-shard
 //! [`LayoutOracle`]s (each with its own stale-translation witness TLB,
@@ -25,17 +33,19 @@
 
 use crate::oracle::{LayoutOracle, OracleReport};
 use crate::{Attacker, FaultPlan, HookChain};
-use adelie_core::{Fleet, LoadedModule, Pinned, RecoveryReport};
+use adelie_core::{CycleStage, Fleet, LoadedModule, Pinned, RecoveryReport};
 use adelie_kernel::{FleetConfig, KernelConfig, ShardedKernel};
 use adelie_sched::{
     CycleReport, FleetScheduler, HealthState, Policy, SchedConfig, ShardSched, SimClock,
     SupervisionConfig,
 };
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use crate::harness::{profile_spec, ModuleProfile};
+use crate::harness::{profile_spec, ModuleProfile};
 
 /// A fleet scenario description.
 #[derive(Clone, Debug)]
@@ -102,6 +112,8 @@ pub struct FleetSim {
     /// a rebuilt shard's modules restart Healthy in a fresh group, so
     /// health state observed before the mark must not carry across it.
     recoveries: Vec<(usize, usize)>,
+    /// Seeded reorder ranks for [`FleetSim::run_explored`].
+    rng: SmallRng,
     /// The scenario config, kept for shard rebuilds.
     cfg: FleetSimConfig,
 }
@@ -220,6 +232,7 @@ impl FleetSim {
             violations: Vec::new(),
             reports: Vec::new(),
             recoveries: Vec::new(),
+            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x7E57_1D17),
             cfg,
         }
     }
@@ -273,38 +286,69 @@ impl FleetSim {
         );
     }
 
-    /// Run the fleet for `dur` of virtual time: repeatedly pick the
-    /// fleet-wide earliest deadline, inject every shard's traffic due
-    /// before it, and step that shard's group. Every commit is checked
-    /// for window confinement on the spot.
+    /// Run one fleet-wide step (earliest deadline), injecting every
+    /// shard's traffic due before it. `None` when no deadline is
+    /// pending.
+    pub fn step(&mut self) -> Option<(usize, CycleReport)> {
+        self.step_ranked(0)?;
+        self.reports.last().cloned()
+    }
+
+    /// Run the fleet for `dur` of virtual time, stepping every due
+    /// deadline in fleet-wide order.
     pub fn run_for(&mut self, dur: Duration) {
+        self.run(dur, false);
+    }
+
+    /// Run for `dur` of virtual time exploring worker-pool
+    /// interleavings: each step picks a seeded-random entry among those
+    /// the stepped shard's `workers`-wide pool could legally run next
+    /// ([`FleetScheduler::step_choice`]).
+    pub fn run_explored(&mut self, dur: Duration) {
+        self.run(dur, true);
+    }
+
+    fn run(&mut self, dur: Duration, explore: bool) {
         let end = self.clock.now_ns() + dur.as_nanos() as u64;
-        while let Some((shard, deadline)) = self.sched.peek_deadline_ns() {
-            if deadline > end {
-                break;
-            }
-            for s in 0..self.shards() {
-                self.advance_traffic(s, deadline);
-            }
-            if let Some((stepped_shard, report)) = self.sched.step() {
-                debug_assert_eq!(stepped_shard, shard);
-                if let Some(new_base) = report.new_base {
-                    let (lo, hi) = self.fleet.sharded().window(stepped_shard);
-                    if new_base < lo || new_base >= hi {
-                        self.violations.push(format!(
-                            "window escape: shard {stepped_shard}'s {} committed \
-                             {new_base:#x} outside [{lo:#x}, {hi:#x})",
-                            report.module
-                        ));
-                    }
-                }
-                self.reports.push((stepped_shard, report));
-            }
+        while self
+            .sched
+            .peek_deadline_ns()
+            .is_some_and(|(_, deadline)| deadline <= end)
+        {
+            let rank = if explore {
+                self.rng.gen_range(0..64usize)
+            } else {
+                0
+            };
+            self.step_ranked(rank);
         }
         for s in 0..self.shards() {
             self.advance_traffic(s, end);
         }
         self.clock.advance_to(end);
+    }
+
+    /// Inject every shard's traffic due before the fleet-wide earliest
+    /// deadline, step with reorder `rank`, and check the commit for
+    /// window confinement on the spot.
+    fn step_ranked(&mut self, rank: usize) -> Option<()> {
+        let (_, deadline) = self.sched.peek_deadline_ns()?;
+        for s in 0..self.shards() {
+            self.advance_traffic(s, deadline);
+        }
+        let (shard, report) = self.sched.step_choice(rank)?;
+        if let Some(new_base) = report.new_base {
+            let (lo, hi) = self.fleet.sharded().window(shard);
+            if new_base < lo || new_base >= hi {
+                self.violations.push(format!(
+                    "window escape: shard {shard}'s {} committed \
+                     {new_base:#x} outside [{lo:#x}, {hi:#x})",
+                    report.module
+                ));
+            }
+        }
+        self.reports.push((shard, report));
+        Some(())
     }
 
     /// Crash-recover shard `shard` end to end: rebuild its modules
@@ -421,7 +465,7 @@ impl FleetSim {
     /// The fleet attacker: leak a code address from every module of
     /// every shard and fire each leak at **every** shard. In the home
     /// shard the verdict depends on timing (that race is the
-    /// single-kernel harness's subject); in any *other* shard a landed
+    /// attack-window suite's subject); in any *other* shard a landed
     /// leak is unconditionally a violation — shard windows are
     /// disjoint, so shard A's layout must never resolve in shard B.
     /// Returns violations (empty = isolated).
@@ -452,18 +496,27 @@ impl FleetSim {
     }
 
     /// Force quiescence and check **everything**: each shard's oracle
-    /// (stale mappings, witness TLB, SMR and snapshot convergence),
-    /// window confinement observed during the run, cross-shard span
-    /// disjointness, symbol/GOT integrity, and cross-shard leak
-    /// isolation. One combined report.
+    /// (stale mappings, witness TLB, SMR and snapshot convergence,
+    /// pointer-refresh failures matching the shard's fired
+    /// `UpdatePointers` injections), window confinement observed during
+    /// the run, cross-shard span disjointness, symbol/GOT integrity, and
+    /// cross-shard leak isolation. One combined report.
     pub fn verify(&self) -> OracleReport {
         let mut violations = self.violations.clone();
 
         // Per-shard oracle verdicts (prefix each with its shard).
         for shard in 0..self.shards() {
             let stats = self.sched.group(shard).stats();
-            let report =
-                self.oracles[shard].verify_quiesced(self.fleet.registry(shard), Some(&stats), 0);
+            let planned_refresh_failures = self.faults[shard]
+                .fired()
+                .iter()
+                .filter(|f| f.stage == CycleStage::UpdatePointers)
+                .count() as u64;
+            let report = self.oracles[shard].verify_quiesced(
+                self.fleet.registry(shard),
+                Some(&stats),
+                planned_refresh_failures,
+            );
             violations.extend(
                 report
                     .violations

@@ -1,28 +1,10 @@
-//! The deterministic simulation harness.
-//!
-//! [`Sim`] assembles the full pipeline — kernel, loader, VA allocator,
-//! scheduler, reclaimer, kernel patching — on a **virtual clock** with
-//! a seeded RNG, then drives it one scheduler step at a time. Traffic
-//! (real interpreted calls through module wrappers) is injected between
-//! steps in proportion to virtual time, so the adaptive policy's
-//! call-rate telemetry sees a deterministic load. Two runs with the
-//! same [`SimConfig`] produce identical cycle timelines, placements,
-//! and stats — which is what lets the fault-injection and
-//! attack-window suites assert exact properties instead of sleeping
-//! and hoping.
+//! Scenario building blocks for the deterministic harness
+//! ([`crate::FleetSim`]): a [`ModuleProfile`] says how hot and how
+//! gadget-rich a synthetic module is, [`profile_spec`] builds it, and
+//! `advance_profile_traffic` paces its calls on the virtual clock.
 
-use crate::fault::FaultPlan;
-use crate::oracle::{LayoutOracle, OracleReport};
-use crate::HookChain;
-use adelie_core::{CycleHooks, LoadedModule, ModuleRegistry};
 use adelie_isa::{AluOp, Insn, Reg};
-use adelie_kernel::{Kernel, KernelConfig};
-use adelie_plugin::{transform, DataInit, DataSpec, FuncSpec, MOp, ModuleSpec, TransformOptions};
-use adelie_sched::{CycleReport, Policy, SchedConfig, Scheduler, SimClock};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
-use std::time::Duration;
+use adelie_plugin::{DataInit, DataSpec, FuncSpec, MOp, ModuleSpec};
 
 /// One synthetic module in a scenario: how hot it is and how
 /// gadget-rich its movable text looks to a scanner.
@@ -141,8 +123,7 @@ pub fn profile_spec(profile: &ModuleProfile) -> ModuleSpec {
 /// with a nonzero call rate, inject the wrapper calls due since its
 /// cursor (real interpreted calls, deterministic count). `traffic` is
 /// the per-profile `(entry va, cursor ns)` state, index-aligned with
-/// `profiles`. Shared by [`Sim`] and [`crate::FleetSim`] (per shard),
-/// so the pacing arithmetic cannot drift between the two harnesses.
+/// `profiles`. [`crate::FleetSim`] runs it once per shard.
 pub(crate) fn advance_profile_traffic(
     now_ns: u64,
     profiles: &[ModuleProfile],
@@ -167,248 +148,5 @@ pub(crate) fn advance_profile_traffic(
             let got = vm.call(entry, &[x]).expect("traffic call");
             assert_eq!(got, x + 1, "{}_entry corrupted", profile.name);
         }
-    }
-}
-
-/// A full scenario description.
-#[derive(Clone, Debug)]
-pub struct SimConfig {
-    /// Kernel RNG seed (placement, keys, jitter — the whole timeline).
-    pub seed: u64,
-    /// Scheduling policy for every module.
-    pub policy: Policy,
-    /// Modeled randomizer-pool width (bounds step reordering).
-    pub workers: usize,
-    /// Modeled CPU cost charged per cycle on the virtual timeline.
-    pub cycle_cost: Duration,
-    /// CPU-budget cap (fraction of the modeled machine).
-    pub max_cpu_frac: f64,
-    /// Gadget-exposure rescan interval in cycles (0 = startup only).
-    pub exposure_refresh: u64,
-    /// The module fleet.
-    pub modules: Vec<ModuleProfile>,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            seed: 1,
-            policy: Policy::FixedPeriod(Duration::from_millis(10)),
-            workers: 1,
-            cycle_cost: Duration::from_micros(100),
-            max_cpu_frac: f64::INFINITY,
-            exposure_refresh: 0,
-            modules: vec![ModuleProfile::hot("hot"), ModuleProfile::cold("cold")],
-        }
-    }
-}
-
-/// The assembled scenario: full pipeline on a virtual clock.
-pub struct Sim {
-    /// The simulated kernel.
-    pub kernel: Arc<Kernel>,
-    /// The module registry (hooks installed).
-    pub registry: Arc<ModuleRegistry>,
-    /// The virtual timeline everything runs on.
-    pub clock: Arc<SimClock>,
-    /// The stepped scheduler.
-    pub sched: Scheduler,
-    /// The fault injector (empty plan unless rules are added).
-    pub fault: Arc<FaultPlan>,
-    /// The layout oracle.
-    pub oracle: Arc<LayoutOracle>,
-    profiles: Vec<ModuleProfile>,
-    modules: Vec<Arc<LoadedModule>>,
-    /// Per-module `(entry va, traffic cursor ns)`.
-    traffic: Vec<(u64, u64)>,
-    rng: SmallRng,
-    reports: Vec<CycleReport>,
-}
-
-impl Sim {
-    /// Assemble the scenario: boot a seeded kernel, load every profiled
-    /// module re-randomizable, install fault + oracle hooks, start a
-    /// stepped scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a profile's module fails to transform or load.
-    pub fn new(cfg: SimConfig) -> Sim {
-        let kernel = Kernel::new(KernelConfig {
-            seed: cfg.seed,
-            ..KernelConfig::default()
-        });
-        let registry = ModuleRegistry::new(&kernel);
-        let opts = TransformOptions::rerandomizable(true);
-        let modules: Vec<Arc<LoadedModule>> = cfg
-            .modules
-            .iter()
-            .map(|p| {
-                let obj = transform(&profile_spec(p), &opts).expect("transform profile module");
-                registry.load(&obj, &opts).expect("load profile module")
-            })
-            .collect();
-        let clock = SimClock::new();
-        let oracle = LayoutOracle::new(kernel.clone(), clock.clone());
-        let fault = FaultPlan::new();
-        registry.set_cycle_hooks(Arc::new(HookChain::new(vec![
-            fault.clone() as Arc<dyn CycleHooks>,
-            oracle.clone() as Arc<dyn CycleHooks>,
-        ])));
-        let with_policies: Vec<(&str, Policy)> = cfg
-            .modules
-            .iter()
-            .map(|p| (p.name.as_str(), cfg.policy.clone()))
-            .collect();
-        let sched = Scheduler::spawn_stepped(
-            kernel.clone(),
-            registry.clone(),
-            &with_policies,
-            SchedConfig {
-                workers: cfg.workers,
-                policy: cfg.policy.clone(),
-                max_cpu_frac: cfg.max_cpu_frac,
-                exposure_refresh: cfg.exposure_refresh,
-                ..SchedConfig::default()
-            },
-            clock.clone(),
-            cfg.cycle_cost,
-        );
-        let traffic = modules
-            .iter()
-            .map(|m| {
-                let entry = m
-                    .export(&format!("{}_entry", m.name))
-                    .expect("profile entry export");
-                (entry, 0u64)
-            })
-            .collect();
-        Sim {
-            kernel,
-            registry,
-            clock,
-            sched,
-            fault,
-            oracle,
-            profiles: cfg.modules,
-            modules,
-            traffic,
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x7E57_1D17),
-            reports: Vec::new(),
-        }
-    }
-
-    /// The loaded module for `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for names not in the scenario.
-    pub fn module(&self, name: &str) -> &Arc<LoadedModule> {
-        self.modules
-            .iter()
-            .find(|m| &*m.name == name)
-            .expect("module in scenario")
-    }
-
-    /// Cycle reports collected so far, in execution order.
-    pub fn reports(&self) -> &[CycleReport] {
-        &self.reports
-    }
-
-    /// Drive every module's traffic up to virtual time `to_ns` (real
-    /// interpreted wrapper calls, deterministic count per module).
-    fn advance_traffic(&mut self, vm: &mut adelie_kernel::Vm<'_>, to_ns: u64) {
-        advance_profile_traffic(
-            self.clock.now_ns(),
-            &self.profiles,
-            &mut self.traffic,
-            vm,
-            to_ns,
-        );
-    }
-
-    /// Run one scheduler step (earliest deadline), injecting the
-    /// traffic due before it. `None` when no deadline is pending.
-    pub fn step(&mut self) -> Option<CycleReport> {
-        self.step_ranked(0)
-    }
-
-    /// Like [`step`](Sim::step) but with an explicit reorder rank (see
-    /// [`Scheduler::step_choice`]).
-    pub fn step_ranked(&mut self, rank: usize) -> Option<CycleReport> {
-        let deadline = self.sched.peek_deadline_ns()?;
-        let kernel = self.kernel.clone();
-        let mut vm = kernel.vm();
-        self.advance_traffic(&mut vm, deadline);
-        let report = self.sched.step_choice(rank)?;
-        self.reports.push(report.clone());
-        Some(report)
-    }
-
-    /// Run the scenario for `dur` of virtual time, stepping every due
-    /// deadline in order.
-    pub fn run_for(&mut self, dur: Duration) {
-        let end = self.clock.now_ns() + dur.as_nanos() as u64;
-        let kernel = self.kernel.clone();
-        let mut vm = kernel.vm();
-        while let Some(d) = self.sched.peek_deadline_ns() {
-            if d > end {
-                break;
-            }
-            self.advance_traffic(&mut vm, d);
-            if let Some(report) = self.sched.step() {
-                self.reports.push(report);
-            }
-        }
-        self.advance_traffic(&mut vm, end);
-        self.clock.advance_to(end);
-    }
-
-    /// Run for `dur` of virtual time exploring worker-pool
-    /// interleavings: each step picks a seeded-random entry among those
-    /// a `workers`-wide pool could legally run next.
-    pub fn run_explored(&mut self, dur: Duration) {
-        let end = self.clock.now_ns() + dur.as_nanos() as u64;
-        let kernel = self.kernel.clone();
-        let mut vm = kernel.vm();
-        while let Some(d) = self.sched.peek_deadline_ns() {
-            if d > end {
-                break;
-            }
-            self.advance_traffic(&mut vm, d);
-            let rank = self.rng.gen_range(0..64usize);
-            if let Some(report) = self.sched.step_choice(rank) {
-                self.reports.push(report);
-            }
-        }
-        self.advance_traffic(&mut vm, end);
-        self.clock.advance_to(end);
-    }
-
-    /// Check every module still computes correctly at its current base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any module's entry misbehaves.
-    pub fn assert_modules_work(&self) {
-        let mut vm = self.kernel.vm();
-        for (i, m) in self.modules.iter().enumerate() {
-            let (entry, _) = self.traffic[i];
-            assert_eq!(
-                vm.call(entry, &[41]).expect("entry call"),
-                42,
-                "module {} broken after scenario",
-                m.name
-            );
-        }
-    }
-
-    /// Run the oracle's quiescence check against the scheduler's stats.
-    pub fn verify(&self, expected_refresh_failures: u64) -> OracleReport {
-        self.oracle.verify_quiesced(
-            &self.registry,
-            Some(&self.sched.stats()),
-            expected_refresh_failures,
-        )
     }
 }

@@ -9,11 +9,17 @@
 //! kernel patching step. This crate is the standing verification
 //! backbone for that interaction:
 //!
-//! * [`Sim`] — a **deterministic simulation harness**: the full
-//!   pipeline on a seeded RNG and a virtual clock
+//! * [`FleetSim`] — the **deterministic simulation harness**: the
+//!   full pipeline on seeded RNGs and a virtual clock
 //!   ([`SimClock`](adelie_sched::SimClock)), driven one scheduler step
 //!   at a time with traffic injected in proportion to virtual time.
-//!   Same config ⇒ byte-identical timeline.
+//!   Same config ⇒ byte-identical timeline. `shards: 1` is the
+//!   single-kernel scenario; with K shards it runs K seeded kernels
+//!   (disjoint VA windows, real placement machinery, per-shard
+//!   scheduler groups under one global budget) and adds the
+//!   cross-shard invariants — window confinement, no cross-shard VA
+//!   overlap, symbol/GOT integrity, and a fleet attacker whose
+//!   shard-A leaks must never land in shard B.
 //! * [`FaultPlan`] — **fault injection**: deny any pipeline stage
 //!   ([`adelie_core::CycleStage`]) of any chosen cycle and
 //!   watch the typed-rollback invariants hold (or, for the deliberately
@@ -29,25 +35,21 @@
 //!   per scheduling policy, with the acceptance assertion that
 //!   `Adaptive` strictly beats `FixedPeriod` on exposure at equal CPU
 //!   budget.
-//! * [`FleetSim`] — the **fleet-scale harness**: K seeded kernel
-//!   shards (disjoint VA windows, real placement machinery, per-shard
-//!   scheduler groups under one global budget) on one virtual clock,
-//!   with per-shard oracles plus the cross-shard invariants — window
-//!   confinement, no cross-shard VA overlap, symbol/GOT integrity,
-//!   and a fleet attacker whose shard-A leaks must never land in
-//!   shard B.
 //!
 //! # Example
 //!
 //! ```
-//! use adelie_testkit::{Sim, SimConfig};
+//! use adelie_testkit::{FleetSim, FleetSimConfig};
 //! use std::time::Duration;
 //!
-//! let mut sim = Sim::new(SimConfig::default());
+//! let mut sim = FleetSim::new(FleetSimConfig {
+//!     shards: 1,
+//!     ..FleetSimConfig::default()
+//! });
 //! sim.run_for(Duration::from_millis(50));
 //! assert!(!sim.reports().is_empty());
 //! sim.assert_modules_work();
-//! sim.verify(0).assert_clean();
+//! sim.verify().assert_clean();
 //! ```
 
 mod attacker;
@@ -61,7 +63,7 @@ mod workload;
 pub use attacker::{Attacker, FireOutcome, Leak, LeakKind};
 pub use fault::{FaultPlan, FaultRule, FaultSchedule, FiredFault};
 pub use fleet::{FleetSim, FleetSimConfig};
-pub use harness::{profile_spec, ModuleProfile, Sim, SimConfig};
+pub use harness::{profile_spec, ModuleProfile};
 pub use oracle::{CommitRecord, LayoutOracle, OracleReport};
 pub use workload::{Workload, WorkloadConfig, ZipfSampler};
 

@@ -21,7 +21,8 @@
 //! (in fact strictly smaller) budget, `Adaptive` must yield a strictly
 //! smaller mean exposure window on the hot module than `FixedPeriod`.
 
-use crate::harness::{ModuleProfile, Sim, SimConfig};
+use crate::harness::ModuleProfile;
+use crate::{FleetSim, FleetSimConfig};
 use adelie_gadget::attack::{exposure_windows, mean_exposure_ns, survival_curve};
 use adelie_sched::Policy;
 use std::time::Duration;
@@ -117,18 +118,19 @@ pub fn policies_under_test(p: Duration) -> Vec<(&'static str, Policy)> {
 /// Panics if the scenario violates a layout invariant (oracle check) or
 /// produces no hot-module cycles to measure against.
 pub fn run_policy(label: &'static str, policy: Policy, cfg: &WindowConfig) -> PolicyOutcome {
-    let mut sim = Sim::new(SimConfig {
+    let mut sim = FleetSim::new(FleetSimConfig {
         seed: cfg.seed,
+        shards: 1,
         policy,
         cycle_cost: cfg.cycle_cost,
-        modules: vec![ModuleProfile::hot("hot"), ModuleProfile::cold("cold")],
-        ..SimConfig::default()
+        modules_per_shard: vec![ModuleProfile::hot("hot"), ModuleProfile::cold("cold")],
+        ..FleetSimConfig::default()
     });
     sim.run_for(cfg.window);
     sim.assert_modules_work();
-    sim.verify(0).assert_clean();
+    sim.verify().assert_clean();
 
-    let timeline = sim.oracle.timeline_ns("hot");
+    let timeline = sim.oracles[0].timeline_ns("hot_s0");
     assert!(
         !timeline.is_empty(),
         "{label}: no hot-module cycles in the window"
@@ -143,11 +145,11 @@ pub fn run_policy(label: &'static str, policy: Policy, cfg: &WindowConfig) -> Po
     let windows_ns = exposure_windows(&leak_times, &timeline);
     let deltas_ns: Vec<u64> = cfg.deltas.iter().map(|d| d.as_nanos() as u64).collect();
     let survival = survival_curve(&windows_ns, &deltas_ns);
-    let stats = sim.sched.stats();
+    let stats = sim.sched.group(0).stats();
     let hot_cycles = stats
         .modules
         .iter()
-        .find(|m| m.name == "hot")
+        .find(|m| m.name == "hot_s0")
         .map_or(0, |m| m.cycles);
     PolicyOutcome {
         label,

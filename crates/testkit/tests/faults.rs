@@ -4,16 +4,23 @@
 
 use adelie_core::CycleStage;
 use adelie_sched::Policy;
-use adelie_testkit::{Sim, SimConfig};
+use adelie_testkit::{FleetSim, FleetSimConfig};
 use std::time::Duration;
 
-fn sim_with_fault(seed: u64, stage: CycleStage, attempt: u64) -> Sim {
-    let sim = Sim::new(SimConfig {
+/// The hot + cold scenario at a 5 ms period on `shards` kernels.
+fn fast_sim(seed: u64, shards: usize) -> FleetSim {
+    FleetSim::new(FleetSimConfig {
         seed,
+        shards,
         policy: Policy::FixedPeriod(Duration::from_millis(5)),
-        ..SimConfig::default()
-    });
-    sim.fault.fail_at("hot", stage, attempt);
+        ..FleetSimConfig::default()
+    })
+}
+
+/// One injected `stage` failure on shard 0's hot module.
+fn sim_with_fault(seed: u64, shards: usize, stage: CycleStage, attempt: u64) -> FleetSim {
+    let sim = fast_sim(seed, shards);
+    sim.faults[0].fail_at("hot_s0", stage, attempt);
     sim
 }
 
@@ -32,10 +39,10 @@ fn pre_publish_stage_failures_roll_back_completely() {
         (CycleStage::AdjustSlots, "adjust-slots remap failed"),
     ];
     for (stage, want) in stages {
-        let mut sim = sim_with_fault(11, stage, 1);
+        let mut sim = sim_with_fault(11, 1, stage, 1);
         sim.run_for(Duration::from_millis(60));
 
-        let fired = sim.fault.fired();
+        let fired = sim.faults[0].fired();
         assert_eq!(fired.len(), 1, "{stage}: exactly one injection");
         assert_eq!(fired[0].stage, stage);
         assert_eq!(fired[0].attempt, 1);
@@ -45,7 +52,8 @@ fn pre_publish_stage_failures_roll_back_completely() {
         let failed: Vec<_> = sim
             .reports()
             .iter()
-            .filter(|r| r.module == "hot" && !r.ok())
+            .map(|(_, r)| r)
+            .filter(|r| r.module == "hot_s0" && !r.ok())
             .collect();
         assert_eq!(failed.len(), 1, "{stage}: one failed cycle");
         let err = failed[0].error.as_ref().unwrap();
@@ -55,62 +63,67 @@ fn pre_publish_stage_failures_roll_back_completely() {
         // Rollback: the failed attempt committed nothing — every other
         // attempt did (the scheduler retried and the module kept its
         // protection cadence).
-        let hot_commits = sim.oracle.timeline_ns("hot").len() as u64;
+        let hot_commits = sim.oracles[0].timeline_ns("hot_s0").len() as u64;
         assert_eq!(
             hot_commits,
-            sim.fault.attempts("hot") - 1,
+            sim.faults[0].attempts("hot_s0") - 1,
             "{stage}: exactly the injected attempt must be missing"
         );
-        let stats = sim.sched.stats();
+        let stats = sim.sched.group(0).stats();
         assert_eq!(stats.failures, 1, "{stage}");
         assert_eq!(stats.pointer_refresh_failures, 0, "{stage}");
 
         // The module is fully functional and the layout quiesces clean.
         sim.assert_modules_work();
-        sim.verify(0).assert_clean();
+        sim.verify().assert_clean();
     }
 }
 
 /// `update_pointers` failure: the move itself has committed (the old
 /// layout is retired — no rollback), and the previously-silent drop is
-/// now counted in `SchedStats::pointer_refresh_failures`.
+/// now counted in `SchedStats::pointer_refresh_failures`. On two
+/// shards the other shard's hot module stays clean, and `verify` still
+/// expects exactly the one fired injection.
 #[test]
 fn update_pointers_failure_is_counted_not_dropped() {
-    let mut sim = sim_with_fault(12, CycleStage::UpdatePointers, 1);
-    sim.run_for(Duration::from_millis(60));
+    for shards in [1, 2] {
+        let mut sim = sim_with_fault(12, shards, CycleStage::UpdatePointers, 1);
+        sim.run_for(Duration::from_millis(60));
 
-    assert_eq!(sim.fault.fired().len(), 1);
-    let stats = sim.sched.stats();
-    assert_eq!(stats.failures, 1);
-    assert_eq!(
-        stats.pointer_refresh_failures, 1,
-        "the silent-drop path must be visible in SchedStats"
-    );
-    let hot = stats.modules.iter().find(|m| m.name == "hot").unwrap();
-    assert_eq!(hot.pointer_refresh_failures, 1);
+        assert_eq!(sim.faults[0].fired().len(), 1, "{shards} shards");
+        assert_eq!(sim.sched.failures(), 1, "{shards} shards");
+        let stats = sim.sched.group(0).stats();
+        assert_eq!(stats.failures, 1);
+        assert_eq!(
+            stats.pointer_refresh_failures, 1,
+            "the silent-drop path must be visible in SchedStats"
+        );
+        let hot = stats.modules.iter().find(|m| m.name == "hot_s0").unwrap();
+        assert_eq!(hot.pointer_refresh_failures, 1);
 
-    // Unlike pre-publish failures, the injected attempt *did* move the
-    // module: every attempt has a commit.
-    assert_eq!(
-        sim.oracle.timeline_ns("hot").len() as u64,
-        sim.fault.attempts("hot"),
-        "update_pointers failures commit the move"
-    );
-    sim.assert_modules_work();
-    // The oracle is told one refresh failure was planned.
-    sim.verify(1).assert_clean();
+        // Unlike pre-publish failures, the injected attempt *did* move
+        // the module: every attempt has a commit.
+        assert_eq!(
+            sim.oracles[0].timeline_ns("hot_s0").len() as u64,
+            sim.faults[0].attempts("hot_s0"),
+            "update_pointers failures commit the move"
+        );
+        sim.assert_modules_work();
+        // `verify` counts the fired refresh injection as planned.
+        sim.verify().assert_clean();
+    }
 }
 
 /// A dropped retirement leaks the vacated range — and the oracle's
 /// stale-mapping sweep must catch exactly that.
 #[test]
 fn oracle_catches_an_injected_retirement_leak() {
-    let mut sim = sim_with_fault(13, CycleStage::Retire, 1);
+    let mut sim = sim_with_fault(13, 1, CycleStage::Retire, 1);
     sim.run_for(Duration::from_millis(60));
 
-    assert_eq!(sim.fault.fired().len(), 1);
+    assert_eq!(sim.faults[0].fired().len(), 1);
     sim.assert_modules_work();
-    let report = sim.verify(0);
+    let report = sim.verify();
     assert!(
         !report.is_clean(),
         "a leaked old range must fail verification"
@@ -129,25 +142,20 @@ fn oracle_catches_an_injected_retirement_leak() {
 /// are never retired — observable in the stack counters.
 #[test]
 fn suppressed_stack_rotation_pins_pooled_stacks() {
-    let sim = Sim::new(SimConfig {
-        seed: 14,
-        policy: Policy::FixedPeriod(Duration::from_millis(5)),
-        ..SimConfig::default()
-    });
+    let mut sim = fast_sim(14, 1);
     for attempt in 0..64 {
-        sim.fault.fail_any(CycleStage::StackRotate, attempt);
+        sim.faults[0].fail_any(CycleStage::StackRotate, attempt);
     }
-    let mut sim = sim;
     sim.run_for(Duration::from_millis(60));
     assert!(sim.sched.cycles() > 0);
-    let st = sim.registry.stacks.stats();
+    let st = sim.fleet.registry(0).stacks.stats();
     assert!(st.allocated > 0, "traffic must have pooled stacks");
     assert_eq!(st.freed, 0, "no rotation ⇒ nothing retired");
 
     // Once the injection plan stops matching (attempts ≥ 64), rotation
     // resumes and the system drains back to a clean quiescent state.
     sim.run_for(Duration::from_millis(400));
-    sim.verify(0).assert_clean();
+    sim.verify().assert_clean();
 }
 
 /// The whole fault suite is deterministic: identical plans on identical
@@ -155,11 +163,11 @@ fn suppressed_stack_rotation_pins_pooled_stacks() {
 #[test]
 fn injection_runs_are_reproducible() {
     let run = || {
-        let mut sim = sim_with_fault(15, CycleStage::AliasMap, 2);
+        let mut sim = sim_with_fault(15, 1, CycleStage::AliasMap, 2);
         sim.run_for(Duration::from_millis(50));
         sim.reports()
             .iter()
-            .map(|r| (r.module.clone(), r.deadline_ns, r.ok()))
+            .map(|(_, r)| (r.module.clone(), r.deadline_ns, r.ok()))
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());

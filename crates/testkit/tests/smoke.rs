@@ -1,21 +1,37 @@
 //! Harness smoke suite: determinism of the virtual-clock pipeline and
 //! the attacker's leak-and-fire ground truth.
 
-use adelie_testkit::{Attacker, FireOutcome, Sim, SimConfig};
+use adelie_testkit::{Attacker, FireOutcome, FleetSim, FleetSimConfig};
 use adelie_vmem::Fault;
 use std::time::Duration;
 
 const SEEDS: [u64; 3] = [1, 7, 0xADE1];
 
-fn timeline(seed: u64) -> Vec<(String, u64, u64, u64)> {
-    let mut sim = Sim::new(SimConfig {
+/// The default hot + cold scenario on one kernel.
+fn one_kernel(seed: u64) -> FleetSim {
+    FleetSim::new(FleetSimConfig {
         seed,
-        ..SimConfig::default()
-    });
+        shards: 1,
+        ..FleetSimConfig::default()
+    })
+}
+
+/// Step until the hot module commits a move.
+fn step_past_a_hot_move(sim: &mut FleetSim) {
+    loop {
+        let (_, report) = sim.step().expect("deadline pending");
+        if report.module == "hot_s0" && report.ok() {
+            break;
+        }
+    }
+}
+
+fn timeline(seed: u64) -> Vec<(String, u64, u64, u64)> {
+    let mut sim = one_kernel(seed);
     sim.run_for(Duration::from_millis(120));
     sim.assert_modules_work();
-    sim.verify(0).assert_clean();
-    sim.oracle
+    sim.verify().assert_clean();
+    sim.oracles[0]
         .commits()
         .into_iter()
         .map(|c| (c.module, c.old_base, c.new_base, c.at_ns))
@@ -47,36 +63,29 @@ fn virtual_clock_runs_are_instant_in_wall_time() {
     // 2 virtual seconds of fixed-period cycling — on the wall clock
     // this must be bounded by interpretation cost, not by sleeping.
     let t0 = std::time::Instant::now();
-    let mut sim = Sim::new(SimConfig::default());
+    let mut sim = one_kernel(1);
     sim.run_for(Duration::from_secs(2));
     assert!(sim.reports().len() >= 300, "{}", sim.reports().len());
     assert!(
         t0.elapsed() < Duration::from_secs(30),
         "virtual time must not be wall time"
     );
-    sim.verify(0).assert_clean();
+    sim.verify().assert_clean();
 }
 
 #[test]
 fn leaked_code_pointer_dies_with_the_next_hot_cycle() {
     for seed in SEEDS {
-        let mut sim = Sim::new(SimConfig {
-            seed,
-            ..SimConfig::default()
-        });
+        let mut sim = one_kernel(seed);
+        let kernel = sim.fleet.kernel(0).clone();
         let mut attacker = Attacker::new(seed);
-        let leak = attacker.leak_code(&sim.kernel, sim.module("hot"), sim.clock.now_ns());
+        let leak = attacker.leak_code(&kernel, sim.module("hot_s0"), sim.clock.now_ns());
         // Fired immediately (Δ ≈ 0): the layout is still live.
-        assert!(attacker.fire(&sim.kernel, &leak).landed(), "seed {seed}");
+        assert!(attacker.fire(&kernel, &leak).landed(), "seed {seed}");
         // Step until the hot module commits a move, then fire again.
-        loop {
-            let report = sim.step().expect("deadline pending");
-            if report.module == "hot" && report.ok() {
-                break;
-            }
-        }
-        sim.kernel.reclaim.flush();
-        match attacker.fire(&sim.kernel, &leak) {
+        step_past_a_hot_move(&mut sim);
+        kernel.reclaim.flush();
+        match attacker.fire(&kernel, &leak) {
             FireOutcome::Dead(Fault::Unmapped { .. }) => {}
             other => panic!("seed {seed}: stale code leak must fault, got {other:?}"),
         }
@@ -85,15 +94,16 @@ fn leaked_code_pointer_dies_with_the_next_hot_cycle() {
 
 #[test]
 fn leaked_stack_pointer_dies_with_rotation() {
-    let sim = Sim::new(SimConfig::default());
+    let sim = one_kernel(1);
+    let (kernel, registry) = (sim.fleet.kernel(0), sim.fleet.registry(0));
     let mut attacker = Attacker::new(3);
     let leak = attacker
-        .leak_stack(&sim.kernel, &sim.registry, 0, 0)
+        .leak_stack(kernel, registry, 0, 0)
         .expect("stack leak");
-    assert!(attacker.fire(&sim.kernel, &leak).landed());
-    sim.registry.stacks.rotate(&sim.kernel);
-    sim.kernel.reclaim.flush();
-    match attacker.fire(&sim.kernel, &leak) {
+    assert!(attacker.fire(kernel, &leak).landed());
+    registry.stacks.rotate(kernel);
+    kernel.reclaim.flush();
+    match attacker.fire(kernel, &leak) {
         FireOutcome::Dead(Fault::Unmapped { .. }) => {}
         other => panic!("stale stack leak must fault, got {other:?}"),
     }
@@ -104,17 +114,13 @@ fn leaked_chain_first_hop_faults_after_move() {
     // The §6 JIT-ROP scenario driven through the harness: scan the hot
     // module's gadget farm, build the NX-disable chain, move the
     // module, fire — the first hop must hit unmapped memory.
-    let mut sim = Sim::new(SimConfig::default());
-    let chain = Attacker::build_leaked_chain(&sim.kernel, sim.module("hot"))
+    let mut sim = one_kernel(1);
+    let kernel = sim.fleet.kernel(0).clone();
+    let chain = Attacker::build_leaked_chain(&kernel, sim.module("hot_s0"))
         .expect("hot module's gadget farm supports a chain");
-    loop {
-        let report = sim.step().expect("deadline pending");
-        if report.module == "hot" && report.ok() {
-            break;
-        }
-    }
-    sim.kernel.reclaim.flush();
-    let mut vm = sim.kernel.vm();
+    step_past_a_hot_move(&mut sim);
+    kernel.reclaim.flush();
+    let mut vm = kernel.vm();
     match vm.call(chain.words[0], &[]) {
         Err(adelie_kernel::VmError::Fault(Fault::Unmapped { .. })) => {}
         other => panic!("chain should die on unmapped code, got {other:?}"),

@@ -227,15 +227,16 @@ fn testkit_oracle_holds_over_a_long_deterministic_run() {
     // virtual second of hot+cold cycling, then the oracle sweeps for
     // stale mappings, SMR/stack leaks, overlapping placements, and
     // silent pointer-refresh drops.
-    use adelie_testkit::{Sim, SimConfig};
-    let mut sim = Sim::new(SimConfig {
+    use adelie_testkit::{FleetSim, FleetSimConfig};
+    let mut sim = FleetSim::new(FleetSimConfig {
         seed: 0xE2E,
-        ..SimConfig::default()
+        shards: 1,
+        ..FleetSimConfig::default()
     });
     sim.run_for(Duration::from_millis(500));
     assert!(sim.reports().len() >= 60, "{}", sim.reports().len());
     sim.assert_modules_work();
-    sim.verify(0).assert_clean();
+    sim.verify().assert_clean();
 }
 
 #[test]
