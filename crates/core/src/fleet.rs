@@ -19,7 +19,7 @@
 //!   rebuilds a crashed shard's residents from their catalog records.
 
 use crate::{LinkPlan, LoadError, LoadedModule, ModuleRegistry};
-use adelie_kernel::{Kernel, ShardedKernel};
+use adelie_kernel::{BuildNameHasher, Kernel, ShardedKernel};
 use adelie_obj::ObjectFile;
 use adelie_plugin::TransformOptions;
 use adelie_vmem::PAGE_SIZE;
@@ -267,7 +267,7 @@ struct InstallRecord {
     resident: bool,
 }
 
-type Catalog = HashMap<Arc<str>, InstallRecord>;
+type Catalog = HashMap<Arc<str>, InstallRecord, BuildNameHasher>;
 
 /// Admission-control limits on fleet mutations.
 #[derive(Copy, Clone, Debug)]
@@ -379,7 +379,7 @@ impl EvictedModule {
 /// greatest start wins, ties going to the greater name, so the answer
 /// never depends on hash order.
 struct EvictedIndex {
-    by_name: HashMap<Arc<str>, EvictedModule>,
+    by_name: HashMap<Arc<str>, EvictedModule, BuildNameHasher>,
     /// Per shard: `(start, name) → end`.
     by_start: Vec<BTreeMap<(u64, Arc<str>), u64>>,
     /// The longest span ever indexed (never lowered): a span covering
@@ -390,7 +390,7 @@ struct EvictedIndex {
 impl EvictedIndex {
     fn new(shards: usize) -> EvictedIndex {
         EvictedIndex {
-            by_name: HashMap::new(),
+            by_name: HashMap::default(),
             by_start: vec![BTreeMap::new(); shards],
             max_span: 0,
         }
@@ -465,7 +465,7 @@ struct ColdTier {
     /// Per shard: one span per resident module, sorted by start (entry
     /// VAs resolve to names by `partition_point`, the scheduler's idiom).
     ranges: Mutex<Vec<SpanIndex>>,
-    last_call: Mutex<HashMap<Arc<str>, u64>>,
+    last_call: Mutex<HashMap<Arc<str>, u64, BuildNameHasher>>,
     evicted: Mutex<EvictedIndex>,
     evictions: AtomicU64,
     fault_ins: AtomicU64,
@@ -478,7 +478,7 @@ impl ColdTier {
             cfg,
             now_ns: AtomicU64::new(0),
             ranges: Mutex::new(vec![Vec::new(); shards]),
-            last_call: Mutex::new(HashMap::new()),
+            last_call: Mutex::new(HashMap::default()),
             evicted: Mutex::new(EvictedIndex::new(shards)),
             evictions: AtomicU64::new(0),
             fault_ins: AtomicU64::new(0),
@@ -584,7 +584,7 @@ impl Fleet {
             sharded,
             registries,
             placement,
-            catalog: Arc::new(Mutex::new(HashMap::new())),
+            catalog: Arc::new(Mutex::new(HashMap::default())),
             counters: Arc::new(Mutex::new(vec![ShardCounter::default(); shards])),
             cold: Mutex::new(None),
             admission,

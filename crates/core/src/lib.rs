@@ -64,7 +64,7 @@ pub use rerand::{log_stats, rerandomize_module, rerandomize_module_epoch, Rerand
 pub use stacks::{StackPool, StackStats};
 pub use supervise::ShardWatchdog;
 
-use adelie_kernel::{layout, Kernel};
+use adelie_kernel::{layout, BuildNameHasher, Kernel};
 use adelie_obj::ObjectFile;
 use adelie_plugin::{CodeModel, TransformOptions};
 use adelie_vmem::PAGE_SIZE;
@@ -77,7 +77,7 @@ use va::{VaAllocator, VaReservation};
 /// by the loader, the re-randomizer, and the stack pools.
 pub struct ModuleRegistry {
     kernel: Arc<Kernel>,
-    modules: RwLock<HashMap<Arc<str>, Arc<LoadedModule>>>,
+    modules: RwLock<HashMap<Arc<str>, Arc<LoadedModule>, BuildNameHasher>>,
     /// The per-CPU randomized stack pools (shared by all modules).
     pub stacks: Arc<StackPool>,
     va: Arc<VaAllocator>,
@@ -104,7 +104,7 @@ impl ModuleRegistry {
         stacks.register_natives(kernel);
         Arc::new(ModuleRegistry {
             kernel: kernel.clone(),
-            modules: RwLock::new(HashMap::new()),
+            modules: RwLock::new(HashMap::default()),
             stacks,
             va,
             cycle_hooks: RwLock::new(None),

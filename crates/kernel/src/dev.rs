@@ -61,7 +61,9 @@ pub type RxHandler = Box<dyn Fn(&[u8]) + Send + Sync>;
 /// All registries a module can hook into.
 #[derive(Default)]
 pub struct DeviceTable {
-    chars: RwLock<HashMap<u32, CharDev>>,
+    /// By minor number; trusted keys, so the cheap non-keyed hasher
+    /// (every ioctl probes this map).
+    chars: RwLock<HashMap<u32, CharDev, adelie_vmem::BuildPageHasher>>,
     block: RwLock<Option<BlockDev>>,
     net: RwLock<Option<NetDev>>,
     fs: RwLock<Option<FsOps>>,

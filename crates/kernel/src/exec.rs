@@ -15,14 +15,13 @@
 //!   registered kernel function — the exported-symbol mechanism.
 
 use crate::layout;
-use crate::symbols::NativeFn;
+use crate::symbols::{native_slot, NativeFn};
 use crate::{Kernel, ObserverList};
 use adelie_isa::{decode, AluOp, Cond, DecodeError, Insn, Mem, Reg, ARG_REGS};
 use adelie_vmem::{
-    page_base, page_offset, Access, Fault, PageRegister, Pfn, PhysMem, PteKind, SpaceReader, Tlb,
+    page_base, page_offset, Access, Fault, FrameRef, PageRegister, Pfn, PteKind, SpaceReader, Tlb,
     TlbStats, Translation, PAGE_SIZE,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -85,76 +84,141 @@ impl From<Fault> for VmError {
 /// Bytes fetched per instruction (the longest encoding fits).
 const FETCH_WINDOW: usize = 16;
 
-/// One decoded instruction at `(pfn, page offset)`, valid while the
-/// frame's write version still equals `version`.
+/// Page-register slots ([`Vm`]'s `page_regs`): data, code and stack.
+const DATA_REG: usize = 0;
+const EXEC_REG: usize = 1;
+const STACK_REG: usize = 2;
+
+/// Instructions one run slot holds; a longer straight line goes on in
+/// a second run.
+const RUN_MAX: usize = 16;
+
+/// A decoded run (DESIGN.md §18.4): the instructions control reaches
+/// from a start offset of one frame, following fall-through and
+/// same-page direct `call`/`jmp`, up to the first `ret`, indirect or
+/// conditional branch or trap, the last instruction whose fetch window
+/// fits the page, or [`RUN_MAX`]. Every instruction of a run was read
+/// at one write version of the frame, and the run is valid exactly
+/// while the frame is still at it.
 #[derive(Copy, Clone)]
-struct Decoded {
-    /// `pfn << 12 | offset`.
+struct Run {
+    /// `pfn << 12 | start offset`; [`Run::EMPTY_KEY`] for a free slot.
     key: u64,
     version: u64,
-    insn: Insn,
     len: u8,
+    /// Page offset and encoded length of each instruction.
+    offs: [u16; RUN_MAX],
+    lens: [u8; RUN_MAX],
+    insns: [Insn; RUN_MAX],
 }
 
-/// A CPU's direct-mapped decoded-instruction cache (DESIGN.md §18).
-///
-/// Keyed by physical location, not virtual address, so aliases and
-/// re-randomized mappings of the same text share entries, and validated
-/// against [`PhysMem::version`], so any write to the frame — through any
-/// mapping, or a free and reallocation — turns its entries into misses.
-/// Translation is not cached here: the caller translates every fetch.
-///
-/// The table starts empty and grows fourfold each time it has taken as
-/// many fills as it has slots, up to [`DecodeCache::MAX_SLOTS`]: a CPU
-/// that runs a module init once pays for a few dozen slots, a CPU in a
-/// steady call loop reaches the full size within a few calls.
-#[derive(Default)]
-struct DecodeCache {
-    slots: Vec<Option<Decoded>>,
-    fills: usize,
-}
-
-impl DecodeCache {
-    const MIN_SLOTS: usize = 64;
-    const MAX_SLOTS: usize = 1024;
+impl Run {
+    const EMPTY_KEY: u64 = u64::MAX;
+    const EMPTY: Run = Run {
+        key: Run::EMPTY_KEY,
+        version: 0,
+        len: 0,
+        offs: [0; RUN_MAX],
+        lens: [0; RUN_MAX],
+        insns: [Insn::Nop; RUN_MAX],
+    };
 
     fn key(pfn: Pfn, off: usize) -> u64 {
         pfn.0 << 12 | off as u64
     }
 
-    /// Like a hardware I-cache, the page offset indexes directly, so
-    /// instructions of one page within a table's span never collide;
-    /// a hash of the frame number spreads the pages.
+    /// The page offset control reaches after `insn` at `off` (encoded
+    /// in `len` bytes) when that is known at decode time and stays in
+    /// the page: fall-through, or a direct `call`/`jmp` target.
+    fn successor(insn: Insn, off: usize, len: usize) -> Option<usize> {
+        let next = off + len;
+        let target = |d: i32| {
+            let t = next as i64 + i64::from(d);
+            (0..PAGE_SIZE as i64).contains(&t).then_some(t as usize)
+        };
+        match insn {
+            Insn::CallRel(d) | Insn::JmpRel(d) => target(d),
+            Insn::Ret
+            | Insn::Jcc(..)
+            | Insn::CallReg(_)
+            | Insn::JmpReg(_)
+            | Insn::CallMem(_)
+            | Insn::JmpMem(_)
+            | Insn::Int3
+            | Insn::Ud2
+            | Insn::Hlt => None,
+            _ => Some(next),
+        }
+    }
+}
+
+/// A CPU's table of decoded runs (DESIGN.md §18), direct-mapped by
+/// `(pfn, start offset)` into fixed inline slots: no run allocates.
+///
+/// Keyed by physical location, not virtual address, so aliases and
+/// re-randomized mappings of the same text share runs, and validated
+/// against the frame's write version, so any write to the frame —
+/// through any mapping, or a free and reallocation — turns its runs
+/// into misses. Translation is not cached here: every instruction of a
+/// run is still translated.
+///
+/// The table starts empty and grows fourfold each time it has taken as
+/// many fills as it has slots, up to [`RunTable::MAX_SLOTS`]: a `Vm`
+/// that never fetches allocates nothing, a CPU that runs a module init
+/// once pays for a few slots, a CPU in a steady call loop reaches its
+/// working set within a few calls.
+#[derive(Default)]
+struct RunTable {
+    slots: Vec<Run>,
+    fills: usize,
+}
+
+impl RunTable {
+    const MIN_SLOTS: usize = 16;
+    const MAX_SLOTS: usize = 256;
+
+    /// Like a hardware I-cache, the page offset indexes directly; a
+    /// hash of the frame number spreads the pages.
     fn index(&self, key: u64) -> usize {
         let page_hash = (key >> 12).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52;
         ((key ^ page_hash) as usize) & (self.slots.len() - 1)
     }
 
-    fn get(&self, pfn: Pfn, off: usize, phys: &PhysMem) -> Option<(Insn, usize)> {
+    /// The slot of a run starting at `key` and still at `version`.
+    fn find(&self, key: u64, version: u64) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
-        let key = Self::key(pfn, off);
-        let d = self.slots[self.index(key)]?;
-        (d.key == key && d.version == phys.version(pfn)).then_some((d.insn, d.len as usize))
+        let i = self.index(key);
+        let r = &self.slots[i];
+        (r.key == key && r.version == version).then_some(i)
     }
 
-    fn insert(&mut self, pfn: Pfn, off: usize, version: u64, insn: Insn, len: usize) {
+    /// The slot a new run starting at `key` goes into, emptied; grows
+    /// the table first when it has taken as many fills as it has slots.
+    fn claim(&mut self, key: u64) -> usize {
         if self.fills >= self.slots.len() && self.slots.len() < Self::MAX_SLOTS {
             let n = (self.slots.len() * 4).max(Self::MIN_SLOTS);
-            self.slots = vec![None; n];
+            self.slots = vec![Run::EMPTY; n];
             self.fills = 0;
         }
         self.fills += 1;
-        let key = Self::key(pfn, off);
         let i = self.index(key);
-        self.slots[i] = Some(Decoded {
-            key,
-            version,
-            insn,
-            len: len as u8,
-        });
+        self.slots[i].key = Run::EMPTY_KEY;
+        self.slots[i].len = 0;
+        i
     }
+}
+
+/// Where a CPU is inside a run: the slot, the next instruction's
+/// position, and the frame and version the run is valid for.
+#[derive(Copy, Clone)]
+struct Cursor<'k> {
+    slot: usize,
+    pos: usize,
+    pfn: Pfn,
+    frame: FrameRef<'k>,
+    version: u64,
 }
 
 #[derive(Copy, Clone, Default)]
@@ -175,22 +239,25 @@ pub struct Vm<'k> {
     regs: [u64; 16],
     flags: Flags,
     tlb: Tlb,
-    /// Page registers (DESIGN.md §14.8): the micro-TLB entry of the
-    /// last data page (index 0, reads and writes) and of the last code
-    /// page (index 1). An access to the same page, with the space's
-    /// generation and the TLB's stamp unchanged, skips the TLB.
-    page_regs: [Option<PageRegister>; 2],
+    /// Page registers (DESIGN.md §14.8): the micro-TLB entries of the
+    /// last data page ([`DATA_REG`]), the last code page
+    /// ([`EXEC_REG`]) and the last page under `rsp` ([`STACK_REG`]). An
+    /// access to the same page, with the space's generation and the
+    /// TLB's stamp unchanged, skips the TLB.
+    page_regs: [Option<PageRegister>; 3],
     /// This CPU's long-lived read handle into the kernel address space:
     /// owns one reader slot of the snapshot reclamation domain, so the
     /// translate hot path pays only an epoch enter/leave — never a lock
     /// and never a per-operation slot claim.
     reader: SpaceReader<'k>,
-    /// Native-dispatch cache: the symbol table's native registry is
-    /// append-only, so resolved handlers are cached per CPU and the
-    /// registry's `RwLock` is off the instruction-dispatch hot path.
-    native_cache: HashMap<u64, Arc<NativeFn>>,
-    /// Decoded instructions by physical location (DESIGN.md §18).
-    decoded: DecodeCache,
+    /// Native handlers by dispatch slot, as of the symbol table's
+    /// natives generation `.0` (DESIGN.md §18.7): resolved once per
+    /// CPU, so the registry's `RwLock` is off the dispatch hot path,
+    /// and dropped whole when an unregistration may have freed an
+    /// address for reuse.
+    natives: (u64, Vec<Option<Arc<NativeFn>>>),
+    /// Decoded runs by physical location (DESIGN.md §18).
+    runs: RunTable,
     /// The kernel's call-observer list as of generation `.0`; refreshed
     /// only when the kernel publishes a new one.
     observers: (u64, ObserverList),
@@ -198,6 +265,8 @@ pub struct Vm<'k> {
     stack_top: u64,
     depth: u32,
     insns_retired: u64,
+    natives_called: u64,
+    rip_loads: u64,
     /// TLB counters as of the last publish into [`crate::PerCpu`], so
     /// each outermost call exit posts only the delta it produced.
     tlb_published: TlbStats,
@@ -217,15 +286,17 @@ impl<'k> Vm<'k> {
             regs: [0; 16],
             flags: Flags::default(),
             tlb: Tlb::with_arch(kernel.config.arch),
-            page_regs: [None; 2],
+            page_regs: [None; 3],
             reader: kernel.space.reader(),
-            native_cache: HashMap::new(),
-            decoded: DecodeCache::default(),
+            natives: (0, Vec::new()),
+            runs: RunTable::default(),
             observers: kernel.call_observers(),
             cpu,
             stack_top,
             depth: 0,
             insns_retired: 0,
+            natives_called: 0,
+            rip_loads: 0,
             tlb_published: TlbStats::default(),
         }
     }
@@ -238,6 +309,19 @@ impl<'k> Vm<'k> {
     /// Total instructions retired by this CPU.
     pub fn insns_retired(&self) -> u64 {
         self.insns_retired
+    }
+
+    /// Total native handlers this CPU has dispatched (kernel entries
+    /// from module code: `mr_start`, stack pops and pushes, …).
+    pub fn natives_called(&self) -> u64 {
+        self.natives_called
+    }
+
+    /// Total RIP-relative pointer loads this CPU has executed. In
+    /// module code these are its GOT hops: each GOT-routed call, PLT
+    /// stub and return-address key load makes one.
+    pub fn rip_loads(&self) -> u64 {
+        self.rip_loads
     }
 
     /// Read a register.
@@ -360,25 +444,18 @@ impl<'k> Vm<'k> {
     fn run(&mut self, entry: u64) -> Result<(), VmError> {
         let mut rip = entry;
         let mut fuel = self.kernel.config.fuel;
+        let mut cursor = None;
         loop {
             if rip == layout::RETURN_SENTINEL {
                 return Ok(());
             }
             if layout::is_native(rip) {
-                let handler = match self.native_cache.get(&rip) {
-                    Some(h) => h.clone(),
-                    None => {
-                        let h = self
-                            .kernel
-                            .symbols
-                            .native_at(rip)
-                            .ok_or(VmError::UnknownNative { va: rip })?;
-                        self.native_cache.insert(rip, h.clone());
-                        h
-                    }
-                };
-                let ret = handler(self)?;
-                self.set_reg(Reg::Rax, ret);
+                let (slot, handler) = self.take_native(rip)?;
+                let generation = self.natives.0;
+                self.natives_called += 1;
+                let ret = handler(self);
+                self.put_native(slot, generation, handler);
+                self.set_reg(Reg::Rax, ret?);
                 rip = self.pop_u64()?;
                 continue;
             }
@@ -387,35 +464,141 @@ impl<'k> Vm<'k> {
             }
             fuel -= 1;
             self.insns_retired += 1;
-            let (insn, len) = self.fetch_decode(rip)?;
+            let (insn, len) = self.fetch(rip, &mut cursor)?;
             rip = self.step(rip, rip + len as u64, insn)?;
         }
     }
 
-    /// Fetch and decode the instruction at `rip`. Every fetch translates
+    /// The dispatch slot and handler of native address `va`, moved out
+    /// of this CPU's cache (resolved from the symbol table on a miss or
+    /// after an unregistration): the handler runs on `&mut self`, and
+    /// moving it costs no reference-count traffic. Hand it back with
+    /// [`Vm::put_native`].
+    fn take_native(&mut self, va: u64) -> Result<(usize, Arc<NativeFn>), VmError> {
+        let generation = self.kernel.symbols.natives_generation();
+        if generation != self.natives.0 {
+            self.natives = (generation, Vec::new());
+        }
+        let slot = native_slot(va).ok_or(VmError::UnknownNative { va })?;
+        if let Some(h) = self.natives.1.get_mut(slot).and_then(Option::take) {
+            return Ok((slot, h));
+        }
+        let h = self
+            .kernel
+            .symbols
+            .native_at(va)
+            .ok_or(VmError::UnknownNative { va })?;
+        Ok((slot, h))
+    }
+
+    /// Cache a handler [`Vm::take_native`] handed out at natives
+    /// generation `generation`, unless an unregistration since may have
+    /// freed its address.
+    fn put_native(&mut self, slot: usize, generation: u64, handler: Arc<NativeFn>) {
+        if self.natives.0 != generation || self.kernel.symbols.natives_generation() != generation {
+            return;
+        }
+        let cache = &mut self.natives.1;
+        if cache.len() <= slot {
+            cache.resize(slot + 1, None);
+        }
+        cache[slot] = Some(handler);
+    }
+
+    /// Fetch the decoded instruction at `rip`, continuing `cursor`'s
+    /// run when `rip` is its next instruction. Every fetch translates
     /// for execute access, so NX, stale-pointer and MMIO faults and the
-    /// TLB counters are exactly those of an uncached fetch; only the
-    /// frame read and the decode are skipped on a decode-cache hit.
-    fn fetch_decode(&mut self, rip: u64) -> Result<(Insn, usize), VmError> {
+    /// TLB counters are exactly those of an uncached fetch. Inside a
+    /// run, a fetch that still lands in the run's frame at the run's
+    /// version takes the next instruction without a table probe;
+    /// anything else starts a run at `rip`, from the table or freshly
+    /// decoded (DESIGN.md §18.5).
+    fn fetch(
+        &mut self,
+        rip: u64,
+        cursor: &mut Option<Cursor<'k>>,
+    ) -> Result<(Insn, usize), VmError> {
         let off = page_offset(rip);
         if off + FETCH_WINDOW > PAGE_SIZE {
+            *cursor = None;
             return self.fetch_decode_across(rip);
         }
         let t = self.translate(rip, Access::Exec)?;
         let PteKind::Frame(pfn) = t.pte.kind else {
             return Err(VmError::Fault(Fault::MmioExec { va: rip }));
         };
-        let phys = &self.kernel.phys;
-        if let Some(hit) = self.decoded.get(pfn, off, phys) {
-            return Ok(hit);
+        if let Some(c) = cursor {
+            if c.pfn == pfn && c.frame.version() == c.version {
+                let run = &self.runs.slots[c.slot];
+                let pos = c.pos;
+                debug_assert_eq!(run.key, Run::key(pfn, run.offs[0] as usize));
+                debug_assert_eq!(run.offs[pos] as usize, off, "a run left its path");
+                c.pos += 1;
+                if c.pos == run.len as usize {
+                    *cursor = None;
+                }
+                return Ok((run.insns[pos], run.lens[pos] as usize));
+            }
         }
-        let mut buf = [0u8; FETCH_WINDOW];
-        // The version is taken before the bytes: a racing write can only
-        // leave an entry that never matches again.
-        let version = phys.read_versioned(pfn, off, &mut buf);
-        let (insn, len) = decode(&buf).map_err(|err| VmError::Decode { rip, err })?;
-        self.decoded.insert(pfn, off, version, insn, len);
-        Ok((insn, len))
+        let frame = self.kernel.phys.frame(pfn);
+        let key = Run::key(pfn, off);
+        let slot = match self.runs.find(key, frame.version()) {
+            Some(slot) => slot,
+            None => self.fill_run(frame, key, off, rip)?,
+        };
+        let run = &self.runs.slots[slot];
+        *cursor = (run.len > 1).then_some(Cursor {
+            slot,
+            pos: 1,
+            pfn,
+            frame,
+            version: run.version,
+        });
+        Ok((run.insns[0], run.lens[0] as usize))
+    }
+
+    /// Decode the run starting at `off` of `frame` into its table slot.
+    /// Each instruction's window is read on its own; the run stops
+    /// before the first one read at another version than the first, so
+    /// one version covers the whole run. Only the first instruction's
+    /// decode error is raised here: a later one ends the run, and is
+    /// raised when control reaches it.
+    fn fill_run(
+        &mut self,
+        frame: FrameRef<'_>,
+        key: u64,
+        off: usize,
+        rip: u64,
+    ) -> Result<usize, VmError> {
+        let slot = self.runs.claim(key);
+        let run = &mut self.runs.slots[slot];
+        let mut at = off;
+        let mut n = 0;
+        while n < RUN_MAX && at + FETCH_WINDOW <= PAGE_SIZE {
+            let mut buf = [0u8; FETCH_WINDOW];
+            let version = frame.read_versioned(at, &mut buf);
+            if n == 0 {
+                run.version = version;
+            } else if version != run.version {
+                break;
+            }
+            let (insn, len) = match decode(&buf) {
+                Ok(d) => d,
+                Err(err) if n == 0 => return Err(VmError::Decode { rip, err }),
+                Err(_) => break,
+            };
+            run.offs[n] = at as u16;
+            run.lens[n] = len as u8;
+            run.insns[n] = insn;
+            n += 1;
+            match Run::successor(insn, at, len) {
+                Some(next) => at = next,
+                None => break,
+            }
+        }
+        run.len = n as u8;
+        run.key = key;
+        Ok(slot)
     }
 
     /// Uncached fetch of a window that spans two pages: each page is
@@ -451,7 +634,13 @@ impl<'k> Vm<'k> {
         // since: the register is the micro hit the probe would make.
         // The permission check still runs, so NX and write faults are
         // those of the probe.
-        let class = usize::from(access == Access::Exec);
+        let class = if access == Access::Exec {
+            EXEC_REG
+        } else if page_va == page_base(self.reg(Reg::Rsp)) {
+            STACK_REG
+        } else {
+            DATA_REG
+        };
         if let Some(reg) = &self.page_regs[class] {
             if let Some(pte) = self.tlb.register_hit(reg, page_va, gen) {
                 pte.check(va, access)?;
@@ -518,6 +707,7 @@ impl<'k> Vm<'k> {
         }
         let t = self.translate(va, Access::Read)?;
         match t.pte.kind {
+            PteKind::Frame(pfn) if size == 8 => Ok(self.kernel.phys.read_u64(pfn, off)),
             PteKind::Frame(pfn) => {
                 let mut buf = [0u8; 8];
                 self.kernel.phys.read(pfn, off, &mut buf[..size]);
@@ -545,6 +735,10 @@ impl<'k> Vm<'k> {
         }
         let t = self.translate(va, Access::Write)?;
         match t.pte.kind {
+            PteKind::Frame(pfn) if size == 8 => {
+                self.kernel.phys.write_u64(pfn, off, value);
+                Ok(())
+            }
             PteKind::Frame(pfn) => {
                 self.kernel
                     .phys
@@ -737,6 +931,15 @@ impl<'k> Vm<'k> {
         }
     }
 
+    /// The 8-byte operand at `m`, counting RIP-relative (GOT) loads.
+    fn load(&mut self, m: Mem, next_rip: u64) -> Result<u64, VmError> {
+        if matches!(m, Mem::RipRel(_)) {
+            self.rip_loads += 1;
+        }
+        let addr = self.mem_addr(m, next_rip);
+        self.read_data(addr, 8)
+    }
+
     fn set_logic_flags(&mut self, result: u64) {
         self.flags = Flags {
             zf: result == 0,
@@ -839,15 +1042,11 @@ impl<'k> Vm<'k> {
             }
             Insn::JmpReg(r) => Ok(self.reg(r)),
             Insn::CallMem(m) => {
-                let addr = self.mem_addr(m, next);
-                let target = self.read_data(addr, 8)?;
+                let target = self.load(m, next)?;
                 self.push_u64(next)?;
                 Ok(target)
             }
-            Insn::JmpMem(m) => {
-                let addr = self.mem_addr(m, next);
-                self.read_data(addr, 8)
-            }
+            Insn::JmpMem(m) => self.load(m, next),
             Insn::Push(r) => {
                 let v = self.reg(r);
                 self.push_u64(v)?;
@@ -872,8 +1071,7 @@ impl<'k> Vm<'k> {
                 Ok(next)
             }
             Insn::MovLoad { dst, src } => {
-                let addr = self.mem_addr(src, next);
-                let v = self.read_data(addr, 8)?;
+                let v = self.load(src, next)?;
                 self.set_reg(dst, v);
                 Ok(next)
             }
@@ -903,8 +1101,7 @@ impl<'k> Vm<'k> {
                 Ok(next)
             }
             Insn::AluLoad { op, dst, src } => {
-                let addr = self.mem_addr(src, next);
-                let b = self.read_data(addr, 8)?;
+                let b = self.load(src, next)?;
                 let a = self.reg(dst);
                 if let Some(r) = self.alu_apply(op, a, b) {
                     self.set_reg(dst, r);

@@ -45,7 +45,7 @@ pub use mmio::{MmioDevice, MmioRegistry};
 pub use percpu::PerCpu;
 pub use printk::Printk;
 pub use sharded::{FleetConfig, ShardedKernel};
-pub use symbols::{NativeFn, SymbolTable};
+pub use symbols::{BuildNameHasher, NativeFn, SymbolTable};
 
 use adelie_reclaim::{Ebr, Hyaline, Reclaimer};
 use adelie_vmem::{AddressSpace, Batch, PhysMem, PteFlags, SpaceConfig, PAGE_SIZE};

@@ -107,20 +107,23 @@ impl PerCpu {
     /// call exit, so counters cover completed ioctls.
     pub fn record_tlb(&self, cpu: usize, delta: &TlbStats) {
         let c = &self.tlb[cpu % self.cpus];
-        c.hits.fetch_add(delta.hits, Ordering::Relaxed);
-        c.micro_hits.fetch_add(delta.micro_hits, Ordering::Relaxed);
-        c.misses.fetch_add(delta.misses, Ordering::Relaxed);
-        c.flushes.fetch_add(delta.flushes, Ordering::Relaxed);
-        c.switches.fetch_add(delta.switches, Ordering::Relaxed);
-        c.switch_flushes
-            .fetch_add(delta.switch_flushes, Ordering::Relaxed);
-        c.horizon_flushes
-            .fetch_add(delta.horizon_flushes, Ordering::Relaxed);
-        c.partial_flushes
-            .fetch_add(delta.partial_flushes, Ordering::Relaxed);
-        c.entries_invalidated
-            .fetch_add(delta.entries_invalidated, Ordering::Relaxed);
-        c.evictions.fetch_add(delta.evictions, Ordering::Relaxed);
+        // A steady call moves two or three of the ten counters: skip
+        // the read-modify-writes that would add 0.
+        let add = |counter: &AtomicU64, n: u64| {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        };
+        add(&c.hits, delta.hits);
+        add(&c.micro_hits, delta.micro_hits);
+        add(&c.misses, delta.misses);
+        add(&c.flushes, delta.flushes);
+        add(&c.switches, delta.switches);
+        add(&c.switch_flushes, delta.switch_flushes);
+        add(&c.horizon_flushes, delta.horizon_flushes);
+        add(&c.partial_flushes, delta.partial_flushes);
+        add(&c.entries_invalidated, delta.entries_invalidated);
+        add(&c.evictions, delta.evictions);
     }
 
     /// Sum of all published TLB counters across CPUs.

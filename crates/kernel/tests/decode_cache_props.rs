@@ -1,12 +1,14 @@
-//! Mirror-model property test for the interpreter's decoded-instruction
-//! cache (DESIGN.md §18).
+//! Mirror-model property test for the interpreter's decoded runs
+//! (DESIGN.md §18).
 //!
 //! Two kernels receive the same seeded interleaving of operations:
-//! calls into generated code, rewrites of its text frames (through the
+//! calls into generated code (loops, and same-page direct call and jump
+//! chains that a run follows), rewrites of its text frames (through the
 //! frame store, through a writable alias, and through interpreted stores
-//! on writable+executable pages), frees with free-list reuse, and remaps
-//! to fresh addresses. One kernel runs the code on a long-lived [`Vm`],
-//! whose decode cache stays warm across all of it. The other runs it on
+//! on writable+executable pages, including a program's store into its
+//! own running run), frees with free-list reuse, and remaps to fresh
+//! addresses. One kernel runs the code on a long-lived [`Vm`],
+//! whose run table stays warm across all of it. The other runs it on
 //! [`RefCpu`] below: a reference interpreter with its own TLB and the
 //! same translate sequence, which fetches and decodes every instruction
 //! afresh and resolves every translation through the pinned lookup
@@ -36,8 +38,12 @@ const SLOT_BASE: u64 = 0x160_0000_0000;
 const SLOT_STRIDE: u64 = 0x100_0000;
 const SLOTS: usize = 3;
 /// Registers generated bodies compute in (never rcx, the loop counter,
-/// r11, the scratch base, or rsp).
+/// r11, the scratch base, the self-poke registers, or rsp).
 const WORK: [Reg; 6] = [Reg::Rax, Reg::Rdx, Reg::Rsi, Reg::Rdi, Reg::R8, Reg::R9];
+/// A program's entry stores [`POKE_WORD`] at [`POKE_AT`] when that is
+/// non-zero. Calls leave both at 0 except a self-poke's.
+const POKE_AT: Reg = Reg::R10;
+const POKE_WORD: Reg = Reg::R12;
 
 /// A generated program: bytes plus the offsets of its `mov r, imm32`
 /// instructions, which pokes may replace in place.
@@ -47,8 +53,31 @@ struct Program {
     imm_sites: Vec<usize>,
 }
 
-/// `mov`/ALU body inside a short counted loop, then store all sixteen
-/// registers to [`SCRATCH`] and return.
+/// A `mov`/ALU instruction on [`WORK`] registers.
+fn work_insn(rng: &mut TestRng) -> Insn {
+    let r = WORK[rng.below(WORK.len() as u64) as usize];
+    let s = WORK[rng.below(WORK.len() as u64) as usize];
+    let op = [AluOp::Add, AluOp::Sub, AluOp::Xor, AluOp::And, AluOp::Or][rng.below(5) as usize];
+    match rng.below(4) {
+        0 => Insn::MovImm32(r, rng.next_u64() as i32),
+        1 => Insn::AluImm {
+            op,
+            dst: r,
+            imm: rng.next_u64() as i32,
+        },
+        2 => Insn::Alu { op, dst: r, src: s },
+        _ => Insn::MovRR { dst: r, src: s },
+    }
+}
+
+/// A guarded self-poke, then a `mov`/ALU body inside a short counted
+/// loop, then a chain of same-page direct calls and jumps (which a
+/// decoded run follows) through `mov`/ALU subroutines, then store all
+/// sixteen registers to [`SCRATCH`] and return.
+///
+/// The guard: when [`POKE_AT`] is non-zero, the program first stores
+/// [`POKE_WORD`] there. The store and the body's first instructions
+/// make one run, so a self-poke rewrites the running run.
 fn program(seed: u64) -> Program {
     let mut rng = TestRng::new(seed);
     let mut prefix = vec![
@@ -56,43 +85,77 @@ fn program(seed: u64) -> Program {
         Insn::MovImm32(Reg::Rcx, 1 + rng.below(4) as i32),
     ];
     for _ in 0..1 + rng.below(12) {
-        let r = WORK[rng.below(WORK.len() as u64) as usize];
-        let s = WORK[rng.below(WORK.len() as u64) as usize];
-        let op = [AluOp::Add, AluOp::Sub, AluOp::Xor, AluOp::And, AluOp::Or][rng.below(5) as usize];
-        prefix.push(match rng.below(4) {
-            0 => Insn::MovImm32(r, rng.next_u64() as i32),
-            1 => Insn::AluImm {
-                op,
-                dst: r,
-                imm: rng.next_u64() as i32,
-            },
-            2 => Insn::Alu { op, dst: r, src: s },
-            _ => Insn::MovRR { dst: r, src: s },
-        });
+        prefix.push(work_insn(&mut rng));
     }
     let mut a = Asm::new();
-    let mut imm_sites = Vec::new();
-    let mut at = 0;
+    a.test(POKE_AT, POKE_AT);
+    a.jcc_label(Cond::E, "body");
+    a.mov_store(Mem::base(POKE_AT), POKE_WORD);
+    a.label("body");
+    let mut imm_labels = Vec::new();
     for (i, insn) in prefix.iter().enumerate() {
         if i == 2 {
             a.label("loop");
         }
         if matches!(insn, Insn::MovImm32(..)) {
-            imm_sites.push(at);
+            let label = format!("imm{i}");
+            a.label(&label);
+            imm_labels.push(label);
         }
         a.insn(*insn);
-        at += encode(insn).len();
     }
     a.alu_imm(AluOp::Sub, Reg::Rcx, 1);
     a.jcc_label(Cond::Ne, "loop");
+    // The chain: calls into subroutines placed after the final `ret`,
+    // forward jumps over a trap, and subroutines that jump on or call
+    // the next one. Their `mov r, imm32` sites are labelled for pokes.
+    let subs = rng.below(4) as usize;
+    let mut bodies = Vec::new();
+    for k in 0..subs {
+        if rng.below(2) == 0 {
+            a.call_label(&format!("sub{k}"));
+        }
+        a.jmp_label(&format!("over{k}"));
+        a.insn(Insn::Ud2);
+        a.label(&format!("over{k}"));
+        let body: Vec<Insn> = (0..1 + rng.below(4)).map(|_| work_insn(&mut rng)).collect();
+        bodies.push((body, rng.below(3)));
+    }
     a.mov_imm64(Reg::R11, SCRATCH);
     for (i, r) in Reg::ALL.into_iter().enumerate() {
         a.mov_store(Mem::base_disp(Reg::R11, 8 * i as i32), r);
     }
     a.ret();
+    for (k, (body, tail)) in bodies.iter().enumerate() {
+        a.label(&format!("sub{k}"));
+        for (j, insn) in body.iter().enumerate() {
+            if matches!(insn, Insn::MovImm32(..)) {
+                let label = format!("imm{k}_{j}");
+                a.label(&label);
+                imm_labels.push(label);
+            }
+            a.insn(*insn);
+        }
+        match (tail, k + 1 < subs) {
+            // Jump on into the next subroutine, whose `ret` returns.
+            (0, true) => {
+                a.jmp_label(&format!("sub{}", k + 1));
+            }
+            // Call the next one, then return.
+            (1, true) => {
+                a.call_label(&format!("sub{}", k + 1));
+                a.ret();
+            }
+            _ => {
+                a.ret();
+            }
+        }
+        a.insn(Insn::Int3);
+    }
+    let out = a.assemble().unwrap();
     Program {
-        bytes: a.assemble().unwrap().bytes,
-        imm_sites,
+        imm_sites: imm_labels.iter().map(|l| out.labels[l]).collect(),
+        bytes: out.bytes,
     }
 }
 
@@ -227,18 +290,21 @@ impl World {
         va
     }
 
-    /// Apply a non-call operation. Returns the call to run next, if the
-    /// operation is one (`(entry, args)`).
-    fn apply(&mut self, op: &Op) -> Option<(u64, [u64; 3])> {
+    /// Apply an operation. Returns the call to run next, if the
+    /// operation is one.
+    fn apply(&mut self, op: &Op) -> Option<Call> {
         let s = op.slot % self.slots.len();
         match op.kind {
             OpKind::Call => {
                 let slot = &self.slots[s];
-                Some((slot.va + slot.start as u64, [op.a, op.b, op.a ^ op.b]))
+                Some(Call::plain(
+                    slot.va + slot.start as u64,
+                    [op.a, op.b, op.a ^ op.b],
+                ))
             }
             OpKind::CallStale => {
                 let slot = &self.slots[s];
-                Some((slot.stale? + slot.start as u64, [0; 3]))
+                Some(Call::plain(slot.stale? + slot.start as u64, [0; 3]))
             }
             OpKind::Rewrite { via_alias } => {
                 let program = program(op.a);
@@ -247,9 +313,10 @@ impl World {
                 self.slots[s].program = program;
                 None
             }
-            OpKind::Poke => {
+            OpKind::Poke { by_itself } => {
                 // Replace one `mov r, imm32` (7 bytes) in place; the
-                // eighth byte of the store keeps what follows it.
+                // eighth byte of the store keeps what follows it. The
+                // store runs in `poke`, or in the slot's own entry run.
                 let slot = &mut self.slots[s];
                 let sites = &slot.program.imm_sites;
                 if sites.is_empty() {
@@ -265,14 +332,15 @@ impl World {
                 if slot.flags == PteFlags::WRITABLE {
                     slot.program.bytes[at..at + 8].copy_from_slice(&word);
                 }
-                Some((
-                    POKE,
-                    [
-                        slot.va + (slot.start + at) as u64,
-                        u64::from_le_bytes(word),
-                        0,
-                    ],
-                ))
+                let (dst, word) = (slot.va + (slot.start + at) as u64, u64::from_le_bytes(word));
+                Some(if by_itself {
+                    Call {
+                        poke: (dst, word),
+                        ..Call::plain(slot.va + slot.start as u64, [op.a, op.b, 1])
+                    }
+                } else {
+                    Call::plain(POKE, [dst, word, 0])
+                })
             }
             OpKind::Realloc { rewrite } => {
                 let va = self.slots[s].va;
@@ -324,12 +392,31 @@ impl World {
     }
 }
 
+/// One call to run on both sides.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+struct Call {
+    entry: u64,
+    args: [u64; 3],
+    /// [`POKE_AT`] and [`POKE_WORD`] for the call.
+    poke: (u64, u64),
+}
+
+impl Call {
+    fn plain(entry: u64, args: [u64; 3]) -> Call {
+        Call {
+            entry,
+            args,
+            poke: (0, 0),
+        }
+    }
+}
+
 #[derive(Copy, Clone, Debug)]
 enum OpKind {
     Call,
     CallStale,
     Rewrite { via_alias: bool },
-    Poke,
+    Poke { by_itself: bool },
     Realloc { rewrite: bool },
     Remap,
 }
@@ -350,7 +437,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(OpKind::CallStale),
         Just(OpKind::Rewrite { via_alias: false }),
         Just(OpKind::Rewrite { via_alias: true }),
-        Just(OpKind::Poke),
+        Just(OpKind::Poke { by_itself: false }),
+        Just(OpKind::Poke { by_itself: true }),
         Just(OpKind::Realloc { rewrite: true }),
         Just(OpKind::Realloc { rewrite: false }),
         Just(OpKind::Remap),
@@ -371,7 +459,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 struct RefCpu<'k> {
     kernel: &'k Kernel,
     regs: [u64; 16],
-    /// The only flag generated code branches on (`jne` after `sub`).
+    /// The only flag generated code branches on (`jne` after `sub`,
+    /// `je` after `test`).
     zf: bool,
     tlb: Tlb,
     reader: SpaceReader<'k>,
@@ -537,11 +626,20 @@ impl<'k> RefCpu<'k> {
     fn step(&mut self, next: u64, insn: Insn) -> Result<u64, VmError> {
         match insn {
             Insn::Ret => self.pop(),
-            Insn::Jcc(Cond::Ne, d) => Ok(if self.zf {
-                next
-            } else {
+            Insn::Jcc(c @ (Cond::Ne | Cond::E), d) => Ok(if self.zf == (c == Cond::E) {
                 next.wrapping_add(d as i64 as u64)
+            } else {
+                next
             }),
+            Insn::Test(a, b) => {
+                self.zf = self.reg(a) & self.reg(b) == 0;
+                Ok(next)
+            }
+            Insn::CallRel(d) => {
+                self.push(next)?;
+                Ok(next.wrapping_add(d as i64 as u64))
+            }
+            Insn::JmpRel(d) => Ok(next.wrapping_add(d as i64 as u64)),
             Insn::MovImm64(r, v) => {
                 self.set_reg(r, v);
                 Ok(next)
@@ -580,12 +678,22 @@ fn call_both(
     cached: &World,
     reference: &mut RefCpu<'_>,
     mirror: &World,
-    entry: u64,
-    args: &[u64],
+    call: Call,
 ) -> Result<(), TestCaseError> {
-    let got = vm.call(entry, args).map_err(|e| e.to_string());
-    let want = reference.call(entry, args).map_err(|e| e.to_string());
-    prop_assert_eq!(&got, &want, "call {:#x}", entry);
+    let (at, word) = call.poke;
+    vm.set_reg(POKE_AT, at);
+    vm.set_reg(POKE_WORD, word);
+    reference.set_reg(POKE_AT, at);
+    reference.set_reg(POKE_WORD, word);
+    let got = vm.call(call.entry, &call.args).map_err(|e| e.to_string());
+    let want = reference
+        .call(call.entry, &call.args)
+        .map_err(|e| e.to_string());
+    for r in [POKE_AT, POKE_WORD] {
+        vm.set_reg(r, 0);
+        reference.set_reg(r, 0);
+    }
+    prop_assert_eq!(&got, &want, "call {:#x}", call.entry);
     prop_assert_eq!(cached.scratch(), mirror.scratch(), "register file");
     prop_assert_eq!(vm.insns_retired(), reference.insns_retired);
     let (a, b): (TlbStats, TlbStats) = (vm.tlb_stats(), reference.tlb.stats());
@@ -616,13 +724,13 @@ proptest! {
         for op in &ops {
             let next = cached.apply(op);
             prop_assert_eq!(next, mirror.apply(op), "worlds diverged on {:?}", op);
-            if let Some((entry, args)) = next {
-                call_both(&mut vm, &cached, &mut reference, &mirror, entry, &args)?;
+            if let Some(call) = next {
+                call_both(&mut vm, &cached, &mut reference, &mirror, call)?;
                 // Run the slot again warm: pokes and stale calls are
                 // followed by a call of the code they touched.
                 let slot = &cached.slots[op.slot % SLOTS];
-                let again = slot.va + slot.start as u64;
-                call_both(&mut vm, &cached, &mut reference, &mirror, again, &[op.b, op.a, 1])?;
+                let again = Call::plain(slot.va + slot.start as u64, [op.b, op.a, 1]);
+                call_both(&mut vm, &cached, &mut reference, &mirror, again)?;
                 calls += 2;
             }
         }

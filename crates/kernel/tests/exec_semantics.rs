@@ -191,12 +191,12 @@ fn retpoline_thunk_executes_architecturally() {
     assert_eq!(run(&kernel, &asm, &[tva]), 99);
 }
 
-// ---- decoded-instruction cache coherence ---------------------------------
+// ---- decoded-run coherence ------------------------------------------------
 //
-// The interpreter caches decoded instructions by physical location and
-// validates them against the frame's write version (DESIGN.md §18). Each
-// test below warms the cache on one `Vm`, changes the code underneath it
-// by a different route, and checks the same `Vm` runs the new bytes.
+// The interpreter caches decoded runs by physical location and validates
+// them against the frame's write version (DESIGN.md §18). Each test
+// below warms the runs on one `Vm`, changes the code underneath it by a
+// different route, and checks the same `Vm` runs the new bytes.
 
 /// `mov rax, v; ret` — exactly 8 bytes, so one u64 store replaces it.
 fn ret_imm(v: i32) -> [u8; 8] {
@@ -462,4 +462,216 @@ fn a_native_remapping_the_running_code_page_returns_into_the_new_bytes() {
     let (rax, counts) = call_counts(&kernel, page, &[]);
     assert_eq!(rax, 2, "returned into the old frame's bytes");
     assert_eq!(counts, (5, 4, 3), "(hits, micro_hits, misses)");
+}
+
+// Decoded runs (DESIGN.md §18.4–§18.5): a run is decoded once and then
+// executed without a table probe per instruction, but every instruction
+// still passes the exec page register and the frame's version check.
+// Each test below changes the code or its mapping *inside* a run, where
+// only those two per-instruction checks can notice.
+
+#[test]
+fn a_store_into_a_later_instruction_of_the_running_run_is_seen() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let va = 0x370_0000_0000;
+    kernel
+        .space
+        .apply(Batch::new().map_page(va, kernel.phys.alloc(), PteFlags::WRITABLE))
+        .unwrap();
+    // mov [rdi], rsi; mov eax, v; ret — one run of three instructions,
+    // whose first rewrites the second and third.
+    let mut a = Asm::new();
+    a.mov_store(adelie_isa::Mem::base(Reg::Rdi), Reg::Rsi);
+    let store = a.assemble().unwrap().bytes;
+    let tail = va + store.len() as u64;
+    place(&kernel, va, &store);
+    place(&kernel, tail, &ret_imm(1));
+    let mut vm = kernel.vm();
+    for v in [1, 2, 3, 2] {
+        // Each call starts from a run decoded before its own store.
+        let word = u64::from_le_bytes(ret_imm(v));
+        assert_eq!(vm.call(va, &[tail, word]).unwrap(), v as u64, "stale run");
+    }
+}
+
+/// A device whose register write changes the mapping of `page`, the
+/// page of the code writing it.
+struct Remapper {
+    kernel: std::sync::OnceLock<std::sync::Weak<Kernel>>,
+    page: u64,
+    how: Remap,
+    /// Page offset of the instruction after the write (for [`Remap::Swap`]).
+    next: std::sync::atomic::AtomicUsize,
+}
+
+#[derive(Copy, Clone, Debug)]
+enum Remap {
+    /// Unmap the page.
+    Unmap,
+    /// Move the frame to another address, as a re-randomization cycle
+    /// moves a module: same frame, same version, old range gone.
+    Move(u64),
+    /// Leave it mapped but no longer executable.
+    Nx,
+    /// Map a copy of the frame in its place, whose instruction after
+    /// the write is `mov eax, 3; ret`.
+    Swap,
+}
+
+impl adelie_kernel::MmioDevice for Remapper {
+    fn mmio_read(&self, _o: u64, _s: usize) -> u64 {
+        0
+    }
+    fn mmio_write(&self, _o: u64, _v: u64, _s: usize) {
+        let kernel = self.kernel.get().and_then(|k| k.upgrade()).unwrap();
+        let space = &kernel.space;
+        let pte = space
+            .translate(self.page, adelie_vmem::Access::Read)
+            .unwrap();
+        let adelie_vmem::PteKind::Frame(pfn) = pte.pte.kind else {
+            unreachable!("code is in a frame")
+        };
+        match self.how {
+            Remap::Unmap => space.apply(Batch::new().unmap_range(self.page, 1)),
+            Remap::Move(to) => space
+                .apply(Batch::new().map_page(to, pfn, PteFlags::TEXT))
+                .and_then(|_| space.apply(Batch::new().unmap_range(self.page, 1))),
+            Remap::Nx => space.apply(Batch::new().protect_range(self.page, 1, PteFlags::DATA)),
+            Remap::Swap => {
+                let copy = kernel.phys.clone_frame(pfn);
+                let next = self.next.load(std::sync::atomic::Ordering::Relaxed);
+                kernel.phys.write(copy, next, &ret_imm(3));
+                space
+                    .apply(Batch::new().unmap_range(self.page, 1))
+                    .and_then(|_| {
+                        space.apply(Batch::new().map_page(self.page, copy, PteFlags::TEXT))
+                    })
+            }
+        }
+        .unwrap();
+    }
+    fn name(&self) -> &str {
+        "remapper"
+    }
+}
+
+#[test]
+fn an_mmio_write_that_remaps_the_running_page_is_seen_by_the_next_fetch() {
+    let remaps = [
+        Remap::Unmap,
+        Remap::Move(0x390_0000_0000),
+        Remap::Nx,
+        Remap::Swap,
+    ];
+    for (i, how) in remaps.into_iter().enumerate() {
+        let kernel = Kernel::new(KernelConfig::default());
+        let page = 0x380_0000_0000 + (i as u64) * 0x10_0000;
+        let dev = Arc::new(Remapper {
+            kernel: Default::default(),
+            page,
+            how,
+            next: Default::default(),
+        });
+        dev.kernel.set(Arc::downgrade(&kernel)).ok().unwrap();
+        let (_, bar) = kernel.map_device(dev.clone(), 1);
+        // mov rcx, bar; mov [rcx], rdi (if rdi != 0); mov eax, 1; ret
+        let mut asm = Asm::new();
+        asm.mov_imm64(Reg::Rcx, bar);
+        asm.test(Reg::Rdi, Reg::Rdi);
+        asm.jcc_label(Cond::E, "skip");
+        asm.mov_store(adelie_isa::Mem::base(Reg::Rcx), Reg::Rdi);
+        asm.label("next");
+        asm.bytes(&ret_imm(1));
+        asm.label("skip");
+        asm.jmp_label("done");
+        asm.label("done");
+        asm.mov_imm32(Reg::Rax, 2);
+        asm.ret();
+        let out = asm.assemble().unwrap();
+        let next = out.labels["next"];
+        dev.next.store(next, std::sync::atomic::Ordering::Relaxed);
+        map_text(&kernel, page, &out.bytes);
+        let mut vm = kernel.vm();
+        // Warm the TLB and the page registers on the path that leaves
+        // the device alone; the write's run is decoded by the call
+        // that writes, so its cursor is live when the mapping changes.
+        assert_eq!(vm.call(page, &[0]).unwrap(), 2);
+        assert_eq!(vm.call(page, &[0]).unwrap(), 2);
+        let before = vm.tlb_stats();
+        let got = vm.call(page, &[1]);
+        let next = page + next as u64;
+        match (how, got) {
+            (Remap::Swap, Ok(v)) => assert_eq!(v, 3, "ran the old frame's bytes"),
+            (Remap::Nx, Err(VmError::Fault(adelie_vmem::Fault::NotExecutable { va })))
+            | (
+                Remap::Unmap | Remap::Move(_),
+                Err(VmError::Fault(adelie_vmem::Fault::Unmapped { va })),
+            ) => assert_eq!(va, next, "{how:?}: fault at the next fetch"),
+            (how, other) => panic!("{how:?}: the run outlived its mapping: {other:?}"),
+        }
+        // The sentinel push, four fetches, the bar store and the next
+        // fetch (and, after a swap, its `ret`): one lookup each, as
+        // without runs.
+        let d = vm.tlb_stats().delta_since(&before);
+        let lookups = if matches!(how, Remap::Swap) { 9 } else { 7 };
+        assert_eq!(d.hits + d.misses, lookups, "{how:?}: one lookup per access");
+    }
+}
+
+#[test]
+fn a_same_page_thunk_rewritten_through_an_alias_runs_the_new_bytes() {
+    let kernel = Kernel::new(KernelConfig::default());
+    let (text, alias) = (0x3a0_0000_0000, 0x3b0_0000_0000);
+    // call thunk; ret; thunk: mov eax, v; ret — one run of four
+    // instructions across the direct call.
+    let mut asm = Asm::new();
+    asm.call_label("thunk");
+    asm.ret();
+    asm.label("thunk");
+    let out = {
+        let mut a = asm;
+        a.bytes(&ret_imm(1));
+        a.assemble().unwrap()
+    };
+    let pfn = map_text(&kernel, text, &out.bytes);
+    kernel
+        .space
+        .apply(Batch::new().map_page(alias, pfn, PteFlags::DATA))
+        .unwrap();
+    let thunk = out.labels["thunk"] as u64;
+    let mut vm = kernel.vm();
+    for v in [1, 1, 2, 3, 3] {
+        place(&kernel, alias + thunk, &ret_imm(v));
+        assert_eq!(vm.call(text, &[]).unwrap(), v as u64, "stale thunk");
+    }
+    // Rewritten between two calls without a write in between.
+    assert_eq!(vm.call(text, &[]).unwrap(), 3);
+    kernel.phys.write(pfn, thunk as usize, &ret_imm(4));
+    assert_eq!(vm.call(text, &[]).unwrap(), 4);
+}
+
+#[test]
+fn a_recycled_native_address_never_dispatches_to_its_dead_handler() {
+    // More registrations than the native region has addresses: every
+    // unregistration hands its address back.
+    let kernel = Kernel::new(KernelConfig::default());
+    let old = kernel.symbols.register_native("test_old", |_| Ok(1));
+    let mut asm = Asm::new();
+    asm.mov_imm64(Reg::Rcx, old);
+    asm.call_reg(Reg::Rcx);
+    asm.ret();
+    let code = 0x3c0_0000_0000;
+    map_text(&kernel, code, &asm.assemble().unwrap().bytes);
+    let mut vm = kernel.vm();
+    assert_eq!(vm.call(code, &[]).unwrap(), 1, "cached on this CPU");
+    kernel.symbols.unregister_native("test_old");
+    let slots = adelie_kernel::layout::NATIVE_SIZE / 16;
+    for _ in 0..=slots {
+        let va = kernel.symbols.register_native("test_churn", |_| Ok(2));
+        assert_eq!(va, old, "the freed address comes back first");
+        kernel.symbols.unregister_native("test_churn");
+    }
+    let new = kernel.symbols.register_native("test_new", |_| Ok(3));
+    assert_eq!(new, old);
+    assert_eq!(vm.call(code, &[]).unwrap(), 3, "dead handler dispatched");
 }

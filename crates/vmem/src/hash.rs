@@ -1,4 +1,4 @@
-//! A deterministic, non-keyed hasher for page-granular `u64` keys.
+//! A deterministic, non-keyed hasher for trusted keys.
 //!
 //! The std `HashMap` defaults to SipHash-1-3 with a per-process random
 //! key — robust against adversarial keys, but measurably expensive on
@@ -6,20 +6,24 @@
 //! page) and every leaf-node cache probe (keyed by ASID and 2 MiB
 //! prefix) hashes one such key. The keys here are *trusted* (virtual
 //! page numbers minted by the kernel's own allocator, never
-//! attacker-chosen), so a keyed hash buys nothing.
+//! attacker-chosen), so a keyed hash buys nothing. The same holds for
+//! module and symbol names, which the kernel mints too: the fleet
+//! catalog, the module registry and the symbol table hash them with
+//! this hasher (`adelie_kernel::BuildNameHasher`).
 //!
 //! [`PageHasher`] is a splitmix64-style finalizer: one xor, two
-//! multiply-shift rounds. It is also *deterministic across processes*,
-//! which the testkit's replay suites rely on for byte-identical traces.
+//! multiply-shift rounds per 8-byte word. It is also *deterministic
+//! across processes*, which the testkit's replay suites rely on for
+//! byte-identical traces.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `BuildHasher` plugging [`PageHasher`] into a `HashMap`.
-pub(crate) type BuildPageHasher = BuildHasherDefault<PageHasher>;
+pub type BuildPageHasher = BuildHasherDefault<PageHasher>;
 
 /// One-shot multiply-xor hasher for `u64` keys (see module docs).
 #[derive(Default, Clone)]
-pub(crate) struct PageHasher(u64);
+pub struct PageHasher(u64);
 
 impl PageHasher {
     #[inline]
@@ -41,8 +45,7 @@ impl Hasher for PageHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by the u64 keys this is built for,
-        // but required for completeness): fold 8 bytes at a time.
+        // Byte keys (names): fold 8 bytes at a time.
         for chunk in bytes.chunks(8) {
             let mut b = [0u8; 8];
             b[..chunk.len()].copy_from_slice(chunk);

@@ -63,7 +63,8 @@ pub use adelie_reclaim::SmrStats;
 pub use arch::{Arch, ArchKind, Asid, AsidAllocator, HwPte, PteDecodeError};
 pub use batch::Batch;
 pub use fault::{Access, Fault};
-pub use phys::{Pfn, PhysMem, PhysStats};
+pub use hash::{BuildPageHasher, PageHasher};
+pub use phys::{FrameRef, Pfn, PhysMem, PhysStats};
 pub use space::{
     AddressSpace, BatchOutcome, Pte, PteFlags, PteKind, SpaceConfig, SpacePin, SpaceReader,
     SpaceStats, TlbSync, Translation, DEFAULT_INVAL_LOG, READER_SLOTS,

@@ -20,9 +20,8 @@
 //!   zeroes the frame). Readers copy the bytes and retry if the version
 //!   moved. Versions are monotonic for the store's lifetime, so a value
 //!   derived from a frame's bytes stays valid exactly as long as
-//!   [`PhysMem::version`] still returns the version it was read at (the
-//!   interpreter's decoded-instruction cache relies on this, DESIGN.md
-//!   §18).
+//!   [`FrameRef::version`] still returns the version it was read at (the
+//!   interpreter's decoded runs rely on this, DESIGN.md §18).
 
 use crate::PAGE_SIZE;
 use parking_lot::Mutex;
@@ -117,6 +116,24 @@ impl Slot {
     /// Acquire fence before the re-check pairs with `lock`'s Release
     /// fence, so a copy that overlapped a later write sees its odd or
     /// newer version and retries.
+    /// [`Slot::read`] of the aligned word `w`: the word, not the version.
+    fn read_word(&self, w: usize) -> Option<u64> {
+        let page = self.page()?;
+        let mut spins = 0u32;
+        loop {
+            let v = self.version.load(Ordering::Acquire);
+            if v & 1 == 0 {
+                let live = self.live.load(Ordering::Relaxed);
+                let word = page[w].load(Ordering::Relaxed);
+                fence(Ordering::Acquire);
+                if self.version.load(Ordering::Relaxed) == v {
+                    return live.then_some(word);
+                }
+            }
+            backoff(&mut spins);
+        }
+    }
+
     fn read(&self, offset: usize, buf: &mut [u8]) -> Option<u64> {
         let page = self.page()?;
         let mut spins = 0u32;
@@ -203,6 +220,38 @@ fn split_words(offset: usize, len: usize) -> (usize, usize, usize) {
     let head = ((8 - offset % 8) % 8).min(len);
     let body = (len - head) / 8 * 8;
     (head, body, len - head - body)
+}
+
+/// One frame of a [`PhysMem`], located once by [`PhysMem::frame`].
+#[derive(Copy, Clone)]
+pub struct FrameRef<'a> {
+    slot: &'a Slot,
+    pfn: Pfn,
+}
+
+impl FrameRef<'_> {
+    /// The frame's write version: odd while a write is in progress,
+    /// advanced on every write, free and reallocation, never repeated.
+    /// Bytes read at version `v` (see [`FrameRef::read_versioned`]) are
+    /// still the frame's contents while this returns `v`.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.slot.version.load(Ordering::Acquire)
+    }
+
+    /// [`PhysMem::read`] of this frame, returning the write version the
+    /// bytes were read at (always even: never a torn, in-progress
+    /// write).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PhysMem::read`].
+    pub fn read_versioned(&self, offset: usize, buf: &mut [u8]) -> u64 {
+        assert!(offset + buf.len() <= PAGE_SIZE, "read crosses frame");
+        self.slot
+            .read(offset, buf)
+            .unwrap_or_else(|| panic!("read of freed {}", self.pfn))
+    }
 }
 
 /// Counters exported by [`PhysMem::stats`].
@@ -361,32 +410,20 @@ impl PhysMem {
             .is_some_and(|s| s.live.load(Ordering::Acquire))
     }
 
-    /// The frame's write version: odd while a write is in progress,
-    /// advanced on every write, free and reallocation, never repeated.
-    /// Bytes read at version `v` (see [`PhysMem::read_versioned`]) are
-    /// still the frame's contents while this returns `v`.
+    /// Locate `pfn`'s slot once: the returned handle reads the frame's
+    /// write version and bytes without the pfn-to-slot lookup every
+    /// other method makes. Slots never move and live as long as the
+    /// store, so the handle stays valid across frees and reallocations
+    /// (its version moves on).
     ///
     /// # Panics
     ///
     /// Panics if `pfn` was never allocated.
-    pub fn version(&self, pfn: Pfn) -> u64 {
-        self.slot(pfn)
-            .unwrap_or_else(|| panic!("version of out-of-range {pfn}"))
-            .version
-            .load(Ordering::Acquire)
-    }
-
-    /// [`PhysMem::read`], returning the write version the bytes were
-    /// read at (always even: never a torn, in-progress write).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`PhysMem::read`].
-    pub fn read_versioned(&self, pfn: Pfn, offset: usize, buf: &mut [u8]) -> u64 {
-        assert!(offset + buf.len() <= PAGE_SIZE, "read crosses frame");
-        self.slot(pfn)
-            .and_then(|s| s.read(offset, buf))
-            .unwrap_or_else(|| panic!("read of freed {pfn}"))
+    pub fn frame(&self, pfn: Pfn) -> FrameRef<'_> {
+        let slot = self
+            .slot(pfn)
+            .unwrap_or_else(|| panic!("frame of out-of-range {pfn}"));
+        FrameRef { slot, pfn }
     }
 
     /// Read bytes from within a single frame.
@@ -397,7 +434,10 @@ impl PhysMem {
     /// free (callers go through [`crate::AddressSpace`], which reports a
     /// typed fault first).
     pub fn read(&self, pfn: Pfn, offset: usize, buf: &mut [u8]) {
-        self.read_versioned(pfn, offset, buf);
+        assert!(offset + buf.len() <= PAGE_SIZE, "read crosses frame");
+        self.slot(pfn)
+            .and_then(|s| s.read(offset, buf))
+            .unwrap_or_else(|| panic!("read of freed {pfn}"));
     }
 
     /// Write bytes within a single frame.
@@ -425,16 +465,42 @@ impl PhysMem {
         assert!(live, "write of freed {pfn}");
     }
 
-    /// Read a little-endian u64 within one frame.
+    /// Read a little-endian u64 within one frame. An aligned word is
+    /// one load under the sequence lock, without the byte copy.
     pub fn read_u64(&self, pfn: Pfn, offset: usize) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(pfn, offset, &mut b);
-        u64::from_le_bytes(b)
+        if !offset.is_multiple_of(8) {
+            let mut b = [0u8; 8];
+            self.read(pfn, offset, &mut b);
+            return u64::from_le_bytes(b);
+        }
+        assert!(offset + 8 <= PAGE_SIZE, "read crosses frame");
+        self.slot(pfn)
+            .and_then(|s| s.read_word(offset / 8))
+            .unwrap_or_else(|| panic!("read of freed {pfn}"))
     }
 
-    /// Write a little-endian u64 within one frame.
+    /// Write a little-endian u64 within one frame. An aligned word is
+    /// one store under the sequence lock, without the byte copy.
     pub fn write_u64(&self, pfn: Pfn, offset: usize, v: u64) {
-        self.write(pfn, offset, &v.to_le_bytes());
+        if !offset.is_multiple_of(8) {
+            return self.write(pfn, offset, &v.to_le_bytes());
+        }
+        assert!(offset + 8 <= PAGE_SIZE, "write crosses frame");
+        let (slot, page) = self
+            .slot(pfn)
+            .and_then(|s| Some((s, s.page()?)))
+            .unwrap_or_else(|| panic!("write of freed {pfn}"));
+        let odd = slot.lock();
+        let live = slot.live.load(Ordering::Relaxed);
+        if live {
+            let w = offset / 8;
+            page[w].store(v, Ordering::Relaxed);
+            if w + 1 > slot.dirty.load(Ordering::Relaxed) {
+                slot.dirty.store(w + 1, Ordering::Relaxed);
+            }
+        }
+        slot.unlock(odd);
+        assert!(live, "write of freed {pfn}");
     }
 
     /// Copy a whole frame's contents into a new allocation.
@@ -581,27 +647,38 @@ mod tests {
         assert_eq!(got[0], 0);
         assert_eq!(&got[1..38], &bytes[..]);
         assert_eq!(got[38], 0);
+        // Words: the aligned fast path and the unaligned byte path
+        // agree with each other and with the byte reads.
+        pm.write_u64(a, 1000, 0x0102_0304_0506_0708);
+        pm.write_u64(a, 1013, 0x1112_1314_1516_1718);
+        assert_eq!(pm.read_u64(a, 1000), 0x0102_0304_0506_0708);
+        assert_eq!(pm.read_u64(a, 1013), 0x1112_1314_1516_1718);
+        assert_eq!(pm.read_u64(a, 1001), 0x0001_0203_0405_0607);
+        let mut word = [0u8; 8];
+        pm.read(a, 1016, &mut word);
+        assert_eq!(u64::from_le_bytes(word), 0x0011_1213_1415);
     }
 
     #[test]
     fn versions_advance_on_write_free_and_reuse() {
         let pm = PhysMem::new();
         let a = pm.alloc();
-        let v0 = pm.version(a);
+        let version = |pfn| pm.frame(pfn).version();
+        let v0 = version(a);
         assert_eq!(v0 % 2, 0);
-        assert_eq!(pm.read_versioned(a, 0, &mut [0u8; 8]), v0);
+        assert_eq!(pm.frame(a).read_versioned(0, &mut [0u8; 8]), v0);
         pm.write_u64(a, 0, 7);
-        let v1 = pm.version(a);
+        let v1 = version(a);
         assert!(v1 > v0);
         pm.free(a);
-        let v2 = pm.version(a);
+        let v2 = version(a);
         assert!(v2 > v1);
         assert_eq!(pm.alloc(), a);
-        assert!(pm.version(a) > v2);
+        assert!(version(a) > v2);
         // Reads leave the version alone.
-        let v3 = pm.version(a);
+        let v3 = version(a);
         pm.read_u64(a, 0);
-        assert_eq!(pm.version(a), v3);
+        assert_eq!(version(a), v3);
     }
 
     /// A filled allocation is exactly the bytes then zeroes, even on a
@@ -613,11 +690,11 @@ mod tests {
         let pfn = pm.alloc();
         pm.write(pfn, 0, &[0xAA; PAGE_SIZE]);
         pm.free(pfn);
-        let freed = pm.version(pfn);
+        let freed = pm.frame(pfn).version();
         let fill: Vec<u8> = (1..=13).collect();
         let again = pm.alloc_filled(&fill);
         assert_eq!(again, pfn, "the freed frame is reused");
-        assert_eq!(pm.version(again), freed + 2);
+        assert_eq!(pm.frame(again).version(), freed + 2);
         let mut page = [0xFFu8; PAGE_SIZE];
         pm.read(again, 0, &mut page);
         assert_eq!(&page[..13], &fill[..]);
