@@ -16,7 +16,17 @@
 //! * the module lifecycle — [`Fleet::install`] / [`Fleet::register`],
 //!   then [`Fleet::evict`] ⇄ fault-in ([`Fleet::ensure_resident`] or a
 //!   demand fault), then [`Fleet::unload`]; [`Fleet::recover_shard`]
-//!   rebuilds a crashed shard's residents from their catalog records.
+//!   rebuilds a crashed shard's residents from their catalog records;
+//! * the cold tier — always on: every fleet builds it with its shards'
+//!   call observers and demand loaders (and takes them off its kernels
+//!   when it drops), and [`Fleet::enable_cold_tier`] only sets its
+//!   eviction limits.
+//!
+//! Install and register share one placement and admission prologue. A
+//! copy becomes resident through one helper (install, fault-in,
+//! recovery) and stops being resident through another (unload,
+//! eviction, recovery); they alone keep the occupancy counters, which
+//! [`Fleet::verify_layout`] audits.
 
 use crate::{LinkPlan, LoadError, LoadedModule, ModuleRegistry};
 use adelie_kernel::{BuildNameHasher, Kernel, ShardedKernel};
@@ -24,7 +34,7 @@ use adelie_obj::ObjectFile;
 use adelie_plugin::TransformOptions;
 use adelie_vmem::PAGE_SIZE;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -259,12 +269,17 @@ struct InstallRecord {
     /// with a reference count, not a copy of the object.
     recipe: Arc<Recipe>,
     /// Whether the shard counters count this module as resident rather
-    /// than cold. A fault-in sets it only after its load, under the
-    /// catalog lock, so a registry copy whose record still says cold is
-    /// a fault-in in flight: [`Fleet::unload`] leaves that copy to the
-    /// fault-in, which re-checks the record and unloads it — and
-    /// [`Fleet::evict`] and [`Fleet::cold_tick`] never pick it.
+    /// than cold. Written only by [`ColdTier::mark_resident`] and
+    /// [`ColdTier::mark_gone`]. A fault-in marks it only after its
+    /// load, under the catalog lock, so a registry copy whose record
+    /// still says cold is a fault-in in flight: [`Fleet::unload`]
+    /// leaves that copy to the fault-in, which re-checks the record and
+    /// unloads it — and [`Fleet::evict`] and [`Fleet::cold_tick`] never
+    /// pick it.
     resident: bool,
+    /// The bytes the counters count for the resident copy (0 while
+    /// cold), so marking a copy gone needs no copy in hand.
+    mapped_bytes: usize,
 }
 
 type Catalog = HashMap<Arc<str>, InstallRecord, BuildNameHasher>;
@@ -324,9 +339,9 @@ pub struct ColdTierStats {
     pub cold: usize,
 }
 
-/// Where an evicted module's parts used to be mapped — the demand
-/// loader resolves stale entry VAs against these spans, and the layout
-/// oracle probes them to prove the eviction really unmapped.
+/// Where a module's parts are mapped. Kept for an evicted module: the
+/// demand loader resolves stale entry VAs against these spans, and the
+/// layout oracle probes them to prove the eviction really unmapped.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct EvictedModule {
     shard: usize,
@@ -415,10 +430,6 @@ impl EvictedIndex {
         Some(rec)
     }
 
-    fn get(&self, name: &str) -> Option<&EvictedModule> {
-        self.by_name.get(name)
-    }
-
     /// The evicted module in `shard` whose former span covers `va`.
     fn resolve(&self, shard: usize, va: u64) -> Option<(Arc<str>, EvictedModule)> {
         let upper = match va.checked_add(1) {
@@ -437,35 +448,47 @@ impl EvictedIndex {
 }
 
 /// One shard's occupancy, maintained incrementally so admission checks
-/// are O(1) at 10^5+ catalog records (the old accounting walked the
-/// whole catalog per install). `resident` counts the shard's catalog
-/// records with a resident copy and `cold` those without one, so
-/// `resident + cold` is the shard's catalog record count.
-#[derive(Copy, Clone, Debug, Default)]
+/// are O(1) at 10^5+ catalog records. `resident` counts the shard's
+/// catalog records counted resident and `cold` the others, so
+/// `resident + cold` is the shard's catalog record count;
+/// [`Fleet::verify_layout`] recounts all three from the records.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 struct ShardCounter {
     resident: usize,
     cold: usize,
     mapped_bytes: usize,
 }
 
-/// One shard's sorted span index: `(start, end, module)` for the part
-/// of every resident module that never moves, resolved by
-/// `partition_point`.
-type SpanIndex = Vec<(u64, u64, Arc<str>)>;
+/// A resident module's entry in its shard's span index: the part that
+/// never moves, and the tier clock at the module's last outermost call.
+struct ResidentSpan {
+    start: u64,
+    end: u64,
+    name: Arc<str>,
+    last_call: u64,
+}
 
-/// The cold tier's bookkeeping: per-shard resident span indexes (for
-/// resolving call VAs to module names), last-call stamps, and the
-/// evicted-span index the demand loader consults. All its locks are
-/// leaves — never hold one while taking the catalog.
+/// One shard's resident span index, sorted by start: call VAs resolve
+/// to modules by `partition_point` (the scheduler's idiom).
+type SpanIndex = Vec<ResidentSpan>;
+
+/// The cold tier, always on: per-shard occupancy counters, per-shard
+/// resident span indexes with their last-call stamps, and the
+/// evicted-span index the demand loader consults.
+/// [`ColdTier::mark_resident`] and [`ColdTier::mark_gone`] are the one
+/// way a copy starts and stops being counted. All its locks are leaves
+/// — never hold one while taking the catalog.
 struct ColdTier {
-    cfg: ColdTierConfig,
+    /// Eviction limits; [`Fleet::enable_cold_tier`] replaces them.
+    cfg: Mutex<ColdTierConfig>,
     /// The fleet clock as of the last `cold_tick` — what the call
     /// observer stamps last-call times with.
     now_ns: AtomicU64,
-    /// Per shard: one span per resident module, sorted by start (entry
-    /// VAs resolve to names by `partition_point`, the scheduler's idiom).
-    ranges: Mutex<Vec<SpanIndex>>,
-    last_call: Mutex<HashMap<Arc<str>, u64, BuildNameHasher>>,
+    /// Per-shard occupancy (see [`ShardCounter`]).
+    counters: Mutex<Vec<ShardCounter>>,
+    /// One span index per shard, each behind its own lock: an
+    /// outermost call locks only its own shard's.
+    spans: Vec<Mutex<SpanIndex>>,
     evicted: Mutex<EvictedIndex>,
     evictions: AtomicU64,
     fault_ins: AtomicU64,
@@ -473,12 +496,12 @@ struct ColdTier {
 }
 
 impl ColdTier {
-    fn new(cfg: ColdTierConfig, shards: usize) -> ColdTier {
+    fn new(shards: usize) -> ColdTier {
         ColdTier {
-            cfg,
+            cfg: Mutex::new(ColdTierConfig::default()),
             now_ns: AtomicU64::new(0),
-            ranges: Mutex::new(vec![Vec::new(); shards]),
-            last_call: Mutex::new(HashMap::default()),
+            counters: Mutex::new(vec![ShardCounter::default(); shards]),
+            spans: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             evicted: Mutex::new(EvictedIndex::new(shards)),
             evictions: AtomicU64::new(0),
             fault_ins: AtomicU64::new(0),
@@ -486,46 +509,82 @@ impl ColdTier {
         }
     }
 
-    /// Index a freshly resident module and stamp its last-call time
-    /// (so it is not instantly idle-evicted). Only the part that never
+    /// Count `m`, the copy now serving `rec` (which must be counted
+    /// cold), as resident: the record, the shard counters, the span
+    /// index, stamped with the tier clock (so it is not instantly
+    /// idle-evicted), and the evicted index. Only the part that never
     /// moves is indexed, so a rerandomization cycle cannot leave a
     /// stale span behind: the immovable part when there is one
     /// (wrappers and exports live there, the scheduler's call-rate
     /// observer's rule), else the movable part — a module without an
     /// immovable part is not rerandomizable, so that part stays put.
-    fn insert_module(&self, shard: usize, m: &LoadedModule) {
-        let (base, pages) = match &m.immovable {
+    fn mark_resident(&self, rec: &mut InstallRecord, m: &LoadedModule) {
+        debug_assert!(!rec.resident, "{} counted resident twice", m.name);
+        let shard = rec.shard;
+        rec.resident = true;
+        rec.mapped_bytes = m.mapped_bytes();
+        {
+            let mut counters = self.counters.lock();
+            let c = &mut counters[shard];
+            c.cold -= 1;
+            c.resident += 1;
+            c.mapped_bytes += rec.mapped_bytes;
+        }
+        let (start, pages) = match &m.immovable {
             Some(imm) => (imm.base, imm.total_pages),
             None => (
                 m.movable_base.load(Ordering::Acquire),
                 m.movable.total_pages,
             ),
         };
-        let end = base + (pages * PAGE_SIZE) as u64;
-        let mut ranges = self.ranges.lock();
-        let v = &mut ranges[shard];
-        let at = v.partition_point(|&(s, _, _)| s < base);
-        v.insert(at, (base, end, m.name.clone()));
-        drop(ranges);
-        self.last_call
-            .lock()
-            .insert(m.name.clone(), self.now_ns.load(Ordering::Relaxed));
+        let span = ResidentSpan {
+            start,
+            end: start + (pages * PAGE_SIZE) as u64,
+            name: m.name.clone(),
+            last_call: self.now_ns.load(Ordering::Relaxed),
+        };
+        {
+            let mut spans = self.spans[shard].lock();
+            let at = spans.partition_point(|s| s.start < start);
+            spans.insert(at, span);
+        }
+        self.evicted.lock().remove(&m.name);
     }
 
-    /// Drop a module's span index entry in `shard`.
-    fn remove_module(&self, shard: usize, name: &str) {
-        self.ranges.lock()[shard].retain(|(_, _, n)| n.as_ref() != name);
+    /// Stop counting the copy of `rec` (which must be counted
+    /// resident): the record, the shard counters and the span index
+    /// with its stamp. An eviction passes the spans it `vacated` for
+    /// the evicted index — only it leaves stale entry VAs worth
+    /// demand-faulting.
+    fn mark_gone(&self, rec: &mut InstallRecord, vacated: Option<EvictedModule>) {
+        let name = &rec.recipe.name;
+        debug_assert!(rec.resident, "{name} marked gone while counted cold");
+        let shard = rec.shard;
+        rec.resident = false;
+        {
+            let mut counters = self.counters.lock();
+            let c = &mut counters[shard];
+            c.resident -= 1;
+            c.cold += 1;
+            c.mapped_bytes -= std::mem::take(&mut rec.mapped_bytes);
+        }
+        self.spans[shard].lock().retain(|s| s.name != *name);
+        if let Some(vacated) = vacated {
+            self.evicted.lock().insert(name.clone(), vacated);
+        }
     }
 
-    /// Which resident module (in `shard`) covers `va`, if any.
-    fn resolve(&self, shard: usize, va: u64) -> Option<Arc<str>> {
-        let ranges = self.ranges.lock();
-        let v = &ranges[shard];
-        let at = v.partition_point(|&(s, _, _)| s <= va);
-        at.checked_sub(1).and_then(|i| {
-            let (start, end, ref name) = v[i];
-            (va >= start && va < end).then(|| name.clone())
-        })
+    /// Stamp the resident module of `shard` covering `va`, if any, with
+    /// the tier clock: the call observer's whole job, under its shard's
+    /// lock alone.
+    fn stamp(&self, shard: usize, va: u64) {
+        let mut spans = self.spans[shard].lock();
+        let at = spans.partition_point(|s| s.start <= va);
+        if let Some(s) = at.checked_sub(1).map(|i| &mut spans[i]) {
+            if va < s.end {
+                s.last_call = self.now_ns.load(Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -556,11 +615,11 @@ pub struct Fleet {
     /// recipe without a back-reference to the fleet. Lock order:
     /// `catalog` before any [`ColdTier`] lock, never the reverse.
     catalog: Arc<Mutex<Catalog>>,
-    /// Per-shard occupancy, maintained incrementally (see
-    /// [`ShardCounter`]).
-    counters: Arc<Mutex<Vec<ShardCounter>>>,
-    /// The cold-module tier, once [`Fleet::enable_cold_tier`] ran.
-    cold: Mutex<Option<Arc<ColdTier>>>,
+    /// The cold tier, shared with each shard's call observer and demand
+    /// loader.
+    cold: Arc<ColdTier>,
+    /// Each shard's call-observer token, removed when the fleet drops.
+    observers: Vec<u64>,
     admission: AdmissionConfig,
 }
 
@@ -571,7 +630,13 @@ impl Fleet {
         Fleet::with_admission(sharded, placement, AdmissionConfig::default())
     }
 
-    /// [`Fleet::new`] with explicit admission-control limits.
+    /// [`Fleet::new`] with explicit admission-control limits. Installs
+    /// the cold tier's per-shard call observer (last-call stamps) and
+    /// per-shard demand loader (stale entry VAs into evicted modules
+    /// fault the module back in from its catalog record), under the
+    /// default [`ColdTierConfig`] until [`Fleet::enable_cold_tier`].
+    /// Both leave the kernels when the fleet drops; a kernel serves
+    /// one fleet at a time.
     pub fn with_admission(
         sharded: Arc<ShardedKernel>,
         placement: Box<dyn ShardPlacement>,
@@ -579,14 +644,58 @@ impl Fleet {
     ) -> Fleet {
         let registries: Vec<Arc<ModuleRegistry>> =
             sharded.shards().iter().map(ModuleRegistry::new).collect();
-        let shards = registries.len();
+        let cold = Arc::new(ColdTier::new(registries.len()));
+        let catalog: Arc<Mutex<Catalog>> = Arc::new(Mutex::new(HashMap::default()));
+        let mut observers = Vec::with_capacity(registries.len());
+        for (shard, kernel) in sharded.shards().iter().enumerate() {
+            // Call observer: stamp last-call time. One leaf lock, the
+            // shard's own — safe from inside any Vm::call.
+            let t = cold.clone();
+            observers.push(kernel.add_call_observer(Arc::new(move |entry| t.stamp(shard, entry))));
+            // Demand loader: resolve the faulting VA against the
+            // evicted-span index, rebuild the module from its catalog
+            // record, and forward the VA to the rebuilt copy (part
+            // images keep their internal layout, so the entry's offset
+            // from its part base is invariant across the reload). The
+            // registry is held weakly: it holds the kernel, which holds
+            // this loader.
+            let t = cold.clone();
+            let catalog = Arc::clone(&catalog);
+            let registry = Arc::downgrade(&registries[shard]);
+            kernel.set_demand_loader(Arc::new(move |va| {
+                let (name, old) = t.evicted.lock().resolve(shard, va)?;
+                // try_lock: install, unload, evict, cold_tick and
+                // recover_shard hold the catalog while a module's
+                // interpreted init or exit runs; a demand fault from
+                // inside that code would deadlock here, so the fault
+                // stands and the caller retries.
+                let recipe = {
+                    let catalog = catalog.try_lock()?;
+                    let rec = catalog.get(&name)?;
+                    if rec.shard != shard {
+                        // Never redirect into another shard's window.
+                        return None;
+                    }
+                    rec.recipe.clone()
+                };
+                let registry = registry.upgrade()?;
+                let module = materialize(&catalog, &registry, &t, shard, &recipe).ok()?;
+                let new_va = if va >= old.imm_base && va < old.imm_base + old.imm_span {
+                    module.immovable.as_ref()?.base + (va - old.imm_base)
+                } else {
+                    module.movable_base.load(Ordering::Acquire) + (va - old.mov_base)
+                };
+                t.demand_redirects.fetch_add(1, Ordering::Relaxed);
+                Some(new_va)
+            }));
+        }
         Fleet {
             sharded,
             registries,
             placement,
-            catalog: Arc::new(Mutex::new(HashMap::default())),
-            counters: Arc::new(Mutex::new(vec![ShardCounter::default(); shards])),
-            cold: Mutex::new(None),
+            catalog,
+            cold,
+            observers,
             admission,
         }
     }
@@ -648,7 +757,8 @@ impl Fleet {
     /// O(catalog), which is what keeps admission cheap at 10^5+
     /// registered modules.
     pub fn loads(&self) -> Vec<ShardLoad> {
-        self.counters
+        self.cold
+            .counters
             .lock()
             .iter()
             .enumerate()
@@ -660,23 +770,55 @@ impl Fleet {
             .collect()
     }
 
-    /// Admission check against the occupancy of `shard`.
-    fn check_occupancy(&self, shard: usize) -> Result<(), FleetError> {
-        let c = self.counters.lock()[shard];
-        let modules = c.resident + c.cold;
-        if modules >= self.admission.max_modules_per_shard {
+    /// The placement and admission prologue of [`Fleet::install`] and
+    /// [`Fleet::register`]: refuse a duplicate name, let placement pick
+    /// the shard, hold it to the module cap, and record `obj`'s recipe
+    /// there, counted cold. Returns the shard and the catalog key.
+    fn admit(
+        &self,
+        catalog: &mut Catalog,
+        obj: &ObjectFile,
+        opts: &TransformOptions,
+    ) -> Result<(usize, Arc<str>), FleetError> {
+        if catalog.contains_key(obj.name.as_str()) {
+            return Err(FleetError::DuplicateModule(obj.name.clone()));
+        }
+        let loads = self.loads();
+        let shard = self.placement.place(&obj.name, &loads);
+        let Some(load) = loads.get(shard) else {
+            return Err(FleetError::UnknownShard(shard));
+        };
+        if load.modules >= self.admission.max_modules_per_shard {
             return Err(FleetError::Overloaded {
                 shard,
-                modules,
+                modules: load.modules,
                 limit: self.admission.max_modules_per_shard,
             });
         }
-        Ok(())
+        let recipe = Recipe::new(obj, opts);
+        let name = recipe.name.clone();
+        catalog.insert(
+            name.clone(),
+            InstallRecord {
+                shard,
+                recipe,
+                resident: false,
+                mapped_bytes: 0,
+            },
+        );
+        self.cold.counters.lock()[shard].cold += 1;
+        Ok((shard, name))
     }
 
-    /// The installed cold tier, if enabled.
-    fn cold_tier(&self) -> Option<Arc<ColdTier>> {
-        self.cold.lock().clone()
+    /// Drop `name`'s record, counted cold, from the catalog: what
+    /// unloading a module ends with.
+    fn forget(&self, catalog: &mut Catalog, name: &str) {
+        let Some(rec) = catalog.remove(name) else {
+            return;
+        };
+        debug_assert!(!rec.resident, "{name} forgotten while counted resident");
+        self.cold.counters.lock()[rec.shard].cold -= 1;
+        self.cold.evicted.lock().remove(name);
     }
 
     /// Every live VA span in the fleet:
@@ -687,23 +829,10 @@ impl Fleet {
         let catalog = self.catalog.lock();
         let mut spans = Vec::new();
         for (name, rec) in catalog.iter() {
-            let Some(m) = self.registries[rec.shard].get(name) else {
-                continue;
-            };
-            let base = m.movable_base.load(Ordering::Acquire);
-            spans.push((
-                rec.shard,
-                name.to_string(),
-                base,
-                (m.movable.total_pages * PAGE_SIZE) as u64,
-            ));
-            if let Some(imm) = &m.immovable {
-                spans.push((
-                    rec.shard,
-                    name.to_string(),
-                    imm.base,
-                    (imm.total_pages * PAGE_SIZE) as u64,
-                ));
+            if let Some(m) = self.registries[rec.shard].get(name) {
+                for (base, span) in EvictedModule::of(rec.shard, &m).spans() {
+                    spans.push((rec.shard, name.to_string(), base, span));
+                }
             }
         }
         spans.sort();
@@ -715,10 +844,13 @@ impl Fleet {
     /// inside its owning shard's window, and all spans must be pairwise
     /// disjoint (within a shard *and* across shards — windows tile, so
     /// a cross-shard overlap is also a window escape, but both are
-    /// reported by name). The single checker behind `FleetSim::verify`,
-    /// the fleet bench, and the placement proptests, so the invariant
-    /// cannot drift between its enforcers. Returns human-readable
-    /// violations; empty = clean.
+    /// reported by name). It also recounts each shard's occupancy
+    /// counters from the catalog records, checks each resident copy
+    /// maps the bytes its record counts, and reports any counter the
+    /// incremental bookkeeping let drift. The single
+    /// checker behind `FleetSim::verify`, the fleet benches, and the
+    /// placement proptests, so the invariant cannot drift between its
+    /// enforcers. Returns human-readable violations; empty = clean.
     pub fn verify_layout(&self) -> Vec<String> {
         let mut violations = Vec::new();
         {
@@ -732,6 +864,34 @@ impl Fleet {
                              catalog owner {owner:?}"
                         )),
                     }
+                }
+            }
+            let mut recount = vec![ShardCounter::default(); self.registries.len()];
+            for (name, rec) in catalog.iter() {
+                let c = &mut recount[rec.shard];
+                if !rec.resident {
+                    c.cold += 1;
+                    continue;
+                }
+                c.resident += 1;
+                c.mapped_bytes += rec.mapped_bytes;
+                // A lost copy is `verify_symbol_integrity`'s to report.
+                if let Some(m) = self.registries[rec.shard].get(name) {
+                    if m.mapped_bytes() != rec.mapped_bytes {
+                        violations.push(format!(
+                            "size drift: {name} counted at {} bytes, its copy maps {}",
+                            rec.mapped_bytes,
+                            m.mapped_bytes()
+                        ));
+                    }
+                }
+            }
+            let counters = self.cold.counters.lock();
+            for (shard, (kept, counted)) in counters.iter().zip(&recount).enumerate() {
+                if kept != counted {
+                    violations.push(format!(
+                        "counter drift: shard {shard} keeps {kept:?}, its records count {counted:?}"
+                    ));
                 }
             }
         }
@@ -776,33 +936,16 @@ impl Fleet {
         opts: &TransformOptions,
     ) -> Result<(usize, Arc<LoadedModule>), FleetError> {
         let mut catalog = self.catalog.lock();
-        if catalog.contains_key(obj.name.as_str()) {
-            return Err(FleetError::DuplicateModule(obj.name.clone()));
-        }
-        let loads = self.loads();
-        let shard = self.placement.place(&obj.name, &loads);
-        if shard >= loads.len() {
-            return Err(FleetError::UnknownShard(shard));
-        }
-        self.check_occupancy(shard)?;
-        let recipe = Recipe::new(obj, opts);
-        let module = recipe.load(&self.registries[shard])?;
-        catalog.insert(
-            module.name.clone(),
-            InstallRecord {
-                shard,
-                recipe,
-                resident: true,
-            },
-        );
-        {
-            let mut counters = self.counters.lock();
-            counters[shard].resident += 1;
-            counters[shard].mapped_bytes += module.mapped_bytes();
-        }
-        if let Some(tier) = self.cold_tier() {
-            tier.insert_module(shard, &module);
-        }
+        let (shard, name) = self.admit(&mut catalog, obj, opts)?;
+        let module = match catalog[&name].recipe.load(&self.registries[shard]) {
+            Ok(m) => m,
+            Err(e) => {
+                self.forget(&mut catalog, &name);
+                return Err(e.into());
+            }
+        };
+        let rec = catalog.get_mut(&name).expect("admitted above");
+        self.cold.mark_resident(rec, &module);
         self.sharded.shard(shard).printk.log(format!(
             "fleet: {} placed on shard {shard} ({})",
             module.name,
@@ -823,25 +966,7 @@ impl Fleet {
     /// Same admission errors as [`Fleet::install`], minus `Load` (no
     /// load happens).
     pub fn register(&self, obj: &ObjectFile, opts: &TransformOptions) -> Result<usize, FleetError> {
-        let mut catalog = self.catalog.lock();
-        if catalog.contains_key(obj.name.as_str()) {
-            return Err(FleetError::DuplicateModule(obj.name.clone()));
-        }
-        let loads = self.loads();
-        let shard = self.placement.place(&obj.name, &loads);
-        if shard >= loads.len() {
-            return Err(FleetError::UnknownShard(shard));
-        }
-        self.check_occupancy(shard)?;
-        catalog.insert(
-            Arc::from(obj.name.as_str()),
-            InstallRecord {
-                shard,
-                recipe: Recipe::new(obj, opts),
-                resident: false,
-            },
-        );
-        self.counters.lock()[shard].cold += 1;
+        let (shard, _) = self.admit(&mut self.catalog.lock(), obj, opts)?;
         self.sharded.shard(shard).printk.log_limited(
             "fleet-register",
             format!(
@@ -853,12 +978,15 @@ impl Fleet {
         Ok(shard)
     }
 
-    /// Crash-recover shard `shard`: tear down every module its catalog
-    /// records hold resident there (forced — a crashed shard's exits
-    /// don't get a vote) and rebuild each from the install catalog's
-    /// stored object + options, in name order (deterministic). Callers
-    /// drive this from a [`ShardWatchdog`](crate::ShardWatchdog)
-    /// verdict, then rebuild the shard's scheduler group.
+    /// Crash-recover shard `shard`: tear down every copy the shard's
+    /// registry holds for a catalog record (forced — a crashed shard's
+    /// exits don't get a vote) and rebuild from the install catalog's
+    /// recipe every record counted resident or with a copy, in name
+    /// order (deterministic). A cold record's spans are already
+    /// unmapped and its recipe intact, so it is left to fault back in
+    /// on first call. Callers drive this from a
+    /// [`ShardWatchdog`](crate::ShardWatchdog) verdict, then rebuild the
+    /// shard's scheduler group.
     ///
     /// # Errors
     ///
@@ -873,84 +1001,49 @@ impl Fleet {
         let registry = &self.registries[shard];
         let mut names: Vec<Arc<str>> = catalog
             .iter()
-            .filter(|(_, rec)| rec.shard == shard)
+            .filter(|(n, rec)| rec.shard == shard && (rec.resident || registry.get(n).is_some()))
             .map(|(n, _)| n.clone())
             .collect();
         names.sort();
-        let kernel = self.sharded.shard(shard);
         let mut report = RecoveryReport {
             shard,
             ..RecoveryReport::default()
         };
-        let cold_tier = self.cold_tier();
         for name in names {
-            let resident = registry.get(&name);
-            if cold_tier.is_some() && resident.is_none() {
-                // Cold tier enabled: a catalog record without a
-                // resident copy is cold *by design* — its spans are
-                // already unmapped and its recipe intact, so recovery
-                // leaves it to fault back in on first call instead of
-                // materializing the whole catalog.
-                continue;
+            let rec = catalog.get_mut(&name).expect("listed above");
+            if rec.resident {
+                self.cold.mark_gone(rec, None);
             }
-            if let Some(m) = resident {
-                let base = m.movable_base.load(Ordering::Acquire);
-                let mut spans = vec![(base, (m.movable.total_pages * PAGE_SIZE) as u64)];
-                if let Some(imm) = &m.immovable {
-                    spans.push((imm.base, (imm.total_pages * PAGE_SIZE) as u64));
+            let recipe = rec.recipe.clone();
+            let torn_down = match registry.get(&name) {
+                None => Ok(()),
+                Some(m) => {
+                    let spans: Vec<(u64, u64)> = EvictedModule::of(shard, &m).spans().collect();
+                    drop(m);
+                    // Vacated only after the teardown actually unmapped
+                    // the spans: the layout oracle probes them to prove
+                    // no stale mapping survives rebuild. A failed retire
+                    // batch leaves the old mappings and withholds their
+                    // frames, and reloading on top would double-serve
+                    // the name, so the module leaves the fleet.
+                    registry
+                        .force_unload(&name)
+                        .map(|()| report.vacated.extend(spans))
                 }
-                if let Err(e) = registry.force_unload(&name) {
-                    // Retire batch failed: the old mappings survive and
-                    // their frames are withheld, so the spans are NOT
-                    // vacated — the oracle must not probe them as
-                    // reclaimed. Reloading on top would double-serve
-                    // the name, so drop the module from the fleet
-                    // entirely.
-                    report.failed.push((name.to_string(), e));
-                    catalog.remove(&name);
-                    continue;
+            };
+            match torn_down.and_then(|()| recipe.load(registry).map_err(|e| e.to_string())) {
+                Ok(m) => {
+                    let rec = catalog.get_mut(&name).expect("listed above");
+                    self.cold.mark_resident(rec, &m);
+                    report.rebuilt.push(name.to_string());
                 }
-                // Vacated only after the teardown actually unmapped the
-                // spans: the layout oracle probes them to prove no
-                // stale mapping survives rebuild.
-                report.vacated.extend(spans);
-            }
-            match catalog[&name].recipe.load(registry) {
-                Ok(_) => report.rebuilt.push(name.to_string()),
                 Err(e) => {
-                    report.failed.push((name.to_string(), e.to_string()));
-                    catalog.remove(&name);
+                    report.failed.push((name.to_string(), e));
+                    self.forget(&mut catalog, &name);
                 }
             }
         }
-        // Recompute this shard's occupancy counters from the rebuilt
-        // ground truth (teardown/rebuild interleavings are easier to
-        // recount than to track), and re-index the cold tier's resident
-        // spans for the shard.
-        {
-            let mut c = ShardCounter::default();
-            for (name, rec) in catalog.iter_mut().filter(|(_, rec)| rec.shard == shard) {
-                let resident = registry.get(name);
-                rec.resident = resident.is_some();
-                match resident {
-                    Some(m) => {
-                        c.resident += 1;
-                        c.mapped_bytes += m.mapped_bytes();
-                    }
-                    None => c.cold += 1,
-                }
-            }
-            self.counters.lock()[shard] = c;
-        }
-        if let Some(tier) = cold_tier {
-            tier.ranges.lock()[shard].clear();
-            for name in registry.list() {
-                if let Some(m) = registry.get(&name) {
-                    tier.insert_module(shard, &m);
-                }
-            }
-        }
-        kernel.printk.log(format!(
+        self.sharded.shard(shard).printk.log(format!(
             "fleet: shard {shard} recovered ({} rebuilt, {} failed)",
             report.rebuilt.len(),
             report.failed.len()
@@ -965,43 +1058,25 @@ impl Fleet {
     /// [`FleetError::UnknownModule`] / [`FleetError::Unload`].
     pub fn unload(&self, name: &str) -> Result<(), FleetError> {
         let mut catalog = self.catalog.lock();
-        let (shard, counted) = catalog
-            .get(name)
-            .map(|rec| (rec.shard, rec.resident))
+        let rec = catalog
+            .get_mut(name)
             .ok_or_else(|| FleetError::UnknownModule(name.to_string()))?;
-        let resident = counted.then(|| self.registries[shard].get(name)).flatten();
-        let Some(module) = resident else {
-            // Cold: nothing counted is mapped — deregistering is a
-            // catalog edit. A copy a fault-in is loading right now is
-            // the fault-in's to unload once it sees the record gone.
-            catalog.remove(name);
-            let mut counters = self.counters.lock();
-            counters[shard].cold = counters[shard].cold.saturating_sub(1);
-            drop(counters);
-            if let Some(tier) = self.cold_tier() {
-                tier.evicted.lock().remove(name);
-                tier.last_call.lock().remove(name);
+        // A record counted cold has nothing counted mapped:
+        // deregistering is a catalog edit. A copy a fault-in is loading
+        // right now is the fault-in's to unload once it sees the record
+        // gone.
+        if rec.resident {
+            // Registry unload first: if it fails (exit fault, withheld
+            // retire), the record stays counted resident, so the module
+            // stays visible to every fleet audit and the unload is
+            // retryable.
+            let registry = &self.registries[rec.shard];
+            if registry.get(name).is_some() {
+                registry.unload(name).map_err(FleetError::Unload)?;
             }
-            return Ok(());
-        };
-        let bytes = module.mapped_bytes();
-        drop(module);
-        // Registry unload first: if it fails (exit fault, withheld
-        // retire), the catalog record survives, so the module stays
-        // visible to every fleet audit and the unload is retryable.
-        self.registries[shard]
-            .unload(name)
-            .map_err(FleetError::Unload)?;
-        catalog.remove(name);
-        {
-            let mut counters = self.counters.lock();
-            counters[shard].resident -= 1;
-            counters[shard].mapped_bytes -= bytes;
+            self.cold.mark_gone(rec, None);
         }
-        if let Some(tier) = self.cold_tier() {
-            tier.remove_module(shard, name);
-            tier.last_call.lock().remove(name);
-        }
+        self.forget(&mut catalog, name);
         Ok(())
     }
 
@@ -1010,20 +1085,18 @@ impl Fleet {
     /// there). Returns human-readable violations; empty = clean.
     pub fn verify_symbol_integrity(&self) -> Vec<String> {
         let catalog = self.catalog.lock();
-        let cold_enabled = self.cold_tier().is_some();
         let mut violations = Vec::new();
         for (name, rec) in catalog.iter() {
             let kernel = self.sharded.shard(rec.shard);
             let Some(m) = self.registries[rec.shard].get(name) else {
-                if cold_enabled {
-                    // Cold by design: a record without a resident copy
-                    // is the tier working, not a lost module.
-                    continue;
+                // A record counted cold without a copy is the tier
+                // working; one counted resident was lost.
+                if rec.resident {
+                    violations.push(format!(
+                        "{name}: catalog says shard {} but the registry lost it",
+                        rec.shard
+                    ));
                 }
-                violations.push(format!(
-                    "{name}: catalog says shard {} but the registry lost it",
-                    rec.shard
-                ));
                 continue;
             };
             violations.extend(crate::verify_fixed_gots(kernel, &m));
@@ -1046,82 +1119,19 @@ impl Fleet {
         violations
     }
 
-    /// Enable the cold-module tier: installs a per-shard call observer
-    /// (last-call stamps, alongside the scheduler's primary slot) and a
-    /// per-shard demand loader (stale entry VAs into evicted modules
-    /// fault the module back in from its catalog record). After this, [`Fleet::cold_tick`] evicts idle
-    /// and over-cap residents, and [`Fleet::register`] +
-    /// [`Fleet::ensure_resident`] give a 10^5–10^6-module catalog a
-    /// bounded resident working set.
+    /// Set the cold tier's eviction limits, which [`Fleet::cold_tick`]
+    /// applies from its next call on (until then it uses
+    /// [`ColdTierConfig::default`]). The tier itself is always on: with
+    /// [`Fleet::register`] + [`Fleet::ensure_resident`] it gives a
+    /// 10^5–10^6-module catalog a bounded resident working set.
     pub fn enable_cold_tier(&self, cfg: ColdTierConfig) {
-        let tier = Arc::new(ColdTier::new(cfg, self.registries.len()));
-        // Seed the span index with what is already resident.
-        for (shard, registry) in self.registries.iter().enumerate() {
-            for name in registry.list() {
-                if let Some(m) = registry.get(&name) {
-                    tier.insert_module(shard, &m);
-                }
-            }
-        }
-        for (shard, kernel) in self.sharded.shards().iter().enumerate() {
-            // Call observer: stamp last-call time. Leaf locks only —
-            // safe from inside any Vm::call.
-            let t = tier.clone();
-            kernel.add_call_observer(Arc::new(move |entry| {
-                if let Some(name) = t.resolve(shard, entry) {
-                    let now = t.now_ns.load(Ordering::Relaxed);
-                    t.last_call.lock().insert(name, now);
-                }
-            }));
-            // Demand loader: resolve the faulting VA against the
-            // evicted-span index, rebuild the module from its catalog
-            // record, and forward the VA to the rebuilt copy (part
-            // images keep their internal layout, so the entry's offset
-            // from its part base is invariant across the reload).
-            let t = tier.clone();
-            let catalog = Arc::clone(&self.catalog);
-            let counters = Arc::clone(&self.counters);
-            let registry = Arc::clone(&self.registries[shard]);
-            kernel.set_demand_loader(Arc::new(move |va| {
-                let (name, old) = t.evicted.lock().resolve(shard, va)?;
-                // try_lock: install, unload, evict, cold_tick and
-                // recover_shard hold the catalog while a module's
-                // interpreted init or exit runs; a demand fault from
-                // inside that code would deadlock here, so the fault
-                // stands and the caller retries.
-                let recipe = {
-                    let catalog = catalog.try_lock()?;
-                    let rec = catalog.get(&name)?;
-                    if rec.shard != shard {
-                        // Never redirect into another shard's window.
-                        return None;
-                    }
-                    rec.recipe.clone()
-                };
-                let module =
-                    materialize(&catalog, &registry, &counters, Some(&t), shard, &recipe).ok()?;
-                let new_va = if va >= old.imm_base && va < old.imm_base + old.imm_span {
-                    module.immovable.as_ref()?.base + (va - old.imm_base)
-                } else {
-                    module.movable_base.load(Ordering::Acquire) + (va - old.mov_base)
-                };
-                t.demand_redirects.fetch_add(1, Ordering::Relaxed);
-                Some(new_va)
-            }));
-        }
-        *self.cold.lock() = Some(tier);
-    }
-
-    /// Whether [`Fleet::enable_cold_tier`] has run.
-    pub fn cold_tier_enabled(&self) -> bool {
-        self.cold.lock().is_some()
+        *self.cold.cfg.lock() = cfg;
     }
 
     /// Make `name` resident (fault it in from its catalog record if it
     /// is cold). Returns `(shard, module)`. Cheap when already
-    /// resident. Works with or without the cold tier enabled — this is
-    /// also how a "lost" module (catalog record without a resident
-    /// copy) self-heals.
+    /// resident. A record counted resident whose copy was lost behind
+    /// the fleet's back is faulted in the same way.
     ///
     /// # Errors
     ///
@@ -1141,12 +1151,10 @@ impl Fleet {
         };
         // The catalog lock is dropped before loading: init runs
         // interpreted code, which must be able to demand-fault.
-        let tier = self.cold_tier();
         let module = materialize(
             &self.catalog,
             &self.registries[shard],
-            &self.counters,
-            tier.as_deref(),
+            &self.cold,
             shard,
             &recipe,
         )?;
@@ -1182,13 +1190,11 @@ impl Fleet {
 
     /// Evict `names` — residents of `shard`, owned there by the catalog
     /// the caller holds locked, each with a record counted resident —
-    /// as one teardown: their exits run in
-    /// order, every module that survived its exit retires in one vmem
-    /// batch ([`ModuleRegistry::unload_many`]), and the fleet's
-    /// bookkeeping runs once for the batch — the counters under one
-    /// lock, one pass over the resident span index, then the
-    /// last-call stamps and the evicted index. One printk line names
-    /// the batch. Returns one result per name, in order.
+    /// as one teardown: their exits run in order, every module that
+    /// survived its exit retires in one vmem batch
+    /// ([`ModuleRegistry::unload_many`]), and each is marked gone with
+    /// its vacated spans in the evicted index. One printk line names the
+    /// batch. Returns one result per name, in order.
     fn evict_batch(
         &self,
         catalog: &mut Catalog,
@@ -1196,57 +1202,24 @@ impl Fleet {
         names: &[&str],
     ) -> Vec<Result<(), FleetError>> {
         let registry = &self.registries[shard];
-        let records: Vec<Option<(Arc<str>, EvictedModule, usize)>> = names
+        let vacated: Vec<Option<EvictedModule>> = names
             .iter()
-            .map(|name| {
-                let m = registry.get(name)?;
-                Some((
-                    m.name.clone(),
-                    EvictedModule::of(shard, &m),
-                    m.mapped_bytes(),
-                ))
-            })
+            .map(|name| registry.get(name).map(|m| EvictedModule::of(shard, &m)))
             .collect();
         let results = registry.unload_many(names, true);
-        let evicted: Vec<(Arc<str>, EvictedModule, usize)> = records
-            .into_iter()
-            .zip(&results)
-            .filter_map(|(rec, result)| rec.filter(|_| result.is_ok()))
-            .collect();
+        let mut evicted = Vec::new();
+        for ((&name, vacated), result) in names.iter().zip(vacated).zip(&results) {
+            if let (Some(vacated), Ok(())) = (vacated, result) {
+                let rec = catalog.get_mut(name).expect("victims have records");
+                self.cold.mark_gone(rec, Some(vacated));
+                evicted.push(name);
+            }
+        }
         if !evicted.is_empty() {
-            {
-                let mut counters = self.counters.lock();
-                for (name, _, bytes) in &evicted {
-                    let rec = catalog.get_mut(name).expect("victims have records");
-                    debug_assert!(rec.resident, "{name} evicted while not counted resident");
-                    rec.resident = false;
-                    counters[shard].resident -= 1;
-                    counters[shard].cold += 1;
-                    counters[shard].mapped_bytes -= bytes;
-                }
-            }
-            if let Some(tier) = self.cold_tier() {
-                let gone: HashSet<&str> = evicted.iter().map(|(n, _, _)| &**n).collect();
-                tier.ranges.lock()[shard].retain(|(_, _, n)| !gone.contains(&**n));
-                {
-                    // Only residents carry a stamp; fault-in re-stamps it.
-                    let mut last = tier.last_call.lock();
-                    for name in &gone {
-                        last.remove(*name);
-                    }
-                }
-                let mut index = tier.evicted.lock();
-                for (name, rec, _) in &evicted {
-                    index.insert(name.clone(), *rec);
-                }
-                tier.evictions
-                    .fetch_add(evicted.len() as u64, Ordering::Relaxed);
-            }
-            let label = evicted
-                .iter()
-                .map(|(n, _, _)| &**n)
-                .collect::<Vec<_>>()
-                .join(", ");
+            self.cold
+                .evictions
+                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            let label = evicted.join(", ");
             self.sharded.shard(shard).printk.log_limited(
                 "fleet-evict",
                 format!("fleet: {label} evicted cold from shard {shard}"),
@@ -1264,8 +1237,8 @@ impl Fleet {
     /// `max_resident`. Eviction order is `(last_call, name)` —
     /// deterministic for a deterministic call history. A module whose
     /// exit traps stays resident, and the next candidate is considered
-    /// in its place. Returns the evicted names, in that order. No-op
-    /// until [`Fleet::enable_cold_tier`].
+    /// in its place. Returns the evicted names, in that order. The
+    /// limits are [`Fleet::enable_cold_tier`]'s.
     ///
     /// Each shard's victims go as one [`Fleet::evict`]-style batch: one
     /// page-table transaction and one shootdown per shard, under one
@@ -1277,9 +1250,8 @@ impl Fleet {
     /// snapshots it retired, so callers' next fault-ins do not pay for
     /// dropping them.
     pub fn cold_tick(&self, now_ns: u64) -> Vec<String> {
-        let Some(tier) = self.cold_tier() else {
-            return Vec::new();
-        };
+        let tier = &self.cold;
+        let cfg = *tier.cfg.lock();
         tier.now_ns.store(now_ns, Ordering::Relaxed);
         let mut catalog = self.catalog.lock();
         let mut candidates: Vec<(u64, Arc<str>, usize)> = Vec::new();
@@ -1288,12 +1260,9 @@ impl Fleet {
             // count resident: a fault-in still running (a tick called
             // from an init) is indexed only once it completes, so it
             // is no victim.
-            let ranges = tier.ranges.lock();
-            let last = tier.last_call.lock();
-            for (shard, index) in ranges.iter().enumerate() {
-                for (_, _, name) in index {
-                    let stamp = last.get(name).copied().unwrap_or(0);
-                    candidates.push((stamp, name.clone(), shard));
+            for (shard, spans) in tier.spans.iter().enumerate() {
+                for s in spans.lock().iter() {
+                    candidates.push((s.last_call, s.name.clone(), shard));
                 }
             }
         }
@@ -1308,8 +1277,8 @@ impl Fleet {
             let start = next;
             let mut assumed = remaining;
             while let Some(&(stamp, _, _)) = candidates.get(next) {
-                let idle = stamp.saturating_add(tier.cfg.idle_ns) <= now_ns;
-                if !idle && assumed <= tier.cfg.max_resident {
+                let idle = stamp.saturating_add(cfg.idle_ns) <= now_ns;
+                if !idle && assumed <= cfg.max_resident {
                     break;
                 }
                 assumed -= 1;
@@ -1347,28 +1316,20 @@ impl Fleet {
             .collect()
     }
 
-    /// Cold-tier counters plus a current fleet-wide occupancy snapshot
-    /// (`resident` / `cold` are live whether or not the tier is on).
+    /// Cold-tier counters plus a current fleet-wide occupancy snapshot.
     pub fn cold_stats(&self) -> ColdTierStats {
-        let (resident, cold) = {
-            let counters = self.counters.lock();
-            counters
-                .iter()
-                .fold((0, 0), |(r, k), c| (r + c.resident, k + c.cold))
-        };
-        match self.cold_tier() {
-            Some(t) => ColdTierStats {
-                evictions: t.evictions.load(Ordering::Relaxed),
-                fault_ins: t.fault_ins.load(Ordering::Relaxed),
-                demand_redirects: t.demand_redirects.load(Ordering::Relaxed),
-                resident,
-                cold,
-            },
-            None => ColdTierStats {
-                resident,
-                cold,
-                ..ColdTierStats::default()
-            },
+        let t = &self.cold;
+        let (resident, cold) = t
+            .counters
+            .lock()
+            .iter()
+            .fold((0, 0), |(r, k), c| (r + c.resident, k + c.cold));
+        ColdTierStats {
+            evictions: t.evictions.load(Ordering::Relaxed),
+            fault_ins: t.fault_ins.load(Ordering::Relaxed),
+            demand_redirects: t.demand_redirects.load(Ordering::Relaxed),
+            resident,
+            cold,
         }
     }
 
@@ -1376,17 +1337,15 @@ impl Fleet {
     /// layout oracle probes to prove the eviction really unmapped, and
     /// `None` once the module is resident (or never evicted).
     pub fn evicted_spans(&self, name: &str) -> Option<Vec<(u64, u64)>> {
-        let t = self.cold_tier()?;
-        let evicted = t.evicted.lock();
-        evicted.get(name).map(|r| r.spans().collect())
+        let evicted = self.cold.evicted.lock();
+        evicted.by_name.get(name).map(|r| r.spans().collect())
     }
 }
 
-/// Load `recipe` into `registry`, shard `shard`'s, and do the fault-in
-/// bookkeeping (counters, span index, evicted-index cleanup). Shared by
-/// [`Fleet::ensure_resident`] and the per-shard demand loaders — the
-/// latter run inside `Vm::call` with no `&Fleet` in reach, hence the
-/// exploded borrows.
+/// Load `recipe` into `registry`, shard `shard`'s, and mark the copy
+/// resident. Shared by [`Fleet::ensure_resident`] and the per-shard
+/// demand loaders — the latter run inside `Vm::call` with no `&Fleet`
+/// in reach, hence the exploded borrows.
 ///
 /// The caller read the catalog record and dropped the lock, so that
 /// init can demand-fault. The record is checked again under the lock
@@ -1396,13 +1355,12 @@ impl Fleet {
 fn materialize(
     catalog: &Mutex<Catalog>,
     registry: &ModuleRegistry,
-    counters: &Mutex<Vec<ShardCounter>>,
-    tier: Option<&ColdTier>,
+    tier: &ColdTier,
     shard: usize,
     recipe: &Recipe,
 ) -> Result<Arc<LoadedModule>, FleetError> {
     let name = &recipe.name;
-    let module = match recipe.load(registry) {
+    let mut module = match recipe.load(registry) {
         Ok(m) => m,
         Err(e) => {
             // Lost a fault-in race: another caller materialized it
@@ -1417,10 +1375,13 @@ fn materialize(
     match catalog.get_mut(name) {
         Some(rec) if rec.shard == shard => {
             if rec.resident {
-                // A shard recovery counted the copy while init ran.
-                return Ok(module);
+                // Already counted: a shard recovery rebuilt the module
+                // while init ran, or this load replaced a counted copy
+                // that was lost. Count the copy the registry serves.
+                tier.mark_gone(rec, None);
+                module = registry.get(name).unwrap_or(module);
             }
-            rec.resident = true;
+            tier.mark_resident(rec, &module);
         }
         _ => {
             if registry.unload(name).is_err() {
@@ -1430,23 +1391,25 @@ fn materialize(
             return Err(FleetError::UnknownModule(name.to_string()));
         }
     }
-    {
-        let mut c = counters.lock();
-        c[shard].cold = c[shard].cold.saturating_sub(1);
-        c[shard].resident += 1;
-        c[shard].mapped_bytes += module.mapped_bytes();
-    }
-    if let Some(tier) = tier {
-        tier.evicted.lock().remove(name);
-        tier.insert_module(shard, &module);
-        tier.fault_ins.fetch_add(1, Ordering::Relaxed);
-    }
+    tier.fault_ins.fetch_add(1, Ordering::Relaxed);
     drop(catalog);
     registry.kernel().printk.log_limited(
         "fleet-faultin",
         format!("fleet: {name} faulted in on shard {shard}"),
     );
     Ok(module)
+}
+
+impl Drop for Fleet {
+    /// Take the fleet's call observers and demand loaders off its
+    /// kernels, which may outlive it: they would otherwise keep
+    /// stamping a dead tier and keep its recipes alive.
+    fn drop(&mut self) {
+        for (kernel, &token) in self.sharded.shards().iter().zip(&self.observers) {
+            kernel.remove_call_observer(token);
+            kernel.clear_demand_loader();
+        }
+    }
 }
 
 impl fmt::Debug for Fleet {
@@ -1522,13 +1485,18 @@ mod tests {
         )
     }
 
+    /// Install [`stateful_spec`]`(name)`, rerandomizable.
+    fn install(fleet: &Fleet, name: &str) -> (usize, Arc<LoadedModule>) {
+        let opts = TransformOptions::rerandomizable(true);
+        let obj = transform(&stateful_spec(name), &opts).unwrap();
+        fleet.install(&obj, &opts).unwrap()
+    }
+
     #[test]
     fn round_robin_spreads_and_windows_confine() {
         let fleet = fleet(3, Box::new(RoundRobin::new()));
-        let opts = TransformOptions::rerandomizable(true);
         for i in 0..6 {
-            let obj = transform(&stateful_spec(&format!("m{i}")), &opts).unwrap();
-            let (shard, module) = fleet.install(&obj, &opts).unwrap();
+            let (shard, module) = install(&fleet, &format!("m{i}"));
             assert_eq!(shard, i % 3, "round-robin placement");
             let (lo, hi) = fleet.sharded().window(shard);
             let base = module.movable_base.load(Ordering::Acquire);
@@ -1543,10 +1511,8 @@ mod tests {
     #[test]
     fn load_weighted_prefers_the_lightest_shard() {
         let fleet = fleet(3, Box::new(LoadWeighted::new()));
-        let opts = TransformOptions::rerandomizable(true);
         for i in 0..6 {
-            let obj = transform(&stateful_spec(&format!("w{i}")), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
+            install(&fleet, &format!("w{i}"));
         }
         let loads = fleet.loads();
         let max = loads.iter().map(|l| l.modules).max().unwrap();
@@ -1559,11 +1525,8 @@ mod tests {
         let mut pins = HashMap::new();
         pins.insert("p0".to_string(), 2);
         let fleet = fleet(3, Box::new(Pinned::new(pins, 1)));
-        let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&stateful_spec("p0"), &opts).unwrap();
-        assert_eq!(fleet.install(&obj, &opts).unwrap().0, 2);
-        let obj = transform(&stateful_spec("p1"), &opts).unwrap();
-        assert_eq!(fleet.install(&obj, &opts).unwrap().0, 1, "fallback shard");
+        assert_eq!(install(&fleet, "p0").0, 2);
+        assert_eq!(install(&fleet, "p1").0, 1, "fallback shard");
     }
 
     /// Regression: a duplicate install used to silently replace the
@@ -1616,15 +1579,7 @@ mod tests {
         assert!(fleet.registry(shard).get("stuck").is_some());
         assert_eq!(fleet.live_spans().len(), 2);
         assert!(fleet.verify_symbol_integrity().is_empty());
-        let kernel = fleet.kernel(shard).clone();
-        let mut vm = kernel.vm();
-        let entry = fleet
-            .registry(shard)
-            .get("stuck")
-            .unwrap()
-            .export("stuck_bump")
-            .unwrap();
-        assert_eq!(vm.call(entry, &[]).unwrap(), 1);
+        assert_eq!(bump_at(&fleet, "stuck", 0), 1);
         assert!(matches!(fleet.unload("stuck"), Err(FleetError::Unload(_))));
     }
 
@@ -1638,21 +1593,11 @@ mod tests {
         pins.insert("rb".to_string(), 0);
         pins.insert("rc".to_string(), 1);
         let fleet = fleet(2, Box::new(Pinned::new(pins, 0)));
-        let opts = TransformOptions::rerandomizable(true);
         for name in ["ra", "rb", "rc"] {
-            let obj = transform(&stateful_spec(name), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
+            install(&fleet, name);
         }
         let kernel = fleet.kernel(0).clone();
-        let bump = fleet
-            .registry(0)
-            .get("ra")
-            .unwrap()
-            .export("ra_bump")
-            .unwrap();
-        let mut vm = kernel.vm();
-        assert_eq!(vm.call(bump, &[]).unwrap(), 1);
-        drop(vm);
+        assert_eq!(bump_at(&fleet, "ra", 0), 1);
         let spans_before = fleet.live_spans();
 
         let report = fleet.recover_shard(0).unwrap();
@@ -1673,14 +1618,7 @@ mod tests {
         assert_eq!(fleet.shard_of("rc"), Some(1));
         let spans_after = fleet.live_spans();
         assert_eq!(spans_after.len(), spans_before.len());
-        let bump = fleet
-            .registry(0)
-            .get("ra")
-            .unwrap()
-            .export("ra_bump")
-            .unwrap();
-        let mut vm = kernel.vm();
-        assert_eq!(vm.call(bump, &[]).unwrap(), 1, "rebuilt state restarts");
+        assert_eq!(bump_at(&fleet, "ra", 0), 1, "rebuilt state restarts");
         assert!(fleet.verify_layout().is_empty());
         assert!(fleet.verify_symbol_integrity().is_empty());
         // Recovering an unknown shard is a typed error.
@@ -1701,11 +1639,10 @@ mod tests {
                 max_modules_per_shard: 1,
             },
         );
-        let opts = TransformOptions::rerandomizable(true);
         for name in ["a0", "a1"] {
-            let obj = transform(&stateful_spec(name), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
+            install(&fleet, name);
         }
+        let opts = TransformOptions::rerandomizable(true);
         let obj = transform(&stateful_spec("a2"), &opts).unwrap();
         match fleet.install(&obj, &opts) {
             Err(FleetError::Overloaded {
@@ -1724,18 +1661,119 @@ mod tests {
     #[test]
     fn verify_layout_flags_a_resident_without_a_catalog_record() {
         let fleet = fleet(2, Box::new(RoundRobin::new()));
-        let opts = TransformOptions::rerandomizable(true);
         for name in ["ok0", "ok1"] {
-            let obj = transform(&stateful_spec(name), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
+            install(&fleet, name);
         }
         assert!(fleet.verify_layout().is_empty());
+        let opts = TransformOptions::rerandomizable(true);
         let stray = transform(&stateful_spec("stray"), &opts).unwrap();
         fleet.registry(1).load(&stray, &opts).unwrap();
         let violations = fleet.verify_layout();
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
             violations[0].contains("stray") && violations[0].contains("shard 1"),
+            "{violations:?}"
+        );
+    }
+
+    /// Without `enable_cold_tier`, a registered module is cold, not
+    /// lost: only a record counted resident whose copy is gone is
+    /// reported, and recovery rebuilds exactly the records counted
+    /// resident or with a copy, leaving the cold one cold.
+    #[test]
+    fn a_cold_record_is_no_lost_module_without_enable_cold_tier() {
+        let fleet = fleet(1, Box::new(RoundRobin::new()));
+        for name in ["kept", "lost"] {
+            install(&fleet, name);
+        }
+        let opts = TransformOptions::rerandomizable(true);
+        let obj = transform(&stateful_spec("idle"), &opts).unwrap();
+        fleet.register(&obj, &opts).unwrap();
+        assert!(fleet.verify_symbol_integrity().is_empty());
+        assert!(fleet.verify_layout().is_empty());
+        // Lose a counted copy behind the fleet's back: lost, reported
+        // once, and no counter drift.
+        fleet.registry(0).force_unload("lost").unwrap();
+        let violations = fleet.verify_symbol_integrity();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("lost"), "{violations:?}");
+        assert!(fleet.verify_layout().is_empty());
+        let report = fleet.recover_shard(0).unwrap();
+        assert_eq!(report.rebuilt, ["kept", "lost"]);
+        assert!(report.failed.is_empty());
+        assert!(fleet.registry(0).get("idle").is_none(), "cold stays cold");
+        let stats = fleet.cold_stats();
+        assert_eq!((stats.resident, stats.cold, stats.fault_ins), (2, 1, 0));
+        assert!(fleet.verify_symbol_integrity().is_empty());
+        assert!(fleet.verify_layout().is_empty());
+    }
+
+    /// A second `enable_cold_tier` replaces the limits of the one tier:
+    /// its counters carry on and an eviction made before it still
+    /// demand-faults back in.
+    #[test]
+    fn enabling_the_cold_tier_again_keeps_its_state() {
+        let fleet = fleet(1, Box::new(RoundRobin::new()));
+        let cfg = ColdTierConfig {
+            idle_ns: 1_000,
+            max_resident: 64,
+        };
+        fleet.enable_cold_tier(cfg);
+        let (_, module) = install(&fleet, "twice");
+        let entry = module.export("twice_bump").unwrap();
+        drop(module);
+        assert_eq!(fleet.cold_tick(2_000), ["twice"]);
+        fleet.enable_cold_tier(ColdTierConfig {
+            idle_ns: u64::MAX,
+            ..cfg
+        });
+        assert_eq!(fleet.cold_stats().evictions, 1);
+        assert_eq!(fleet.kernel(0).vm().call(entry, &[]).unwrap(), 1);
+        let stats = fleet.cold_stats();
+        assert_eq!(
+            (stats.evictions, stats.fault_ins, stats.demand_redirects),
+            (1, 1, 1)
+        );
+        // The new limits hold: never idle, under the cap.
+        assert!(fleet.cold_tick(10_000).is_empty());
+        assert!(fleet.verify_layout().is_empty());
+    }
+
+    /// `ensure_resident` heals a record counted resident whose copy was
+    /// lost: the new copy replaces the lost one in the span index, so
+    /// its calls stamp `last_call`.
+    #[test]
+    fn a_lost_copy_faults_back_in_indexed() {
+        let fleet = fleet(1, Box::new(RoundRobin::new()));
+        install(&fleet, "lost");
+        fleet.registry(0).force_unload("lost").unwrap();
+        let (_, module) = fleet.ensure_resident("lost").unwrap();
+        fleet.cold.now_ns.store(5, Ordering::Relaxed);
+        let entry = module.export("lost_bump").unwrap();
+        assert_eq!(fleet.kernel(0).vm().call(entry, &[]).unwrap(), 1);
+        assert_eq!(stamps(&fleet), [("lost".to_string(), 5)]);
+        let stats = fleet.cold_stats();
+        assert_eq!((stats.resident, stats.cold, stats.fault_ins), (1, 0, 1));
+        assert!(fleet.verify_layout().is_empty());
+        assert!(fleet.verify_symbol_integrity().is_empty());
+    }
+
+    /// `verify_layout` recounts the occupancy counters from the catalog
+    /// records and their copies: a counter the bookkeeping let drift is
+    /// one violation naming its shard.
+    #[test]
+    fn verify_layout_flags_counter_drift() {
+        let fleet = fleet(2, Box::new(RoundRobin::new()));
+        install(&fleet, "d0");
+        let opts = TransformOptions::rerandomizable(true);
+        let obj = transform(&stateful_spec("d1"), &opts).unwrap();
+        fleet.register(&obj, &opts).unwrap();
+        assert!(fleet.verify_layout().is_empty());
+        fleet.cold.counters.lock()[1].mapped_bytes += PAGE_SIZE;
+        let violations = fleet.verify_layout();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("counter drift: shard 1"),
             "{violations:?}"
         );
     }
@@ -1751,9 +1789,7 @@ mod tests {
             idle_ns: 1_000,
             max_resident: 64,
         });
-        let opts = TransformOptions::rerandomizable(true);
-        let obj = transform(&stateful_spec("cz"), &opts).unwrap();
-        let (shard, module) = fleet.install(&obj, &opts).unwrap();
+        let (shard, module) = install(&fleet, "cz");
         let entry = module.export("cz_bump").unwrap();
         let old_mov = module.movable_base.load(Ordering::Acquire);
         let old_imm = module.immovable.as_ref().unwrap().base;
@@ -1801,7 +1837,6 @@ mod tests {
     fn unload_during_fault_in_leaves_no_resident() {
         use std::sync::atomic::AtomicBool;
         let fleet = Arc::new(fleet(1, Box::new(RoundRobin::new())));
-        fleet.enable_cold_tier(ColdTierConfig::default());
         let armed = Arc::new(AtomicBool::new(false));
         let (weak, gate) = (Arc::downgrade(&fleet), armed.clone());
         fleet
@@ -1926,7 +1961,6 @@ mod tests {
     #[test]
     fn register_keeps_modules_cold_until_first_use() {
         let fleet = fleet(2, Box::new(RoundRobin::new()));
-        fleet.enable_cold_tier(ColdTierConfig::default());
         let opts = TransformOptions::rerandomizable(true);
         for i in 0..10 {
             let obj = transform(&stateful_spec(&format!("r{i}")), &opts).unwrap();
@@ -1941,11 +1975,8 @@ mod tests {
             fleet.register(&dup, &opts),
             Err(FleetError::DuplicateModule(_))
         ));
-        let (shard, module) = fleet.ensure_resident("r3").unwrap();
-        let entry = module.export("r3_bump").unwrap();
-        let mut vm = fleet.kernel(shard).vm();
-        assert_eq!(vm.call(entry, &[]).unwrap(), 1);
-        drop(vm);
+        let (shard, _) = fleet.ensure_resident("r3").unwrap();
+        assert_eq!(bump_at(&fleet, "r3", 0), 1);
         let stats = fleet.cold_stats();
         assert_eq!((stats.resident, stats.cold), (1, 9));
         // Repeated ensure_resident is cheap and idempotent.
@@ -1973,10 +2004,8 @@ mod tests {
             idle_ns: u64::MAX,
             max_resident: 2,
         });
-        let opts = TransformOptions::rerandomizable(true);
         for name in ["ca", "cb", "cc", "cd"] {
-            let obj = transform(&stateful_spec(name), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
+            install(&fleet, name);
         }
         // All four share last_call = 0, so LRU order falls back to
         // names: the two lexicographically smallest are evicted.
@@ -2001,22 +2030,11 @@ mod tests {
             idle_ns: u64::MAX,
             max_resident: 2,
         });
-        let opts = TransformOptions::rerandomizable(true);
         for name in ["la", "lb", "lc", "ld", "le"] {
-            let obj = transform(&stateful_spec(name), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
+            install(&fleet, name);
         }
-        let stamped = |fleet: &Fleet| {
-            let mut names: Vec<String> = fleet
-                .cold_tier()
-                .unwrap()
-                .last_call
-                .lock()
-                .keys()
-                .map(|n| n.to_string())
-                .collect();
-            names.sort();
-            names
+        let stamped = |fleet: &Fleet| -> Vec<String> {
+            stamps(fleet).into_iter().map(|(name, _)| name).collect()
         };
         let residents = |fleet: &Fleet| {
             let mut names: Vec<String> = (0..2).flat_map(|s| fleet.registry(s).list()).collect();
@@ -2052,14 +2070,46 @@ mod tests {
         fleet
     }
 
+    /// Every `(module, last_call)` the resident span indexes hold,
+    /// sorted by module.
+    fn stamps(fleet: &Fleet) -> Vec<(String, u64)> {
+        let mut v = Vec::new();
+        for spans in &fleet.cold.spans {
+            v.extend(
+                spans
+                    .lock()
+                    .iter()
+                    .map(|s| (s.name.to_string(), s.last_call)),
+            );
+        }
+        v.sort();
+        v
+    }
+
+    /// Dropping a fleet takes its call observer and demand loader off
+    /// kernels that outlive it, and with them the tier and the catalog.
+    #[test]
+    fn dropping_the_fleet_releases_its_kernel_hooks() {
+        let fleet = fleet(2, Box::new(RoundRobin::new()));
+        let opts = TransformOptions::rerandomizable(true);
+        let obj = transform(&stateful_spec("h0"), &opts).unwrap();
+        fleet.register(&obj, &opts).unwrap();
+        let sharded = Arc::clone(fleet.sharded());
+        let tier = Arc::downgrade(&fleet.cold);
+        let catalog = Arc::downgrade(&fleet.catalog);
+        drop(fleet);
+        assert!(tier.upgrade().is_none(), "a kernel still holds the tier");
+        assert!(
+            catalog.upgrade().is_none(),
+            "a loader still holds the catalog"
+        );
+        drop(sharded);
+    }
+
     /// Call `name`'s bump export in its shard with the tier clock at
     /// `now_ns`, stamping its last call there.
     fn bump_at(fleet: &Fleet, name: &str, now_ns: u64) -> u64 {
-        fleet
-            .cold_tier()
-            .unwrap()
-            .now_ns
-            .store(now_ns, Ordering::Relaxed);
+        fleet.cold.now_ns.store(now_ns, Ordering::Relaxed);
         let shard = fleet.shard_of(name).unwrap();
         let entry = fleet
             .registry(shard)
@@ -2122,15 +2172,13 @@ mod tests {
         let got = batched.cold_tick(now);
         // The pre-batching tick: candidates in (last_call, name) order,
         // one evict each, the cap re-checked against real successes.
-        let tier = reference.cold_tier().unwrap();
+        let tier = &reference.cold;
         tier.now_ns.store(now, Ordering::Relaxed);
-        let mut candidates: Vec<(u64, String)> = {
-            let last = tier.last_call.lock();
-            (0..2)
-                .flat_map(|s| reference.registry(s).list())
-                .map(|n| (last[n.as_str()], n))
-                .collect()
-        };
+        let last: HashMap<String, u64> = stamps(&reference).into_iter().collect();
+        let mut candidates: Vec<(u64, String)> = (0..2)
+            .flat_map(|s| reference.registry(s).list())
+            .map(|n| (last[&n], n))
+            .collect();
         candidates.sort();
         let mut remaining = candidates.len();
         let mut want = Vec::new();
@@ -2174,10 +2222,8 @@ mod tests {
     #[test]
     fn live_spans_cover_every_part_and_stay_disjoint() {
         let fleet = fleet(4, Box::new(RoundRobin::new()));
-        let opts = TransformOptions::rerandomizable(true);
         for i in 0..4 {
-            let obj = transform(&stateful_spec(&format!("s{i}")), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
+            install(&fleet, &format!("s{i}"));
         }
         let spans = fleet.live_spans();
         assert_eq!(spans.len(), 8, "movable + immovable per module");
@@ -2202,25 +2248,21 @@ mod tests {
     #[test]
     fn resident_span_index_holds_only_live_spans_after_rerandomization() {
         let fleet = fleet(2, Box::new(RoundRobin::new()));
-        fleet.enable_cold_tier(ColdTierConfig::default());
-        let opts = TransformOptions::rerandomizable(true);
         for i in 0..4 {
-            let obj = transform(&stateful_spec(&format!("x{i}")), &opts).unwrap();
-            fleet.install(&obj, &opts).unwrap();
+            install(&fleet, &format!("x{i}"));
         }
         let shard = fleet.shard_of("x1").unwrap();
         let module = fleet.registry(shard).get("x1").unwrap();
         crate::rerandomize_module(fleet.kernel(shard), fleet.registry(shard), &module).unwrap();
         let live = fleet.live_spans();
-        let tier = fleet.cold_tier().unwrap();
-        let ranges = tier.ranges.lock();
-        for (shard, spans) in ranges.iter().enumerate() {
-            for (start, end, name) in spans {
-                let span = (shard, name.to_string(), *start, end - start);
+        let mut indexed = 0;
+        for (shard, spans) in fleet.cold.spans.iter().enumerate() {
+            for s in spans.lock().iter() {
+                let span = (shard, s.name.to_string(), s.start, s.end - s.start);
                 assert!(live.contains(&span), "stale resident span {span:?}");
+                indexed += 1;
             }
         }
-        let indexed: usize = ranges.iter().map(Vec::len).sum();
         assert_eq!(indexed, 4, "one span per module");
     }
 }
@@ -2292,7 +2334,7 @@ mod evicted_index_tests {
         idx.insert("b".into(), rec(0, (0x20_0000, PAGE), (0, 0)));
         assert_eq!(idx.remove("a"), Some(a));
         assert_eq!(idx.remove("a"), None);
-        assert!(idx.get("a").is_none());
+        assert!(!idx.by_name.contains_key("a"));
         assert_eq!(name_at(&idx, 0, 0x10_0000), None);
         assert_eq!(name_at(&idx, 0, 0x80_0000), None);
         assert_eq!(name_at(&idx, 0, 0x20_0000), Some("b".into()));

@@ -51,64 +51,16 @@ fn spec(name: &str) -> ModuleSpec {
     s
 }
 
-/// Check every fleet invariant. Returns a violation description or
-/// `None`.
-fn check_invariants(fleet: &Fleet, installed: &[String]) -> Option<String> {
-    // (1) Registry/catalog agreement, window confinement and pairwise
-    // disjointness of all live spans (the shared `Fleet::verify_layout`
-    // checker: cross-shard AND within-shard).
-    if let Some(v) = fleet.verify_layout().into_iter().next() {
-        return Some(v);
-    }
-    // (2) Fixed GOTs + export publication in the owning shard.
-    let integrity = fleet.verify_symbol_integrity();
-    if let Some(v) = integrity.first() {
-        return Some(v.clone());
-    }
-    // (3) Every installed module is reachable from exactly its owning
-    // shard — and actually executes there.
-    for name in installed {
-        let Some(owner) = fleet.shard_of(name) else {
-            return Some(format!("{name} vanished from the catalog"));
-        };
-        let export = format!("{name}_calc");
-        for shard in 0..fleet.len() {
-            let visible = fleet.kernel(shard).symbols.lookup(&export).is_some();
-            if shard == owner && !visible {
-                return Some(format!(
-                    "{name} unreachable from owning shard {owner}'s symbol table"
-                ));
-            }
-            if shard != owner && visible {
-                return Some(format!(
-                    "{name} leaked into shard {shard}'s symbol table (owner {owner})"
-                ));
-            }
-        }
-        let module = fleet.registry(owner).get(name).expect("registry entry");
-        let entry = module.export(&export).expect("export");
-        let kernel = fleet.kernel(owner).clone();
-        let mut vm = kernel.vm();
-        match vm.call(entry, &[33]) {
-            Ok(42) => {}
-            other => {
-                return Some(format!(
-                    "{name} misbehaves in owning shard {owner}: {other:?}"
-                ))
-            }
-        }
-    }
-    None
-}
-
-/// The invariants of a fleet with the cold tier enabled, where a
-/// catalog entry may legitimately be non-resident. Resident modules
-/// get the full treatment (visibility confined to the owner, GOT
-/// audit via `verify_symbol_integrity`, real execution); cold modules
-/// must be *gone* — resident nowhere, visible in no shard's symbol
-/// table — while staying in the catalog. No module may be resident in
-/// two registries at once (lost/duplicated check).
-fn check_cold_invariants(fleet: &Fleet, names: &[String]) -> Option<String> {
+/// Check every fleet invariant, where a catalog entry may legitimately
+/// be cold. The shared `Fleet::verify_layout` checker (registry/catalog
+/// agreement, window confinement, pairwise disjointness of all live
+/// spans, the occupancy counters) and the symbol audit come first.
+/// Resident modules get the full treatment (visibility confined to the
+/// owner, real execution); cold modules must be *gone* — resident
+/// nowhere, visible in no shard's symbol table — while staying in the
+/// catalog. No module may be resident in two registries at once
+/// (lost/duplicated check). Returns a violation description or `None`.
+fn check_invariants(fleet: &Fleet, names: &[String]) -> Option<String> {
     if let Some(v) = fleet.verify_layout().into_iter().next() {
         return Some(v);
     }
@@ -266,6 +218,8 @@ proptest! {
             if let Some(violation) = check_invariants(&fleet, &installed) {
                 prop_assert!(false, "invariant violated: {violation}");
             }
+            // Every op leaves every installed module resident.
+            prop_assert_eq!(fleet.cold_stats().cold, 0);
         }
         // Drain: unload everything; every shard ends empty and clean.
         for name in installed.drain(..) {
@@ -395,7 +349,7 @@ proptest! {
                     }
                 }
             }
-            if let Some(violation) = check_cold_invariants(&fleet, &names) {
+            if let Some(violation) = check_invariants(&fleet, &names) {
                 prop_assert!(false, "invariant violated: {violation}");
             }
         }

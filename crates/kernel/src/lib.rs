@@ -152,10 +152,9 @@ pub struct Kernel {
     /// `next_stack` maps fresh ones.
     free_stacks: Mutex<Vec<u64>>,
     next_mmio_bar: AtomicU64,
-    /// `(token, callback)` pairs; token 0 is the scheduler's primary
-    /// slot (`set_call_observer` replaces it), higher tokens come from
-    /// `add_call_observer` (the fleet's cold-tier idle tracker). Each
-    /// change publishes a fresh immutable list and bumps
+    /// `(token, callback)` pairs, one per `add_call_observer` (each
+    /// scheduler pool's call-rate hook, the fleet's cold-tier idle
+    /// tracker). Each change publishes a fresh immutable list and bumps
     /// `observers_gen`; every `Vm` keeps the list it last saw and
     /// re-reads it only when the generation moved, so a steady call
     /// pays one atomic load and allocates nothing.
@@ -251,25 +250,10 @@ impl Kernel {
         self.free_stacks.lock().push(top);
     }
 
-    /// Install the primary per-call observer (replacing any previous
-    /// primary). The callback runs on every *outermost* interpreted
-    /// call, on the calling thread — keep it cheap (a counter bump).
-    pub fn set_call_observer(&self, observer: CallObserver) {
-        self.update_observers(|list| {
-            list.retain(|(token, _)| *token != 0);
-            list.push((0, observer));
-        });
-    }
-
-    /// Remove the primary per-call observer.
-    pub fn clear_call_observer(&self) {
-        self.update_observers(|list| list.retain(|(token, _)| *token != 0));
-    }
-
-    /// Install an *additional* per-call observer alongside the primary
-    /// slot; returns a token for [`Kernel::remove_call_observer`]. The
-    /// fleet's cold tier uses one to stamp per-module last-call times
-    /// without displacing the scheduler's telemetry hook.
+    /// Install a per-call observer alongside any others; returns the
+    /// token that [`Kernel::remove_call_observer`] removes it by. The
+    /// callback runs on every *outermost* interpreted call, on the
+    /// calling thread — keep it cheap (a counter bump).
     pub fn add_call_observer(&self, observer: CallObserver) -> u64 {
         let token = self.next_observer_token.fetch_add(1, Ordering::Relaxed);
         self.update_observers(|list| list.push((token, observer)));

@@ -127,10 +127,9 @@ impl FleetScheduler {
     /// Replace shard `shard`'s stepped group with a fresh one over
     /// `modules` — the scheduling half of crash recovery, after the
     /// fleet rebuilt the shard's modules from the install catalog. The
-    /// old group is halted *first* (its kernel call observer is a
-    /// single slot; the new group re-installs it), its telemetry is
-    /// discarded with it, and the replacement joins the same global
-    /// budget and the same virtual clock.
+    /// old group is dropped (stopped, its call observer removed) with
+    /// its telemetry, and the replacement joins the same global budget
+    /// and the same virtual clock.
     ///
     /// # Panics
     ///
@@ -147,7 +146,6 @@ impl FleetScheduler {
         clock: Arc<SimClock>,
         cycle_cost: Duration,
     ) {
-        self.groups[shard].halt();
         let with_policies: Vec<(&str, Policy)> = modules
             .iter()
             .map(|(n, p)| (n.as_str(), p.clone()))

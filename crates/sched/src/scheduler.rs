@@ -307,12 +307,6 @@ impl Shared {
 
 /// The randomizer pool: the subsystem replacing the paper artifact's
 /// single `randmod` kthread.
-///
-/// Run at most one pool per kernel at a time: the kernel's per-call
-/// observer is a single slot, so a second concurrently-spawned pool
-/// would replace the first one's call-rate telemetry hook (cycling
-/// itself would still be correct, but `Adaptive` call-rate inputs of
-/// the first pool would freeze).
 pub struct Scheduler {
     shared: Arc<Shared>,
     budget: Arc<BudgetController>,
@@ -320,9 +314,9 @@ pub struct Scheduler {
     registry: Arc<ModuleRegistry>,
     workers: Vec<std::thread::JoinHandle<()>>,
     exposure_refresh: u64,
-    /// Whether this pool installed the kernel call observer (and must
-    /// therefore remove it on shutdown — never someone else's).
-    installed_observer: bool,
+    /// The token of the kernel call observer this pool installed, which
+    /// shutdown removes — never another pool's.
+    observer: Option<u64>,
 }
 
 impl Scheduler {
@@ -500,19 +494,17 @@ impl Scheduler {
             })
             .collect();
         ranges.sort_by_key(|&(start, _, _)| start);
-        let installed_observer = !ranges.is_empty();
-        if installed_observer {
-            let hook_ranges = Arc::new(ranges);
-            kernel.set_call_observer(Arc::new(move |entry_va| {
-                let i = hook_ranges.partition_point(|&(start, _, _)| start <= entry_va);
+        let observer = (!ranges.is_empty()).then(|| {
+            kernel.add_call_observer(Arc::new(move |entry_va| {
+                let i = ranges.partition_point(|&(start, _, _)| start <= entry_va);
                 if i > 0 {
-                    let (_, end, ref counter) = hook_ranges[i - 1];
+                    let (_, end, ref counter) = ranges[i - 1];
                     if entry_va < end {
                         counter.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            }));
-        }
+            }))
+        });
 
         // Initial gadget-exposure scan, so the adaptive policy has a
         // signal from the very first deadline. Scans are memoized by
@@ -571,7 +563,7 @@ impl Scheduler {
             registry,
             workers: Vec::new(),
             exposure_refresh: config.exposure_refresh,
-            installed_observer,
+            observer,
         }
     }
 
@@ -718,15 +710,6 @@ impl Scheduler {
         self.shared.unhealthy.load(Ordering::Relaxed)
     }
 
-    /// Stop the pool in place (waiting out in-flight cycles and
-    /// releasing the kernel call observer) without consuming the
-    /// handle — the fleet's crash-recovery path halts a shard's old
-    /// group *before* building the replacement, because the observer
-    /// slot is single-occupancy per kernel.
-    pub fn halt(&mut self) {
-        self.shutdown();
-    }
-
     /// Print the artifact-style stats block plus one line per module to
     /// the kernel log.
     pub fn log_stats(&self) {
@@ -759,8 +742,8 @@ impl Scheduler {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if self.installed_observer {
-            self.kernel.clear_call_observer();
+        if let Some(token) = self.observer.take() {
+            self.kernel.remove_call_observer(token);
         }
     }
 

@@ -509,3 +509,33 @@ fn same_deadline_cycles_coalesce_shootdown_epochs() {
     }
     drop(sched);
 }
+
+/// Two pools on one kernel each keep their own call observer: dropping
+/// pool A removes A's hook only, so pool B goes on counting the calls
+/// into its module.
+#[test]
+fn dropping_one_pool_keeps_another_pools_call_counts() {
+    let (kernel, registry, modules) = boot_n(2);
+    let clock = SimClock::new();
+    let pool = |name: &str| {
+        Scheduler::spawn_stepped(
+            kernel.clone(),
+            registry.clone(),
+            &[(name, Policy::FixedPeriod(Duration::from_millis(10)))],
+            SchedConfig::default(),
+            clock.clone(),
+            Duration::from_micros(10),
+        )
+    };
+    let a = pool("mod0");
+    let b = pool("mod1");
+    drop(a);
+    let mut vm = kernel.vm();
+    let entry = modules[1].export("mod1_calc").unwrap();
+    for _ in 0..25 {
+        assert_eq!(vm.call(entry, &[16]).unwrap(), 42);
+    }
+    let stats = b.stop();
+    assert_eq!(stats.modules.len(), 1);
+    assert_eq!(stats.modules[0].calls, 25, "pool B's hook saw every call");
+}
