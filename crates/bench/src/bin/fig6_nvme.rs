@@ -3,6 +3,7 @@
 
 use adelie_bench::{point_duration, print_header, print_row, Unit};
 use adelie_plugin::TransformOptions;
+use adelie_sched::{Clock, SchedConfig};
 use adelie_workloads::{run_nvme_direct, DriverSet, Testbed};
 use std::time::Duration;
 
@@ -20,7 +21,10 @@ fn main() {
     print_row("adelie, no re-randomization", &m, Unit::OpsPerSec);
     for period_ms in [5u64, 1] {
         let tb = Testbed::new(opts, DriverSet::storage());
-        let rr = tb.start_rerand(Duration::from_millis(period_ms));
+        let rr = tb.start_scheduler(
+            SchedConfig::serial(Duration::from_millis(period_ms)),
+            Clock::wall(),
+        );
         let m = run_nvme_direct(&tb, dur);
         let stats = rr.stop();
         print_row(

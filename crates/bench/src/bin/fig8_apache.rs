@@ -3,6 +3,7 @@
 
 use adelie_bench::{concurrency_levels, point_duration, print_header, print_row, Unit};
 use adelie_plugin::TransformOptions;
+use adelie_sched::{Clock, SchedConfig};
 use adelie_workloads::{run_apache, DriverSet, Testbed};
 use std::time::Duration;
 
@@ -20,7 +21,10 @@ fn main() {
         print_row("  linux", &m, Unit::MbPerSec);
         for period_ms in [20u64, 5, 1] {
             let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full());
-            let rr = tb.start_rerand(Duration::from_millis(period_ms));
+            let rr = tb.start_scheduler(
+                SchedConfig::serial(Duration::from_millis(period_ms)),
+                Clock::wall(),
+            );
             let m = run_apache(&tb, bs, conc, 2, dur);
             rr.stop();
             print_row(&format!("  adelie {period_ms:>2} ms"), &m, Unit::MbPerSec);

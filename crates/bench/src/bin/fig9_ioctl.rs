@@ -15,6 +15,7 @@
 use adelie_bench::{overhead_pct, point_duration, print_header, print_row, Unit};
 use adelie_drivers::specs::DUMMY_MINOR;
 use adelie_plugin::TransformOptions;
+use adelie_sched::{Clock, SchedConfig};
 use adelie_workloads::{run_ioctl, DriverSet, Testbed};
 use std::time::Duration;
 
@@ -113,7 +114,12 @@ fn main() {
     let mut results: Vec<(String, f64)> = Vec::new();
     let mut run = |label: &str, opts: TransformOptions, period: Option<u64>| {
         let tb = Testbed::new(opts, DriverSet::dummy_only());
-        let rr = period.map(|ms| tb.start_rerand(Duration::from_millis(ms)));
+        let rr = period.map(|ms| {
+            tb.start_scheduler(
+                SchedConfig::serial(Duration::from_millis(ms)),
+                Clock::wall(),
+            )
+        });
         let m = run_ioctl(&tb, dur);
         if let Some(rr) = rr {
             rr.stop();

@@ -8,7 +8,7 @@ use adelie_core::ModuleRegistry;
 use adelie_gadget::synth_module;
 use adelie_kernel::{Kernel, KernelConfig};
 use adelie_plugin::{transform, TransformOptions};
-use adelie_sched::{Policy, SchedConfig, Scheduler};
+use adelie_sched::{Clock, Policy, SchedConfig, Scheduler};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,11 +39,12 @@ fn main() {
     for count in [1usize, 5, 10, 20] {
         let (kernel, registry, names) = fleet(count);
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let sched = Scheduler::spawn(
+        let sched = Scheduler::new(
             kernel.clone(),
             registry.clone(),
             &refs,
             SchedConfig::serial(Duration::from_millis(20)),
+            Clock::wall(),
         );
         std::thread::sleep(window);
         let stats = sched.stop();
@@ -65,7 +66,7 @@ fn main() {
     for workers in [1usize, 2, 4] {
         let (kernel, registry, names) = fleet(10);
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let sched = Scheduler::spawn(
+        let sched = Scheduler::new(
             kernel.clone(),
             registry.clone(),
             &refs,
@@ -74,6 +75,7 @@ fn main() {
                 policy: Policy::FixedPeriod(Duration::from_millis(1)),
                 ..SchedConfig::default()
             },
+            Clock::wall(),
         );
         std::thread::sleep(window);
         let stats = sched.stop();

@@ -27,11 +27,10 @@
 use adelie_bench::contention;
 use adelie_core::ModuleRegistry;
 use adelie_kernel::{FleetConfig, Kernel, KernelConfig, ShardedKernel};
-use adelie_sched::{Policy, SchedConfig, Scheduler, SimClock};
+use adelie_sched::{Clock, Policy, SchedConfig, Scheduler, SimClock};
 use adelie_testkit::LayoutOracle;
 use adelie_vmem::{Access, Batch, PteFlags, Tlb, TlbStats};
 use std::fmt::Write as _;
-use std::time::Duration;
 
 const SEEDS: [u64; 3] = [1, 42, 0xA77ACC];
 const MODULES: usize = 4;
@@ -65,25 +64,17 @@ fn run(label: &'static str, seed: u64) -> Outcome {
     let clock = SimClock::new();
     let oracle = LayoutOracle::new(kernel.clone(), clock.clone());
     registry.set_cycle_hooks(oracle.clone());
-    let with_policies: Vec<(&str, Policy)> = modules
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let name: &str = Box::leak(format!("mod{i}").into_boxed_str());
-            (name, Policy::default_adaptive())
-        })
-        .collect();
-    let sched = Scheduler::spawn_stepped(
+    let names: Vec<&str> = modules.iter().map(|m| &*m.name).collect();
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
-        &with_policies,
+        &names,
         SchedConfig {
             workers: 4,
             policy: Policy::default_adaptive(),
             ..SchedConfig::default()
         },
-        clock.clone(),
-        Duration::from_micros(100),
+        Clock::Virtual(clock.clone()),
     );
     let entries: Vec<u64> = modules
         .iter()

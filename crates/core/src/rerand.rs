@@ -58,6 +58,13 @@ pub enum RerandError {
         /// Module name (shared id — no per-error allocation).
         module: Arc<str>,
     },
+    /// The registry no longer holds this copy of the module: it was
+    /// unloaded (or replaced by a fresh copy under the same name), so
+    /// its frames are freed or about to be. The cycle touched nothing.
+    Unloaded {
+        /// Module name (shared id — no per-error allocation).
+        module: Arc<str>,
+    },
     /// No free virtual range of the required size could be found.
     NoSpace {
         /// Module name (shared id — no per-error allocation).
@@ -91,6 +98,9 @@ impl fmt::Display for RerandError {
         match self {
             RerandError::NotRerandomizable { module } => {
                 write!(f, "module {module} is not re-randomizable")
+            }
+            RerandError::Unloaded { module } => {
+                write!(f, "module {module} is no longer loaded")
             }
             RerandError::NoSpace { module, pages } => {
                 write!(f, "no free {pages}-page range to move {module} into")
@@ -126,11 +136,12 @@ impl std::error::Error for RerandError {
 /// # Errors
 ///
 /// [`RerandError`] — the module is left fully functional on any error
-/// and callers may simply retry later. Placement and mapping errors
-/// roll the cycle back completely (the module has not moved, nothing
-/// is leaked); a failing `update_pointers` callback is reported after
-/// the move has committed and the old range been retired (see
-/// [`RerandError::UpdatePointers`]).
+/// and callers may simply retry later. A copy `registry` no longer
+/// holds is never moved ([`RerandError::Unloaded`]). Placement and
+/// mapping errors roll the cycle back completely (the module has not
+/// moved, nothing is leaked); a failing `update_pointers` callback is
+/// reported after the move has committed and the old range been
+/// retired (see [`RerandError::UpdatePointers`]).
 pub fn rerandomize_module(
     kernel: &Arc<Kernel>,
     registry: &ModuleRegistry,
@@ -162,6 +173,19 @@ pub fn rerandomize_module_epoch(
         });
     }
     let _move_guard = module.move_lock.lock();
+    // A copy its registry no longer holds must not move: its frames are
+    // freed (or about to be), and aliasing them at a fresh base would
+    // map pages another load may own. `unload_many` takes the name out
+    // of the map before it takes the victim's `move_lock`, so a cycle
+    // that passes this check finishes before the retire.
+    if !registry
+        .get(&module.name)
+        .is_some_and(|held| std::ptr::eq(&*held, module))
+    {
+        return Err(RerandError::Unloaded {
+            module: module.name.clone(),
+        });
+    }
     let pages = module.movable.total_pages;
     let old_base = module.movable_base.load(Ordering::Acquire);
 

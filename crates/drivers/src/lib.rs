@@ -346,11 +346,12 @@ mod tests {
         let (kernel, registry) = boot();
         let drv = install_nic(&registry, &opts, NicFlavor::E1000e).unwrap();
         kernel.devices.set_rx_handler(Box::new(|_| {}));
-        let sched = adelie_sched::Scheduler::spawn(
+        let sched = adelie_sched::Scheduler::new(
             kernel.clone(),
             registry.clone(),
             &["e1000e"],
             adelie_sched::SchedConfig::serial(std::time::Duration::from_millis(1)),
+            adelie_sched::Clock::wall(),
         );
         let mut vm = kernel.vm();
         for i in 0..300u64 {
@@ -391,7 +392,7 @@ mod tests {
         install_xhci(&registry, &opts).unwrap();
         let names = ["e1000e", "nvme", "fuse", "extfs", "xhci"];
         // Two workers: independent drivers re-randomize concurrently.
-        let sched = adelie_sched::Scheduler::spawn(
+        let sched = adelie_sched::Scheduler::new(
             kernel.clone(),
             registry.clone(),
             &names,
@@ -400,6 +401,7 @@ mod tests {
                 policy: adelie_sched::Policy::FixedPeriod(std::time::Duration::from_millis(2)),
                 ..adelie_sched::SchedConfig::default()
             },
+            adelie_sched::Clock::wall(),
         );
         std::thread::sleep(std::time::Duration::from_millis(50));
         let stats = sched.stop();

@@ -11,112 +11,85 @@
 //! on re-randomization, and a hot shard automatically stretches every
 //! shard's adaptive periods.
 //!
-//! Both scheduler modes compose: [`FleetScheduler::spawn`] runs
-//! threaded worker groups on the wall clock (production / bench);
-//! [`FleetScheduler::spawn_stepped`] puts every group on one shared
-//! [`SimClock`] and lets a harness drive the whole fleet one
-//! deterministic step at a time — the earliest due deadline *across
-//! shards* runs next, exactly as a machine-global randomizer would
-//! interleave.
+//! Both scheduler modes compose through the one [`Clock`] handed to
+//! [`FleetScheduler::new`]: a wall clock runs threaded worker groups
+//! (production / bench); a [`Clock::Virtual`] puts every group on one
+//! shared [`SimClock`](crate::SimClock) and lets a harness drive the
+//! whole fleet one deterministic step at a time — the earliest due
+//! deadline *across shards* runs next, exactly as a machine-global
+//! randomizer would interleave.
 
 use crate::budget::BudgetController;
-use crate::policy::Policy;
 use crate::scheduler::{CycleReport, SchedConfig, Scheduler};
 use crate::stats::SchedStats;
-use crate::{Clock, SimClock};
+use crate::Clock;
 use adelie_core::ModuleRegistry;
 use adelie_kernel::Kernel;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One shard's scheduling description: its kernel, its registry, and
-/// the `(module, policy)` pairs its group drives.
-pub type ShardSched = (Arc<Kernel>, Arc<ModuleRegistry>, Vec<(String, Policy)>);
+/// the modules its group drives.
+pub type ShardSched = (Arc<Kernel>, Arc<ModuleRegistry>, Vec<String>);
 
 /// Per-shard worker groups under one global budget.
 pub struct FleetScheduler {
     groups: Vec<Scheduler>,
     budget: Arc<BudgetController>,
+    /// Every group's config, kept for [`FleetScheduler::replace_group`].
+    config: SchedConfig,
+    /// The one timeline every group and the budget run on.
+    clock: Clock,
 }
 
 impl FleetScheduler {
-    fn global_budget(
-        shards: &[ShardSched],
-        config: &SchedConfig,
-        clock: Clock,
-    ) -> Arc<BudgetController> {
+    /// Start one group per shard on `clock`, all under one global
+    /// budget capped at `config.max_cpu_frac` of the fleet's total
+    /// CPUs. Each group is a [`Scheduler::new`] pool: a wall clock
+    /// starts `config.workers` threads per shard, a [`Clock::Virtual`]
+    /// starts none and is driven by [`FleetScheduler::step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty, a named module is missing or not
+    /// re-randomizable, or `config.workers` is zero.
+    pub fn new(shards: Vec<ShardSched>, config: SchedConfig, clock: Clock) -> FleetScheduler {
+        assert!(!shards.is_empty(), "fleet scheduler needs shards");
         // The modeled machine is the union of the shards: the global
         // cap is a fraction of *total* fleet CPUs.
         let total_cpus: usize = shards.iter().map(|(k, _, _)| k.config.cpus).sum();
-        Arc::new(BudgetController::new(
+        let budget = Arc::new(BudgetController::new(
             total_cpus.max(1),
             config.max_cpu_frac,
+            clock.clone(),
+        ));
+        let mut fleet = FleetScheduler {
+            groups: Vec::with_capacity(shards.len()),
+            budget,
+            config,
             clock,
-        ))
+        };
+        for (kernel, registry, modules) in shards {
+            let names: Vec<&str> = modules.iter().map(String::as_str).collect();
+            let group = fleet.build_group(kernel, registry, &names);
+            fleet.groups.push(group);
+        }
+        fleet
     }
 
-    /// Start one threaded worker group per shard (production shape).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty, a named module is missing or not
-    /// re-randomizable, or `config.workers` is zero.
-    pub fn spawn(shards: Vec<ShardSched>, config: SchedConfig) -> FleetScheduler {
-        assert!(!shards.is_empty(), "fleet scheduler needs shards");
-        let budget = FleetScheduler::global_budget(&shards, &config, Clock::wall());
-        let groups = shards
-            .into_iter()
-            .map(|(kernel, registry, modules)| {
-                let with_policies: Vec<(&str, Policy)> = modules
-                    .iter()
-                    .map(|(n, p)| (n.as_str(), p.clone()))
-                    .collect();
-                Scheduler::spawn_with_policies_shared(
-                    kernel,
-                    registry,
-                    &with_policies,
-                    config.clone(),
-                    Some(budget.clone()),
-                )
-            })
-            .collect();
-        FleetScheduler { groups, budget }
-    }
-
-    /// Start one **stepped** group per shard, all on `clock` — the
-    /// deterministic fleet `adelie-testkit` verifies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty, a named module is missing or not
-    /// re-randomizable, or `config.workers` is zero.
-    pub fn spawn_stepped(
-        shards: Vec<ShardSched>,
-        config: SchedConfig,
-        clock: Arc<SimClock>,
-        cycle_cost: Duration,
-    ) -> FleetScheduler {
-        assert!(!shards.is_empty(), "fleet scheduler needs shards");
-        let budget = FleetScheduler::global_budget(&shards, &config, Clock::Virtual(clock.clone()));
-        let groups = shards
-            .into_iter()
-            .map(|(kernel, registry, modules)| {
-                let with_policies: Vec<(&str, Policy)> = modules
-                    .iter()
-                    .map(|(n, p)| (n.as_str(), p.clone()))
-                    .collect();
-                Scheduler::spawn_stepped_shared(
-                    kernel,
-                    registry,
-                    &with_policies,
-                    config.clone(),
-                    clock.clone(),
-                    cycle_cost,
-                    Some(budget.clone()),
-                )
-            })
-            .collect();
-        FleetScheduler { groups, budget }
+    fn build_group(
+        &self,
+        kernel: Arc<Kernel>,
+        registry: Arc<ModuleRegistry>,
+        modules: &[&str],
+    ) -> Scheduler {
+        Scheduler::build(
+            kernel,
+            registry,
+            modules,
+            &self.config,
+            self.clock.clone(),
+            Some(self.budget.clone()),
+        )
     }
 
     /// The shared global budget.
@@ -124,41 +97,25 @@ impl FleetScheduler {
         &self.budget
     }
 
-    /// Replace shard `shard`'s stepped group with a fresh one over
-    /// `modules` — the scheduling half of crash recovery, after the
-    /// fleet rebuilt the shard's modules from the install catalog. The
-    /// old group is dropped (stopped, its call observer removed) with
-    /// its telemetry, and the replacement joins the same global budget
-    /// and the same virtual clock.
+    /// Replace shard `shard`'s group with a fresh one over `modules` —
+    /// the scheduling half of crash recovery, after the fleet rebuilt
+    /// the shard's modules from the install catalog. The old group is
+    /// dropped (stopped, its call observer removed) with its telemetry;
+    /// the replacement runs under the fleet's config, on its clock and
+    /// its global budget.
     ///
     /// # Panics
     ///
-    /// Panics if `shard` is out of range, a named module is missing or
-    /// not re-randomizable, or `config.workers` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn replace_group_stepped(
+    /// Panics if `shard` is out of range or a named module is missing
+    /// or not re-randomizable.
+    pub fn replace_group(
         &mut self,
         shard: usize,
         kernel: Arc<Kernel>,
         registry: Arc<ModuleRegistry>,
-        modules: &[(String, Policy)],
-        config: SchedConfig,
-        clock: Arc<SimClock>,
-        cycle_cost: Duration,
+        modules: &[&str],
     ) {
-        let with_policies: Vec<(&str, Policy)> = modules
-            .iter()
-            .map(|(n, p)| (n.as_str(), p.clone()))
-            .collect();
-        self.groups[shard] = Scheduler::spawn_stepped_shared(
-            kernel,
-            registry,
-            &with_policies,
-            config,
-            clock,
-            cycle_cost,
-            Some(self.budget.clone()),
-        );
+        self.groups[shard] = self.build_group(kernel, registry, modules);
     }
 
     /// Number of shard groups.

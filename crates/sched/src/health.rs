@@ -55,6 +55,12 @@ pub enum CycleError {
         /// Module name (shared id — no per-error allocation).
         module: Arc<str>,
     },
+    /// The registry no longer holds this copy of the module (it was
+    /// unloaded); nothing was touched.
+    Unloaded {
+        /// Module name (shared id — no per-error allocation).
+        module: Arc<str>,
+    },
     /// No free virtual range of the required size.
     NoSpace {
         /// Module name (shared id — no per-error allocation).
@@ -88,6 +94,9 @@ impl From<&RerandError> for CycleError {
             RerandError::NotRerandomizable { module } => CycleError::NotRerandomizable {
                 module: module.clone(),
             },
+            RerandError::Unloaded { module } => CycleError::Unloaded {
+                module: module.clone(),
+            },
             RerandError::NoSpace { module, pages } => CycleError::NoSpace {
                 module: module.clone(),
                 pages: *pages,
@@ -116,6 +125,9 @@ impl fmt::Display for CycleError {
         match self {
             CycleError::NotRerandomizable { module } => {
                 write!(f, "module {module} is not re-randomizable")
+            }
+            CycleError::Unloaded { module } => {
+                write!(f, "module {module} is no longer loaded")
             }
             CycleError::NoSpace { module, pages } => {
                 write!(f, "no free {pages}-page range to move {module} into")

@@ -10,7 +10,9 @@
 //!   deadline heap; cycles of independent modules overlap (placement in
 //!   `adelie-core` is reservation-based and per-module `move_lock`s
 //!   serialize same-module cycles),
-//! * [`Policy`] — **per-module policies**: `FixedPeriod` (the paper's
+//! * [`Policy`] — **one policy per module** (each starts under
+//!   [`SchedConfig::policy`]; [`Scheduler::set_policy`] swaps one
+//!   mid-flight): `FixedPeriod` (the paper's
 //!   baseline), `Jittered` (unpredictable schedule, same mean cost),
 //!   and `Adaptive` (period tightens with observed call rate and with
 //!   gadget exposure measured by `adelie-gadget::scan`, loosens under
@@ -24,14 +26,15 @@
 //!   the artifact's dmesg block by [`Scheduler::log_stats`],
 //! * [`FleetScheduler`] — **one worker group per kernel shard** of a
 //!   fleet, every group under one global [`BudgetController`],
-//! * [`Clock`]/[`SimClock`] — an **injectable timeline**: production
-//!   pools run threaded on the wall clock; verification pools
-//!   ([`Scheduler::spawn_stepped`]) run threadless on a virtual clock,
-//!   driven one deterministic [`Scheduler::step`] at a time by
-//!   `adelie-testkit`.
+//! * [`Clock`]/[`SimClock`] — an **injectable timeline**: a pool built
+//!   on [`Clock::wall`] runs threaded; one built on a
+//!   [`Clock::Virtual`] runs threadless, driven one deterministic
+//!   [`Scheduler::step`] at a time by `adelie-testkit`.
 //!
-//! The artifact's single-kthread shape is `Scheduler::spawn` with
-//! [`SchedConfig::serial`]. See DESIGN.md §6 for the architecture.
+//! One constructor starts a pool: [`Scheduler::new`] for a kernel and
+//! [`FleetScheduler::new`] for a fleet. The artifact's single-kthread
+//! shape is `Scheduler::new` with [`SchedConfig::serial`] on the wall
+//! clock. See DESIGN.md §6 for the architecture.
 //!
 //! # Example
 //!
@@ -39,7 +42,7 @@
 //! use adelie_core::ModuleRegistry;
 //! use adelie_kernel::{Kernel, KernelConfig};
 //! use adelie_plugin::{transform, FuncSpec, MOp, ModuleSpec, TransformOptions};
-//! use adelie_sched::{Policy, SchedConfig, Scheduler};
+//! use adelie_sched::{Clock, Policy, SchedConfig, Scheduler};
 //!
 //! let kernel = Kernel::new(KernelConfig::default());
 //! let registry = ModuleRegistry::new(&kernel);
@@ -49,7 +52,7 @@
 //! let obj = transform(&spec, &opts).unwrap();
 //! let module = registry.load(&obj, &opts).unwrap();
 //!
-//! let sched = Scheduler::spawn(
+//! let sched = Scheduler::new(
 //!     kernel.clone(),
 //!     registry.clone(),
 //!     &["noop"],
@@ -58,6 +61,7 @@
 //!         policy: Policy::default_adaptive(),
 //!         ..SchedConfig::default()
 //!     },
+//!     Clock::wall(),
 //! );
 //! let entry = module.export("noop_run").unwrap();
 //! let mut vm = kernel.vm();

@@ -19,19 +19,19 @@
 //!
 //! # Timelines and step mode
 //!
-//! All deadlines are nanosecond offsets on a [`Clock`]. Production
-//! pools ([`Scheduler::spawn`]) run on the wall clock with real worker
-//! threads. Verification pools ([`Scheduler::spawn_stepped`]) run on a
-//! [`SimClock`] with **no threads at all**: the harness calls
-//! [`Scheduler::step`] (or [`Scheduler::step_choice`], to explore
-//! worker-pool interleavings) and each call pops one due entry,
+//! All deadlines are nanosecond offsets on the [`Clock`] handed to
+//! [`Scheduler::new`]. Production pools run on the wall clock with real
+//! worker threads. Verification pools run on a [`Clock::Virtual`]
+//! [`SimClock`](crate::SimClock) with **no threads at all**: the
+//! harness calls [`Scheduler::step`] (or [`Scheduler::step_choice`], to
+//! explore worker-pool interleavings) and each call pops one due entry,
 //! advances virtual time to its deadline, runs the cycle inline on the
-//! calling thread, charges a *modeled* cycle cost to the budget, and
-//! reschedules. Same heap, same policies, same budget arithmetic —
-//! byte-identical timelines for a given seed.
+//! calling thread, charges the modeled [`SchedConfig::step_cost`] to
+//! the budget, and reschedules. Same heap, same policies, same budget
+//! arithmetic — byte-identical timelines for a given seed.
 
 use crate::budget::BudgetController;
-use crate::clock::{Clock, SimClock};
+use crate::clock::Clock;
 use crate::health::{CycleError, HealthEvent, HealthState, ModuleHealth, SupervisionConfig};
 use crate::policy::{Policy, PolicyInputs, MAX_PRESSURE_STRETCH};
 use crate::stats::{LatencyHistogram, ModuleSchedStats, SchedStats};
@@ -52,8 +52,8 @@ pub struct SchedConfig {
     /// In step mode this is the *modeled* width: how many due entries
     /// may be reordered against each other by [`Scheduler::step_choice`].
     pub workers: usize,
-    /// Default policy for every module (override per module via
-    /// [`Scheduler::spawn_with_policies_shared`]).
+    /// The policy every module starts under ([`Scheduler::set_policy`]
+    /// swaps one module's mid-flight).
     pub policy: Policy,
     /// Cap on the fraction of modeled CPU the pool may consume
     /// (`f64::INFINITY` = uncapped).
@@ -73,6 +73,10 @@ pub struct SchedConfig {
     /// degraded (exponential backoff) and then quarantined (probes
     /// only), plus the backoff cap and retry jitter.
     pub supervision: SupervisionConfig,
+    /// Modeled CPU cost charged per cycle on a virtual clock, to the
+    /// budget and the timeline (wall-clock pools charge measured real
+    /// time instead).
+    pub step_cost: Duration,
 }
 
 impl Default for SchedConfig {
@@ -84,6 +88,7 @@ impl Default for SchedConfig {
             exposure_refresh: 64,
             shootdown_epoch: Duration::from_millis(1),
             supervision: SupervisionConfig::default(),
+            step_cost: Duration::from_micros(100),
         }
     }
 }
@@ -320,137 +325,53 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Start a pool over `module_names`, all under `config.policy`.
+    /// Start a pool over `modules` on `clock`, every module under
+    /// `config.policy` ([`Scheduler::set_policy`] swaps one later).
     /// Logs the artifact's `Randomize: kthread started` dmesg line
     /// (`SchedConfig::serial(period)` is the artifact's `randmod`
     /// kthread: one worker, one fixed period).
     ///
-    /// # Panics
-    ///
-    /// Panics if a named module is missing or not re-randomizable, or if
-    /// `config.workers` is zero.
-    pub fn spawn(
-        kernel: Arc<Kernel>,
-        registry: Arc<ModuleRegistry>,
-        module_names: &[&str],
-        config: SchedConfig,
-    ) -> Scheduler {
-        kernel.printk.log("Randomize: kthread started");
-        let with_policies: Vec<(&str, Policy)> = module_names
-            .iter()
-            .map(|&n| (n, config.policy.clone()))
-            .collect();
-        Scheduler::spawn_with_policies_shared(kernel, registry, &with_policies, config, None)
-    }
-
-    /// Start a pool with an explicit policy per module and an optional
-    /// **shared** [`BudgetController`]: fleet mode runs one worker
-    /// group per shard but all groups record spend into (and feel
-    /// backpressure from) the same global budget — a hot shard's
-    /// cycles stretch every shard's adaptive periods, keeping
-    /// whole-machine randomizer CPU under one cap. `None` creates a
-    /// private per-pool budget (the single-kernel shape).
+    /// A wall clock starts `config.workers` randomizer threads. A
+    /// [`Clock::Virtual`] starts none: the caller drives cycles with
+    /// [`Scheduler::step`] / [`Scheduler::step_choice`], and each cycle
+    /// charges the modeled `config.step_cost` (not real time) to the
+    /// CPU budget and the virtual timeline, so runs are deterministic
+    /// for a given kernel seed.
     ///
     /// # Panics
     ///
     /// Panics if a named module is missing or not re-randomizable, or if
     /// `config.workers` is zero.
-    pub fn spawn_with_policies_shared(
+    pub fn new(
         kernel: Arc<Kernel>,
         registry: Arc<ModuleRegistry>,
-        modules: &[(&str, Policy)],
+        modules: &[&str],
         config: SchedConfig,
-        budget: Option<Arc<BudgetController>>,
+        clock: Clock,
     ) -> Scheduler {
-        let mut sched = Scheduler::build(
-            kernel,
-            registry,
-            modules,
-            &config,
-            Clock::wall(),
-            Duration::ZERO,
-            budget,
-        );
-        let workers = (0..config.workers)
-            .map(|w| {
-                let shared = sched.shared.clone();
-                let kernel = sched.kernel.clone();
-                let registry = sched.registry.clone();
-                let budget = sched.budget.clone();
-                let refresh = config.exposure_refresh;
-                std::thread::Builder::new()
-                    .name(format!("randomizer-{w}"))
-                    .spawn(move || worker_loop(shared, kernel, registry, budget, refresh))
-                    .expect("spawn randomizer worker")
-            })
-            .collect();
-        sched.workers = workers;
-        sched
+        Scheduler::build(kernel, registry, modules, &config, clock, None)
     }
 
-    /// Build a **stepped** pool on a virtual clock: no worker threads
-    /// are spawned; the caller drives cycles with [`Scheduler::step`] /
-    /// [`Scheduler::step_choice`]. Each cycle charges the modeled
-    /// `cycle_cost` (not real time) to the CPU budget and the virtual
-    /// timeline, so runs are deterministic for a given kernel seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named module is missing or not re-randomizable, or if
-    /// `config.workers` is zero.
-    pub fn spawn_stepped(
+    /// [`Scheduler::new`] with an optional **shared**
+    /// [`BudgetController`]: fleet mode runs one pool per shard, and
+    /// every pool records spend into (and feels backpressure from) the
+    /// same global budget, so a hot shard's cycles stretch every
+    /// shard's adaptive periods. `None` creates a private per-pool
+    /// budget.
+    pub(crate) fn build(
         kernel: Arc<Kernel>,
         registry: Arc<ModuleRegistry>,
-        modules: &[(&str, Policy)],
-        config: SchedConfig,
-        clock: Arc<SimClock>,
-        cycle_cost: Duration,
-    ) -> Scheduler {
-        Scheduler::spawn_stepped_shared(kernel, registry, modules, config, clock, cycle_cost, None)
-    }
-
-    /// [`Scheduler::spawn_stepped`] with an optional shared global
-    /// [`BudgetController`] (see
-    /// [`Scheduler::spawn_with_policies_shared`]) — the stepped fleet
-    /// shape `adelie-testkit`'s `FleetSim` drives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a named module is missing or not re-randomizable, or if
-    /// `config.workers` is zero.
-    pub fn spawn_stepped_shared(
-        kernel: Arc<Kernel>,
-        registry: Arc<ModuleRegistry>,
-        modules: &[(&str, Policy)],
-        config: SchedConfig,
-        clock: Arc<SimClock>,
-        cycle_cost: Duration,
-        budget: Option<Arc<BudgetController>>,
-    ) -> Scheduler {
-        Scheduler::build(
-            kernel,
-            registry,
-            modules,
-            &config,
-            Clock::Virtual(clock),
-            cycle_cost,
-            budget,
-        )
-    }
-
-    fn build(
-        kernel: Arc<Kernel>,
-        registry: Arc<ModuleRegistry>,
-        modules: &[(&str, Policy)],
+        modules: &[&str],
         config: &SchedConfig,
         clock: Clock,
-        cycle_cost: Duration,
         budget: Option<Arc<BudgetController>>,
     ) -> Scheduler {
         assert!(config.workers > 0, "scheduler needs at least one worker");
+        kernel.printk.log("Randomize: kthread started");
+        let initial = config.policy.next_period(&PolicyInputs::default());
         let entries: Vec<Arc<ModuleEntry>> = modules
             .iter()
-            .map(|(name, policy)| {
+            .map(|name| {
                 let module = registry
                     .get(name)
                     .unwrap_or_else(|| panic!("sched: no module `{name}`"));
@@ -458,10 +379,9 @@ impl Scheduler {
                     module.rerandomizable,
                     "sched: `{name}` is not re-randomizable"
                 );
-                let initial = policy.next_period(&PolicyInputs::default());
                 Arc::new(ModuleEntry {
                     module,
-                    policy: Mutex::new(policy.clone()),
+                    policy: Mutex::new(config.policy.clone()),
                     calls: Arc::new(AtomicU64::new(0)),
                     rate_anchor: Mutex::new((clock.now_ns(), 0)),
                     calls_per_sec: AtomicU64::new(0f64.to_bits()),
@@ -531,7 +451,7 @@ impl Scheduler {
             entries,
             busy_ns: AtomicU64::new(0),
             clock,
-            step_cost_ns: cycle_cost.as_nanos() as u64,
+            step_cost_ns: config.step_cost.as_nanos() as u64,
             workers_model: config.workers,
             epoch_quantum_ns: config.shootdown_epoch.as_nanos() as u64,
             scan_cache,
@@ -556,12 +476,29 @@ impl Scheduler {
                 ""
             },
         ));
+        let workers = if shared.clock.is_virtual() {
+            Vec::new()
+        } else {
+            (0..config.workers)
+                .map(|w| {
+                    let shared = shared.clone();
+                    let kernel = kernel.clone();
+                    let registry = registry.clone();
+                    let budget = budget.clone();
+                    let refresh = config.exposure_refresh;
+                    std::thread::Builder::new()
+                        .name(format!("randomizer-{w}"))
+                        .spawn(move || worker_loop(shared, kernel, registry, budget, refresh))
+                        .expect("spawn randomizer worker")
+                })
+                .collect()
+        };
         Scheduler {
             shared,
             budget,
             kernel,
             registry,
-            workers: Vec::new(),
+            workers,
             exposure_refresh: config.exposure_refresh,
             observer,
         }
@@ -592,7 +529,7 @@ impl Scheduler {
     /// (Step mode) like [`step`](Scheduler::step), but choose among the
     /// entries a `workers`-wide pool could legally run next: all entries
     /// whose deadline falls within one modeled pool window
-    /// (`cycle_cost × workers`) of the earliest. `rank` indexes that
+    /// (`step_cost × workers`) of the earliest. `rank` indexes that
     /// eligible set (wrapped), so a seeded explorer passing arbitrary
     /// ranks enumerates exactly the reorderings real worker races could
     /// produce.
@@ -603,7 +540,9 @@ impl Scheduler {
     pub fn step_choice(&self, rank: usize) -> Option<CycleReport> {
         let sim = match &self.shared.clock {
             Clock::Virtual(sim) => sim.clone(),
-            Clock::Wall { .. } => panic!("step() on a wall-clock scheduler; use spawn_stepped"),
+            Clock::Wall { .. } => {
+                panic!("step() on a wall-clock scheduler; build it on a Clock::Virtual")
+            }
         };
         let (deadline_ns, idx) = {
             let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());

@@ -5,7 +5,7 @@ use adelie_core::{LoadedModule, ModuleRegistry};
 use adelie_isa::{AluOp, Insn, Reg};
 use adelie_kernel::{Kernel, KernelConfig};
 use adelie_plugin::{transform, FuncSpec, MOp, ModuleSpec, TransformOptions};
-use adelie_sched::{Policy, SchedConfig, Scheduler, SimClock};
+use adelie_sched::{Clock, Policy, SchedConfig, Scheduler, SimClock};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,22 +51,21 @@ fn stepped(
     cycle_cost: Duration,
 ) -> (Scheduler, Arc<SimClock>) {
     let names: Vec<String> = (0..n).map(|i| format!("mod{i}")).collect();
-    let with_policies: Vec<(&str, Policy)> =
-        names.iter().map(|s| (s.as_str(), policy.clone())).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
     let clock = SimClock::new();
-    let sched = Scheduler::spawn_stepped(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
-        &with_policies,
+        &names,
         SchedConfig {
             workers: 1,
             policy,
             max_cpu_frac,
             exposure_refresh: 0,
+            step_cost: cycle_cost,
             ..SchedConfig::default()
         },
-        clock.clone(),
-        cycle_cost,
+        Clock::Virtual(clock.clone()),
     );
     (sched, clock)
 }
@@ -214,20 +213,18 @@ fn policy_transition_fixed_to_adaptive_mid_flight() {
 #[test]
 fn noop_cycles_cost_zero_gadget_rescans() {
     let (kernel, registry, _modules) = boot_n(1);
-    let names = [("mod0", Policy::default_adaptive())];
-    let clock = SimClock::new();
-    let sched = Scheduler::spawn_stepped(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
-        &names,
+        &["mod0"],
         SchedConfig {
             workers: 1,
             policy: Policy::default_adaptive(),
             exposure_refresh: 1, // re-scan after every cycle
+            step_cost: Duration::from_micros(50),
             ..SchedConfig::default()
         },
-        clock,
-        Duration::from_micros(50),
+        Clock::Virtual(SimClock::new()),
     );
     // The boot-time scan is the only decode this fleet ever pays.
     let s0 = sched.stats();

@@ -5,7 +5,9 @@ use adelie_core::{LoadedModule, ModuleRegistry};
 use adelie_isa::{AluOp, Insn, Reg};
 use adelie_kernel::{Kernel, KernelConfig};
 use adelie_plugin::{transform, FuncSpec, MOp, ModuleSpec, TransformOptions};
-use adelie_sched::{Policy, SchedConfig, SchedStats, Scheduler, SimClock};
+use adelie_sched::{
+    Clock, CycleError, HealthState, Policy, SchedConfig, SchedStats, Scheduler, SimClock,
+};
 use adelie_vmem::PAGE_SIZE;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -95,7 +97,7 @@ fn scheduler_drives_cycles_and_logs_stats() {
 #[test]
 fn concurrent_callers_survive_scheduling() {
     let (kernel, registry, modules) = boot_n(2);
-    let sched = Scheduler::spawn(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
         &["mod0", "mod1"],
@@ -107,6 +109,7 @@ fn concurrent_callers_survive_scheduling() {
             },
             ..SchedConfig::default()
         },
+        Clock::wall(),
     );
     let stop = AtomicBool::new(false);
     let t0 = Instant::now();
@@ -122,6 +125,9 @@ fn concurrent_callers_survive_scheduling() {
         }
         stop.store(true, Ordering::Relaxed);
     });
+    // A wall-clock pool is driven by its threads alone: `step` panics.
+    let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.step()));
+    assert!(stepped.is_err(), "step() on a wall-clock pool must panic");
     let stats = sched.stop();
     assert!(
         stats.cycles >= 10,
@@ -144,7 +150,7 @@ fn concurrent_callers_survive_scheduling() {
 #[test]
 fn stress_four_workers_three_modules_under_traffic() {
     let (kernel, registry, modules) = boot_n(3);
-    let sched = Scheduler::spawn(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
         &["mod0", "mod1", "mod2"],
@@ -158,6 +164,7 @@ fn stress_four_workers_three_modules_under_traffic() {
             },
             ..SchedConfig::default()
         },
+        Clock::wall(),
     );
     let stop = AtomicBool::new(false);
     let (validated, overlap) = std::thread::scope(|s| {
@@ -250,11 +257,12 @@ fn failed_cycles_are_counted_not_fatal() {
     let good_obj = transform(&calc_spec(1), &opts).unwrap();
     registry.load(&good_obj, &opts).unwrap();
 
-    let sched = Scheduler::spawn(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
         &["bad", "mod1"],
         SchedConfig::serial(Duration::from_millis(1)),
+        Clock::wall(),
     );
     std::thread::sleep(Duration::from_millis(80));
     let stats = sched.stop();
@@ -320,20 +328,18 @@ fn budget_applies_backpressure() {
     const WINDOW: Duration = Duration::from_millis(300);
     let run = |max_cpu_frac: f64| {
         let (kernel, registry, _modules) = boot_n(2);
-        let policy = Policy::FixedPeriod(Duration::from_micros(200));
-        let clock = SimClock::new();
-        let sched = Scheduler::spawn_stepped(
+        let sched = Scheduler::new(
             kernel,
             registry,
-            &[("mod0", policy.clone()), ("mod1", policy.clone())],
+            &["mod0", "mod1"],
             SchedConfig {
                 workers: 2,
-                policy,
+                policy: Policy::FixedPeriod(Duration::from_micros(200)),
                 max_cpu_frac,
+                step_cost: Duration::from_micros(50),
                 ..SchedConfig::default()
             },
-            clock,
-            Duration::from_micros(50),
+            Clock::Virtual(SimClock::new()),
         );
         while sched
             .peek_deadline_ns()
@@ -368,18 +374,17 @@ fn stepped_window(
     window: Duration,
 ) -> (SchedStats, u64) {
     const TRAFFIC_STEP: Duration = Duration::from_micros(50);
-    let with_policies: Vec<(&str, Policy)> = modules
-        .iter()
-        .map(|m| (&*m.name, config.policy.clone()))
-        .collect();
+    let names: Vec<&str> = modules.iter().map(|m| &*m.name).collect();
     let clock = SimClock::new();
-    let sched = Scheduler::spawn_stepped(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
-        &with_policies,
-        config,
-        clock.clone(),
-        Duration::from_micros(50),
+        &names,
+        SchedConfig {
+            step_cost: Duration::from_micros(50),
+            ..config
+        },
+        Clock::Virtual(clock.clone()),
     );
     let mut vm = kernel.vm();
     let entries: Vec<u64> = modules
@@ -466,29 +471,21 @@ fn adaptive_four_workers_doubles_serial_shim_cycles() {
 #[test]
 fn same_deadline_cycles_coalesce_shootdown_epochs() {
     let (kernel, registry, modules) = boot_n(4);
-    let with_policies: Vec<(&str, Policy)> = modules
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let name: &str = Box::leak(format!("mod{i}").into_boxed_str());
-            (name, Policy::FixedPeriod(Duration::from_millis(10)))
-        })
-        .collect();
-    let clock = SimClock::new();
-    let sched = Scheduler::spawn_stepped(
+    let names: Vec<&str> = modules.iter().map(|m| &*m.name).collect();
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
-        &with_policies,
+        &names,
         SchedConfig {
             workers: 4,
             policy: Policy::FixedPeriod(Duration::from_millis(10)),
             // Identical fixed periods stagger within one period; a
             // window that wide makes each wave one shared epoch.
             shootdown_epoch: Duration::from_millis(10),
+            step_cost: Duration::from_micros(10),
             ..SchedConfig::default()
         },
-        clock.clone(),
-        Duration::from_micros(10),
+        Clock::Virtual(SimClock::new()),
     );
     let before = kernel.space.stats().coalesced_shootdowns;
     for _ in 0..16 {
@@ -516,15 +513,19 @@ fn same_deadline_cycles_coalesce_shootdown_epochs() {
 #[test]
 fn dropping_one_pool_keeps_another_pools_call_counts() {
     let (kernel, registry, modules) = boot_n(2);
-    let clock = SimClock::new();
+    let sim = SimClock::new();
+    let clock = Clock::Virtual(sim.clone());
     let pool = |name: &str| {
-        Scheduler::spawn_stepped(
+        Scheduler::new(
             kernel.clone(),
             registry.clone(),
-            &[(name, Policy::FixedPeriod(Duration::from_millis(10)))],
-            SchedConfig::default(),
+            &[name],
+            SchedConfig {
+                policy: Policy::FixedPeriod(Duration::from_millis(10)),
+                step_cost: Duration::from_micros(10),
+                ..SchedConfig::default()
+            },
             clock.clone(),
-            Duration::from_micros(10),
         )
     };
     let a = pool("mod0");
@@ -535,7 +536,50 @@ fn dropping_one_pool_keeps_another_pools_call_counts() {
     for _ in 0..25 {
         assert_eq!(vm.call(entry, &[16]).unwrap(), 42);
     }
+    // A virtual-clock pool starts no worker thread: with every deadline
+    // long past, nothing cycles until the caller steps.
+    assert!(format!("{b:?}").contains("workers: 0"), "{b:?}");
+    sim.advance(Duration::from_secs(1));
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(b.cycles() + b.failures(), 0, "only step() runs a cycle");
     let stats = b.stop();
     assert_eq!(stats.modules.len(), 1);
     assert_eq!(stats.modules[0].calls, 25, "pool B's hook saw every call");
+}
+
+/// A pool whose module was unloaded under it must not move the dead
+/// copy: the cycle fails typed, before it reserves or maps anything
+/// (the copy's movable frames are already freed), and the entry stays
+/// under supervision.
+#[test]
+fn unloaded_module_is_never_cycled() {
+    let (kernel, registry, modules) = boot_n(1);
+    let sched = Scheduler::new(
+        kernel.clone(),
+        registry.clone(),
+        &["mod0"],
+        SchedConfig::serial(Duration::from_millis(1)),
+        Clock::Virtual(SimClock::new()),
+    );
+    registry.unload("mod0").unwrap();
+    let mapped = kernel.space.stats().pages_mapped;
+    for _ in 0..3 {
+        let report = sched.step().expect("the entry stays in the heap");
+        assert!(
+            matches!(report.error, Some(CycleError::Unloaded { .. })),
+            "{report:?}"
+        );
+    }
+    let err = adelie_core::rerandomize_module(&kernel, &registry, &modules[0]).unwrap_err();
+    assert!(
+        matches!(err, adelie_core::RerandError::Unloaded { .. }),
+        "{err}"
+    );
+    assert_eq!(
+        kernel.space.stats().pages_mapped,
+        mapped,
+        "no page may be mapped for an unloaded copy"
+    );
+    assert_eq!(sched.failures(), 3);
+    assert_ne!(sched.health_of("mod0"), Some(HealthState::Healthy));
 }

@@ -36,7 +36,7 @@ use crate::{Attacker, FaultPlan, HookChain};
 use adelie_core::{CycleStage, Fleet, LoadedModule, Pinned, RecoveryReport};
 use adelie_kernel::{FleetConfig, KernelConfig, ShardedKernel};
 use adelie_sched::{
-    CycleReport, FleetScheduler, HealthState, Policy, SchedConfig, ShardSched, SimClock,
+    Clock, CycleReport, FleetScheduler, HealthState, Policy, SchedConfig, SimClock,
     SupervisionConfig,
 };
 use rand::rngs::SmallRng;
@@ -114,8 +114,6 @@ pub struct FleetSim {
     recoveries: Vec<(usize, usize)>,
     /// Seeded reorder ranks for [`FleetSim::run_explored`].
     rng: SmallRng,
-    /// The scenario config, kept for shard rebuilds.
-    cfg: FleetSimConfig,
 }
 
 impl FleetSim {
@@ -190,21 +188,21 @@ impl FleetSim {
             })
             .collect();
 
-        let shard_scheds: Vec<ShardSched> = (0..cfg.shards)
+        let shard_scheds = (0..cfg.shards)
             .map(|i| {
-                let mods: Vec<(String, Policy)> = profiles[i]
-                    .iter()
-                    .map(|p| (p.name.clone(), cfg.policy.clone()))
-                    .collect();
-                (fleet.kernel(i).clone(), fleet.registry(i).clone(), mods)
+                let names = profiles[i].iter().map(|p| p.name.clone()).collect();
+                (fleet.kernel(i).clone(), fleet.registry(i).clone(), names)
             })
             .collect();
-        let sched = FleetScheduler::spawn_stepped(
-            shard_scheds,
-            Self::sched_config(&cfg),
-            clock.clone(),
-            cfg.cycle_cost,
-        );
+        let config = SchedConfig {
+            workers: cfg.workers,
+            policy: cfg.policy.clone(),
+            max_cpu_frac: cfg.max_cpu_frac,
+            supervision: cfg.supervision.clone(),
+            step_cost: cfg.cycle_cost,
+            ..SchedConfig::default()
+        };
+        let sched = FleetScheduler::new(shard_scheds, config, Clock::Virtual(clock.clone()));
 
         let traffic = modules
             .iter()
@@ -233,19 +231,6 @@ impl FleetSim {
             reports: Vec::new(),
             recoveries: Vec::new(),
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x7E57_1D17),
-            cfg,
-        }
-    }
-
-    /// The scheduler group config the scenario runs under (also used
-    /// verbatim for replacement groups after a shard rebuild).
-    fn sched_config(cfg: &FleetSimConfig) -> SchedConfig {
-        SchedConfig {
-            workers: cfg.workers,
-            policy: cfg.policy.clone(),
-            max_cpu_frac: cfg.max_cpu_frac,
-            supervision: cfg.supervision.clone(),
-            ..SchedConfig::default()
         }
     }
 
@@ -387,19 +372,12 @@ impl FleetSim {
                 .expect("rebuilt entry export");
             self.traffic[shard][j].0 = entry;
         }
-        let mods: Vec<(String, Policy)> = self.profiles[shard]
+        let names: Vec<&str> = self.profiles[shard]
             .iter()
-            .map(|p| (p.name.clone(), self.cfg.policy.clone()))
+            .map(|p| p.name.as_str())
             .collect();
-        self.sched.replace_group_stepped(
-            shard,
-            self.fleet.kernel(shard).clone(),
-            registry,
-            &mods,
-            Self::sched_config(&self.cfg),
-            self.clock.clone(),
-            self.cfg.cycle_cost,
-        );
+        self.sched
+            .replace_group(shard, self.fleet.kernel(shard).clone(), registry, &names);
         // The replacement group starts every module Healthy: mark the
         // epoch so the quarantine-execution checker forgets pre-crash
         // health state for this shard.

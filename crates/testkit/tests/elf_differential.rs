@@ -14,7 +14,7 @@ use adelie_core::{LoadedModule, PartImage};
 use adelie_drivers::specs::DUMMY_MINOR;
 use adelie_kernel::{Kernel, KernelConfig};
 use adelie_plugin::TransformOptions;
-use adelie_sched::SimClock;
+use adelie_sched::{Clock, SchedConfig, SimClock};
 use adelie_testkit::LayoutOracle;
 use adelie_vmem::PAGE_SIZE;
 use adelie_workloads::{DriverSet, Testbed};
@@ -84,7 +84,7 @@ fn run(opts: TransformOptions, seed: u64) -> (String, String) {
     let clock = SimClock::new();
     let oracle = LayoutOracle::new(tb.kernel.clone(), clock.clone());
     tb.registry.set_cycle_hooks(oracle.clone());
-    let sched = tb.start_stepped_scheduler(clock.clone(), Duration::from_micros(100));
+    let sched = tb.start_scheduler(SchedConfig::default(), Clock::Virtual(clock.clone()));
     let mut vm = tb.kernel.vm();
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xE1F);
     let mut out = String::new();

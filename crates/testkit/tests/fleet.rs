@@ -135,6 +135,24 @@ fn global_budget_sees_every_shard() {
         cycle_cost * cycles as u32,
         "one global budget must account every shard's cycles"
     );
+    // A group `replace_group` builds joins the same budget and keeps
+    // its deadlines on the fleet's clock.
+    sim.recover_shard(1);
+    let group = sim.sched.group(1);
+    assert_eq!(group.now_ns(), sim.clock.now_ns(), "the fleet's clock");
+    assert!(group
+        .peek_deadline_ns()
+        .is_some_and(|d| d > sim.clock.now_ns()));
+    sim.run_for(RUN);
+    let after = sim.sched.group(1).cycles();
+    assert!(after > 0, "the replacement group cycled");
+    let charged = sim.reports().iter().filter(|(_, r)| !r.probe).count();
+    assert_eq!(sim.sched.failures(), 0);
+    assert_eq!(
+        sim.sched.budget().spent(),
+        cycle_cost * charged as u32,
+        "the replacement group's spend lands in the global budget"
+    );
 }
 
 #[test]

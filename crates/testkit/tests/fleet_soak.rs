@@ -10,7 +10,7 @@
 //! what CI saw, seed for seed.
 
 use adelie_plugin::TransformOptions;
-use adelie_sched::SimClock;
+use adelie_sched::{Clock, SchedConfig, SimClock};
 use adelie_workloads::{run_soak_round, DriverSet, FleetTestbed};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -30,7 +30,7 @@ fn soak(seed: u64) -> String {
         seed,
     );
     let clock = SimClock::new();
-    let sched = ft.start_stepped_schedulers(clock.clone(), Duration::from_micros(100));
+    let sched = ft.start_schedulers(SchedConfig::default(), Clock::Virtual(clock.clone()));
     {
         let mut vms: Vec<_> = ft.shards.iter().map(|tb| tb.kernel.vm()).collect();
         for round in 0..ROUNDS {

@@ -25,7 +25,7 @@ use crate::{
 use adelie_drivers::specs::DUMMY_MINOR;
 use adelie_kernel::{FleetConfig, ShardedKernel, Vm, SECTOR_SIZE};
 use adelie_plugin::TransformOptions;
-use adelie_sched::{FleetScheduler, ShardSched, SimClock};
+use adelie_sched::{Clock, FleetScheduler, SchedConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,48 +99,27 @@ impl FleetTestbed {
         &self.shards[i]
     }
 
-    fn shard_scheds(&self) -> Vec<ShardSched> {
-        self.shards
+    /// Start one scheduler group per shard over its installed modules,
+    /// every group under `config` on `clock` and one global budget
+    /// ([`FleetScheduler::new`]): threaded on a wall clock, stepped —
+    /// the deterministic fleet — on a [`Clock::Virtual`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any shard's modules were not built re-randomizable.
+    pub fn start_schedulers(&self, config: SchedConfig, clock: Clock) -> FleetScheduler {
+        let shards = self
+            .shards
             .iter()
             .map(|tb| {
-                let modules: Vec<(String, adelie_sched::Policy)> = tb
-                    .module_names
-                    .iter()
-                    .map(|n| (n.clone(), tb.sched.policy.clone()))
-                    .collect();
-                (tb.kernel.clone(), tb.registry.clone(), modules)
+                (
+                    tb.kernel.clone(),
+                    tb.registry.clone(),
+                    tb.module_names.clone(),
+                )
             })
-            .collect()
-    }
-
-    /// Start one threaded scheduler group per shard under one global
-    /// budget, each using its own testbed's [`crate::Testbed::sched`]
-    /// knob (shard 0's config decides pool shape and budget cap).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shard's modules were not built re-randomizable.
-    pub fn start_schedulers(&self) -> FleetScheduler {
-        FleetScheduler::spawn(self.shard_scheds(), self.shards[0].sched.clone())
-    }
-
-    /// Start one **stepped** scheduler group per shard, all on `clock`,
-    /// under one global budget — the deterministic fleet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shard's modules were not built re-randomizable.
-    pub fn start_stepped_schedulers(
-        &self,
-        clock: Arc<SimClock>,
-        cycle_cost: Duration,
-    ) -> FleetScheduler {
-        FleetScheduler::spawn_stepped(
-            self.shard_scheds(),
-            self.shards[0].sched.clone(),
-            clock,
-            cycle_cost,
-        )
+            .collect();
+        FleetScheduler::new(shards, config, clock)
     }
 
     /// Run **all seven paper workloads concurrently across the
@@ -287,7 +266,7 @@ pub fn run_soak_round(tb: &Testbed, vm: &mut Vm<'_>, round: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adelie_sched::{Policy, SchedConfig};
+    use adelie_sched::{Policy, SimClock};
 
     #[test]
     fn fleet_testbed_boots_disjoint_shards() {
@@ -339,7 +318,11 @@ mod tests {
             3,
         );
         let clock = SimClock::new();
-        let sched = ft.start_stepped_schedulers(clock.clone(), Duration::from_micros(50));
+        let config = SchedConfig {
+            step_cost: Duration::from_micros(50),
+            ..SchedConfig::default()
+        };
+        let sched = ft.start_schedulers(config, Clock::Virtual(clock.clone()));
         clock.advance(Duration::from_millis(40));
         let mut steps = 0;
         while let Some((_, _)) = sched.step() {
@@ -373,7 +356,7 @@ mod tests {
             2,
             21,
         );
-        let _sched = ft.start_schedulers();
+        let _sched = ft.start_schedulers(SchedConfig::default(), Clock::wall());
         let rows = ft.run_paper_workloads_concurrently(Duration::from_millis(80));
         assert_eq!(rows.len(), PAPER_WORKLOADS.len());
         for (shard, name, m) in &rows {
@@ -398,7 +381,7 @@ mod tests {
             2,
             21,
         );
-        let _sched = ft.start_schedulers();
+        let _sched = ft.start_schedulers(SchedConfig::default(), Clock::wall());
         let rows = ft.run_paper_workloads_concurrently(Duration::from_millis(80));
         assert_eq!(rows.len(), PAPER_WORKLOADS.len());
         for (shard, name, m) in &rows {
@@ -411,21 +394,20 @@ mod tests {
 
     #[test]
     fn fleet_sched_config_knob_applies_to_every_shard() {
-        let mut ft = FleetTestbed::new(
+        let ft = FleetTestbed::new(
             TransformOptions::rerandomizable(true),
             DriverSet::dummy_only(),
             2,
             13,
         );
-        for tb in &mut ft.shards {
-            tb.sched = SchedConfig {
-                workers: 2,
-                policy: Policy::FixedPeriod(Duration::from_millis(2)),
-                ..SchedConfig::default()
-            };
-        }
+        let config = SchedConfig {
+            workers: 2,
+            policy: Policy::FixedPeriod(Duration::from_millis(2)),
+            step_cost: Duration::from_micros(50),
+            ..SchedConfig::default()
+        };
         let clock = SimClock::new();
-        let sched = ft.start_stepped_schedulers(clock.clone(), Duration::from_micros(50));
+        let sched = ft.start_schedulers(config, Clock::Virtual(clock.clone()));
         for _ in 0..40 {
             clock.advance(Duration::from_millis(1));
             while sched

@@ -36,7 +36,7 @@ use adelie_drivers::{
 };
 use adelie_kernel::{Kernel, KernelConfig};
 use adelie_plugin::TransformOptions;
-use adelie_sched::{Policy, SchedConfig, Scheduler, SimClock};
+use adelie_sched::{Clock, SchedConfig, Scheduler};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -159,10 +159,6 @@ pub struct Testbed {
     pub opts: TransformOptions,
     /// Names of installed re-randomizable modules.
     pub module_names: Vec<String>,
-    /// Scheduler configuration used by [`Testbed::start_scheduler`] —
-    /// the knob that runs any paper workload under any policy/worker
-    /// combination.
-    pub sched: SchedConfig,
 }
 
 impl Testbed {
@@ -226,16 +222,9 @@ impl Testbed {
             nvme,
             opts,
             module_names: names,
-            sched: SchedConfig::default(),
         };
         tb.provision_files();
         tb
-    }
-
-    /// Replace the scheduler configuration (builder-style).
-    pub fn with_sched(mut self, sched: SchedConfig) -> Testbed {
-        self.sched = sched;
-        self
     }
 
     fn provision_files(&self) {
@@ -272,62 +261,25 @@ impl Testbed {
     }
 
     /// Start the re-randomization scheduler over the installed modules
-    /// with the testbed's [`SchedConfig`] knob.
+    /// — the knob that runs any paper workload under any
+    /// policy/worker combination. [`SchedConfig::serial`] on
+    /// [`Clock::wall`] is the artifact's `randmod` shape, which the
+    /// figure benches sweep over `rand_period`. On a
+    /// [`Clock::Virtual`] no thread starts: the caller drives cycles
+    /// with `Scheduler::step` between workload operations, so cycle
+    /// counts are a deterministic function of the step schedule.
     ///
     /// # Panics
     ///
     /// Panics if the installed modules were not built re-randomizable.
-    pub fn start_scheduler(&self) -> Scheduler {
-        let names: Vec<&str> = self.module_names.iter().map(|s| s.as_str()).collect();
-        Scheduler::spawn(
+    pub fn start_scheduler(&self, config: SchedConfig, clock: Clock) -> Scheduler {
+        let names: Vec<&str> = self.module_names.iter().map(String::as_str).collect();
+        Scheduler::new(
             self.kernel.clone(),
             self.registry.clone(),
             &names,
-            self.sched.clone(),
-        )
-    }
-
-    /// Start a **stepped** scheduler over the installed modules on a
-    /// virtual clock — no threads; the caller drives cycles with
-    /// `Scheduler::step` between workload operations, which removes
-    /// every wall-clock race from scheduler-under-load tests (cycle
-    /// counts become a deterministic function of the step schedule).
-    /// Each stepped cycle charges `cycle_cost` of modeled CPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the installed modules were not built re-randomizable.
-    pub fn start_stepped_scheduler(&self, clock: Arc<SimClock>, cycle_cost: Duration) -> Scheduler {
-        let with_policies: Vec<(&str, Policy)> = self
-            .module_names
-            .iter()
-            .map(|s| (s.as_str(), self.sched.policy.clone()))
-            .collect();
-        Scheduler::spawn_stepped(
-            self.kernel.clone(),
-            self.registry.clone(),
-            &with_policies,
-            self.sched.clone(),
+            config,
             clock,
-            cycle_cost,
-        )
-    }
-
-    /// Start continuous re-randomization of the installed modules at a
-    /// fixed `period` on one worker — the artifact's `randmod` shape
-    /// ([`SchedConfig::serial`]), used by the figure benches that sweep
-    /// `rand_period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the installed modules were not built re-randomizable.
-    pub fn start_rerand(&self, period: Duration) -> Scheduler {
-        let names: Vec<&str> = self.module_names.iter().map(|s| s.as_str()).collect();
-        Scheduler::spawn(
-            self.kernel.clone(),
-            self.registry.clone(),
-            &names,
-            SchedConfig::serial(period),
         )
     }
 }
@@ -345,6 +297,7 @@ pub fn pic_matrix() -> Vec<(&'static str, TransformOptions)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adelie_sched::SimClock;
 
     const SHORT: Duration = Duration::from_millis(60);
 
@@ -390,7 +343,7 @@ mod tests {
             TransformOptions::rerandomizable(true),
             DriverSet::dummy_only(),
         );
-        let rr = tb.start_rerand(Duration::from_millis(1));
+        let rr = tb.start_scheduler(SchedConfig::serial(Duration::from_millis(1)), Clock::wall());
         let m = run_ioctl(&tb, SHORT);
         let stats = rr.stop();
         assert!(m.ops > 256);
@@ -418,7 +371,7 @@ mod tests {
         // The Fig. 8 configuration: five modules re-randomizing while
         // serving.
         let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full());
-        let rr = tb.start_rerand(Duration::from_millis(5));
+        let rr = tb.start_scheduler(SchedConfig::serial(Duration::from_millis(5)), Clock::wall());
         let m = run_apache(&tb, 1024, 4, 2, Duration::from_millis(200));
         let stats = rr.stop();
         assert!(m.ops > 0);
@@ -437,7 +390,7 @@ mod tests {
                 DriverSet::dummy_only(),
             );
             let clock = SimClock::new();
-            let sched = tb.start_stepped_scheduler(clock.clone(), Duration::from_micros(100));
+            let sched = tb.start_scheduler(SchedConfig::default(), Clock::Virtual(clock.clone()));
             let mut vm = tb.kernel.vm();
             for i in 0..200u64 {
                 assert_eq!(
@@ -479,7 +432,7 @@ mod tests {
             KernelConfig::default(),
         );
         let clock = SimClock::new();
-        let sched = tb.start_stepped_scheduler(clock.clone(), Duration::from_micros(100));
+        let sched = tb.start_scheduler(SchedConfig::default(), Clock::Virtual(clock.clone()));
         let mut vm = tb.kernel.vm();
         // Warm the TLB before counting.
         for i in 0..10u64 {
@@ -522,18 +475,18 @@ mod tests {
         // The SchedConfig knob: the same Fig. 8 workload under a
         // 4-worker adaptive pool instead of the serial fixed period.
         use adelie_sched::Policy;
-        let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full())
-            .with_sched(SchedConfig {
-                workers: 4,
-                policy: Policy::Adaptive {
-                    min: Duration::from_millis(1),
-                    max: Duration::from_millis(25),
-                    rate_scale: 500.0,
-                    exposure_scale: 20.0,
-                },
-                ..SchedConfig::default()
-            });
-        let sched = tb.start_scheduler();
+        let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full());
+        let config = SchedConfig {
+            workers: 4,
+            policy: Policy::Adaptive {
+                min: Duration::from_millis(1),
+                max: Duration::from_millis(25),
+                rate_scale: 500.0,
+                exposure_scale: 20.0,
+            },
+            ..SchedConfig::default()
+        };
+        let sched = tb.start_scheduler(config, Clock::wall());
         let m = run_apache(&tb, 1024, 4, 2, Duration::from_millis(200));
         let stats = sched.stop();
         assert!(m.ops > 0);

@@ -11,6 +11,7 @@
 //! ```
 
 use adelie::plugin::TransformOptions;
+use adelie::sched::{Clock, SchedConfig};
 use adelie::workloads::{run_apache, DriverSet, Testbed};
 use std::time::Duration;
 
@@ -30,7 +31,7 @@ fn main() {
 
     // Adelie, re-randomizing all five modules at 5 ms.
     let tb = Testbed::new(TransformOptions::rerandomizable(true), DriverSet::full());
-    let rr = tb.start_rerand(Duration::from_millis(5));
+    let rr = tb.start_scheduler(SchedConfig::serial(Duration::from_millis(5)), Clock::wall());
     let m = run_apache(&tb, 4096, 4, 2, window);
     let stats = rr.stop();
     println!(

@@ -10,7 +10,7 @@ use adelie::core::ModuleRegistry;
 use adelie::drivers::{install_dummy, specs::DUMMY_MINOR};
 use adelie::kernel::{Kernel, KernelConfig};
 use adelie::plugin::TransformOptions;
-use adelie::sched::{Policy, SchedConfig, Scheduler};
+use adelie::sched::{Clock, Policy, SchedConfig, Scheduler};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -41,7 +41,7 @@ fn main() {
     //    artifact ran one kthread at a fixed period (`modprobe randmod
     //    module_names=dummy rand_period=5`), the scheduler adapts the
     //    period to the driver's call rate and gadget exposure.
-    let sched = Scheduler::spawn(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
         &["dummy"],
@@ -55,6 +55,7 @@ fn main() {
             },
             ..SchedConfig::default()
         },
+        Clock::wall(),
     );
 
     // 4. Hammer the driver while it moves underneath us.

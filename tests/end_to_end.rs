@@ -7,7 +7,7 @@ use adelie::drivers::{install_dummy, install_nic, install_nvme, specs, NicFlavor
 use adelie::gadget::{build_chain, scan};
 use adelie::kernel::{Kernel, KernelConfig, VmError, SECTOR_SIZE};
 use adelie::plugin::{transform, TransformOptions};
-use adelie::sched::{SchedConfig, Scheduler, SimClock};
+use adelie::sched::{Clock, SchedConfig, Scheduler, SimClock};
 use adelie::vmem::{Access, Fault, PAGE_SIZE};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -30,16 +30,15 @@ fn full_stack_ioctl_under_1ms_rerand_with_hyaline() {
     let opts = TransformOptions::rerandomizable(true);
     install_dummy(&registry, &opts).unwrap();
     let clock = SimClock::new();
-    let sched = Scheduler::spawn_stepped(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
-        &[(
-            "dummy",
-            adelie::sched::Policy::FixedPeriod(Duration::from_millis(1)),
-        )],
-        SchedConfig::serial(Duration::from_millis(1)),
-        clock.clone(),
-        Duration::from_micros(50),
+        &["dummy"],
+        SchedConfig {
+            step_cost: Duration::from_micros(50),
+            ..SchedConfig::serial(Duration::from_millis(1))
+        },
+        Clock::Virtual(clock.clone()),
     );
     let mut vm = kernel.vm();
     for i in 0..2000u64 {
@@ -174,17 +173,16 @@ fn rerand_stress_many_threads_many_modules() {
     let nvme = install_nvme(&registry, &opts).unwrap();
     kernel.vfs.create("stress.bin", 1 << 20);
     let clock = SimClock::new();
-    let period = adelie::sched::Policy::FixedPeriod(Duration::from_millis(1));
-    let sched = Scheduler::spawn_stepped(
+    let sched = Scheduler::new(
         kernel.clone(),
         registry.clone(),
-        &[("dummy", period.clone()), ("nvme", period)],
+        &["dummy", "nvme"],
         SchedConfig {
             workers: 2,
+            policy: adelie::sched::Policy::FixedPeriod(Duration::from_millis(1)),
             ..SchedConfig::default()
         },
-        clock.clone(),
-        Duration::from_micros(100),
+        Clock::Virtual(clock.clone()),
     );
     std::thread::scope(|s| {
         for t in 0..6 {
@@ -306,11 +304,12 @@ fn dmesg_shape_matches_artifact_appendix() {
     install_dummy(&registry, &opts).unwrap();
     // The artifact's single `randmod` kthread is the serial scheduler
     // configuration; its dmesg shape must survive the scheduler rewrite.
-    let rr = adelie::sched::Scheduler::spawn(
+    let rr = adelie::sched::Scheduler::new(
         kernel.clone(),
         registry.clone(),
         &["dummy"],
         adelie::sched::SchedConfig::serial(Duration::from_millis(2)),
+        Clock::wall(),
     );
     let mut vm = kernel.vm();
     for i in 0..200u64 {
