@@ -29,7 +29,7 @@
 //! finds zero violations.
 
 use adelie_core::{CycleStage, ShardWatchdog};
-use adelie_sched::{HealthState, SupervisionConfig};
+use adelie_sched::{HealthState, SchedConfig, SupervisionConfig};
 use adelie_testkit::{FleetSim, FleetSimConfig};
 use adelie_vmem::ArchKind;
 use std::fmt::Write as _;
@@ -81,11 +81,14 @@ fn probe_traffic(sim: &FleetSim) -> (u64, u64) {
 fn run(seed: u64) -> Outcome {
     let mut sim = FleetSim::new(FleetSimConfig {
         seed,
-        supervision: SupervisionConfig {
-            degrade_after: 1,
-            quarantine_after: 3,
-            backoff_max_exp: 3,
-            ..SupervisionConfig::default()
+        sched: SchedConfig {
+            supervision: SupervisionConfig {
+                degrade_after: 1,
+                quarantine_after: 3,
+                backoff_max_exp: 3,
+                ..SupervisionConfig::default()
+            },
+            ..SchedConfig::serial(Duration::from_millis(10))
         },
         ..FleetSimConfig::default()
     });
@@ -147,7 +150,7 @@ fn run(seed: u64) -> Outcome {
     // Zero budget while benched: shard 0's busy time counts exactly
     // its non-probe cycles (the probes ran for free).
     let stats0 = sim.sched.group(0).stats();
-    let cost = FleetSimConfig::default().cycle_cost.as_nanos() as u64;
+    let cost = FleetSimConfig::default().sched.step_cost.as_nanos() as u64;
     let non_probe = sim
         .reports()
         .iter()

@@ -159,8 +159,9 @@ impl Run {
 /// re-randomized mappings of the same text share runs, and validated
 /// against the frame's write version, so any write to the frame —
 /// through any mapping, or a free and reallocation — turns its runs
-/// into misses. Translation is not cached here: every instruction of a
-/// run is still translated.
+/// into misses. Translation is not cached here: a run is entered
+/// through a translation, and each later instruction checks that the
+/// translation still stands (DESIGN.md §18.5).
 ///
 /// The table starts empty and grows fourfold each time it has taken as
 /// many fills as it has slots, up to [`RunTable::MAX_SLOTS`]: a `Vm`
@@ -211,7 +212,8 @@ impl RunTable {
 }
 
 /// Where a CPU is inside a run: the slot, the next instruction's
-/// position, and the frame and version the run is valid for.
+/// position, the frame and version the run is valid for, and the exec
+/// page register its page was last translated under (DESIGN.md §18.5).
 #[derive(Copy, Clone)]
 struct Cursor<'k> {
     slot: usize,
@@ -219,6 +221,7 @@ struct Cursor<'k> {
     pfn: Pfn,
     frame: FrameRef<'k>,
     version: u64,
+    reg: Option<PageRegister>,
 }
 
 #[derive(Copy, Clone, Default)]
@@ -506,18 +509,36 @@ impl<'k> Vm<'k> {
     }
 
     /// Fetch the decoded instruction at `rip`, continuing `cursor`'s
-    /// run when `rip` is its next instruction. Every fetch translates
+    /// run when `rip` is its next instruction. Inside a run, a fetch
+    /// whose space generation and TLB stamp still match the cursor's
+    /// exec page register, and whose frame is still at the run's
+    /// version, takes the next instruction at once and counts the micro
+    /// hit its translation would have been. Anything else translates
     /// for execute access, so NX, stale-pointer and MMIO faults and the
-    /// TLB counters are exactly those of an uncached fetch. Inside a
-    /// run, a fetch that still lands in the run's frame at the run's
-    /// version takes the next instruction without a table probe;
-    /// anything else starts a run at `rip`, from the table or freshly
+    /// TLB counters are exactly those of an uncached fetch, and then
+    /// continues the run if the translation still names its frame at
+    /// its version, or starts a run at `rip`, from the table or freshly
     /// decoded (DESIGN.md §18.5).
     fn fetch(
         &mut self,
         rip: u64,
         cursor: &mut Option<Cursor<'k>>,
     ) -> Result<(Insn, usize), VmError> {
+        if let Some(c) = cursor {
+            if let Some(reg) = &c.reg {
+                let gen = self.kernel.space.generation();
+                if c.frame.version() == c.version && self.tlb.register_current(reg, gen) {
+                    debug_assert!(
+                        self.tlb.micro_pte(page_base(rip), gen).is_some_and(|pte| {
+                            pte.kind == PteKind::Frame(c.pfn)
+                                && pte.check(rip, Access::Exec).is_ok()
+                        }),
+                        "an instruction at {rip:#x} retired through a retired translation"
+                    );
+                    return Ok(self.advance(cursor, page_offset(rip)));
+                }
+            }
+        }
         let off = page_offset(rip);
         if off + FETCH_WINDOW > PAGE_SIZE {
             *cursor = None;
@@ -529,15 +550,8 @@ impl<'k> Vm<'k> {
         };
         if let Some(c) = cursor {
             if c.pfn == pfn && c.frame.version() == c.version {
-                let run = &self.runs.slots[c.slot];
-                let pos = c.pos;
-                debug_assert_eq!(run.key, Run::key(pfn, run.offs[0] as usize));
-                debug_assert_eq!(run.offs[pos] as usize, off, "a run left its path");
-                c.pos += 1;
-                if c.pos == run.len as usize {
-                    *cursor = None;
-                }
-                return Ok((run.insns[pos], run.lens[pos] as usize));
+                c.reg = self.page_regs[EXEC_REG];
+                return Ok(self.advance(cursor, off));
             }
         }
         let frame = self.kernel.phys.frame(pfn);
@@ -553,8 +567,25 @@ impl<'k> Vm<'k> {
             pfn,
             frame,
             version: run.version,
+            reg: self.page_regs[EXEC_REG],
         });
         Ok((run.insns[0], run.lens[0] as usize))
+    }
+
+    /// The live `cursor`'s next instruction, which is at page offset
+    /// `off`; ends the cursor after its run's last instruction.
+    #[inline]
+    fn advance(&self, cursor: &mut Option<Cursor<'k>>, off: usize) -> (Insn, usize) {
+        let c = cursor.as_mut().expect("a live cursor");
+        let run = &self.runs.slots[c.slot];
+        let pos = c.pos;
+        debug_assert_eq!(run.key, Run::key(c.pfn, run.offs[0] as usize));
+        debug_assert_eq!(run.offs[pos] as usize, off, "a run left its path");
+        c.pos += 1;
+        if c.pos == run.len as usize {
+            *cursor = None;
+        }
+        (run.insns[pos], run.lens[pos] as usize)
     }
 
     /// Decode the run starting at `off` of `frame` into its table slot.

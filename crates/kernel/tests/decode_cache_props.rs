@@ -7,8 +7,11 @@
 //! frame store, through a writable alias, and through interpreted stores
 //! on writable+executable pages, including a program's store into its
 //! own running run), frees with free-list reuse, and remaps to fresh
-//! addresses. One kernel runs the code on a long-lived [`Vm`],
-//! whose run table stays warm across all of it. The other runs it on
+//! addresses. Each program also loads, in the middle of a run, from a
+//! data page that shares its text page's micro-TLB slot, which evicts
+//! the running page's micro entry without a new space generation. One
+//! kernel runs the code on a long-lived [`Vm`], whose run table stays
+//! warm across all of it. The other runs it on
 //! [`RefCpu`] below: a reference interpreter with its own TLB and the
 //! same translate sequence, which fetches and decodes every instruction
 //! afresh and resolves every translation through the pinned lookup
@@ -44,6 +47,10 @@ const WORK: [Reg; 6] = [Reg::Rax, Reg::Rdx, Reg::Rsi, Reg::Rdi, Reg::R8, Reg::R9
 /// non-zero. Calls leave both at 0 except a self-poke's.
 const POKE_AT: Reg = Reg::R10;
 const POKE_WORD: Reg = Reg::R12;
+/// Distance from a slot's text pages up to its two shadow data pages:
+/// 512 pages, the micro-TLB's period, so each shadow page shares its
+/// text page's micro slot.
+const SHADOW: u64 = 512 * PAGE_SIZE as u64;
 
 /// A generated program: bytes plus the offsets of its `mov r, imm32`
 /// instructions, which pokes may replace in place.
@@ -70,7 +77,8 @@ fn work_insn(rng: &mut TestRng) -> Insn {
     }
 }
 
-/// A guarded self-poke, then a `mov`/ALU body inside a short counted
+/// A guarded self-poke, then a `mov`/ALU body with one RIP-relative
+/// load from the [`SHADOW`] page of its own page inside a short counted
 /// loop, then a chain of same-page direct calls and jumps (which a
 /// decoded run follows) through `mov`/ALU subroutines, then store all
 /// sixteen registers to [`SCRATCH`] and return.
@@ -87,6 +95,16 @@ fn program(seed: u64) -> Program {
     for _ in 0..1 + rng.below(12) {
         prefix.push(work_insn(&mut rng));
     }
+    // Never first in the body, so it is always inside a run.
+    let at = 1 + rng.below(prefix.len() as u64) as usize;
+    let dst = WORK[rng.below(WORK.len() as u64) as usize];
+    prefix.insert(
+        at,
+        Insn::MovLoad {
+            dst,
+            src: Mem::RipRel(SHADOW as i32),
+        },
+    );
     let mut a = Asm::new();
     a.test(POKE_AT, POKE_AT);
     a.jcc_label(Cond::E, "body");
@@ -162,6 +180,8 @@ fn program(seed: u64) -> Program {
 struct Slot {
     va: u64,
     pfns: [Pfn; 2],
+    /// Data frames mapped at `va + SHADOW`.
+    shadow: [Pfn; 2],
     /// Program start within the two pages: low in the first page, or
     /// straddling the boundary so some fetch windows cross it.
     start: usize,
@@ -217,9 +237,11 @@ impl World {
                 PteFlags::TEXT
             };
             let pfns = [world.kernel.phys.alloc(), world.kernel.phys.alloc()];
+            let shadow = [world.kernel.phys.alloc(), world.kernel.phys.alloc()];
             let slot = Slot {
                 va: SLOT_BASE + SLOT_STRIDE * i as u64,
                 pfns,
+                shadow,
                 start,
                 flags,
                 program,
@@ -227,6 +249,7 @@ impl World {
             };
             world.store(&slot, &slot.program.bytes, None);
             world.map(&slot);
+            world.map_shadow(&slot);
             world.slots.push(slot);
         }
         world
@@ -240,6 +263,14 @@ impl World {
                 .apply(Batch::new().map_page(va, pfn, slot.flags))
                 .unwrap();
         }
+    }
+
+    fn map_shadow(&self, slot: &Slot) {
+        let va = slot.va + SHADOW;
+        self.kernel
+            .space
+            .apply(Batch::new().map_range(va, &slot.shadow, PteFlags::DATA))
+            .unwrap();
     }
 
     fn unmap(&self, va: u64) {
@@ -376,7 +407,9 @@ impl World {
                 slot.stale = Some(from);
                 let slot = &self.slots[s];
                 self.map(slot);
+                self.map_shadow(slot);
                 self.unmap(from);
+                self.unmap(from + SHADOW);
                 None
             }
         }
@@ -655,6 +688,11 @@ impl<'k> RefCpu<'k> {
             Insn::MovStore { dst, src } => {
                 let addr = self.addr(dst, next);
                 self.write_data(addr, self.reg(src), 8)?;
+                Ok(next)
+            }
+            Insn::MovLoad { dst, src } => {
+                let v = self.read_data(self.addr(src, next), 8)?;
+                self.set_reg(dst, v);
                 Ok(next)
             }
             Insn::Alu { op, dst, src } => {

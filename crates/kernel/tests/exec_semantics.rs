@@ -465,10 +465,11 @@ fn a_native_remapping_the_running_code_page_returns_into_the_new_bytes() {
 }
 
 // Decoded runs (DESIGN.md §18.4–§18.5): a run is decoded once and then
-// executed without a table probe per instruction, but every instruction
-// still passes the exec page register and the frame's version check.
-// Each test below changes the code or its mapping *inside* a run, where
-// only those two per-instruction checks can notice.
+// executed without a table probe or a translation per instruction, but
+// every instruction still compares the space generation and the TLB
+// stamp with the exec page register its run was entered under, and the
+// frame's version with the run's. Each test below changes the code or
+// its mapping *inside* a run, where only those compares can notice.
 
 #[test]
 fn a_store_into_a_later_instruction_of_the_running_run_is_seen() {
@@ -495,7 +496,8 @@ fn a_store_into_a_later_instruction_of_the_running_run_is_seen() {
 }
 
 /// A device whose register write changes the mapping of `page`, the
-/// page of the code writing it.
+/// page of the code writing it, unless the value written is
+/// [`Remapper::IGNORED`].
 struct Remapper {
     kernel: std::sync::OnceLock<std::sync::Weak<Kernel>>,
     page: u64,
@@ -518,11 +520,18 @@ enum Remap {
     Swap,
 }
 
+impl Remapper {
+    const IGNORED: u64 = 2;
+}
+
 impl adelie_kernel::MmioDevice for Remapper {
     fn mmio_read(&self, _o: u64, _s: usize) -> u64 {
         0
     }
-    fn mmio_write(&self, _o: u64, _v: u64, _s: usize) {
+    fn mmio_write(&self, _o: u64, v: u64, _s: usize) {
+        if v == Remapper::IGNORED {
+            return;
+        }
         let kernel = self.kernel.get().and_then(|k| k.upgrade()).unwrap();
         let space = &kernel.space;
         let pte = space
@@ -555,66 +564,101 @@ impl adelie_kernel::MmioDevice for Remapper {
     }
 }
 
+/// Run a program whose second run writes the [`Remapper`]'s register,
+/// remapping the page under it `how`, and check the next fetch sees
+/// it. Returns the `(hits, micro_hits, misses)` of the remapping call.
+///
+/// With `warm_bar`, an earlier call writes the register a value the
+/// device ignores, so the remapping call finds the register page in the
+/// data page register and its run moves only the space generation:
+/// nothing fills the micro-TLB between the write and the next fetch.
+fn remap_mid_run(page: u64, how: Remap, warm_bar: bool) -> (u64, u64, u64) {
+    let kernel = Kernel::new(KernelConfig::default());
+    let dev = Arc::new(Remapper {
+        kernel: Default::default(),
+        page,
+        how,
+        next: Default::default(),
+    });
+    dev.kernel.set(Arc::downgrade(&kernel)).ok().unwrap();
+    let (_, bar) = kernel.map_device(dev.clone(), 1);
+    // mov rcx, bar; mov [rcx], rdi (if rdi != 0); mov eax, 1; ret
+    let mut asm = Asm::new();
+    asm.mov_imm64(Reg::Rcx, bar);
+    asm.test(Reg::Rdi, Reg::Rdi);
+    asm.jcc_label(Cond::E, "skip");
+    asm.mov_store(adelie_isa::Mem::base(Reg::Rcx), Reg::Rdi);
+    asm.label("next");
+    asm.bytes(&ret_imm(1));
+    asm.label("skip");
+    asm.jmp_label("done");
+    asm.label("done");
+    asm.mov_imm32(Reg::Rax, 2);
+    asm.ret();
+    let out = asm.assemble().unwrap();
+    let next = out.labels["next"];
+    dev.next.store(next, std::sync::atomic::Ordering::Relaxed);
+    map_text(&kernel, page, &out.bytes);
+    let mut vm = kernel.vm();
+    // Warm the TLB and the page registers on the path that leaves
+    // the device alone; the write's run is decoded by the call
+    // that writes, so its cursor is live when the mapping changes.
+    assert_eq!(vm.call(page, &[0]).unwrap(), 2);
+    assert_eq!(vm.call(page, &[0]).unwrap(), 2);
+    if warm_bar {
+        assert_eq!(vm.call(page, &[Remapper::IGNORED]).unwrap(), 1);
+    }
+    let before = vm.tlb_stats();
+    let got = vm.call(page, &[1]);
+    let next = page + next as u64;
+    match (how, got) {
+        (Remap::Swap, Ok(v)) => assert_eq!(v, 3, "ran the old frame's bytes"),
+        (Remap::Nx, Err(VmError::Fault(adelie_vmem::Fault::NotExecutable { va })))
+        | (
+            Remap::Unmap | Remap::Move(_),
+            Err(VmError::Fault(adelie_vmem::Fault::Unmapped { va })),
+        ) => assert_eq!(va, next, "{how:?}: fault at the next fetch"),
+        (how, other) => panic!("{how:?}: the run outlived its mapping: {other:?}"),
+    }
+    // The sentinel push, four fetches, the bar store and the next
+    // fetch (and, after a swap, its `ret`): one lookup each, as
+    // without runs.
+    let d = vm.tlb_stats().delta_since(&before);
+    let lookups = if matches!(how, Remap::Swap) { 9 } else { 7 };
+    assert_eq!(d.hits + d.misses, lookups, "{how:?}: one lookup per access");
+    (d.hits, d.micro_hits, d.misses)
+}
+
+const REMAPS: [Remap; 4] = [
+    Remap::Unmap,
+    Remap::Move(0x390_0000_0000),
+    Remap::Nx,
+    Remap::Swap,
+];
+
 #[test]
 fn an_mmio_write_that_remaps_the_running_page_is_seen_by_the_next_fetch() {
-    let remaps = [
-        Remap::Unmap,
-        Remap::Move(0x390_0000_0000),
-        Remap::Nx,
-        Remap::Swap,
-    ];
-    for (i, how) in remaps.into_iter().enumerate() {
-        let kernel = Kernel::new(KernelConfig::default());
-        let page = 0x380_0000_0000 + (i as u64) * 0x10_0000;
-        let dev = Arc::new(Remapper {
-            kernel: Default::default(),
-            page,
-            how,
-            next: Default::default(),
-        });
-        dev.kernel.set(Arc::downgrade(&kernel)).ok().unwrap();
-        let (_, bar) = kernel.map_device(dev.clone(), 1);
-        // mov rcx, bar; mov [rcx], rdi (if rdi != 0); mov eax, 1; ret
-        let mut asm = Asm::new();
-        asm.mov_imm64(Reg::Rcx, bar);
-        asm.test(Reg::Rdi, Reg::Rdi);
-        asm.jcc_label(Cond::E, "skip");
-        asm.mov_store(adelie_isa::Mem::base(Reg::Rcx), Reg::Rdi);
-        asm.label("next");
-        asm.bytes(&ret_imm(1));
-        asm.label("skip");
-        asm.jmp_label("done");
-        asm.label("done");
-        asm.mov_imm32(Reg::Rax, 2);
-        asm.ret();
-        let out = asm.assemble().unwrap();
-        let next = out.labels["next"];
-        dev.next.store(next, std::sync::atomic::Ordering::Relaxed);
-        map_text(&kernel, page, &out.bytes);
-        let mut vm = kernel.vm();
-        // Warm the TLB and the page registers on the path that leaves
-        // the device alone; the write's run is decoded by the call
-        // that writes, so its cursor is live when the mapping changes.
-        assert_eq!(vm.call(page, &[0]).unwrap(), 2);
-        assert_eq!(vm.call(page, &[0]).unwrap(), 2);
-        let before = vm.tlb_stats();
-        let got = vm.call(page, &[1]);
-        let next = page + next as u64;
-        match (how, got) {
-            (Remap::Swap, Ok(v)) => assert_eq!(v, 3, "ran the old frame's bytes"),
-            (Remap::Nx, Err(VmError::Fault(adelie_vmem::Fault::NotExecutable { va })))
-            | (
-                Remap::Unmap | Remap::Move(_),
-                Err(VmError::Fault(adelie_vmem::Fault::Unmapped { va })),
-            ) => assert_eq!(va, next, "{how:?}: fault at the next fetch"),
-            (how, other) => panic!("{how:?}: the run outlived its mapping: {other:?}"),
-        }
-        // The sentinel push, four fetches, the bar store and the next
-        // fetch (and, after a swap, its `ret`): one lookup each, as
-        // without runs.
-        let d = vm.tlb_stats().delta_since(&before);
-        let lookups = if matches!(how, Remap::Swap) { 9 } else { 7 };
-        assert_eq!(d.hits + d.misses, lookups, "{how:?}: one lookup per access");
+    for (i, how) in REMAPS.into_iter().enumerate() {
+        remap_mid_run(0x380_0000_0000 + (i as u64) * 0x10_0000, how, false);
+    }
+}
+
+#[test]
+fn a_remap_that_moves_only_the_generation_is_seen_by_the_next_fetch() {
+    for (i, how) in REMAPS.into_iter().enumerate() {
+        // Off micro-TLB slot 0, where the device's register page sits.
+        let page = 0x3d0_0000_5000 + (i as u64) * 0x10_0000;
+        let counts = remap_mid_run(page, how, true);
+        // Every access before the remap is a micro hit, so no fill
+        // moved the TLB stamp; the fetch after it misses and walks.
+        // After a swap, the copy's `ret` is a micro hit and the pop
+        // an L2 hit, its micro entry tagged with the old generation.
+        let want = if matches!(how, Remap::Swap) {
+            (8, 7, 1)
+        } else {
+            (6, 6, 1)
+        };
+        assert_eq!(counts, want, "{how:?}: (hits, micro_hits, misses)");
     }
 }
 

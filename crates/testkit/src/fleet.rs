@@ -35,10 +35,7 @@ use crate::oracle::{LayoutOracle, OracleReport};
 use crate::{Attacker, FaultPlan, HookChain};
 use adelie_core::{CycleStage, Fleet, LoadedModule, Pinned, RecoveryReport};
 use adelie_kernel::{FleetConfig, KernelConfig, ShardedKernel};
-use adelie_sched::{
-    Clock, CycleReport, FleetScheduler, HealthState, Policy, SchedConfig, SimClock,
-    SupervisionConfig,
-};
+use adelie_sched::{Clock, CycleReport, FleetScheduler, HealthState, SchedConfig, SimClock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -54,19 +51,14 @@ pub struct FleetSimConfig {
     pub seed: u64,
     /// Number of kernel shards.
     pub shards: usize,
-    /// Scheduling policy for every module in every shard.
-    pub policy: Policy,
-    /// Modeled randomizer-pool width *per shard group*.
-    pub workers: usize,
-    /// Modeled CPU cost charged per cycle on the virtual timeline.
-    pub cycle_cost: Duration,
-    /// Global (whole-fleet) CPU-budget cap.
-    pub max_cpu_frac: f64,
+    /// Every shard group's scheduler: the policy of every module, the
+    /// modeled pool width *per shard group*, the modeled cost charged
+    /// per cycle on the virtual timeline (`step_cost`), the global
+    /// (whole-fleet) CPU-budget cap and the supervision thresholds.
+    pub sched: SchedConfig,
     /// Module profiles replicated into each shard (module `p` of shard
     /// `i` is named `{p.name}_s{i}` and pinned there).
     pub modules_per_shard: Vec<ModuleProfile>,
-    /// Health state machine thresholds for every shard group.
-    pub supervision: SupervisionConfig,
 }
 
 impl Default for FleetSimConfig {
@@ -74,12 +66,8 @@ impl Default for FleetSimConfig {
         FleetSimConfig {
             seed: 1,
             shards: 2,
-            policy: Policy::FixedPeriod(Duration::from_millis(10)),
-            workers: 1,
-            cycle_cost: Duration::from_micros(100),
-            max_cpu_frac: f64::INFINITY,
+            sched: SchedConfig::serial(Duration::from_millis(10)),
             modules_per_shard: vec![ModuleProfile::hot("hot"), ModuleProfile::cold("cold")],
-            supervision: SupervisionConfig::default(),
         }
     }
 }
@@ -194,15 +182,7 @@ impl FleetSim {
                 (fleet.kernel(i).clone(), fleet.registry(i).clone(), names)
             })
             .collect();
-        let config = SchedConfig {
-            workers: cfg.workers,
-            policy: cfg.policy.clone(),
-            max_cpu_frac: cfg.max_cpu_frac,
-            supervision: cfg.supervision.clone(),
-            step_cost: cfg.cycle_cost,
-            ..SchedConfig::default()
-        };
-        let sched = FleetScheduler::new(shard_scheds, config, Clock::Virtual(clock.clone()));
+        let sched = FleetScheduler::new(shard_scheds, cfg.sched, Clock::Virtual(clock.clone()));
 
         let traffic = modules
             .iter()

@@ -273,33 +273,48 @@ impl LayoutOracle {
         for page in 0..(span as usize / PAGE_SIZE) {
             let va = base + (page * PAGE_SIZE) as u64;
             if let Some(pte) = witness.lookup(va, &self.kernel.space) {
-                if self.kernel.space.translate(va, Access::Read).is_err()
-                    && self.confirm_stale(&mut witness, va)
-                {
-                    out.push(format!(
-                        "stale translation served {what}: witness TLB still maps \
-                         {va:#x} (pte {pte:?}) but the space has retired it"
-                    ));
-                    return; // one line per stale range is enough
+                if self.kernel.space.translate(va, Access::Read).is_err() {
+                    if let Some(probes) = self.confirm_stale(&mut witness, va) {
+                        out.push(format!(
+                            "stale translation served {what}: witness TLB still maps \
+                             {va:#x} (pte {pte:?}) but the space has retired it; {probes}"
+                        ));
+                        return; // one line per stale range is enough
+                    }
                 }
             }
         }
     }
 
     /// Re-probe a candidate stale hit (see [`LayoutOracle::probe_vacated`]):
-    /// `true` only if the witness keeps serving a translation the space
-    /// rejects across repeated resynchronizations.
-    fn confirm_stale(&self, witness: &mut Tlb, va: u64) -> bool {
-        for _ in 0..64 {
+    /// `Some` only if the witness keeps serving a translation the space
+    /// rejects across repeated resynchronizations. It reports, after the
+    /// first and the last re-probe, the space's generation and the
+    /// space id and generation the witness last synchronized at.
+    fn confirm_stale(&self, witness: &mut Tlb, va: u64) -> Option<String> {
+        const PROBES: usize = 64;
+        let space = &self.kernel.space;
+        let mut first = String::new();
+        let mut last = String::new();
+        for i in 1..=PROBES {
             std::thread::yield_now();
-            if witness.lookup(va, &self.kernel.space).is_none() {
-                return false; // benign race: the resync evicted it
+            // No entry: a benign race, the resync evicted it.
+            witness.lookup(va, space)?;
+            if space.translate(va, Access::Read).is_ok() {
+                return None; // the page is genuinely mapped again
             }
-            if self.kernel.space.translate(va, Access::Read).is_ok() {
-                return false; // the page is genuinely mapped again
+            let (bound, synced) = witness.synced();
+            last = format!(
+                "re-probe {i}: space {} at generation {}, witness bound to \
+                 space {bound} synced at generation {synced}",
+                space.id(),
+                space.generation()
+            );
+            if i == 1 {
+                first = last.clone();
             }
         }
-        true
+        Some(format!("{first}; {last}"))
     }
 
     /// Module docs, #8: an entry the witness cached under the kernel

@@ -24,7 +24,7 @@
 use crate::harness::ModuleProfile;
 use crate::{FleetSim, FleetSimConfig};
 use adelie_gadget::attack::{exposure_windows, mean_exposure_ns, survival_curve};
-use adelie_sched::Policy;
+use adelie_sched::{Policy, SchedConfig};
 use std::time::Duration;
 
 /// Experiment shape.
@@ -121,10 +121,12 @@ pub fn run_policy(label: &'static str, policy: Policy, cfg: &WindowConfig) -> Po
     let mut sim = FleetSim::new(FleetSimConfig {
         seed: cfg.seed,
         shards: 1,
-        policy,
-        cycle_cost: cfg.cycle_cost,
+        sched: SchedConfig {
+            policy,
+            step_cost: cfg.cycle_cost,
+            ..SchedConfig::serial(Duration::from_millis(10))
+        },
         modules_per_shard: vec![ModuleProfile::hot("hot"), ModuleProfile::cold("cold")],
-        ..FleetSimConfig::default()
     });
     sim.run_for(cfg.window);
     sim.assert_modules_work();

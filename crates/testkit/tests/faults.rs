@@ -3,7 +3,7 @@
 //! leaky stages, the oracle provably catches the damage.
 
 use adelie_core::CycleStage;
-use adelie_sched::Policy;
+use adelie_sched::SchedConfig;
 use adelie_testkit::{FleetSim, FleetSimConfig};
 use std::time::Duration;
 
@@ -12,7 +12,7 @@ fn fast_sim(seed: u64, shards: usize) -> FleetSim {
     FleetSim::new(FleetSimConfig {
         seed,
         shards,
-        policy: Policy::FixedPeriod(Duration::from_millis(5)),
+        sched: SchedConfig::serial(Duration::from_millis(5)),
         ..FleetSimConfig::default()
     })
 }

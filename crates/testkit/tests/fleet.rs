@@ -4,7 +4,7 @@
 //! overlap, symbol/GOT integrity per owning shard, leak isolation)
 //! plus determinism of the whole fleet timeline.
 
-use adelie_sched::Policy;
+use adelie_sched::{Policy, SchedConfig};
 use adelie_testkit::{FleetSim, FleetSimConfig, ModuleProfile};
 use std::time::Duration;
 
@@ -35,12 +35,15 @@ fn fleet_runs_clean_under_adaptive_pools() {
     let mut sim = FleetSim::new(FleetSimConfig {
         seed: 11,
         shards: 4,
-        workers: 2,
-        policy: Policy::Adaptive {
-            min: Duration::from_millis(2),
-            max: Duration::from_millis(20),
-            rate_scale: 500.0,
-            exposure_scale: 20.0,
+        sched: SchedConfig {
+            workers: 2,
+            policy: Policy::Adaptive {
+                min: Duration::from_millis(2),
+                max: Duration::from_millis(20),
+                rate_scale: 500.0,
+                exposure_scale: 20.0,
+            },
+            ..SchedConfig::serial(Duration::from_millis(10))
         },
         ..FleetSimConfig::default()
     });
@@ -57,7 +60,10 @@ fn fleet_timeline_is_deterministic() {
         let mut sim = FleetSim::new(FleetSimConfig {
             seed,
             shards: 3,
-            workers: 2,
+            sched: SchedConfig {
+                workers: 2,
+                ..SchedConfig::serial(Duration::from_millis(10))
+            },
             ..FleetSimConfig::default()
         });
         sim.run_for(RUN);
@@ -94,7 +100,7 @@ fn cross_shard_leaks_never_land_while_home_leaks_do() {
         shards: 2,
         // Long periods: leaks stay live in their home shard for the
         // whole check, making the asymmetry sharp.
-        policy: Policy::FixedPeriod(Duration::from_millis(500)),
+        sched: SchedConfig::serial(Duration::from_millis(500)),
         ..FleetSimConfig::default()
     });
     sim.run_for(Duration::from_millis(5));
@@ -124,7 +130,10 @@ fn global_budget_sees_every_shard() {
     let mut sim = FleetSim::new(FleetSimConfig {
         seed: 5,
         shards: 3,
-        cycle_cost,
+        sched: SchedConfig {
+            step_cost: cycle_cost,
+            ..SchedConfig::serial(Duration::from_millis(10))
+        },
         ..FleetSimConfig::default()
     });
     sim.run_for(RUN);
@@ -164,11 +173,12 @@ fn capped_fleet_budget_throttles_every_shard() {
         let mut sim = FleetSim::new(FleetSimConfig {
             seed: 17,
             shards: 2,
-            policy: Policy::FixedPeriod(Duration::from_micros(500)),
-            cycle_cost: Duration::from_micros(400),
-            max_cpu_frac,
+            sched: SchedConfig {
+                step_cost: Duration::from_micros(400),
+                max_cpu_frac,
+                ..SchedConfig::serial(Duration::from_micros(500))
+            },
             modules_per_shard: vec![ModuleProfile::hot("hot")],
-            ..FleetSimConfig::default()
         });
         sim.run_for(RUN);
         let per_shard: Vec<u64> = (0..sim.shards())

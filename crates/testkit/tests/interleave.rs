@@ -3,7 +3,7 @@
 //! stale pointer, SMR leak, or overlapping VA reservation survives any
 //! interleaving.
 
-use adelie_sched::Policy;
+use adelie_sched::SchedConfig;
 use adelie_testkit::{FleetSim, FleetSimConfig, ModuleProfile};
 use std::time::Duration;
 
@@ -11,19 +11,20 @@ fn fleet_config(seed: u64, shards: usize) -> FleetSimConfig {
     FleetSimConfig {
         seed,
         shards,
-        policy: Policy::FixedPeriod(Duration::from_millis(5)),
-        workers: 3,
-        // A cycle cost comparable to the period spread keeps several
-        // deadlines inside one pool window, so reordering really
-        // happens.
-        cycle_cost: Duration::from_millis(2),
+        sched: SchedConfig {
+            workers: 3,
+            // A cycle cost comparable to the period spread keeps
+            // several deadlines inside one pool window, so reordering
+            // really happens.
+            step_cost: Duration::from_millis(2),
+            ..SchedConfig::serial(Duration::from_millis(5))
+        },
         modules_per_shard: vec![
             ModuleProfile::hot("alpha"),
             ModuleProfile::hot("beta"),
             ModuleProfile::cold("gamma"),
             ModuleProfile::cold("delta"),
         ],
-        ..FleetSimConfig::default()
     }
 }
 

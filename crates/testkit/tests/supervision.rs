@@ -3,7 +3,7 @@
 //! byte-identical determinism of the whole storm timeline.
 
 use adelie_core::CycleStage;
-use adelie_sched::{HealthState, SupervisionConfig};
+use adelie_sched::{HealthState, SchedConfig, SupervisionConfig};
 use adelie_testkit::{FleetSim, FleetSimConfig};
 use std::time::Duration;
 
@@ -21,7 +21,10 @@ fn tight_supervision() -> SupervisionConfig {
 fn storm_sim(seed: u64) -> FleetSim {
     let sim = FleetSim::new(FleetSimConfig {
         seed,
-        supervision: tight_supervision(),
+        sched: SchedConfig {
+            supervision: tight_supervision(),
+            ..SchedConfig::serial(Duration::from_millis(10))
+        },
         ..FleetSimConfig::default()
     });
     // A correlated burst on shard 0's hot module: attempts 1..=6 fail
@@ -60,7 +63,7 @@ fn fault_storm_quarantines_then_recovers() {
     // Zero budget while quarantined: only non-probe cycles are
     // charged, so shard 0's busy time is exactly (its non-probe
     // cycles) × modeled cost — the probes ran for free.
-    let cost = FleetSimConfig::default().cycle_cost.as_nanos() as u64;
+    let cost = FleetSimConfig::default().sched.step_cost.as_nanos() as u64;
     let non_probe = sim
         .reports()
         .iter()

@@ -88,7 +88,10 @@
 //! bumps a *stamp* on every micro fill and on every flush, bind and
 //! resynchronization, so a register whose stamp, page and generation
 //! still match is exactly the micro hit the probe would have made, and
-//! [`Tlb::register_hit`] counts it as one (DESIGN.md §14.8).
+//! [`Tlb::register_hit`] counts it as one (DESIGN.md §14.8). A caller
+//! that already knows the page and checked the permission, as the
+//! interpreter does inside a decoded run, compares only the generation
+//! and the stamp ([`Tlb::register_current`]).
 
 use crate::arch::{ArchKind, Asid};
 use crate::hash::BuildPageHasher;
@@ -458,8 +461,8 @@ impl Tlb {
     /// The PTE a [`Tlb::try_lookup_current`] of `page_va` at
     /// `current_gen` would serve from the micro-TLB right now, without
     /// counting anything; `None` when that probe would not be a micro
-    /// hit.
-    fn micro_pte(&self, page_va: u64, current_gen: u64) -> Option<Pte> {
+    /// hit. For debug cross-checks of a caller's own copies.
+    pub fn micro_pte(&self, page_va: u64, current_gen: u64) -> Option<Pte> {
         if current_gen != self.generation {
             return None;
         }
@@ -505,6 +508,20 @@ impl Tlb {
         self.stats.hits += 1;
         self.stats.micro_hits += 1;
         Some(reg.pte)
+    }
+
+    /// [`Tlb::register_hit`] for a caller that knows the access is to
+    /// `reg`'s page and that `reg`'s PTE already passed its permission
+    /// check: only the generation and the stamp are compared. A `true`
+    /// is counted as the micro hit it replaces.
+    #[inline]
+    pub fn register_current(&mut self, reg: &PageRegister, current_gen: u64) -> bool {
+        if reg.gen != current_gen || reg.stamp != self.stamp {
+            return false;
+        }
+        self.stats.hits += 1;
+        self.stats.micro_hits += 1;
+        true
     }
 
     #[inline]
@@ -699,6 +716,13 @@ impl Tlb {
         self.entries.is_empty()
     }
 
+    /// `(space id, generation)` this TLB last synchronized at: the
+    /// [`AddressSpace::id`] it is bound to (0 = never bound) and its
+    /// generation cursor for that space. For diagnostics.
+    pub fn synced(&self) -> (u64, u64) {
+        (self.space_id, self.generation)
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> TlbStats {
         self.stats
@@ -745,6 +769,24 @@ mod tests {
         assert_eq!(tlb.lookup(VA, &space), Some(t.pte));
         assert_eq!(tlb.stats().hits, 1);
         assert_eq!(tlb.stats().misses, 1);
+    }
+
+    #[test]
+    fn synced_reports_the_bound_space_and_its_generation() {
+        let phys = PhysMem::new();
+        let (a, b) = (AddressSpace::new(), AddressSpace::new());
+        map_fresh(&a, &phys, VA, 1);
+        let mut tlb = Tlb::new();
+        assert_eq!(tlb.synced(), (0, 0), "never bound");
+        tlb.lookup(VA, &a);
+        assert_eq!(tlb.synced(), (a.id(), a.generation()));
+        // A publish the TLB has not seen leaves its cursor behind.
+        a.apply(Batch::new().unmap_range(VA, 1)).unwrap();
+        assert_eq!(tlb.synced(), (a.id(), a.generation() - 1));
+        tlb.lookup(VA, &b);
+        assert_eq!(tlb.synced(), (b.id(), b.generation()));
+        tlb.lookup(VA, &a);
+        assert_eq!(tlb.synced(), (a.id(), a.generation()));
     }
 
     #[test]
