@@ -1,7 +1,9 @@
 //! The fault-storm recovery benchmark: time-to-reconverge and
 //! fraction-of-traffic-served for a supervised fleet under an injected
 //! fault storm plus a shard crash — emitted as `BENCH_recovery.json`
-//! (the CI artifact, matrixed over `ADELIE_ARCH`) plus a console table.
+//! plus a console table. The run is deterministic and the JSON carries
+//! no arch, so the committed file is the baseline under every
+//! `ADELIE_ARCH` (CI diffs it on both backends).
 //!
 //! Per seed the deterministic fleet harness runs three phases on one
 //! virtual timeline:
@@ -267,8 +269,8 @@ fn main() {
         rows.push(outcome_json(&o));
     }
     let json = format!(
-        "{{\n  \"bench\": \"recovery\",\n  \"arch\": \"{arch:?}\",\n  \
-         \"slice_ns\": {},\n  \"burst\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"recovery\",\n  \"slice_ns\": {},\n  \"burst\": {},\n  \
+         \"results\": [\n{}\n  ]\n}}\n",
         SLICE.as_nanos(),
         BURST,
         rows.join(",\n"),

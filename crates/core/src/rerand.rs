@@ -51,7 +51,7 @@ use std::sync::Arc;
 /// counted and retried at the next deadline rather than killing the
 /// randomizer thread (the old stringly-typed path treated every error as
 /// fatal).
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RerandError {
     /// The module was not built with `TransformOptions::rerandomizable`.
     NotRerandomizable {

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Errors raised during interpreted execution.
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VmError {
     /// Memory fault (page fault, NX, write-protection, …).
     Fault(Fault),

@@ -47,7 +47,7 @@ pub use printk::Printk;
 pub use sharded::{FleetConfig, ShardedKernel};
 pub use symbols::{BuildNameHasher, NativeFn, SymbolTable};
 
-use adelie_reclaim::{Ebr, Hyaline, Reclaimer};
+use adelie_reclaim::{Hyaline, Reclaimer};
 use adelie_vmem::{AddressSpace, Batch, PhysMem, PteFlags, SpaceConfig, PAGE_SIZE};
 pub use adelie_vmem::{ArchKind, TlbStats};
 use parking_lot::{Mutex, RwLock};
@@ -178,12 +178,10 @@ impl Kernel {
         // auxiliary readers like oracles and one-shot pins) — a kernel
         // configured beyond READER_SLOTS CPUs must not hang its
         // interpreters on slot claims.
-        let snapshot_slots = adelie_vmem::READER_SLOTS.max(config.cpus * 2);
-        let snapshot_smr: Arc<dyn Reclaimer> = Arc::new(Ebr::new(snapshot_slots));
         let kernel = Arc::new(Kernel {
             phys: Arc::new(PhysMem::new()),
             space: Arc::new(AddressSpace::with_space_config(SpaceConfig {
-                smr: Some(snapshot_smr),
+                reader_slots: adelie_vmem::READER_SLOTS.max(config.cpus * 2),
                 arch: config.arch,
                 ..SpaceConfig::new()
             })),

@@ -1,9 +1,11 @@
 //! Per-module supervision: the health state machine behind quarantine.
 //!
 //! Every module the pool drives carries a [`ModuleHealth`] record.
-//! Typed cycle failures ([`CycleError`]) feed a streak counter; the
-//! streak drives Healthy → Degraded → Quarantined transitions with
-//! deterministic exponential backoff on the retry period. A quarantined
+//! Failed cycles feed a streak counter; the state machine never looks
+//! at *why* a cycle failed (that is the report's
+//! [`RerandError`](adelie_core::RerandError)). The streak drives
+//! Healthy → Degraded → Quarantined transitions with deterministic
+//! exponential backoff on the retry period. A quarantined
 //! module is *not* cycled on its policy schedule any more: the pool
 //! only sends periodic **un-quarantine probes** (cheap, budget-exempt
 //! attempts) whose success snaps the module back to Healthy.
@@ -14,9 +16,7 @@
 //! kernel's seeded RNG only on failure paths so clean runs consume an
 //! unchanged RNG stream (the fleet soak's byte-identity gate).
 
-use adelie_core::RerandError;
 use std::fmt;
-use std::sync::Arc;
 
 /// Supervision state of one module in the pool.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -40,111 +40,6 @@ impl fmt::Display for HealthState {
         })
     }
 }
-
-/// Why one cycle failed, as the scheduler records it — a typed mirror
-/// of [`RerandError`] that is `Clone + PartialEq`, so quarantine
-/// decisions and tests match on variants instead of rendered strings.
-///
-/// (`RerandError` itself carries live `Fault`/`VmError` sources and is
-/// deliberately not `Clone`; the scheduler keeps the variant structure
-/// and renders the underlying fault into `detail`.)
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CycleError {
-    /// The module was not built re-randomizable.
-    NotRerandomizable {
-        /// Module name (shared id — no per-error allocation).
-        module: Arc<str>,
-    },
-    /// The registry no longer holds this copy of the module (it was
-    /// unloaded); nothing was touched.
-    Unloaded {
-        /// Module name (shared id — no per-error allocation).
-        module: Arc<str>,
-    },
-    /// No free virtual range of the required size.
-    NoSpace {
-        /// Module name (shared id — no per-error allocation).
-        module: Arc<str>,
-        /// Pages requested.
-        pages: usize,
-    },
-    /// Mapping or swapping pages at the new base failed (pre-commit:
-    /// the move rolled back).
-    Remap {
-        /// Module name (shared id — no per-error allocation).
-        module: Arc<str>,
-        /// Which remap step failed (alias, local GOT, immovable GOT).
-        what: &'static str,
-        /// Rendered page-table fault.
-        detail: String,
-    },
-    /// The `update_pointers` callback failed (post-commit: the move
-    /// itself landed).
-    UpdatePointers {
-        /// Module name (shared id — no per-error allocation).
-        module: Arc<str>,
-        /// Rendered interpreter error.
-        detail: String,
-    },
-}
-
-impl From<&RerandError> for CycleError {
-    fn from(err: &RerandError) -> CycleError {
-        match err {
-            RerandError::NotRerandomizable { module } => CycleError::NotRerandomizable {
-                module: module.clone(),
-            },
-            RerandError::Unloaded { module } => CycleError::Unloaded {
-                module: module.clone(),
-            },
-            RerandError::NoSpace { module, pages } => CycleError::NoSpace {
-                module: module.clone(),
-                pages: *pages,
-            },
-            RerandError::Remap {
-                module,
-                what,
-                fault,
-            } => CycleError::Remap {
-                module: module.clone(),
-                what,
-                detail: fault.to_string(),
-            },
-            RerandError::UpdatePointers { module, source } => CycleError::UpdatePointers {
-                module: module.clone(),
-                detail: source.to_string(),
-            },
-        }
-    }
-}
-
-// Renders identically to the corresponding `RerandError` so existing
-// log-scraping expectations keep matching.
-impl fmt::Display for CycleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CycleError::NotRerandomizable { module } => {
-                write!(f, "module {module} is not re-randomizable")
-            }
-            CycleError::Unloaded { module } => {
-                write!(f, "module {module} is no longer loaded")
-            }
-            CycleError::NoSpace { module, pages } => {
-                write!(f, "no free {pages}-page range to move {module} into")
-            }
-            CycleError::Remap {
-                module,
-                what,
-                detail,
-            } => write!(f, "{module}: {what} remap failed: {detail}"),
-            CycleError::UpdatePointers { module, detail } => {
-                write!(f, "{module}: update_pointers failed: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CycleError {}
 
 /// Supervision knobs, carried on `SchedConfig`.
 #[derive(Clone, Debug)]
@@ -322,12 +217,5 @@ mod tests {
         assert_eq!(backoff_multiplier(&cfg, 6), 32);
         assert_eq!(backoff_multiplier(&cfg, 7), 64);
         assert_eq!(backoff_multiplier(&cfg, 100), 64);
-    }
-
-    #[test]
-    fn cycle_error_renders_like_rerand_error() {
-        let module: Arc<str> = Arc::from("edac");
-        let err = CycleError::NoSpace { module, pages: 7 };
-        assert_eq!(err.to_string(), "no free 7-page range to move edac into");
     }
 }

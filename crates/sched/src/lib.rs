@@ -81,9 +81,7 @@ mod stats;
 pub use budget::BudgetController;
 pub use clock::{Clock, SimClock};
 pub use fleet::{FleetScheduler, ShardSched};
-pub use health::{
-    backoff_multiplier, CycleError, HealthEvent, HealthState, ModuleHealth, SupervisionConfig,
-};
+pub use health::{backoff_multiplier, HealthEvent, HealthState, ModuleHealth, SupervisionConfig};
 pub use policy::{Policy, PolicyInputs};
 pub use scheduler::{CycleReport, SchedConfig, Scheduler};
 pub use stats::{LatencyHistogram, LatencySnapshot, ModuleSchedStats, SchedStats};

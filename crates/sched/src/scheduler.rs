@@ -32,10 +32,10 @@
 
 use crate::budget::BudgetController;
 use crate::clock::Clock;
-use crate::health::{CycleError, HealthEvent, HealthState, ModuleHealth, SupervisionConfig};
+use crate::health::{HealthEvent, HealthState, ModuleHealth, SupervisionConfig};
 use crate::policy::{Policy, PolicyInputs, MAX_PRESSURE_STRETCH};
 use crate::stats::{LatencyHistogram, ModuleSchedStats, SchedStats};
-use adelie_core::{log_stats, rerandomize_module_epoch, LoadedModule, ModuleRegistry};
+use adelie_core::{log_stats, rerandomize_module_epoch, LoadedModule, ModuleRegistry, RerandError};
 use adelie_gadget::ScanCache;
 use adelie_kernel::Kernel;
 use adelie_vmem::{PteFlags, PAGE_SIZE};
@@ -58,9 +58,6 @@ pub struct SchedConfig {
     /// Cap on the fraction of modeled CPU the pool may consume
     /// (`f64::INFINITY` = uncapped).
     pub max_cpu_frac: f64,
-    /// Re-scan gadget exposure every N completed cycles per module
-    /// (0 = scan once at startup only).
-    pub exposure_refresh: u64,
     /// Width of the *shared shootdown epoch*: cycles whose deadlines
     /// fall into the same window of this length receive the same epoch
     /// tag, so their page-table batches coalesce their TLB invalidation
@@ -85,7 +82,6 @@ impl Default for SchedConfig {
             workers: 2,
             policy: Policy::default_fixed(),
             max_cpu_frac: f64::INFINITY,
-            exposure_refresh: 64,
             shootdown_epoch: Duration::from_millis(1),
             supervision: SupervisionConfig::default(),
             step_cost: Duration::from_micros(100),
@@ -130,7 +126,7 @@ pub struct CycleReport {
     /// New movable base on success.
     pub new_base: Option<u64>,
     /// Typed error on failure — match on variants, not rendered text.
-    pub error: Option<CycleError>,
+    pub error: Option<RerandError>,
     /// Period the policy chose for the next cycle, in ns (after any
     /// supervision backoff/stretch).
     pub period_ns: u64,
@@ -162,7 +158,8 @@ struct ModuleEntry {
     rate_anchor: Mutex<(u64, u64)>,
     /// Last computed call rate (f64 bits).
     calls_per_sec: AtomicU64,
-    /// Gadgets/KiB of movable text (f64 bits).
+    /// Gadgets/KiB of movable text (f64 bits), scanned once when the
+    /// pool starts: a cycle re-maps the same frames, so it never changes.
     exposure: AtomicU64,
     /// Current period in nanoseconds.
     period_ns: AtomicU64,
@@ -190,13 +187,11 @@ impl ModuleEntry {
         cell.store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Scan the movable text for gadgets and update the exposure metric
+    /// Scan the movable text for gadgets and store the exposure metric
     /// (gadgets per KiB). Takes `move_lock` so the base can't move
-    /// mid-read. Zero-copy re-randomization never changes a byte of the
-    /// text, so the scan is memoized by content hash in `cache`: a
-    /// no-op cycle (nothing rewrote the module) costs one hash, zero
-    /// rescans.
-    fn refresh_exposure(&self, kernel: &Arc<Kernel>, cache: &ScanCache) {
+    /// mid-read. The scan is memoized by content hash in `cache`, so
+    /// modules with identical text pay one decode between them.
+    fn scan_exposure(&self, kernel: &Arc<Kernel>, cache: &ScanCache) {
         let _guard = self.module.move_lock.lock();
         let base = self.module.movable_base.load(Ordering::Acquire);
         let text_pages: usize = self
@@ -286,10 +281,6 @@ struct Shared {
     /// Shared-shootdown-epoch window in ns (see
     /// [`SchedConfig::shootdown_epoch`]).
     epoch_quantum_ns: u64,
-    /// Content-hash memoization of gadget scans: the Adaptive policy's
-    /// exposure refresh stops re-decoding unchanged module text every
-    /// cycle (hit/miss counters surface in [`SchedStats`]).
-    scan_cache: ScanCache,
     /// Supervision thresholds shared by every entry.
     supervision: SupervisionConfig,
     /// Modules currently not Healthy (Degraded or Quarantined). When a
@@ -318,7 +309,6 @@ pub struct Scheduler {
     kernel: Arc<Kernel>,
     registry: Arc<ModuleRegistry>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    exposure_refresh: u64,
     /// The token of the kernel call observer this pool installed, which
     /// shutdown removes — never another pool's.
     observer: Option<u64>,
@@ -426,13 +416,14 @@ impl Scheduler {
             }))
         });
 
-        // Initial gadget-exposure scan, so the adaptive policy has a
-        // signal from the very first deadline. Scans are memoized by
-        // content hash from the start — a fleet of identical-text
+        // The one gadget-exposure scan, so the adaptive policy has a
+        // signal from the very first deadline. A cycle maps the same
+        // frames at a new base, so no later cycle can change it. Scans
+        // are memoized by content hash: a fleet of identical-text
         // modules pays one decode, not one per module.
         let scan_cache = ScanCache::new();
         for e in &entries {
-            e.refresh_exposure(&kernel, &scan_cache);
+            e.scan_exposure(&kernel, &scan_cache);
         }
 
         let now_ns = clock.now_ns();
@@ -454,7 +445,6 @@ impl Scheduler {
             step_cost_ns: config.step_cost.as_nanos() as u64,
             workers_model: config.workers,
             epoch_quantum_ns: config.shootdown_epoch.as_nanos() as u64,
-            scan_cache,
             supervision: config.supervision.clone(),
             unhealthy: AtomicUsize::new(0),
         });
@@ -485,10 +475,9 @@ impl Scheduler {
                     let kernel = kernel.clone();
                     let registry = registry.clone();
                     let budget = budget.clone();
-                    let refresh = config.exposure_refresh;
                     std::thread::Builder::new()
                         .name(format!("randomizer-{w}"))
-                        .spawn(move || worker_loop(shared, kernel, registry, budget, refresh))
+                        .spawn(move || worker_loop(shared, kernel, registry, budget))
                         .expect("spawn randomizer worker")
                 })
                 .collect()
@@ -499,7 +488,6 @@ impl Scheduler {
             kernel,
             registry,
             workers,
-            exposure_refresh: config.exposure_refresh,
             observer,
         }
     }
@@ -568,16 +556,14 @@ impl Scheduler {
             chosen
         };
         sim.advance_to(deadline_ns);
-        let report = execute_cycle(
+        Some(execute_cycle(
             &self.shared,
             &self.kernel,
             &self.registry,
             &self.budget,
-            self.exposure_refresh,
             idx,
             deadline_ns,
-        );
-        Some(report)
+        ))
     }
 
     /// Swap `module`'s policy mid-flight; takes effect when the module's
@@ -624,8 +610,6 @@ impl Scheduler {
             cpu_pressure: self
                 .budget
                 .pressure_at(Duration::from_nanos(self.shared.clock.now_ns())),
-            exposure_scan_hits: self.shared.scan_cache.hits(),
-            exposure_scan_misses: self.shared.scan_cache.misses(),
             quarantines: modules.iter().map(|m| m.quarantines).sum(),
             probes: modules.iter().map(|m| m.probes).sum(),
             recoveries: modules.iter().map(|m| m.recoveries).sum(),
@@ -719,7 +703,6 @@ fn execute_cycle(
     kernel: &Arc<Kernel>,
     registry: &Arc<ModuleRegistry>,
     budget: &Arc<BudgetController>,
-    exposure_refresh: u64,
     idx: usize,
     deadline_ns: u64,
 ) -> CycleReport {
@@ -767,12 +750,9 @@ fn execute_cycle(
     if started_ns.saturating_sub(deadline_ns) > period {
         entry.missed_deadlines.fetch_add(1, Ordering::Relaxed);
     }
-    let (new_base, error, health_state, backoff) = match &outcome {
+    let (new_base, error, health_state, backoff) = match outcome {
         Ok(base) => {
-            let done = entry.cycles.fetch_add(1, Ordering::Relaxed) + 1;
-            if exposure_refresh > 0 && done.is_multiple_of(exposure_refresh) {
-                entry.refresh_exposure(kernel, &shared.scan_cache);
-            }
+            entry.cycles.fetch_add(1, Ordering::Relaxed);
             let event = {
                 let mut health = entry.health.lock().unwrap_or_else(|e| e.into_inner());
                 health.on_success()
@@ -785,7 +765,7 @@ fn execute_cycle(
                     entry.module.name
                 ));
             }
-            (Some(*base), None, HealthState::Healthy, 1u64)
+            (Some(base), None, HealthState::Healthy, 1u64)
         }
         Err(err) => {
             // Non-fatal: count, feed the health state machine, keep
@@ -831,7 +811,7 @@ fn execute_cycle(
             if !emitted {
                 entry.suppressed_logs.fetch_add(1, Ordering::Relaxed);
             }
-            (None, Some(CycleError::from(err)), state, backoff)
+            (None, Some(err), state, backoff)
         }
     };
 
@@ -912,7 +892,6 @@ fn worker_loop(
     kernel: Arc<Kernel>,
     registry: Arc<ModuleRegistry>,
     budget: Arc<BudgetController>,
-    exposure_refresh: u64,
 ) {
     loop {
         // Pop the next due entry, sleeping until its deadline.
@@ -942,15 +921,7 @@ fn worker_loop(
                 }
             }
         };
-        execute_cycle(
-            &shared,
-            &kernel,
-            &registry,
-            &budget,
-            exposure_refresh,
-            idx,
-            deadline_ns,
-        );
+        execute_cycle(&shared, &kernel, &registry, &budget, idx, deadline_ns);
     }
 }
 

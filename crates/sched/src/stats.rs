@@ -128,7 +128,8 @@ pub struct ModuleSchedStats {
     pub calls: u64,
     /// Last measured call rate.
     pub calls_per_sec: f64,
-    /// Last measured gadget density (gadgets/KiB of movable text).
+    /// Gadget density (gadgets/KiB of movable text), scanned at pool
+    /// start.
     pub exposure: f64,
     /// Cycle-latency distribution.
     pub latency: LatencySnapshot,
@@ -166,13 +167,6 @@ pub struct SchedStats {
     pub busy: Duration,
     /// Budget pressure at snapshot time (0 when uncapped).
     pub cpu_pressure: f64,
-    /// Exposure refreshes answered from the gadget-scan content-hash
-    /// cache (zero-copy moves never change the text, so steady-state
-    /// refreshes should land here).
-    pub exposure_scan_hits: u64,
-    /// Exposure refreshes that had to run a full gadget scan (one per
-    /// *distinct* module text in a healthy fleet).
-    pub exposure_scan_misses: u64,
     /// Quarantine entries, summed over modules (0 for a healthy fleet).
     pub quarantines: u64,
     /// Un-quarantine probes, summed over modules.

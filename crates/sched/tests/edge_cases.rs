@@ -61,7 +61,6 @@ fn stepped(
             workers: 1,
             policy,
             max_cpu_frac,
-            exposure_refresh: 0,
             step_cost: cycle_cost,
             ..SchedConfig::default()
         },
@@ -203,46 +202,4 @@ fn policy_transition_fixed_to_adaptive_mid_flight() {
     let m0 = stats.modules.iter().find(|m| m.name == "mod0").unwrap();
     assert_eq!(m0.policy, "adaptive", "stats must reflect the live policy");
     assert_eq!(stats.failures, 0);
-}
-
-/// Satellite regression: zero-copy moves never change module text, so
-/// the Adaptive exposure refresh must stop rescanning unchanged bytes.
-/// With `exposure_refresh: 1` (refresh after every completed cycle),
-/// the content-hash cache must answer every post-initial refresh — a
-/// no-op cycle costs **zero** rescans.
-#[test]
-fn noop_cycles_cost_zero_gadget_rescans() {
-    let (kernel, registry, _modules) = boot_n(1);
-    let sched = Scheduler::new(
-        kernel.clone(),
-        registry.clone(),
-        &["mod0"],
-        SchedConfig {
-            workers: 1,
-            policy: Policy::default_adaptive(),
-            exposure_refresh: 1, // re-scan after every cycle
-            step_cost: Duration::from_micros(50),
-            ..SchedConfig::default()
-        },
-        Clock::Virtual(SimClock::new()),
-    );
-    // The boot-time scan is the only decode this fleet ever pays.
-    let s0 = sched.stats();
-    assert_eq!(s0.exposure_scan_misses, 1, "one distinct text, one scan");
-    for _ in 0..6 {
-        sched.step().expect("heap never empties");
-    }
-    let s1 = sched.stats();
-    assert_eq!(
-        s1.exposure_scan_misses, s0.exposure_scan_misses,
-        "re-randomizing unchanged text must not rescan it"
-    );
-    assert!(
-        s1.exposure_scan_hits >= 6,
-        "every per-cycle refresh must be a cache hit (got {})",
-        s1.exposure_scan_hits
-    );
-    // The exposure signal itself still updates (non-zero for code with
-    // rets in it), so the Adaptive policy loses nothing.
-    assert!(s1.modules[0].exposure > 0.0);
 }

@@ -1,13 +1,11 @@
 //! Integration tests for the randomizer pool: concurrency, resilience,
 //! budget, and the adaptive-vs-serial throughput claim.
 
-use adelie_core::{LoadedModule, ModuleRegistry};
+use adelie_core::{LoadedModule, ModuleRegistry, RerandError};
 use adelie_isa::{AluOp, Insn, Reg};
 use adelie_kernel::{Kernel, KernelConfig};
 use adelie_plugin::{transform, FuncSpec, MOp, ModuleSpec, TransformOptions};
-use adelie_sched::{
-    Clock, CycleError, HealthState, Policy, SchedConfig, SchedStats, Scheduler, SimClock,
-};
+use adelie_sched::{Clock, HealthState, Policy, SchedConfig, SchedStats, Scheduler, SimClock};
 use adelie_vmem::PAGE_SIZE;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -566,15 +564,12 @@ fn unloaded_module_is_never_cycled() {
     for _ in 0..3 {
         let report = sched.step().expect("the entry stays in the heap");
         assert!(
-            matches!(report.error, Some(CycleError::Unloaded { .. })),
+            matches!(report.error, Some(RerandError::Unloaded { .. })),
             "{report:?}"
         );
     }
     let err = adelie_core::rerandomize_module(&kernel, &registry, &modules[0]).unwrap_err();
-    assert!(
-        matches!(err, adelie_core::RerandError::Unloaded { .. }),
-        "{err}"
-    );
+    assert!(matches!(err, RerandError::Unloaded { .. }), "{err}");
     assert_eq!(
         kernel.space.stats().pages_mapped,
         mapped,

@@ -112,28 +112,12 @@ impl FaultPlan {
         self.fail_on(module, stage, FaultSchedule::Burst { from, count });
     }
 
-    /// Deny `stage` on every `period`-th attempt of `module` from
-    /// `from` onward — a sustained fault storm.
-    pub fn fail_sustained(&self, module: &str, stage: CycleStage, from: u64, period: u64) {
-        self.fail_on(module, stage, FaultSchedule::Every { from, period });
-    }
-
     /// Add a rule matching any module.
     pub fn fail_any(&self, stage: CycleStage, attempt: u64) {
         self.rules.lock().unwrap().push(FaultRule {
             module: None,
             stage,
             schedule: FaultSchedule::At(attempt),
-        });
-    }
-
-    /// Deny `stage` on `count` consecutive attempts of *any* module
-    /// starting at `from`.
-    pub fn fail_any_burst(&self, stage: CycleStage, from: u64, count: u64) {
-        self.rules.lock().unwrap().push(FaultRule {
-            module: None,
-            stage,
-            schedule: FaultSchedule::Burst { from, count },
         });
     }
 

@@ -498,15 +498,18 @@ pub enum TlbSync {
 
 /// Construction knobs for [`AddressSpace::with_space_config`].
 /// `Default` equals [`SpaceConfig::new`].
+#[derive(Debug)]
 pub struct SpaceConfig {
     /// Invalidation-log capacity in generations; must be at least 1.
     /// Defaults to [`DEFAULT_INVAL_LOG`].
     pub inval_log: usize,
-    /// Reclamation domain guarding snapshot and log-slot lifetime.
-    /// `None` creates a dedicated EBR domain with [`READER_SLOTS`]
-    /// slots. This domain is distinct from the kernel's `mr_*` domain:
-    /// reader pins last one walk, not one pending driver call.
-    pub smr: Option<Arc<dyn Reclaimer>>,
+    /// Reader slots of the space's own EBR domain, which guards
+    /// snapshot and log-slot lifetime: the number of concurrent
+    /// readers it supports; must be at least 1. Defaults to
+    /// [`READER_SLOTS`]. This domain is distinct from the kernel's
+    /// `mr_*` domain: reader pins last one walk, not one pending
+    /// driver call.
+    pub reader_slots: usize,
     /// ISA backend owning PTE encodings and the ASID value space.
     /// Defaults to [`ArchKind::from_env`] (`ADELIE_ARCH`).
     pub arch: ArchKind,
@@ -518,12 +521,13 @@ pub struct SpaceConfig {
 }
 
 impl SpaceConfig {
-    /// The default configuration: [`DEFAULT_INVAL_LOG`], dedicated EBR
-    /// domain, environment-selected arch, freshly allocated ASID.
+    /// The default configuration: [`DEFAULT_INVAL_LOG`],
+    /// [`READER_SLOTS`] reader slots, environment-selected arch,
+    /// freshly allocated ASID.
     pub fn new() -> SpaceConfig {
         SpaceConfig {
             inval_log: DEFAULT_INVAL_LOG,
-            smr: None,
+            reader_slots: READER_SLOTS,
             arch: ArchKind::from_env(),
             asid: None,
         }
@@ -533,16 +537,6 @@ impl SpaceConfig {
 impl Default for SpaceConfig {
     fn default() -> Self {
         SpaceConfig::new()
-    }
-}
-
-impl fmt::Debug for SpaceConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SpaceConfig")
-            .field("inval_log", &self.inval_log)
-            .field("arch", &self.arch)
-            .field("asid", &self.asid)
-            .finish()
     }
 }
 
@@ -585,7 +579,7 @@ pub struct AddressSpace {
     /// Recent invalidation sets, one slot per published shootdown.
     inval: InvalRing,
     /// Epoch-based reclamation guarding snapshots and log slots.
-    smr: Arc<dyn Reclaimer>,
+    smr: Ebr,
     /// Reader-slot claim flags (one per `smr` slot); a claimed slot is
     /// exclusively owned by one [`SpaceReader`] / [`SpacePin`], which
     /// keeps EBR's one-operation-per-slot contract.
@@ -635,7 +629,7 @@ impl AddressSpace {
     }
 
     /// Create an empty address space from explicit [`SpaceConfig`]
-    /// knobs (reclamation domain, log capacity, arch, ASID).
+    /// knobs (reader slots, log capacity, arch, ASID).
     ///
     /// # Panics
     ///
@@ -647,10 +641,8 @@ impl AddressSpace {
             "SpaceConfig::inval_log must be at least 1 (got 0): the invalidation log \
              needs a slot for every shootdown"
         );
-        let smr = config
-            .smr
-            .unwrap_or_else(|| Arc::new(Ebr::new(READER_SLOTS)));
-        let nslots = smr.slots();
+        let nslots = config.reader_slots;
+        let smr = Ebr::new(nslots);
         let arch = config.arch;
         let asid = config.asid.unwrap_or_else(|| arch.allocate_asid());
         let root = Arc::new(SnapshotRoot {
@@ -704,11 +696,6 @@ impl AddressSpace {
         self.id
     }
 
-    /// Capacity of the invalidation log in generations.
-    pub fn inval_log_capacity(&self) -> usize {
-        self.inval.slots.len()
-    }
-
     /// Counters of the snapshot reclamation domain (retired vs freed
     /// roots and log slots) — what the testkit oracle asserts converges
     /// at quiescence.
@@ -737,7 +724,7 @@ impl AddressSpace {
     /// a generous spin: sustained exhaustion means more *long-lived*
     /// concurrent readers than the domain has slots — a leaked
     /// [`SpaceReader`], or a domain sized below the caller's real
-    /// concurrency (see [`SpaceConfig::smr`]).
+    /// concurrency (see [`SpaceConfig::reader_slots`]).
     fn claim_slot(&self) -> usize {
         // One-shot pins last nanoseconds; ~100k yields is seconds of
         // sustained full occupancy — a leak, not contention.
@@ -1072,42 +1059,6 @@ impl AddressSpace {
     /// See [`AddressSpace::write_bytes`].
     pub fn write_u64(&self, phys: &PhysMem, va: u64, v: u64) -> Result<(), Fault> {
         self.write_bytes(phys, va, &v.to_le_bytes())
-    }
-
-    /// Fetch up to 16 instruction bytes at `va` with execute permission
-    /// checks. Returns how many bytes were fetched (short reads happen at
-    /// mapping boundaries, which the decoder reports as `Truncated`).
-    ///
-    /// # Errors
-    ///
-    /// [`Fault::NotExecutable`] for NX pages, [`Fault::MmioExec`] for
-    /// device pages, [`Fault::Unmapped`] if the *first* page is missing.
-    pub fn fetch(&self, phys: &PhysMem, va: u64, buf: &mut [u8; 16]) -> Result<usize, Fault> {
-        let pin = self.pin();
-        let mut done = 0usize;
-        while done < buf.len() {
-            let cur = va + done as u64;
-            let off = page_offset(cur);
-            let n = (PAGE_SIZE - off).min(buf.len() - done);
-            let t = match pin.translate(cur, Access::Exec) {
-                Ok(t) => t,
-                Err(Fault::MmioExec { va }) | Err(Fault::MmioData { va }) => {
-                    return Err(Fault::MmioExec { va })
-                }
-                Err(e) if done > 0 => {
-                    // Short fetch at a mapping edge: let the decoder decide.
-                    let _ = e;
-                    return Ok(done);
-                }
-                Err(e) => return Err(e),
-            };
-            match t.pte.kind {
-                PteKind::Frame(pfn) => phys.read(pfn, off, &mut buf[done..done + n]),
-                PteKind::Mmio { .. } => return Err(Fault::MmioExec { va: cur }),
-            }
-            done += n;
-        }
-        Ok(done)
     }
 
     /// Apply a [`Batch`] of page-table mutations as **one** copy-on-write
@@ -1990,24 +1941,6 @@ mod tests {
             space.translate(bad, Access::Read),
             Err(Fault::NonCanonical { va: bad })
         );
-    }
-
-    #[test]
-    fn fetch_short_read_at_edge() {
-        let phys = PhysMem::new();
-        let space = AddressSpace::new();
-        let pfn = phys.alloc();
-        space
-            .apply(Batch::new().map_page(VA, pfn, PteFlags::TEXT))
-            .unwrap();
-        let mut buf = [0u8; 16];
-        // Fetch 8 bytes before the end of the mapped page → short read.
-        let n = space
-            .fetch(&phys, VA + PAGE_SIZE as u64 - 8, &mut buf)
-            .unwrap();
-        assert_eq!(n, 8);
-        // Fetch entirely outside → fault.
-        assert!(space.fetch(&phys, VA + PAGE_SIZE as u64, &mut buf).is_err());
     }
 
     #[test]
